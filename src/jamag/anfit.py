@@ -16,7 +16,9 @@ Two sweep policies are offered: ``argmin`` scans the whole grid and takes
 the global minimum; ``first-local-min`` walks up from ``eta0`` and stops at
 the first increase of the residual norm, reporting the step before it.
 Every grid point is evaluated independently of sweep order, so both
-policies (and the coarse-to-fine shortcut) are exactly reproducible.
+policies (and the coarse-to-fine shortcut) are exactly reproducible.  They
+differ only in which grid points they evaluate; the winner is always the
+smallest grid index among the minima of the evaluated norms.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ import numpy as np
 from .core import (
     MU0,
     MaterialSpec,
-    AnhystereticParams,
-    _check_stability,
     _implicit_array,
     anhysteretic_explicit,
     langevin,
@@ -44,7 +44,6 @@ from .errors import (
     DegenerateSweep,
     InsufficientSamples,
     JamagError,
-    LengthMismatch,
     NoPositiveSample,
     NoSolution,
 )
@@ -152,15 +151,6 @@ def initial_susceptibility(data: MagnetizationCurve, *, points: int = 1) -> floa
     return chi
 
 
-def paramagnet_reference(m1: float, Ms: float, T: float, Ha1: float) -> tuple[float, float]:
-    """Equivalent-paramagnet magnetization and secant susceptibility at Ha1."""
-    if not Ha1 > 0.0:
-        raise ValueError(f"Ha1 must be positive, got {Ha1}")
-    a1 = shape_param_from_moment(m1, T)
-    Man1 = anhysteretic_explicit(Ha1, Ms, a1)
-    return Man1, Man1 / Ha1
-
-
 def solve_chi_param(eta: float, chi_an1: float, Ha1: float, Ms: float) -> float:
     """Susceptibility whose Langevin paramagnet hits ``eta*chi_an1`` at Ha1.
 
@@ -188,26 +178,6 @@ def solve_chi_param(eta: float, chi_an1: float, Ha1: float, Ms: float) -> float:
     return find_root(f, _CHI_ROOT_CFG, bracket=(lo, hi))
 
 
-def reconstruct_curve(params: AnhystereticParams, Ms: float, fields: np.ndarray) -> np.ndarray:
-    """Implicit anhysteretic magnetization over a field grid."""
-    fields = np.asarray(fields, dtype=np.float64)
-    if fields.size == 0:
-        return fields.copy()
-    _check_stability(params.aJ, params.alpha, Ms)
-    return _implicit_array(fields, params.aJ, params.alpha, Ms, 1e-9 * Ms, 200)
-
-
-def residual(data: MagnetizationCurve, reconstruction: np.ndarray) -> tuple[np.ndarray, float]:
-    """mu0-scaled pointwise error and its Euclidean norm, in tesla."""
-    reconstruction = np.asarray(reconstruction, dtype=np.float64)
-    if reconstruction.shape != data.M.shape:
-        raise LengthMismatch(
-            f"reconstruction has shape {reconstruction.shape}, data has {data.M.shape}"
-        )
-    r = MU0 * (reconstruction - data.M)
-    return r, float(np.linalg.norm(r))
-
-
 def fit_anhysteretic(
     data: MagnetizationCurve,
     material: MaterialSpec,
@@ -227,66 +197,53 @@ def fit_anhysteretic(
     Ms, T = material.Ms, material.T
     chi_a = initial_susceptibility(data, points=cfg.slope_points)
     m1 = moment_from_susceptibility(chi_a, Ms, T)
-    _, chi_an1 = paramagnet_reference(m1, Ms, T, cfg.ha1)
+    # secant susceptibility of the equivalent paramagnet at ha1
+    chi_an1 = anhysteretic_explicit(cfg.ha1, Ms, shape_param_from_moment(m1, T)) / cfg.ha1
 
     n_grid = int(math.floor((cfg.eta_max - cfg.eta0) / cfg.eps - 1e-9)) + 1
     tol = 1e-9 * Ms
 
-    def eval_eta(j: int) -> tuple[float, tuple]:
+    def candidate(j: int) -> tuple:
         eta = cfg.eta0 + j * cfg.eps
         chi_p = solve_chi_param(eta, chi_an1, cfg.ha1, Ms)
         m2 = moment_from_susceptibility(chi_p, Ms, T)
         aJ = shape_param_from_moment(m2, T)
         alpha = alpha_from_susceptibilities(chi_p, chi_a)
-        M_hat = _implicit_array(H, aJ, alpha, Ms, tol, 200)
-        r = MU0 * (M_hat - M)
-        norm = float(np.linalg.norm(r))
-        return norm, (eta, chi_p, m2, aJ, alpha, r)
+        r = MU0 * (_implicit_array(H, aJ, alpha, Ms, tol, 200) - M)
+        return eta, chi_p, m2, aJ, alpha, r
+
+    norms: dict[int, float] = {}
+
+    def norm(j: int) -> float:
+        if j not in norms:
+            norms[j] = float(np.linalg.norm(candidate(j)[-1]))
+        return norms[j]
 
     try:
-        first_norm, first_payload = eval_eta(0)
+        norm(0)
     except JamagError as err:
         raise DegenerateSweep(f"first eta step {cfg.eta0} failed: {err}") from err
 
-    evaluated: dict[int, float] = {0: first_norm}
-    best_j, best_norm, best_payload = 0, first_norm, first_payload
-
-    def visit(j: int) -> float:
-        nonlocal best_j, best_norm, best_payload
-        if j in evaluated:
-            return evaluated[j]
-        norm, payload = eval_eta(j)
-        evaluated[j] = norm
-        if norm < best_norm:
-            best_j, best_norm, best_payload = j, norm, payload
-        return norm
-
     if cfg.sweep == SWEEP_FIRST_LOCAL_MIN:
-        prev = first_norm
-        for j in range(1, n_grid):
-            norm = visit(j)
-            if not norm < prev:
-                break
-            prev = norm
-        # best_j is the last strictly-decreasing step
+        j = 1
+        while j < n_grid and norm(j) < norm(j - 1):
+            j += 1
     elif cfg.coarse:
-        js = sorted(set(range(0, n_grid, _COARSE_STRIDE)) | {n_grid - 1})
-        for j in js:
-            visit(j)
-        center = best_j
+        coarse = sorted(set(range(0, n_grid, _COARSE_STRIDE)) | {n_grid - 1})
+        center = min(coarse, key=norm)
         for j in range(max(0, center - _COARSE_STRIDE), min(n_grid, center + _COARSE_STRIDE + 1)):
-            visit(j)
-        # ties resolve to the smallest j, exactly as in the plain scan
-        best_j = min(j for j, v in evaluated.items() if v == best_norm)
-        best_payload = eval_eta(best_j)[1]
+            norm(j)
     else:
-        for j in range(1, n_grid):
-            visit(j)
+        for j in range(n_grid):
+            norm(j)
 
-    eta_star, chi_p, m2, aJ, alpha, r = best_payload
-    js_sorted = sorted(evaluated)
-    sweep_etas = np.array([cfg.eta0 + j * cfg.eps for j in js_sorted])
-    sweep_norms = np.array([evaluated[j] for j in js_sorted])
+    js = sorted(norms)
+    # min keeps the first of equal norms: ties resolve to the smallest j under every policy
+    best_j = min(js, key=norms.__getitem__)
+    best_norm = norms[best_j]
+    eta_star, chi_p, m2, aJ, alpha, r = candidate(best_j)
+    sweep_etas = np.array([cfg.eta0 + j * cfg.eps for j in js])
+    sweep_norms = np.array([norms[j] for j in js])
     unimodal = _is_unimodal(sweep_norms)
 
     warn: list[str] = []
@@ -297,7 +254,7 @@ def fit_anhysteretic(
 
     _logger.debug(
         "fit: eta*=%.6g, chi_param=%.6g, aJ=%.6g, alpha=%.6g, |r|=%.6g (%d evals)",
-        eta_star, chi_p, aJ, alpha, best_norm, len(evaluated),
+        eta_star, chi_p, aJ, alpha, best_norm, len(norms),
     )
     return FitReport(
         eta_star=eta_star,
@@ -309,7 +266,7 @@ def fit_anhysteretic(
         m1=m1,
         residual=r,
         residual_norm=best_norm,
-        iterations=len(evaluated),
+        iterations=len(norms),
         sweep_etas=sweep_etas,
         sweep_norms=sweep_norms,
         unimodal=unimodal,

@@ -27,8 +27,8 @@ from .anfit import AnhystereticFitConfig, fit_anhysteretic
 from .core import MU0, MaterialSpec
 from .dataio import CurveKind, LoopFeatures, MagnetizationCurve, Unit, extract_features, parse_curve
 from .errors import DataError, JamagError
-from .jiles92 import Jiles92Config, estimate
-from .simulate import FieldWaveform, HysteresisParams, integrate, loop_params_from_features
+from .jiles92 import Jiles92Config, c_from_susceptibilities, estimate
+from .simulate import FieldWaveform, HysteresisParams, integrate
 from .validation import GRID_MATERIAL, run_grid
 
 _CONVENTION_NOTE = (
@@ -243,6 +243,12 @@ def cmd_simulate_loop(args) -> int:
             aJ = float(res["aJ"])
         if alpha is None:
             alpha = float(res["alpha"])
+            if alpha < 0.0:
+                # a valid fit report that the fit flagged, so not bad input: exit 3
+                raise JamagError(
+                    f"{args.params}: fitted alpha = {alpha:.6g} is negative "
+                    "(NON_PHYSICAL_ALPHA); the hysteresis model needs alpha >= 0"
+                )
         if ms is None and "config" in obj and "ms" in obj["config"]:
             ms = float(obj["config"]["ms"])
     missing = [n for n, v in (("--aj", aJ), ("--alpha", alpha), ("--ms", ms)) if v is None]
@@ -294,7 +300,8 @@ def cmd_extract(args) -> int:
             for curve in (first, anh, loop):
                 curve.check_amplitude(args.ms)
         features = extract_features(first, loop, anh, slope_points=args.slope_points)
-        c, k = loop_params_from_features(features)
+        c = c_from_susceptibilities(features.chi_in, features.chi_an)
+        k = features.Hc
 
     run = {
         "command": "extract",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, SingularSlope, UnstableParams
-from .rootfind import RootConfig, find_root
+from .rootfind import find_root  # noqa: F401  # unused here; perfbench/tracer.py wraps core.find_root
 
 KB = 1.380649e-23
 """Boltzmann constant, J/K (exact)."""
@@ -41,32 +41,17 @@ _IMPLICIT_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    """SI constants used throughout; override only for unit experiments."""
-
-    kB: float = KB
-    mu0: float = MU0
-
-
-@dataclass(frozen=True)
 class MaterialSpec:
-    """Saturation magnetization and temperature of the specimen.
-
-    ``Tc`` (Curie temperature, K) is carried as descriptive metadata; no
-    operation consumes it.
-    """
+    """Saturation magnetization and temperature of the specimen."""
 
     Ms: float
     T: float
-    Tc: float | None = None
 
     def __post_init__(self) -> None:
         if not self.Ms > 0.0:
             raise ValueError(f"Ms must be positive, got {self.Ms}")
         if not self.T > 0.0:
             raise ValueError(f"T must be positive, got {self.T}")
-        if self.Tc is not None and not self.Tc > 0.0:
-            raise ValueError(f"Tc must be positive when given, got {self.Tc}")
 
 
 @dataclass(frozen=True)
@@ -164,21 +149,6 @@ def _check_stability(aJ: float, alpha: float, Ms: float) -> None:
         )
 
 
-def _implicit_scalar(
-    Ha: float, aJ: float, alpha: float, Ms: float, abs_tol: float, max_iter: int
-) -> float:
-    if Ha == 0.0:
-        return 0.0
-    sign = 1.0 if Ha > 0.0 else -1.0
-    A = abs(Ha)
-
-    def g(M: float) -> float:
-        return M - Ms * langevin((A + alpha * M) / aJ)
-
-    cfg = RootConfig(abs_tol=abs_tol, max_iter=max_iter)
-    return sign * find_root(g, cfg, bracket=(0.0, Ms))
-
-
 def _implicit_array(
     Ha: np.ndarray,
     aJ: float,
@@ -191,7 +161,8 @@ def _implicit_array(
 
     Newton steps from the uncoupled curve, clipped into a shrinking
     [lo, hi] bracket (bisection fallback), so convergence is guaranteed for
-    the monotone residual.  Agrees with the scalar path within ``abs_tol``.
+    the monotone residual.  This is the only solver of the implicit curve;
+    scalar fields reach it as one-element arrays.
     """
     sign = np.sign(Ha)
     A = np.abs(Ha.astype(np.float64, copy=False))
@@ -229,16 +200,19 @@ def anhysteretic_implicit(
 ):
     """Self-consistent anhysteretic magnetization at applied field ``Ha``.
 
-    Solves M = Ms * L((Ha + alpha*M)/aJ) by bracketed root finding on
+    Solves M = Ms * L((Ha + alpha*M)/aJ) by bracketed Newton iteration on
     [0, Ms] (mirrored for negative fields, so the result is exactly odd).
     Default tolerance is 1e-9 * Ms.  Raises :class:`UnstableParams` when
-    ``alpha*Ms/(3*aJ) >= 1``.  Accepts a float or a numpy array of fields.
+    ``alpha*Ms/(3*aJ) >= 1``.  Accepts a float or a numpy array of fields;
+    a float is solved as a one-element array and returned as a float, so
+    it has the same bits as that array solve.
     """
     _check_stability(params.aJ, params.alpha, Ms)
     tol = _IMPLICIT_REL_TOL * Ms if abs_tol is None else abs_tol
     if isinstance(Ha, np.ndarray):
         return _implicit_array(Ha, params.aJ, params.alpha, Ms, tol, max_iter)
-    return _implicit_scalar(float(Ha), params.aJ, params.alpha, Ms, tol, max_iter)
+    one = np.array([float(Ha)])
+    return float(_implicit_array(one, params.aJ, params.alpha, Ms, tol, max_iter)[0])
 
 
 def _slope_raw(Ha, M, aJ: float, alpha: float, Ms: float):
@@ -264,11 +238,6 @@ def anhysteretic_slope(Ha, M, params: AnhystereticParams, Ms: float):
     when the denominator is not positive.
     """
     return _slope_raw(Ha, M, params.aJ, params.alpha, Ms)
-
-
-def linearized_anhysteretic(Ha, m1: float, Ms: float, T: float):
-    """Low-field linearization M = (Ms/3) * (mu0*m1/(kB*T)) * Ha."""
-    return (Ms / 3.0) * (MU0 * m1 / (KB * T)) * Ha
 
 
 def moment_from_susceptibility(chi: float, Ms: float, T: float) -> float:

@@ -48,10 +48,6 @@ class NoSolution(JamagError):
     """The scaled high-field target exceeds saturation; no susceptibility solves it."""
 
 
-class LengthMismatch(JamagError):
-    """Measured and reconstructed curves have different lengths."""
-
-
 class DegenerateSweep(JamagError):
     """The very first scale-factor step failed to produce a solution."""
 

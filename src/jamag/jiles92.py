@@ -94,13 +94,17 @@ class Jiles92Result:
 
 
 def c_from_susceptibilities(chi_in: float, chi_an: float) -> float:
-    """Reversibility fraction c = chi_in / chi_an (expected in (0, 1])."""
+    """Reversibility fraction c = chi_in / chi_an (expected in (0, 1)).
+
+    c >= 1 and c <= 0 are returned with a warning; at c = 1 the pinning
+    term drops out of the loop equations.
+    """
     if chi_an == 0.0:
         raise ZeroDenominator("chi_an is zero")
     c = chi_in / chi_an
-    if c > 1.0 or c <= 0.0:
+    if c >= 1.0 or c <= 0.0:
         warnings.warn(
-            f"c = {c:.6g} outside the physical range (0, 1]",
+            f"c = {c:.6g} outside the physical range (0, 1)",
             NonPhysicalParameterWarning,
             stacklevel=2,
         )
@@ -241,7 +245,8 @@ def estimate(
                     best = cand
                 if cand.fit_condition_met:
                     return cand
-        except (RootFindError, SingularDenominator, SingularSlope, UnstableParams, ValueError) as err:
+        # numerical failures abandon the seed; anything else is a bug and propagates
+        except (RootFindError, SingularDenominator, SingularSlope, UnstableParams) as err:
             _logger.debug("seed %.3g aborted: %s", seed, err)
             continue
 

@@ -12,7 +12,6 @@ produce the same float.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from logging import getLogger
 from typing import Callable
 
 from .errors import InvalidBracket, NoConvergence, NoSignChange
@@ -33,7 +32,6 @@ class RootConfig:
     abs_tol: float
     rel_tol: float = 0.0
     max_iter: int = 100
-    bracket: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if not self.abs_tol > 0.0:
@@ -42,10 +40,6 @@ class RootConfig:
             raise ValueError(f"rel_tol must be non-negative, got {self.rel_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.bracket is not None:
-            lo, hi = self.bracket
-            if not lo < hi:
-                raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
 
 
 def expand_bracket(
@@ -104,19 +98,14 @@ def expand_bracket(
 def find_root(
     f: Callable[[float], float],
     cfg: RootConfig,
-    bracket: tuple[float, float] | None = None,
+    bracket: tuple[float, float],
 ) -> float:
-    """Find a root of ``f`` inside a sign-changing bracket.
+    """Find a root of ``f`` inside the sign-changing interval ``bracket``.
 
-    ``bracket`` overrides ``cfg.bracket`` when given.  The returned root
-    always lies inside the initial interval.  Raises :class:`InvalidBracket`
-    when the endpoints do not straddle a sign change and
-    :class:`NoConvergence` when ``cfg.max_iter`` is exhausted.
+    The returned root always lies inside that interval.  Raises
+    :class:`InvalidBracket` when the endpoints do not straddle a sign
+    change and :class:`NoConvergence` when ``cfg.max_iter`` is exhausted.
     """
-    if bracket is None:
-        bracket = cfg.bracket
-    if bracket is None:
-        raise InvalidBracket("no bracket supplied")
     lo, hi = bracket
     if not lo < hi:
         raise InvalidBracket(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
@@ -179,6 +168,3 @@ def find_root(
     raise NoConvergence(
         f"no root within {cfg.max_iter} iterations; last estimate {b!r}"
     )
-
-
-_logger = getLogger(__name__)

@@ -21,9 +21,9 @@ from logging import getLogger
 
 import numpy as np
 
-from .core import _check_stability, _implicit_array, _implicit_scalar, _slope_raw
-from .dataio import CurveKind, LoopFeatures, MagnetizationCurve
-from .errors import NonPhysicalParameterWarning, SingularDenominator, ZeroDenominator
+from .core import _check_stability, _implicit_array, _slope_raw
+from .dataio import CurveKind, MagnetizationCurve
+from .errors import NonPhysicalParameterWarning, SingularDenominator
 
 _logger = getLogger(__name__)
 
@@ -124,7 +124,7 @@ def dM_dH(H: float, M: float, delta: int, p: HysteresisParams, *, clamp: bool = 
     if delta not in (1, -1):
         raise ValueError(f"delta must be +1 or -1, got {delta}")
     _check_stability(p.aJ, p.alpha, p.Ms)
-    man = _implicit_scalar(H, p.aJ, p.alpha, p.Ms, 1e-12 * p.Ms, 200)
+    man = float(_implicit_array(np.array([float(H)]), p.aJ, p.alpha, p.Ms, 1e-12 * p.Ms, 200)[0])
     man_slope = _slope_raw(H, man, p.aJ, p.alpha, p.Ms)
     return _rhs(man, man_slope, M, float(delta), p, clamp)
 
@@ -186,24 +186,3 @@ def integrate(
         step_base += S
 
     return MagnetizationCurve(H=H_out, M=M_out, kind=CurveKind.FULL_LOOP)
-
-
-def loop_params_from_features(features: LoopFeatures) -> tuple[float, float]:
-    """Direct (c, k) settings from measured features: c = chi_in/chi_an, k = Hc.
-
-    Degenerate values are returned as-is with a warning so the caller can
-    decide (k = 0 means a lossless material; c = 1 a fully reversible one).
-    """
-    if features.chi_an == 0.0:
-        raise ZeroDenominator("chi_an is zero; c = chi_in/chi_an undefined")
-    c = features.chi_in / features.chi_an
-    if c >= 1.0:
-        warnings.warn(
-            f"c = chi_in/chi_an = {c:.6g} is at or above 1",
-            NonPhysicalParameterWarning,
-            stacklevel=2,
-        )
-    k = features.Hc
-    if k == 0.0:
-        warnings.warn("k = Hc = 0 (lossless loop)", NonPhysicalParameterWarning, stacklevel=2)
-    return c, k

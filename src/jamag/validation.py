@@ -18,7 +18,7 @@ from .anfit import AnhystereticFitConfig, FitReport, fit_anhysteretic
 from .core import MU0, AnhystereticParams, MaterialSpec, anhysteretic_implicit
 from .dataio import CurveKind, MagnetizationCurve
 
-GRID_MATERIAL = MaterialSpec(Ms=1.6e6, T=303.5, Tc=1023.5)
+GRID_MATERIAL = MaterialSpec(Ms=1.6e6, T=303.5)
 
 GRID_ROWS: tuple[tuple[float, float], ...] = (
     (972.0, 1.4e-3),

@@ -6,18 +6,14 @@ from jamag.anfit import (
     AnhystereticFitConfig,
     fit_anhysteretic,
     initial_susceptibility,
-    paramagnet_reference,
-    reconstruct_curve,
-    residual,
     solve_chi_param,
     _is_unimodal,
 )
-from jamag.core import MU0, AnhystereticParams, MaterialSpec, anhysteretic_implicit, langevin
+from jamag.core import MU0, anhysteretic_explicit, langevin, shape_param_from_moment
 from jamag.dataio import CurveKind, MagnetizationCurve
 from jamag.errors import (
     DegenerateSweep,
     InsufficientSamples,
-    LengthMismatch,
     NoPositiveSample,
     NoSolution,
 )
@@ -29,9 +25,7 @@ MS = 1.6e6
 T = 303.5
 
 # 50-digit references
-M1_REF = 2.6759575396457647e-18      # moment for a1 = 1246.1 A/m at T
-MAN1_REF = 1598006.2404384166        # paramagnet magnetization at Ha1=1e6 for that moment
-CHI_AN1_REF = 1.5980062404384166
+CHI_AN1_REF = 1.5980062404384166     # paramagnet secant susceptibility at Ha1=1e6, a1 = 1246.1 A/m
 TARGET_45P8 = 1.5813682678311499     # (Ms/Ha1) * L(3*45.8*Ha1/Ms)
 
 
@@ -97,17 +91,6 @@ class TestInitialSusceptibility:
             initial_susceptibility(linear_curve(), points=0)
 
 
-class TestParamagnetReference:
-    def test_reference_values(self):
-        man1, chi1 = paramagnet_reference(M1_REF, MS, T, 1.0e6)
-        assert man1 == pytest.approx(MAN1_REF, rel=1e-9)
-        assert chi1 == pytest.approx(CHI_AN1_REF, rel=1e-9)
-
-    def test_rejects_bad_field(self):
-        with pytest.raises(ValueError):
-            paramagnet_reference(M1_REF, MS, T, 0.0)
-
-
 class TestSolveChiParam:
     def test_reference_round_trip(self):
         chi_an1 = 1.598006
@@ -119,7 +102,7 @@ class TestSolveChiParam:
         # at eta=1 the solved chi equals the chi that produced chi_an1
         chi_a = 428.05
         m1 = 3.0 * 1.380649e-23 * T * chi_a / (MU0 * MS)
-        _, chi_an1 = paramagnet_reference(m1, MS, T, 1.0e6)
+        chi_an1 = anhysteretic_explicit(1.0e6, MS, shape_param_from_moment(m1, T)) / 1.0e6
         chi = solve_chi_param(1.0, chi_an1, 1.0e6, MS)
         assert chi == pytest.approx(chi_a, rel=1e-9)
 
@@ -141,26 +124,6 @@ class TestSolveChiParam:
             target = (MS / 1.0e6) * langevin(3.0 * chi_true * 1.0e6 / MS)
             back = solve_chi_param(target / chi_an1, chi_an1, 1.0e6, MS)
             assert back == pytest.approx(chi_true, rel=1e-10)
-
-
-class TestReconstructResidual:
-    def test_reconstruct_matches_implicit(self, steel_params, material):
-        fields = np.linspace(50.0, 1e4, 30)
-        rec = reconstruct_curve(steel_params, MS, fields)
-        direct = anhysteretic_implicit(fields, steel_params, MS)
-        assert np.max(np.abs(rec - direct)) <= 2e-9 * MS
-
-    def test_reconstruct_empty(self, steel_params):
-        assert reconstruct_curve(steel_params, MS, np.array([])).size == 0
-
-    def test_residual_norm(self, steel_curve):
-        r, norm = residual(steel_curve, steel_curve.M + 1.0)
-        assert np.allclose(r, MU0)
-        assert norm == pytest.approx(MU0 * np.sqrt(len(steel_curve)), rel=1e-12)
-
-    def test_residual_shape_mismatch(self, steel_curve):
-        with pytest.raises(LengthMismatch):
-            residual(steel_curve, steel_curve.M[:-1])
 
 
 class TestFit:
@@ -201,6 +164,37 @@ class TestFit:
         # the walk stops one step past the minimum instead of covering the grid
         n_grid = int((1.0 - 0.99) / 1e-5)
         assert walk.iterations < n_grid
+
+    @pytest.mark.parametrize(
+        "profile,sweep,coarse,j_star,evals",
+        [
+            ((5, 4, 3, 4, 5, 6, 2, 3, 4, 5), "argmin", False, 6, 10),
+            ((5, 4, 3, 4, 5, 6, 2, 3, 4, 5), "argmin", True, 6, 10),
+            ((5, 4, 3, 4, 5, 6, 2, 3, 4, 5), "first-local-min", False, 2, 4),
+            ((5, 4, 2, 4, 5, 6, 2, 3, 4, 5), "argmin", False, 2, 10),
+            ((5, 4, 2, 4, 5, 6, 2, 3, 4, 5), "argmin", True, 2, 10),
+            ((5, 4, 4, 3, 5, 6, 2, 3, 4, 5), "first-local-min", False, 1, 3),
+        ],
+    )
+    def test_sweep_policies_on_two_dip_profile(
+        self, material, monkeypatch, profile, sweep, coarse, j_star, evals
+    ):
+        # alpha carries eta into the patched curve solve, whose residual norm
+        # is then proportional to profile[j] at grid index j
+        eta0, eps = 0.9, 0.01
+        data = linear_curve(n=4)
+
+        def fake_curve(H, aJ, alpha, Ms, tol, max_iter):
+            return data.M + profile[round((alpha - eta0) / eps)]
+
+        monkeypatch.setattr(anfit, "solve_chi_param", lambda eta, *args: eta)
+        monkeypatch.setattr(anfit, "alpha_from_susceptibilities", lambda chi_p, chi_a: chi_p)
+        monkeypatch.setattr(anfit, "_implicit_array", fake_curve)
+        cfg = AnhystereticFitConfig(eta0=eta0, eps=eps, sweep=sweep, coarse=coarse)
+        report = fit_anhysteretic(data, material, cfg)
+        assert report.eta_star == eta0 + j_star * eps
+        assert report.residual_norm == min(report.sweep_norms)
+        assert report.iterations == evals
 
     def test_profile_is_recorded_sorted(self, material):
         data = synthetic_curve(1000.0, 1.4e-3, material, 80, 1.0e4)

@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+import jamag.anfit as anfit
+from jamag import cli
 from jamag.core import MaterialSpec
 from jamag.dataio import CurveKind, MagnetizationCurve
 from jamag.simulate import FieldWaveform, HysteresisParams, integrate
@@ -185,6 +187,33 @@ class TestSimulateLoop:
             "--hmax", 5000, "--steps", 100, "--out", tmp_path / "loop.csv",
         )
         assert r.returncode == 0, r.stderr
+
+    def test_params_report_with_negative_alpha_exits_3(self, anh_file, tmp_path, monkeypatch):
+        # a report flagged NON_PHYSICAL_ALPHA is valid data: refusing it is a numerical failure
+        monkeypatch.setattr(anfit, "alpha_from_susceptibilities", lambda cp, ca: -1e-4)
+        rep = tmp_path / "rep.json"
+        code = cli.main([
+            "fit-anhysteretic", str(anh_file), "--ms", str(MS), "--temp", str(T),
+            "--eta0", "0.999", "--eps", "1e-4", "--out", str(rep),
+            "--curve-out", str(tmp_path / "c.csv"), "--deterministic",
+        ])
+        assert code == 0
+        assert "NON_PHYSICAL_ALPHA" in [w["code"] for w in json.loads(rep.read_text())["warnings"]]
+        r = run_cli(
+            "simulate-loop", "--params", rep, "--c", 0.1, "--k", 1000,
+            "--hmax", 5000, "--steps", 100, "--out", tmp_path / "loop.csv",
+        )
+        assert r.returncode == 3
+        assert "NON_PHYSICAL_ALPHA" in r.stderr
+        assert str(rep) in r.stderr
+
+    def test_negative_alpha_flag_exits_2(self, tmp_path):
+        r = run_cli(
+            "simulate-loop", "--aj", 972, "--alpha=-1e-4", "--c", 0.1, "--k", 1000,
+            "--ms", MS, "--hmax", 5000, "--out", tmp_path / "l.csv",
+        )
+        assert r.returncode == 2
+        assert "alpha must be non-negative" in r.stderr
 
 
 class TestExtractAndJiles92:

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import jamag.jiles92 as jiles92
 from jamag.core import (
     AnhystereticParams,
     MaterialSpec,
@@ -73,6 +76,25 @@ class TestClosedFormPieces:
             assert c_from_susceptibilities(600.0, 500.0) > 1.0
         with pytest.warns(NonPhysicalParameterWarning):
             c_from_susceptibilities(0.0, 500.0)
+
+    def test_equal_susceptibilities_warn(self):
+        with pytest.warns(NonPhysicalParameterWarning):
+            assert c_from_susceptibilities(500.0, 500.0) == 1.0
+
+    def test_lossless_loop_warns_once(self):
+        # Hc = 0 is flagged by the features alone; c and k = Hc add no warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            f = features(Hc=0.0)
+            c = c_from_susceptibilities(f.chi_in, f.chi_an)
+        assert [str(w.message) for w in caught] == ["Hc is zero (lossless loop)"]
+        assert c == pytest.approx(0.1, rel=1e-15)
+
+    def test_zero_anhysteretic_slope(self):
+        with pytest.warns(NonPhysicalParameterWarning):
+            f = features(chi_an=0.0)
+        with pytest.raises(ZeroDenominator):
+            c_from_susceptibilities(f.chi_in, f.chi_an)
 
     def test_aj_initial(self):
         assert aj_initial(MS, 428.0, 0.0) == pytest.approx(1246.1059190031153, rel=1e-12)
@@ -214,8 +236,19 @@ class TestEstimate:
     def test_degenerate_c(self, synthetic_setup):
         material, _, loop, _ = synthetic_setup
         f = features(chi_in=500.0, chi_an=500.0)
-        with pytest.raises(DegenerateC):
+        with pytest.raises(DegenerateC), pytest.warns(NonPhysicalParameterWarning):
             estimate(f, material, Jiles92Config(), loop)
+
+    def test_programming_error_propagates(self, synthetic_setup, monkeypatch):
+        # only numerical failures abandon a seed; a ValueError is a bug
+        material, _, loop, feats = synthetic_setup
+
+        def broken(*args, **kwargs):
+            raise ValueError("broken")
+
+        monkeypatch.setattr(jiles92, "k_from_coercive", broken)
+        with pytest.raises(ValueError, match="broken"):
+            estimate(feats, material, Jiles92Config(), loop)
 
     def test_all_seeds_failing_raises(self, synthetic_setup):
         material, _, loop, _ = synthetic_setup

@@ -16,24 +16,11 @@ def test_config_rejects_bad_tolerances():
         RootConfig(abs_tol=1e-12, rel_tol=-1.0)
     with pytest.raises(ValueError):
         RootConfig(abs_tol=1e-12, max_iter=0)
-    with pytest.raises(ValueError):
-        RootConfig(abs_tol=1e-12, bracket=(2.0, 1.0))
 
 
 def test_quadratic_root():
     x = find_root(lambda v: v * v - 4.0, TIGHT, bracket=(0.0, 10.0))
     assert math.isclose(x, 2.0, rel_tol=1e-12)
-
-
-def test_bracket_from_config():
-    cfg = RootConfig(abs_tol=1e-14, bracket=(0.0, 10.0))
-    x = find_root(lambda v: v * v - 4.0, cfg)
-    assert math.isclose(x, 2.0, rel_tol=1e-12)
-
-
-def test_missing_bracket_rejected():
-    with pytest.raises(InvalidBracket):
-        find_root(lambda v: v - 1.0, TIGHT)
 
 
 def test_exact_zero_at_endpoint():

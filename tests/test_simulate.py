@@ -12,14 +12,13 @@ from jamag.errors import (
     NonPhysicalParameterWarning,
     SingularDenominator,
     UnstableParams,
-    ZeroDenominator,
 )
+from jamag.jiles92 import c_from_susceptibilities
 from jamag.simulate import (
     FieldWaveform,
     HysteresisParams,
     dM_dH,
     integrate,
-    loop_params_from_features,
     _rhs,
 )
 
@@ -223,33 +222,14 @@ class TestIntegrate:
 
 
 class TestLoopParams:
-    def make(self, **kw):
-        base = dict(
+    """The loop parameters `extract` reports: c = chi_in/chi_an and k = Hc."""
+
+    def test_reference(self):
+        feats = LoopFeatures(
             chi_in=50.0, chi_an=500.0, chi_max=1500.0, chi_r=1900.0, chi_m=50.0,
             Hc=120.0, Mr=5.0e5, Hm=5000.0, Mm=1.3e6,
         )
-        base.update(kw)
-        return LoopFeatures(**base)
-
-    def test_reference(self):
-        c, k = loop_params_from_features(self.make())
+        c = c_from_susceptibilities(feats.chi_in, feats.chi_an)
+        k = feats.Hc
         assert c == pytest.approx(0.1, rel=1e-15)
         assert k == 120.0
-
-    def test_equal_susceptibilities_warn(self):
-        with pytest.warns(NonPhysicalParameterWarning):
-            c, k = loop_params_from_features(self.make(chi_in=500.0))
-        assert c == 1.0
-
-    def test_lossless_loop_warns(self):
-        with pytest.warns(NonPhysicalParameterWarning):
-            feats = self.make(Hc=0.0, Hm=5000.0)
-        with pytest.warns(NonPhysicalParameterWarning):
-            c, k = loop_params_from_features(feats)
-        assert k == 0.0
-
-    def test_zero_anhysteretic_slope(self):
-        with pytest.warns(NonPhysicalParameterWarning):
-            feats = self.make(chi_an=0.0)
-        with pytest.raises(ZeroDenominator):
-            loop_params_from_features(feats)
