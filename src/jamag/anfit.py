@@ -18,7 +18,10 @@ the first increase of the residual norm, reporting the step before it.
 Every grid point is evaluated independently of sweep order, so both
 policies (and the coarse-to-fine shortcut) are exactly reproducible.  They
 differ only in which grid points they evaluate; the winner is always the
-smallest grid index among the minima of the evaluated norms.
+smallest grid index among the minima of the evaluated norms.  The scans
+evaluate their grid points in blocks: one lockstep curve solve per block,
+each row with the bits of its own single-curve solve, so a norm does not
+depend on the block it was computed in.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ SWEEP_ARGMIN = "argmin"
 SWEEP_FIRST_LOCAL_MIN = "first-local-min"
 
 _COARSE_STRIDE = 100
+_BLOCK_POINTS = 4096
+"""Fields times candidates per lockstep curve solve of the sweep (20 rows of 200 samples)."""
 _CHI_ROOT_CFG = RootConfig(abs_tol=1e-20, rel_tol=1e-12, max_iter=200)
 
 _logger = getLogger(__name__)
@@ -209,39 +214,66 @@ def fit_anhysteretic(
         m2 = moment_from_susceptibility(chi_p, Ms, T)
         aJ = shape_param_from_moment(m2, T)
         alpha = alpha_from_susceptibilities(chi_p, chi_a)
-        r = MU0 * (_implicit_array(H, aJ, alpha, Ms, tol, 200) - M)
-        return eta, chi_p, m2, aJ, alpha, r
+        return eta, chi_p, m2, aJ, alpha
+
+    def residual(aJ, alpha) -> np.ndarray:
+        return MU0 * (_implicit_array(H, aJ, alpha, Ms, tol, 200) - M)
 
     norms: dict[int, float] = {}
+    block_rows = max(1, _BLOCK_POINTS // H.size)
 
-    def norm(j: int) -> float:
-        if j not in norms:
-            norms[j] = float(np.linalg.norm(candidate(j)[-1]))
-        return norms[j]
+    def evaluate(js) -> list[float]:
+        """Residual norms at grid indices ``js``, memoised.
+
+        Candidates are built in grid order and their curves solved in
+        blocks of ``block_rows``.  A candidate that fails stops the build;
+        the rows before it are solved first, so the smallest failing index
+        decides what is raised, as in a one-index-at-a-time sweep.
+        """
+        todo = [j for j in js if j not in norms]
+        aJs: list[float] = []
+        alphas: list[float] = []
+        failure = None
+        for j in todo:
+            try:
+                _, _, _, aJ, alpha = candidate(j)
+            except Exception as err:  # re-raised below, unless an earlier row fails
+                failure = err
+                break
+            aJs.append(aJ)
+            alphas.append(alpha)
+        for b in range(0, len(aJs), block_rows):
+            block = slice(b, b + block_rows)
+            r = residual(np.array(aJs[block])[:, None], np.array(alphas[block])[:, None])
+            for j, row in zip(todo[block], r):
+                norms[j] = float(np.linalg.norm(row))
+        if failure is not None:
+            raise failure
+        return [norms[j] for j in js]
 
     try:
-        norm(0)
+        evaluate([0])
     except JamagError as err:
         raise DegenerateSweep(f"first eta step {cfg.eta0} failed: {err}") from err
 
     if cfg.sweep == SWEEP_FIRST_LOCAL_MIN:
         j = 1
-        while j < n_grid and norm(j) < norm(j - 1):
+        while j < n_grid and evaluate([j])[0] < norms[j - 1]:
             j += 1
     elif cfg.coarse:
         coarse = sorted(set(range(0, n_grid, _COARSE_STRIDE)) | {n_grid - 1})
-        center = min(coarse, key=norm)
-        for j in range(max(0, center - _COARSE_STRIDE), min(n_grid, center + _COARSE_STRIDE + 1)):
-            norm(j)
+        evaluate(coarse)
+        center = min(coarse, key=norms.__getitem__)
+        evaluate(range(max(0, center - _COARSE_STRIDE), min(n_grid, center + _COARSE_STRIDE + 1)))
     else:
-        for j in range(n_grid):
-            norm(j)
+        evaluate(range(n_grid))
 
     js = sorted(norms)
     # min keeps the first of equal norms: ties resolve to the smallest j under every policy
     best_j = min(js, key=norms.__getitem__)
     best_norm = norms[best_j]
-    eta_star, chi_p, m2, aJ, alpha, r = candidate(best_j)
+    eta_star, chi_p, m2, aJ, alpha = candidate(best_j)
+    r = residual(aJ, alpha)
     sweep_etas = np.array([cfg.eta0 + j * cfg.eps for j in js])
     sweep_norms = np.array([norms[j] for j in js])
     unimodal = _is_unimodal(sweep_norms)

@@ -151,8 +151,8 @@ def _check_stability(aJ: float, alpha: float, Ms: float) -> None:
 
 def _implicit_array(
     Ha: np.ndarray,
-    aJ: float,
-    alpha: float,
+    aJ: float | np.ndarray,
+    alpha: float | np.ndarray,
     Ms: float,
     abs_tol: float,
     max_iter: int,
@@ -163,12 +163,22 @@ def _implicit_array(
     [lo, hi] bracket (bisection fallback), so convergence is guaranteed for
     the monotone residual.  This is the only solver of the implicit curve;
     scalar fields reach it as one-element arrays.
+
+    With float ``aJ``/``alpha`` the fields ``Ha`` (shape ``(n,)``) give one
+    curve of shape ``(n,)``.  With ``(P, 1)`` arrays the P curves are
+    solved in lockstep and returned as ``(P, n)``: each row stops on its
+    own test ``max |M_new - M| <= abs_tol``, is written out and dropped from
+    the active rows, and every elementwise operation is the one of the
+    single-curve solve, so row i has the bits of the call with
+    ``aJ[i, 0]``, ``alpha[i, 0]``.  Raises :class:`NoConvergence` when any
+    row misses the tolerance within ``max_iter`` iterations.
     """
     sign = np.sign(Ha)
     A = np.abs(Ha.astype(np.float64, copy=False))
-    lo = np.zeros_like(A)
-    hi = np.full_like(A, Ms)
     M = Ms * langevin(A / aJ)  # alpha=0 start, underestimates for alpha>0
+    lo = np.zeros_like(M)
+    hi = np.full_like(M, Ms)
+    out = rows = None  # blocks only: finished rows, and the out row of each active row
 
     for _ in range(max_iter):
         x = (A + alpha * M) / aJ
@@ -180,8 +190,19 @@ def _implicit_array(
         M_new = M - step
         outside = (M_new <= lo) | (M_new >= hi)
         M_new = np.where(outside, 0.5 * (lo + hi), M_new)
-        if np.max(np.abs(M_new - M)) <= abs_tol:
-            return sign * M_new
+        done = np.max(np.abs(M_new - M), axis=-1) <= abs_tol
+        if done.all():
+            if out is None:
+                return sign * M_new
+            out[rows] = M_new
+            return sign * out
+        if done.any():  # only a block (2-D) gets here: compact to the active rows
+            if out is None:
+                out, rows = np.empty_like(M_new), np.arange(len(M_new))
+            out[rows[done]] = M_new[done]
+            keep = ~done
+            rows, M_new, lo, hi = rows[keep], M_new[keep], lo[keep], hi[keep]
+            aJ, alpha = aJ[keep], alpha[keep]
         M = M_new
 
     raise NoConvergence(

@@ -9,11 +9,20 @@ from jamag.anfit import (
     solve_chi_param,
     _is_unimodal,
 )
-from jamag.core import MU0, anhysteretic_explicit, langevin, shape_param_from_moment
+from jamag.core import (
+    MU0,
+    _implicit_array,
+    alpha_from_susceptibilities,
+    anhysteretic_explicit,
+    langevin,
+    moment_from_susceptibility,
+    shape_param_from_moment,
+)
 from jamag.dataio import CurveKind, MagnetizationCurve
 from jamag.errors import (
     DegenerateSweep,
     InsufficientSamples,
+    NoConvergence,
     NoPositiveSample,
     NoSolution,
 )
@@ -185,7 +194,8 @@ class TestFit:
         data = linear_curve(n=4)
 
         def fake_curve(H, aJ, alpha, Ms, tol, max_iter):
-            return data.M + profile[round((alpha - eta0) / eps)]
+            # one row per entry of alpha: (P, 1) -> (P, n), a float -> (n,)
+            return data.M + np.asarray(profile)[np.rint((alpha - eta0) / eps).astype(int)]
 
         monkeypatch.setattr(anfit, "solve_chi_param", lambda eta, *args: eta)
         monkeypatch.setattr(anfit, "alpha_from_susceptibilities", lambda chi_p, chi_a: chi_p)
@@ -195,6 +205,79 @@ class TestFit:
         assert report.eta_star == eta0 + j_star * eps
         assert report.residual_norm == min(report.sweep_norms)
         assert report.iterations == evals
+
+    @pytest.mark.parametrize(
+        "coarse,eta0,eps,evals",
+        [
+            (False, 0.99, 2.3e-4, 44),  # index 0, then 43 rows: blocks of 20, 20, 3
+            (True, 0.9, 1.0e-4, 110),  # 10 more coarse rows, then 99 window rows: 4 x 20 + 19
+        ],
+    )
+    def test_sweep_norms_are_single_curve_norms_bitwise(self, material, coarse, eta0, eps, evals):
+        # 200 samples make 20-row blocks; neither sweep fills its last block
+        data = synthetic_curve(972.0, 1.4e-3, material, 200, 1.0e4)
+        cfg = AnhystereticFitConfig(eta0=eta0, eps=eps, coarse=coarse)
+        report = fit_anhysteretic(data, material, cfg)
+        assert report.iterations == evals
+        # the reference: each grid index on its own, one curve per call
+        chi_a = initial_susceptibility(data)
+        m1 = moment_from_susceptibility(chi_a, MS, T)
+        chi_an1 = anhysteretic_explicit(cfg.ha1, MS, shape_param_from_moment(m1, T)) / cfg.ha1
+        want = []
+        for eta in report.sweep_etas:
+            chi_p = solve_chi_param(float(eta), chi_an1, cfg.ha1, MS)
+            aJ = shape_param_from_moment(moment_from_susceptibility(chi_p, MS, T), T)
+            alpha = alpha_from_susceptibilities(chi_p, chi_a)
+            curve = _implicit_array(data.H, aJ, alpha, MS, 1e-9 * MS, 200)
+            want.append(float(np.linalg.norm(MU0 * (curve - data.M))))
+        assert report.sweep_norms.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "chi_fails,curve_fails,sweep,coarse,error,message",
+        [
+            (5, None, "argmin", False, NoSolution, "chi at 5"),
+            (None, 7, "argmin", False, NoConvergence, "curve at 7"),
+            (5, 3, "argmin", False, NoConvergence, "curve at 3"),  # the earlier row wins
+            (5, 7, "argmin", False, NoSolution, "chi at 5"),  # row 7 is never reached
+            (8, 7, "argmin", False, NoConvergence, "curve at 7"),  # in the partial block [7]
+            (5, 9, "argmin", True, NoConvergence, "curve at 9"),  # coarse visits 9 before 5
+            (5, 3, "argmin", True, NoConvergence, "curve at 3"),
+            (3, 5, "first-local-min", False, NoSolution, "chi at 3"),
+            (5, 3, "first-local-min", False, NoConvergence, "curve at 3"),
+            (0, None, "argmin", False, DegenerateSweep, "first eta step 0.9 failed: chi at 0"),
+            (None, 0, "argmin", True, DegenerateSweep, "first eta step 0.9 failed: curve at 0"),
+            (4, 0, "first-local-min", False, DegenerateSweep, "failed: curve at 0"),
+        ],
+    )
+    def test_first_failing_index_decides_the_error(
+        self, material, monkeypatch, chi_fails, curve_fails, sweep, coarse, error, message
+    ):
+        # as in a one-index-at-a-time sweep; the decreasing profile keeps the walk going
+        eta0, eps = 0.9, 0.01
+        data = linear_curve(n=4)
+        monkeypatch.setattr(anfit, "_BLOCK_POINTS", 12)  # 3-row blocks: 1-3, 4-6, 7-9
+
+        def index(eta):
+            return np.rint((eta - eta0) / eps).astype(int)
+
+        def fake_chi(eta, *args):
+            if index(eta) == chi_fails:
+                raise NoSolution(f"chi at {chi_fails}")
+            return eta
+
+        def fake_curve(H, aJ, alpha, Ms, tol, max_iter):
+            if np.any(index(alpha) == curve_fails):
+                raise NoConvergence(f"curve at {curve_fails}")
+            return data.M + (10 - index(alpha))
+
+        monkeypatch.setattr(anfit, "solve_chi_param", fake_chi)
+        monkeypatch.setattr(anfit, "alpha_from_susceptibilities", lambda chi_p, chi_a: chi_p)
+        monkeypatch.setattr(anfit, "_implicit_array", fake_curve)
+        cfg = AnhystereticFitConfig(eta0=eta0, eps=eps, sweep=sweep, coarse=coarse)
+        with pytest.raises(error) as info:
+            fit_anhysteretic(data, material, cfg)
+        assert type(info.value) is error
+        assert str(info.value).endswith(message)
 
     def test_profile_is_recorded_sorted(self, material):
         data = synthetic_curve(1000.0, 1.4e-3, material, 80, 1.0e4)

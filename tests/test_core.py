@@ -18,8 +18,9 @@ from jamag.core import (
     moment_from_susceptibility,
     shape_param_from_moment,
 )
-from jamag.core import _slope_raw
-from jamag.errors import SingularSlope, UnstableParams
+import jamag.core as core
+from jamag.core import _implicit_array, _slope_raw
+from jamag.errors import NoConvergence, SingularSlope, UnstableParams
 
 # high-precision references, 50-digit arithmetic
 L_REF = {
@@ -220,6 +221,68 @@ class TestImplicit:
         p = AnhystereticParams.from_shape(aJ, alpha, 303.5)
         out = anhysteretic_implicit(1000.0, p, 1.6e6)
         assert 0.0 < out < 1.6e6
+
+
+class TestImplicitBlock:
+    """A (P, 1) block solve returns, row for row, the bytes of P single-curve solves."""
+
+    # negative, zero and positive fields; the zero lane starts at M = lo = 0 and
+    # bisects, so every row also exercises the bisection fallback there
+    HA = np.array([-2.0e4, -1.0e3, -10.0, 0.0, 10.0, 300.0, 1.0e3, 5.0e3, 2.0e4])
+    ROWS = [
+        (972.0, 1.4e-3),  # the steel reference
+        (972.0, 0.0),  # uncoupled
+        (972.0, -1.0e-3),  # negative alpha, as a NON_PHYSICAL_ALPHA candidate has
+        (1000.0, 1.87e-3),  # alpha*Ms/(3*aJ) = 0.997: Newton leaves the bracket at nonzero fields
+        (1.0e4, 1.0e-6),  # nearly linear, converges in a few iterations
+    ]
+
+    @staticmethod
+    def _block(Ha, rows, tol=1e-9 * 1.6e6, max_iter=200):
+        aJ = np.array([r[0] for r in rows])[:, None]
+        alpha = np.array([r[1] for r in rows])[:, None]
+        return _implicit_array(Ha, aJ, alpha, 1.6e6, tol, max_iter)
+
+    def test_rows_match_single_curves_bitwise(self, monkeypatch):
+        iters = []
+        lprime = core.langevin_prime
+        calls = []
+        monkeypatch.setattr(core, "langevin_prime", lambda x: calls.append(1) or lprime(x))
+        singles = []
+        for aJ, alpha in self.ROWS:
+            before = len(calls)
+            singles.append(_implicit_array(self.HA, aJ, alpha, 1.6e6, 1e-9 * 1.6e6, 200))
+            iters.append(len(calls) - before)  # one L' call per iteration
+        # rows leave the lockstep loop at different iterations
+        assert len(set(iters)) == len(self.ROWS), iters
+        block = self._block(self.HA, self.ROWS)
+        assert block.shape == (len(self.ROWS), self.HA.size)
+        for row, one in zip(block, singles):
+            assert row.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 200, 2000])
+    def test_random_rows_match_single_curves_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        Ha = np.sort(rng.uniform(-3.0e4, 3.0e4, n))
+        aJ = rng.uniform(300.0, 3000.0, 23)
+        # coupling anywhere from -0.5 to 0.99 of the stability limit
+        alpha = rng.uniform(-0.5, 0.99, 23) * 3.0 * aJ / 1.6e6
+        rows = list(zip(aJ, alpha))
+        block = self._block(Ha, rows)
+        for row, (a, b) in zip(block, rows):
+            one = _implicit_array(Ha, float(a), float(b), 1.6e6, 1e-9 * 1.6e6, 200)
+            assert row.tobytes() == one.tobytes()
+
+    def test_one_row_block_is_the_single_curve(self):
+        block = self._block(self.HA, self.ROWS[:1])
+        one = _implicit_array(self.HA, *self.ROWS[0], 1.6e6, 1e-9 * 1.6e6, 200)
+        assert block.shape == (1, self.HA.size)
+        assert block[0].tobytes() == one.tobytes()
+
+    def test_a_row_that_misses_the_tolerance_fails_the_block(self):
+        # the uncoupled row needs ~30 iterations for its zero-field lane
+        with pytest.raises(NoConvergence):
+            self._block(self.HA, self.ROWS, max_iter=12)
 
 
 class TestSlope:
