@@ -71,9 +71,11 @@ class AnhystereticFitConfig:
     half-open sweep range and ``eps`` the grid step.  ``coarse=True``
     pre-scans at 100x the step, then refines around the coarse minimum;
     for a unimodal residual profile the result is bit-identical to the
-    plain scan.  ``slope_points=1`` reproduces the single-sample initial
-    susceptibility rule; larger values switch to a least-squares slope
-    through the origin.
+    plain scan.  It applies to ``argmin`` only: ``first-local-min``
+    ignores it (and ``validate --sweep first-local-min`` still reports
+    ``"coarse": true``).  ``slope_points=1`` reproduces the single-sample
+    initial susceptibility rule; larger values switch to a least-squares
+    slope through the origin.
     """
 
     ha1: float = 1.0e6

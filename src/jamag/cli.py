@@ -154,7 +154,7 @@ def cmd_fit_anhysteretic(args) -> int:
     return 0
 
 
-def _load_features(args) -> LoopFeatures:
+def _load_features(args, loop: MagnetizationCurve) -> LoopFeatures:
     if args.features:
         obj = json.loads(Path(args.features).read_text(encoding="utf-8"))
         if "features" in obj:
@@ -168,19 +168,13 @@ def _load_features(args) -> LoopFeatures:
     unit = _unit(args)
     first = parse_curve(args.first_mag, kind=CurveKind.FIRST_MAGNETIZATION, unit=unit)
     anh = parse_curve(args.anhysteretic, kind=CurveKind.ANHYSTERETIC, unit=unit)
-    loop = parse_curve(args.loop, kind=CurveKind.FULL_LOOP, unit=unit)
     return extract_features(first, loop, anh, slope_points=args.slope_points)
 
 
 def cmd_fit_jiles92(args) -> int:
     material = MaterialSpec(Ms=args.ms, T=args.temp)
-    seeds = [float(s) for s in args.seeds.split(",")] if args.seeds else None
     cfg = Jiles92Config(
-        **(
-            {"alpha_seed": seeds[0], "restart_seeds": tuple(seeds[1:])}
-            if seeds
-            else {}
-        ),
+        seeds=tuple(float(s) for s in args.seeds.split(",")) if args.seeds else Jiles92Config.seeds,
         max_outer_iter=args.max_iter,
         fit_tol=args.fit_tol,
         sim_steps=args.sim_steps,
@@ -190,7 +184,7 @@ def cmd_fit_jiles92(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         loop.check_amplitude(material.Ms)
-        features = _load_features(args)
+        features = _load_features(args, loop)
         result = estimate(features, material, cfg, loop)
 
     warns = _collect_warnings(caught)
@@ -409,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-max", type=float, default=1.0)
     p.add_argument("--sweep", choices=["argmin", "first-local-min"], default="argmin")
     p.add_argument("--coarse", action="store_true",
-                   help="coarse-to-fine scan (same answer on unimodal profiles, much faster)")
+                   help="coarse-to-fine scan (same answer on unimodal profiles, much faster); "
+                        "argmin only, ignored with --sweep first-local-min")
     p.add_argument("--slope-points", type=int, default=1,
                    help="samples for the initial-susceptibility estimate")
     p.add_argument("--out", type=Path, default=Path("fit_report.json"))

@@ -177,7 +177,7 @@ def _implicit_array(
     A = np.abs(Ha.astype(np.float64, copy=False))
     M = Ms * langevin(A / aJ)  # alpha=0 start, underestimates for alpha>0
     lo = np.zeros_like(M)
-    hi = np.full_like(M, Ms)
+    hi = np.where(A > 0.0, Ms, lo)  # H = 0 lanes start on their exact root, bracket [0, 0]
     out = rows = None  # blocks only: finished rows, and the out row of each active row
 
     for _ in range(max_iter):

@@ -238,26 +238,18 @@ def split_branches(loop: MagnetizationCurve) -> tuple[tuple[np.ndarray, np.ndarr
     H, M = loop.H, loop.M
     if H.size < 2:
         raise MissingBranch("loop has fewer than two samples")
+    # maximal runs of equal direction; run r spans samples starts[r]..stops[r] - 1,
+    # so adjacent runs share their turning sample
     d = np.sign(np.diff(H))
-    # maximal runs of constant, non-zero direction
-    runs: list[tuple[int, int, float]] = []  # (start, stop) sample indices, direction
-    start = 0
-    cur = d[0]
-    for i in range(1, d.size):
-        if d[i] != cur:
-            if cur != 0.0:
-                runs.append((start, i + 1, cur))
-            start = i
-            cur = d[i]
-    if cur != 0.0:
-        runs.append((start, d.size + 1, cur))
-
-    desc = [r for r in runs if r[2] < 0.0]
-    asc = [r for r in runs if r[2] > 0.0]
-    if not desc or not asc:
+    cuts = np.flatnonzero(d[1:] != d[:-1]) + 1
+    starts = np.concatenate(([0], cuts))
+    stops = np.append(cuts, d.size) + 1
+    desc = np.flatnonzero(d[starts] < 0.0)
+    asc = np.flatnonzero(d[starts] > 0.0)
+    if not desc.size or not asc.size:
         raise MissingBranch("loop must contain both a descending and an ascending branch")
-    sd, ed, _ = desc[-1]
-    sa, ea, _ = asc[-1]
+    sd, ed = starts[desc[-1]], stops[desc[-1]]
+    sa, ea = starts[asc[-1]], stops[asc[-1]]
     for s, e, label in ((sd, ed, "descending"), (sa, ea, "ascending")):
         if e - s < _MIN_BRANCH_SAMPLES:
             raise InsufficientSamples(
@@ -291,17 +283,17 @@ def _branch_slope_fn(Hb: np.ndarray, Mb: np.ndarray):
 
 
 def _crossing(x: np.ndarray, y: np.ndarray, level: float = 0.0) -> float:
-    """First x where y crosses ``level``, linearly interpolated."""
+    """First x where y meets ``level``: a sample on it, or a linearly interpolated crossing."""
     s = y - level
-    for j in range(s.size - 1):
-        if s[j] == 0.0:
-            return float(x[j])
-        if (s[j] < 0.0) != (s[j + 1] < 0.0):
-            frac = s[j] / (s[j] - s[j + 1])
-            return float(x[j] + frac * (x[j + 1] - x[j]))
-    if s[-1] == 0.0:
-        return float(x[-1])
-    raise MissingBranch(f"no crossing of level {level} on branch")
+    neg = s < 0.0
+    hits = np.flatnonzero((s == 0.0) | np.append(neg[:-1] != neg[1:], False))
+    if not hits.size:
+        raise MissingBranch(f"no crossing of level {level} on branch")
+    j = hits[0]
+    if s[j] == 0.0:
+        return float(x[j])
+    frac = s[j] / (s[j] - s[j + 1])
+    return float(x[j] + frac * (x[j + 1] - x[j]))
 
 
 def extract_features(

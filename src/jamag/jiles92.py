@@ -54,32 +54,27 @@ _logger = getLogger(__name__)
 class Jiles92Config:
     """Iteration and restart policy for :func:`estimate`.
 
-    ``fit_tol`` is the MSE threshold on mu0-scaled magnetization, in T^2.
+    ``seeds`` are the alpha start values, tried in order.  ``fit_tol`` is
+    the MSE threshold on mu0-scaled magnetization, in T^2.
     ``sim_steps``/``sim_cycles`` control the re-simulation used for the
     fit check (the last cycle is compared against the measured loop).
     """
 
-    alpha_seed: float = 1.0e-4
-    restart_seeds: tuple[float, ...] = (1.0e-3, 1.0e-2, 1.0e-1)
+    seeds: tuple[float, ...] = (1.0e-4, 1.0e-3, 1.0e-2, 1.0e-1)
     max_outer_iter: int = 8
     fit_tol: float = 1.0e-3
     sim_steps: int = 600
     sim_cycles: int = 2
 
     def __post_init__(self) -> None:
-        for s in (self.alpha_seed, *self.restart_seeds):
-            if not s > 0.0:
-                raise ValueError(f"alpha seeds must be positive, got {s}")
+        if not (self.seeds and all(s > 0.0 for s in self.seeds)):
+            raise ValueError(f"need at least one alpha seed, all positive, got {self.seeds}")
         if self.max_outer_iter < 1:
             raise ValueError(f"max_outer_iter must be at least 1, got {self.max_outer_iter}")
         if not self.fit_tol > 0.0:
             raise ValueError(f"fit_tol must be positive, got {self.fit_tol}")
         if self.sim_steps < 2 or self.sim_cycles < 1:
             raise ValueError("sim_steps must be >= 2 and sim_cycles >= 1")
-
-    @property
-    def seeds(self) -> tuple[float, ...]:
-        return (self.alpha_seed, *self.restart_seeds)
 
 
 @dataclass(frozen=True)
@@ -183,12 +178,18 @@ def aj_update(
     return find_root(g, _ROOT_CFG, bracket=bracket)
 
 
-def _loop_mse(sim: MagnetizationCurve, measured: MagnetizationCurve) -> float:
-    """MSE of mu0-scaled magnetization, simulated vs measured, per branch."""
-    (Hd, Md), (Ha, Ma) = split_branches(measured)
-    (Hds, Mds), (Has, Mas) = split_branches(sim)
-    md_hat = np.interp(Hd, Hds[::-1], Mds[::-1])
-    ma_hat = np.interp(Ha, Has, Mas)
+def _loop_mse(sim: MagnetizationCurve, waveform: FieldWaveform, measured) -> float:
+    """MSE of mu0-scaled magnetization, simulated vs measured, per branch.
+
+    ``measured`` is the :func:`split_branches` result of the measured loop
+    and ``sim`` the ``integrate`` output on the cyclic ``waveform``, whose
+    last two segments are the simulated descending and ascending branches.
+    """
+    (Hd, Md), (Ha, Ma) = measured
+    desc = waveform.segment_slice(waveform.n_segments - 2)
+    asc = waveform.segment_slice(waveform.n_segments - 1)
+    md_hat = np.interp(Hd, sim.H[desc][::-1], sim.M[desc][::-1])
+    ma_hat = np.interp(Ha, sim.H[asc], sim.M[asc])
     err = MU0 * np.concatenate([md_hat - Md, ma_hat - Ma])
     return float(np.mean(err * err))
 
@@ -207,12 +208,16 @@ def estimate(
     soon as the fit condition is met, otherwise the lowest-MSE candidate
     with ``fit_condition_met=False``.  Raises :class:`DegenerateC` when
     c = 1 and :class:`NoConvergence` when no seed produces a candidate.
+    The measured loop is split once, before the first seed, so a loop
+    without both branches raises :class:`MissingBranch` even when no seed
+    would have produced a candidate.
     """
     Ms = material.Ms
     c = c_from_susceptibilities(features.chi_in, features.chi_an)
     if c == 1.0:
         raise DegenerateC("c = chi_in/chi_an = 1; loop equations are degenerate")
 
+    measured = split_branches(loop)
     waveform = FieldWaveform.cyclic(
         features.Hm, cycles=cfg.sim_cycles, steps_per_segment=cfg.sim_steps
     )
@@ -236,7 +241,7 @@ def estimate(
 
                 params = HysteresisParams(aJ=aJ, alpha=alpha, c=c, k=k, Ms=Ms)
                 sim = integrate(params, waveform, M0=0.0)
-                mse = _loop_mse(sim, loop)
+                mse = _loop_mse(sim, waveform, measured)
                 cand = Jiles92Result(
                     params=params, mse=mse, fit_condition_met=mse <= cfg.fit_tol,
                     seed=seed, iterations=it,

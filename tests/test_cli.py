@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import jamag.anfit as anfit
+import jamag.dataio as dataio
+import jamag.jiles92 as jiles92
 from jamag import cli
 from jamag.core import MaterialSpec
 from jamag.dataio import CurveKind, MagnetizationCurve
@@ -259,6 +261,46 @@ class TestExtractAndJiles92:
             "--ms", MS, "--temp", T, "--sim-steps", 300, "--out", rep, "--deterministic",
         )
         assert r.returncode == 0, r.stderr
+
+    @pytest.mark.parametrize("max_iter", [1, 8])
+    def test_fit_handles_each_file_once(self, loop_files, tmp_path, monkeypatch, max_iter):
+        # one parse per input file, and one split of the measured loop per consumer
+        # (feature extraction and the fit condition), whatever the number of passes
+        calls = {"parse_curve": 0, "split_branches": 0, "_loop_mse": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "parse_curve", counted("parse_curve", cli.parse_curve))
+        split = counted("split_branches", dataio.split_branches)
+        monkeypatch.setattr(dataio, "split_branches", split)
+        monkeypatch.setattr(jiles92, "split_branches", split)
+        monkeypatch.setattr(jiles92, "_loop_mse", counted("_loop_mse", jiles92._loop_mse))
+        rep = tmp_path / "j92.json"
+        code = cli.main([
+            "fit-jiles92", "--loop", str(loop_files["loop"]),
+            "--first-mag", str(loop_files["first"]), "--anhysteretic", str(loop_files["anh"]),
+            "--ms", str(MS), "--temp", str(T), "--sim-steps", "50", "--fit-tol", "1e-12",
+            "--max-iter", str(max_iter), "--out", str(rep), "--deterministic",
+        ])
+        assert code == 0
+        assert calls.pop("_loop_mse") >= max_iter
+        assert calls == {"parse_curve": 3, "split_branches": 2}
+
+    def test_fit_with_few_simulation_steps(self, loop_files, tmp_path):
+        # sim_steps = 5 is a valid model setting, not a data error
+        rep = tmp_path / "j92.json"
+        r = run_cli(
+            "fit-jiles92", "--loop", loop_files["loop"], "--first-mag", loop_files["first"],
+            "--anhysteretic", loop_files["anh"], "--ms", MS, "--temp", T,
+            "--sim-steps", 5, "--out", rep, "--deterministic",
+        )
+        assert r.returncode == 0, r.stderr
+        res = json.loads(rep.read_text())["result"]
+        assert all(np.isfinite(res[k]) for k in ("aJ", "alpha", "c", "k", "mse"))
 
     def test_fit_requires_feature_source(self, loop_files):
         r = run_cli(

@@ -183,6 +183,13 @@ class TestImplicit:
         assert type(scalar) is float
         assert np.array([scalar]).tobytes() == array.tobytes()
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0e-3])
+    def test_zero_field_lane_stays_on_its_root(self, alpha):
+        # M = 0 solves the H = 0 lane exactly; bisecting it away costs ~30 iterations
+        Ha = np.linspace(-4000.0, 4000.0, 9)
+        out = _implicit_array(Ha, 972.0, alpha, 1.6e6, 1e-9 * 1.6e6, 5)
+        assert out[4] == 0.0
+
     def test_odd_exactly(self, steel_params):
         for ha in (50.0, 1000.0, 9000.0):
             assert anhysteretic_implicit(-ha, steel_params, 1.6e6) == -anhysteretic_implicit(
@@ -226,8 +233,7 @@ class TestImplicit:
 class TestImplicitBlock:
     """A (P, 1) block solve returns, row for row, the bytes of P single-curve solves."""
 
-    # negative, zero and positive fields; the zero lane starts at M = lo = 0 and
-    # bisects, so every row also exercises the bisection fallback there
+    # negative, zero and positive fields; the zero lane starts on its bracket [0, 0]
     HA = np.array([-2.0e4, -1.0e3, -10.0, 0.0, 10.0, 300.0, 1.0e3, 5.0e3, 2.0e4])
     ROWS = [
         (972.0, 1.4e-3),  # the steel reference
@@ -280,9 +286,9 @@ class TestImplicitBlock:
         assert block[0].tobytes() == one.tobytes()
 
     def test_a_row_that_misses_the_tolerance_fails_the_block(self):
-        # the uncoupled row needs ~30 iterations for its zero-field lane
+        # the near-stability row needs 8 iterations, the others 1 to 5
         with pytest.raises(NoConvergence):
-            self._block(self.HA, self.ROWS, max_iter=12)
+            self._block(self.HA, self.ROWS, max_iter=6)
 
 
 class TestSlope:

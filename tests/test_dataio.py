@@ -11,6 +11,7 @@ from jamag.dataio import (
     parse_curve,
     split_branches,
 )
+from jamag.dataio import _crossing
 from jamag.errors import (
     EmptyFile,
     InsufficientSamples,
@@ -242,6 +243,137 @@ class TestSplitBranches:
         loop = triangle_loop(n=6)
         with pytest.raises(InsufficientSamples):
             split_branches(loop)
+        # 10 samples pass, 9 do not; the count includes the shared turning sample
+        split_branches(triangle_loop(n=10))
+        with pytest.raises(InsufficientSamples, match="9 samples"):
+            split_branches(triangle_loop(n=9))
+
+    def test_plateaus_are_dropped(self):
+        # a plateau between the branches and one at the end: each branch keeps
+        # only its own end of a plateau (the sample its run starts or stops at)
+        down = np.linspace(10.0, -10.0, 11)
+        up = np.linspace(-8.0, 10.0, 10)
+        H = np.concatenate([down, [-10.0, -10.0], up, [10.0, 10.0]])
+        loop = MagnetizationCurve(H=H, M=np.arange(H.size, dtype=float), kind=CurveKind.FULL_LOOP)
+        (Hd, Md), (Ha, Ma) = split_branches(loop)
+        assert Md.tolist() == list(range(0, 11))
+        assert Ma.tolist() == list(range(12, 23))
+        assert Hd.tolist() == H[0:11].tolist() and Ha.tolist() == H[12:23].tolist()
+
+    def test_plateau_inside_a_branch_splits_it(self):
+        # the descending run after the plateau is the last one and wins
+        H = np.concatenate([np.linspace(30.0, 12.0, 10), [12.0], np.linspace(10.0, -10.0, 11),
+                            np.linspace(-8.0, 10.0, 10)])
+        loop = MagnetizationCurve(H=H, M=np.arange(H.size, dtype=float), kind=CurveKind.FULL_LOOP)
+        (Hd, Md), (Ha, Ma) = split_branches(loop)
+        assert Md.tolist() == list(range(10, 22))
+        assert Ma.tolist() == list(range(21, 32))
+
+    def test_turning_sample_is_shared(self):
+        loop = triangle_loop(n=12)
+        loop = MagnetizationCurve(H=loop.H, M=np.arange(loop.H.size, dtype=float),
+                                  kind=CurveKind.FULL_LOOP)
+        (Hd, Md), (Ha, Ma) = split_branches(loop)
+        assert Md[-1] == Ma[0] == 11.0
+        assert Hd[-1] == Ha[0] == -100.0
+
+    def test_plateau_only_rejected(self):
+        curve = MagnetizationCurve(H=np.full(20, 3.0), M=np.zeros(20), kind=CurveKind.FULL_LOOP)
+        with pytest.raises(MissingBranch):
+            split_branches(curve)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_sample_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        # long monotone stretches with repeated fields mixed in
+        steps = np.repeat(rng.choice([-1.0, 0.0, 1.0], 40, p=[0.45, 0.1, 0.45]), rng.integers(1, 30, 40))
+        H = np.cumsum(np.concatenate([[0.0], steps]))
+        loop = MagnetizationCurve(H=H, M=np.arange(H.size, dtype=float), kind=CurveKind.FULL_LOOP)
+        try:
+            want = _split_branches_scan(H)
+        except (MissingBranch, InsufficientSamples) as err:
+            with pytest.raises(type(err)):
+                split_branches(loop)
+            return
+        (_, Md), (_, Ma) = split_branches(loop)
+        assert (Md.tolist(), Ma.tolist()) == want
+
+
+def _split_branches_scan(H):
+    """Per-sample reference of split_branches: sample indices of the last runs."""
+    d = np.sign(np.diff(H))
+    runs = []
+    start, cur = 0, d[0]
+    for i in range(1, d.size):
+        if d[i] != cur:
+            if cur != 0.0:
+                runs.append((start, i + 1, cur))
+            start, cur = i, d[i]
+    if cur != 0.0:
+        runs.append((start, d.size + 1, cur))
+    desc = [r for r in runs if r[2] < 0.0]
+    asc = [r for r in runs if r[2] > 0.0]
+    if not desc or not asc:
+        raise MissingBranch("")
+    if min(desc[-1][1] - desc[-1][0], asc[-1][1] - asc[-1][0]) < 10:
+        raise InsufficientSamples("")
+    return list(range(*desc[-1][:2])), list(range(*asc[-1][:2]))
+
+
+def _crossing_scan(x, y, level=0.0):
+    """Per-sample reference of _crossing."""
+    s = y - level
+    for j in range(s.size - 1):
+        if s[j] == 0.0:
+            return float(x[j])
+        if (s[j] < 0.0) != (s[j + 1] < 0.0):
+            frac = s[j] / (s[j] - s[j + 1])
+            return float(x[j] + frac * (x[j + 1] - x[j]))
+    if s[-1] == 0.0:
+        return float(x[-1])
+    raise MissingBranch("")
+
+
+class TestCrossing:
+    def test_interpolates_between_samples(self):
+        assert _crossing(np.array([0.0, 1.0, 2.0]), np.array([3.0, 1.0, -1.0])) == 1.5
+
+    def test_sample_on_the_level(self):
+        x = np.array([0.1, 0.7, 1.3, 1.9])
+        # approached from above: the sample itself is returned
+        assert _crossing(x, np.array([2.0, 1.0, 0.0, -1.0])) == 1.3
+        # approached from below: interpolated with frac = 1
+        assert _crossing(x, np.array([-2.0, -1.0, 0.0, 1.0])) == 0.7 + 1.0 * (1.3 - 0.7)
+
+    def test_level(self):
+        assert _crossing(np.array([0.0, 4.0]), np.array([1.0, 3.0]), level=2.0) == 2.0
+
+    def test_first_crossing_wins(self):
+        assert _crossing(np.arange(5.0), np.array([1.0, -1.0, 1.0, -1.0, 0.0])) == 0.5
+
+    def test_crossing_only_at_last_sample(self):
+        assert _crossing(np.arange(4.0), np.array([3.0, 2.0, 1.0, 0.0])) == 3.0
+        assert _crossing(np.array([7.0]), np.array([0.0])) == 7.0
+
+    def test_no_crossing(self):
+        with pytest.raises(MissingBranch):
+            _crossing(np.arange(4.0), np.array([3.0, 2.0, 1.0, 0.5]))
+        with pytest.raises(MissingBranch):
+            _crossing(np.array([7.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_sample_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(-5.0, 5.0, 50))
+        y = rng.integers(-1, 16, 50).astype(float) * 0.25  # sparse zeros and sign changes
+        for level in (0.0, 0.5, -0.5, 10.0):
+            try:
+                want = _crossing_scan(x, y, level)
+            except MissingBranch:
+                with pytest.raises(MissingBranch):
+                    _crossing(x, y, level)
+                continue
+            assert _crossing(x, y, level) == want
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import pytest
 
 import jamag.jiles92 as jiles92
 from jamag.core import (
+    MU0,
     AnhystereticParams,
     MaterialSpec,
     anhysteretic_slope,
@@ -16,8 +17,15 @@ from jamag.dataio import (
     MagnetizationCurve,
     NonPhysicalParameterWarning,
     extract_features,
+    split_branches,
 )
-from jamag.errors import DegenerateC, NoConvergence, SingularDenominator, ZeroDenominator
+from jamag.errors import (
+    DegenerateC,
+    MissingBranch,
+    NoConvergence,
+    SingularDenominator,
+    ZeroDenominator,
+)
 from jamag.jiles92 import (
     Jiles92Config,
     aj_initial,
@@ -54,7 +62,9 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Jiles92Config(alpha_seed=0.0)
+            Jiles92Config(seeds=(0.0,))
+        with pytest.raises(ValueError):
+            Jiles92Config(seeds=())
         with pytest.raises(ValueError):
             Jiles92Config(max_outer_iter=0)
         with pytest.raises(ValueError):
@@ -249,6 +259,31 @@ class TestEstimate:
         monkeypatch.setattr(jiles92, "k_from_coercive", broken)
         with pytest.raises(ValueError, match="broken"):
             estimate(feats, material, Jiles92Config(), loop)
+
+    def test_missing_branch_is_raised_before_the_first_seed(self, synthetic_setup):
+        # with features no seed can use, a loop without branches is still the error
+        material = synthetic_setup[0]
+        rise = MagnetizationCurve(
+            H=np.linspace(0.0, 5000.0, 50), M=np.linspace(0.0, 1e6, 50), kind=CurveKind.FULL_LOOP
+        )
+        with pytest.raises(MissingBranch):
+            estimate(features(chi_max=1e-6), material, Jiles92Config(), rise)
+
+    @pytest.mark.parametrize("cycles,steps", [(1, 9), (2, 600), (3, 47)])
+    def test_loop_mse_takes_the_simulated_branches_from_the_waveform(
+        self, synthetic_setup, cycles, steps
+    ):
+        # the waveform's last two segments are the runs split_branches finds in sim
+        loop = synthetic_setup[2]
+        p = HysteresisParams(aJ=900.0, alpha=1.2e-3, c=0.1, k=800.0, Ms=MS)
+        waveform = FieldWaveform.cyclic(5000.0, cycles=cycles, steps_per_segment=steps)
+        sim = integrate(p, waveform)
+        (Hd, Md), (Ha, Ma) = measured = split_branches(loop)
+        (Hds, Mds), (Has, Mas) = split_branches(sim)
+        md_hat, ma_hat = np.interp(Hd, Hds[::-1], Mds[::-1]), np.interp(Ha, Has, Mas)
+        err = MU0 * np.concatenate([md_hat - Md, ma_hat - Ma])
+        assert jiles92._loop_mse(sim, waveform, measured) == float(np.mean(err * err))
+        assert jiles92._loop_mse(sim, waveform, split_branches(sim)) == 0.0
 
     def test_all_seeds_failing_raises(self, synthetic_setup):
         material, _, loop, _ = synthetic_setup

@@ -1,0 +1,126 @@
+"""Run a fixed list of deterministic jamag commands and keep all they write.
+
+    python3 tools/parity.py OUT_DIR [--src SRC_DIR]
+
+The inputs are built first, into OUT_DIR/inputs, by ``perfbench/inputs.py``
+(numpy only, it does not import jamag) from fixed seeds.  Each command then
+runs as ``python -m jamag ... --deterministic`` with the jamag package found
+in SRC_DIR (default: this checkout's ``src``) and OUT_DIR as the working
+directory, so every path in a report is relative and the same on any tree.
+A command's report and curve files, its ``stdout.txt``, ``stderr.txt`` and
+``exit.txt`` go to OUT_DIR/<command name>.  To compare two trees, run the
+tool once per tree and diff the results:
+
+    python3 tools/parity.py /tmp/new
+    python3 tools/parity.py /tmp/old --src /path/to/old-checkout/src
+    diff -r /tmp/old /tmp/new
+
+OUT_DIR must not exist yet.  A run takes about 15 s on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import inputs  # noqa: E402
+
+MS = repr(inputs.MS)
+TEMP = repr(inputs.TEMP)
+
+
+def build_inputs(out: Path) -> dict[str, list[str]]:
+    """Write the input files; returns the flags that name them, per input."""
+    anh_dir, loop_dir = out / "inputs" / "anh", out / "inputs" / "loop"
+    anh_dir.mkdir(parents=True)
+    loop_dir.mkdir(parents=True)
+    flags = {}
+    # three noisy 200-point curves around the validate grid rows
+    for i, case in enumerate(inputs.anhyst_cases(1, 3, None, anh_dir)):
+        flags[f"anh{i}"] = [str(case.files["data"].relative_to(out))]
+    # a noiseless curve through H = 0
+    H = np.linspace(-1.0e4, 1.0e4, 201)
+    path = anh_dir / "through_zero.csv"
+    inputs.write_curve(path, H, inputs.anhysteretic(H, 972.0, 1.4e-3, inputs.MS))
+    flags["zero"] = [str(path.relative_to(out))]
+    # a dense two-cycle loop, its first-magnetization branch and anhysteretic curve
+    (case,) = inputs.jiles_cases(1, 1, loop_dir)
+    for name, path in case.files.items():
+        flags[name] = [f"--{name.replace('_', '-')}", str(path.relative_to(out))]
+    return flags
+
+
+def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
+    """(name, argv without --deterministic) of every command, in run order."""
+    material = ["--ms", MS, "--temp", TEMP]
+    cmds = []
+    for curve in ("anh0", "anh1", "anh2", "zero"):
+        for policy, extra in (
+            ("argmin", ["--eps", "1e-4"]),
+            ("coarse", ["--coarse"]),
+            ("first-local-min", ["--sweep", "first-local-min", "--eps", "1e-4"]),
+        ):
+            name = f"fit-anhysteretic-{policy}-{curve}"
+            cmds.append((name, [
+                "fit-anhysteretic", *f[curve], *material, *extra,
+                "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
+            ]))
+    loop = ["--c", "0.1", "--k", "1000", "--hmax", "5000", "--cycles", "2", "--steps", "2000"]
+    for name, params in (
+        ("simulate-loop-flags", ["--aj", "972", "--alpha", "1.4e-3", "--ms", MS]),
+        ("simulate-loop-uncoupled", ["--aj", "972", "--alpha", "0", "--ms", MS]),
+        ("simulate-loop-params", ["--params", "fit-anhysteretic-argmin-anh0/report.json"]),
+    ):
+        cmds.append((name, [
+            "simulate-loop", *params, *loop,
+            "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
+        ]))
+    curves = [*f["loop"], *f["first_mag"], *f["anhysteretic"]]
+    cmds.append(("extract", ["extract", *curves, "--ms", MS, "--out", "extract/features.json"]))
+    for name, source, extra in (
+        ("fit-jiles92-curves", curves, []),
+        ("fit-jiles92-features", [*f["loop"], "--features", "extract/features.json"], []),
+        ("fit-jiles92-sim-steps-5", curves, ["--sim-steps", "5"]),
+    ):
+        cmds.append((name, [
+            "fit-jiles92", *source, *material, *extra, "--out", f"{name}/report.json",
+        ]))
+    # the coarse scan at the default step passes; the plain one at 1e-4 fails a row (exit 3)
+    for name, extra in (("validate-coarse", []), ("validate-plain", ["--plain", "--eps", "1e-4"])):
+        cmds.append((name, ["validate", *extra, "--out", f"{name}/report.json"]))
+    return cmds
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path, help="output directory (must not exist)")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the jamag package to run")
+    args = parser.parse_args(argv)
+
+    out = args.out.resolve()
+    out.mkdir(parents=True, exist_ok=False)
+    env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
+    for name, cmd in commands(build_inputs(out)):
+        (out / name).mkdir()
+        r = subprocess.run(
+            [sys.executable, "-m", "jamag", *cmd, "--deterministic"],
+            cwd=out, env=env, capture_output=True, text=True, timeout=600,
+        )
+        (out / name / "stdout.txt").write_text(r.stdout, encoding="utf-8")
+        (out / name / "stderr.txt").write_text(r.stderr, encoding="utf-8")
+        (out / name / "exit.txt").write_text(f"{r.returncode}\n", encoding="utf-8")
+        print(f"{r.returncode}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
