@@ -69,11 +69,17 @@ def _write_report(report: dict, out: str | None, deterministic: bool) -> None:
         sys.stdout.write(text)
 
 
+_WRITE_ROWS = 4096
+"""CSV rows formatted and written with one ``write`` at a time."""
+
+
 def _write_curve(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write float ``columns`` as CSV rows, each value as its ``repr``."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+        for start in range(0, len(columns[0]), _WRITE_ROWS):
+            block = [map(repr, col[start : start + _WRITE_ROWS].tolist()) for col in columns]
+            f.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _collect_warnings(caught) -> list[dict]:

@@ -308,8 +308,8 @@ def extract_features(
     Initial slopes come from a least-squares fit over the first
     ``slope_points`` samples of the first-magnetization and anhysteretic
     curves.  Hc, Mr and the branch slopes are read off the descending
-    branch with linear interpolation; the tip slope is taken at the end of
-    the ascending branch.
+    branch with linear interpolation; the tip (Hm, Mm) and the tip slope
+    are taken at the top of the last ascending branch.
     """
     for curve, label in ((first_mag, "first_mag"), (anhysteretic, "anhysteretic")):
         if len(curve) < _MIN_BRANCH_SAMPLES:
@@ -317,9 +317,10 @@ def extract_features(
 
     (Hd, Md), (Hasc, Masc) = split_branches(loop)
 
-    i_tip = int(np.argmax(loop.H))
-    Hm = float(loop.H[i_tip])
-    Mm = float(loop.M[i_tip])
+    # the tip of the last cycle: the first sample at the top of the ascending branch
+    i_tip = int(np.argmax(Hasc))
+    Hm = float(Hasc[i_tip])
+    Mm = float(Masc[i_tip])
 
     h_cross = _crossing(Hd, Md)  # descending branch crosses M=0 at -Hc
     Hc = abs(h_cross)
@@ -331,7 +332,7 @@ def extract_features(
     asc_slope = _branch_slope_fn(Hasc, Masc)
     chi_max = desc_slope(h_cross)
     chi_r = desc_slope(0.0)
-    chi_m = asc_slope(float(np.max(Hasc)))
+    chi_m = asc_slope(Hm)
 
     chi_in = _origin_slope(first_mag.H, first_mag.M, slope_points)
     chi_an = _origin_slope(anhysteretic.H, anhysteretic.M, slope_points)

@@ -10,7 +10,10 @@ reversibility fraction.  The field trace is a piecewise-linear waveform and
 the ODE is integrated with fixed-step classical Runge-Kutta per segment.
 
 M_an depends on H only, so it is pre-evaluated on each segment's half-step
-grid in one vectorized solve; the stepping itself is plain arithmetic.
+grid in one vectorized solve.  The stepping runs on plain Python floats: the
+pre-solved arrays are converted with ``tolist`` and M is collected in blocks
+of ``_BLOCK_STEPS`` steps, which keeps both the per-step cost and the memory
+of the lists small.
 """
 
 from __future__ import annotations
@@ -98,18 +101,27 @@ class FieldWaveform:
         return slice(i * s, (i + 1) * s + 1)
 
 
-def _rhs(man: float, man_slope: float, M: float, delta: float, p: HysteresisParams, clamp: bool) -> float:
+_BLOCK_STEPS = 2048
+"""RK4 steps per block: the anhysteretic values are turned into float lists
+and M is collected this many steps at a time."""
+
+
+def _rhs(
+    man: float, c_slope: float, M: float, delta: float, dk: float, alpha: float, c1: float,
+    clamp: bool,
+) -> float:
+    """dM/dH at one point, from ``c*dM_an/dH``, ``delta*k`` and ``1 + c``."""
     dm = man - M
     if clamp and delta * dm < 0.0:
         irr = 0.0
     else:
-        denom = delta * p.k - p.alpha * dm
+        denom = dk - alpha * dm
         if denom == 0.0:
             raise SingularDenominator(
                 f"delta*k - alpha*(M_an - M) vanished (M_an - M = {dm:.6g})"
             )
         irr = dm / denom
-    return (irr + p.c * man_slope) / (1.0 + p.c)
+    return (irr + c_slope) / c1
 
 
 def dM_dH(H: float, M: float, delta: int, p: HysteresisParams, *, clamp: bool = False) -> float:
@@ -126,7 +138,8 @@ def dM_dH(H: float, M: float, delta: int, p: HysteresisParams, *, clamp: bool = 
     _check_stability(p.aJ, p.alpha, p.Ms)
     man = float(_implicit_array(np.array([float(H)]), p.aJ, p.alpha, p.Ms, 1e-12 * p.Ms, 200)[0])
     man_slope = _slope_raw(H, man, p.aJ, p.alpha, p.Ms)
-    return _rhs(man, man_slope, M, float(delta), p, clamp)
+    delta = float(delta)
+    return _rhs(man, p.c * man_slope, M, delta, delta * p.k, p.alpha, 1.0 + p.c, clamp)
 
 
 def integrate(
@@ -139,50 +152,64 @@ def integrate(
     """Integrate the hysteresis ODE along a field waveform.
 
     Classical fixed-step RK4 per segment (the anhysteretic curve and its
-    slope are pre-evaluated on the half-step grid).  Returns the sampled
-    trajectory, one point per step plus the initial point; committed M
-    values are limited to [-Ms, Ms].  A vanishing pinning denominator is
-    reported with the failing global step index.
+    slope are pre-evaluated on the half-step grid).  The steps run on plain
+    floats, ``_BLOCK_STEPS`` at a time.  Returns the sampled trajectory, one
+    point per step plus the initial point; committed M values are limited
+    to [-Ms, Ms].  A vanishing pinning denominator is reported with the
+    failing global step index.
     """
     if abs(M0) > p.Ms:
         raise ValueError(f"|M0| = {abs(M0)} exceeds Ms = {p.Ms}")
     _check_stability(p.aJ, p.alpha, p.Ms)
+    c, alpha, Ms = p.c, p.alpha, p.Ms
+    c1 = 1.0 + c
+    if c1 == 0.0:
+        raise ValueError("c = -1 makes the 1 + c divisor of dM/dH vanish")
 
     S = waveform.steps_per_segment
-    tol = 1e-12 * p.Ms
+    tol = 1e-12 * Ms
     H_out = np.empty(waveform.n_segments * S + 1)
     M_out = np.empty_like(H_out)
     H_out[0] = waveform.targets[0]
     M_out[0] = M = float(M0)
+    rhs = _rhs
 
     step_base = 0
     for seg in range(waveform.n_segments):
         h0, h1 = waveform.targets[seg], waveform.targets[seg + 1]
         delta = 1.0 if h1 > h0 else -1.0
+        dk = delta * p.k
         grid = np.linspace(h0, h1, 2 * S + 1)
-        man = _implicit_array(grid, p.aJ, p.alpha, p.Ms, tol, 200)
-        slope = _slope_raw(grid, man, p.aJ, p.alpha, p.Ms)
+        man = _implicit_array(grid, p.aJ, alpha, Ms, tol, 200)
+        c_slope = c * _slope_raw(grid, man, p.aJ, alpha, Ms)
         h = (h1 - h0) / S
+        half, sixth = 0.5 * h, h / 6.0
+        H_out[step_base + 1 : step_base + S + 1] = grid[2::2]
 
-        for i in range(S):
-            n0, nh, n1 = 2 * i, 2 * i + 1, 2 * i + 2
+        for b0 in range(0, S, _BLOCK_STEPS):
+            b1 = min(b0 + _BLOCK_STEPS, S)
+            man_b = man[2 * b0 : 2 * b1 + 1].tolist()
+            cs_b = c_slope[2 * b0 : 2 * b1 + 1].tolist()
+            block = []
             try:
-                k1 = _rhs(man[n0], slope[n0], M, delta, p, clamp)
-                k2 = _rhs(man[nh], slope[nh], M + 0.5 * h * k1, delta, p, clamp)
-                k3 = _rhs(man[nh], slope[nh], M + 0.5 * h * k2, delta, p, clamp)
-                k4 = _rhs(man[n1], slope[n1], M + h * k3, delta, p, clamp)
+                for n0 in range(0, 2 * (b1 - b0), 2):
+                    mh, sh = man_b[n0 + 1], cs_b[n0 + 1]
+                    k1 = rhs(man_b[n0], cs_b[n0], M, delta, dk, alpha, c1, clamp)
+                    k2 = rhs(mh, sh, M + half * k1, delta, dk, alpha, c1, clamp)
+                    k3 = rhs(mh, sh, M + half * k2, delta, dk, alpha, c1, clamp)
+                    k4 = rhs(man_b[n0 + 2], cs_b[n0 + 2], M + h * k3, delta, dk, alpha, c1, clamp)
+                    M = M + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    if M > Ms:
+                        M = Ms
+                    elif M < -Ms:
+                        M = -Ms
+                    block.append(M)
             except SingularDenominator as err:
+                i = b0 + n0 // 2
                 raise SingularDenominator(
                     f"{err} at segment {seg}, step {i}", step_index=step_base + i
                 ) from None
-            M = M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if M > p.Ms:
-                M = p.Ms
-            elif M < -p.Ms:
-                M = -p.Ms
-            idx = step_base + i + 1
-            H_out[idx] = grid[n1]
-            M_out[idx] = M
+            M_out[step_base + b0 + 1 : step_base + b1 + 1] = block
         step_base += S
 
     return MagnetizationCurve(H=H_out, M=M_out, kind=CurveKind.FULL_LOOP)

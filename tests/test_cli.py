@@ -162,6 +162,37 @@ class TestFitAnhysteretic:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def _write_curve_rows(path, header, columns):
+    """The per-row CSV writer that ``cli._write_curve`` replaced."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            f.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+class TestWriteCurve:
+    ROWS = cli._WRITE_ROWS
+
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1])
+    def test_bytes_equal_the_per_row_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        special = [-0.0, 5e-324, 1e22, -1e22, -5e-324, 0.0, -1.5, 1.0 / 3.0]
+        columns = [
+            rng.standard_normal(n) * 1e4,
+            -np.abs(rng.standard_normal(n)) * 1e6,
+            rng.standard_normal(n),
+        ]
+        for j, col in enumerate(columns):
+            k = min(n, len(special))
+            col[:k] = np.roll(special, j)[:k]
+        columns[2][-1] = -0.0
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        cli._write_curve(new, ["H", "M", "B"], columns)
+        _write_curve_rows(old, ["H", "M", "B"], columns)
+        assert new.read_bytes() == old.read_bytes()
+        assert len(new.read_text().splitlines()) == n + 1
+
+
 class TestSimulateLoop:
     def test_flags_path(self, tmp_path):
         out = tmp_path / "loop.csv"

@@ -418,6 +418,21 @@ class TestExtractFeatures:
         assert f.Mr == pytest.approx(abs(mr_direct), rel=1e-12)
         assert mr_direct > 0.0
 
+    def test_tip_is_on_the_last_cycle(self, curves):
+        # the initial rise reaches the same field as the later tips, at another M
+        first, loop, anh = curves
+        f = extract_features(first, loop, anh)
+        _, (Ha, Ma) = split_branches(loop)
+        assert (f.Hm, f.Mm) == (Ha[-1], Ma[-1]) == (loop.H[-1], loop.M[-1])
+        assert f.Mm != loop.M[int(np.argmax(loop.H))]
+
+    def test_tip_ignores_a_higher_initial_rise(self, curves):
+        first, _, anh = curves
+        p = HysteresisParams(aJ=972.0, alpha=1.4e-3, c=0.1, k=1000.0, Ms=1.6e6)
+        loop = integrate(p, FieldWaveform((0.0, 6000.0, -5000.0, 5000.0), steps_per_segment=600))
+        f = extract_features(first, loop, anh)
+        assert (f.Hm, f.Mm) == (5000.0, loop.M[-1])
+
     def test_short_support_curves_rejected(self, curves):
         _, loop, anh = curves
         tiny = MagnetizationCurve(

@@ -4,6 +4,8 @@ import pytest
 import jamag.simulate as simulate
 from jamag.core import (
     AnhystereticParams,
+    _implicit_array,
+    _slope_raw,
     anhysteretic_implicit,
     anhysteretic_slope,
 )
@@ -24,10 +26,61 @@ from jamag.simulate import (
 
 MS = 1.6e6
 T = 303.5
+BLOCK = simulate._BLOCK_STEPS
 
 
 def steel(c=0.1, k=1000.0):
     return HysteresisParams(aJ=972.0, alpha=1.4e-3, c=c, k=k, Ms=MS)
+
+
+def _rhs_reference(man, man_slope, M, delta, p, clamp):
+    dm = man - M
+    if clamp and delta * dm < 0.0:
+        irr = 0.0
+    else:
+        denom = delta * p.k - p.alpha * dm
+        if denom == 0.0:
+            raise SingularDenominator(
+                f"delta*k - alpha*(M_an - M) vanished (M_an - M = {dm:.6g})"
+            )
+        irr = dm / denom
+    return (irr + p.c * man_slope) / (1.0 + p.c)
+
+
+def _integrate_reference(p, waveform, M0=0.0, *, clamp=False):
+    """The per-step RK4 loop on numpy scalars that ``integrate`` replaced."""
+    S = waveform.steps_per_segment
+    tol = 1e-12 * p.Ms
+    H_out = np.empty(waveform.n_segments * S + 1)
+    M_out = np.empty_like(H_out)
+    H_out[0] = waveform.targets[0]
+    M_out[0] = M = float(M0)
+
+    step_base = 0
+    for seg in range(waveform.n_segments):
+        h0, h1 = waveform.targets[seg], waveform.targets[seg + 1]
+        delta = 1.0 if h1 > h0 else -1.0
+        grid = np.linspace(h0, h1, 2 * S + 1)
+        man = _implicit_array(grid, p.aJ, p.alpha, p.Ms, tol, 200)
+        slope = _slope_raw(grid, man, p.aJ, p.alpha, p.Ms)
+        h = (h1 - h0) / S
+
+        for i in range(S):
+            n0, nh, n1 = 2 * i, 2 * i + 1, 2 * i + 2
+            k1 = _rhs_reference(man[n0], slope[n0], M, delta, p, clamp)
+            k2 = _rhs_reference(man[nh], slope[nh], M + 0.5 * h * k1, delta, p, clamp)
+            k3 = _rhs_reference(man[nh], slope[nh], M + 0.5 * h * k2, delta, p, clamp)
+            k4 = _rhs_reference(man[n1], slope[n1], M + h * k3, delta, p, clamp)
+            M = M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if M > p.Ms:
+                M = p.Ms
+            elif M < -p.Ms:
+                M = -p.Ms
+            idx = step_base + i + 1
+            H_out[idx] = grid[n1]
+            M_out[idx] = M
+        step_base += S
+    return H_out, M_out
 
 
 class TestParams:
@@ -76,7 +129,7 @@ class TestSlopeFunction:
         # c=0.1, dMan/dH=100, Man-M=1000, delta=+1, k=1500, alpha=1.4e-3:
         # irreversible (1/1.1)*1000/(1500-1.4) plus reversible (0.1/1.1)*100
         p = steel(c=0.1, k=1500.0)
-        got = _rhs(1000.0, 100.0, 0.0, 1, p, False)
+        got = _rhs(1000.0, p.c * 100.0, 0.0, 1.0, p.k, p.alpha, 1.0 + p.c, False)
         expected = (1000.0 / (1500.0 - 1.4)) / 1.1 + (0.1 / 1.1) * 100.0
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(9.6975, abs=5e-4)
@@ -84,14 +137,15 @@ class TestSlopeFunction:
     def test_singular_denominator(self):
         p = steel(c=0.1, k=1.4)  # delta*k == alpha*(Man-M) for Man-M=1000
         with pytest.raises(SingularDenominator):
-            _rhs(1000.0, 100.0, 0.0, 1, p, False)
+            _rhs(1000.0, p.c * 100.0, 0.0, 1.0, p.k, p.alpha, 1.0 + p.c, False)
 
     def test_clamp_zeroes_receding_irreversible_term(self):
         p = steel(c=0.1, k=1500.0)
         # moving up while below the anhysteretic curve: clamp has no effect
-        assert _rhs(1000.0, 100.0, 0.0, 1, p, True) == _rhs(1000.0, 100.0, 0.0, 1, p, False)
+        args = (p.c * 100.0, 0.0, 1.0, p.k, p.alpha, 1.0 + p.c)
+        assert _rhs(1000.0, *args, True) == _rhs(1000.0, *args, False)
         # moving up while above it: only the reversible term survives
-        clamped = _rhs(-1000.0, 100.0, 0.0, 1, p, True)
+        clamped = _rhs(-1000.0, *args, True)
         assert clamped == pytest.approx((0.1 / 1.1) * 100.0, rel=1e-14)
 
     def test_on_curve_reduces_to_reversible(self):
@@ -204,21 +258,57 @@ class TestIntegrate:
         assert np.max(np.abs(clamped.M)) <= MS
 
     def test_singular_step_reports_global_index(self, monkeypatch):
-        calls = {"n": 0}
         real = simulate._rhs
+        S = BLOCK + 10
+        # (steps per segment, failing call, global step, segment, step in segment);
+        # 4 evaluations per step: call 30 lands in step 8 (zero-based 7), and the
+        # second case fails in the second block of the second segment
+        for steps, fail_at, step_index, seg, step in (
+            (10, 30, 7, 0, 7),
+            (S, 4 * (S + BLOCK + 5) + 2, S + BLOCK + 5, 1, BLOCK + 5),
+        ):
+            calls = {"n": 0}
 
-        def flaky(man, man_slope, m, delta, p, clamp):
-            calls["n"] += 1
-            if calls["n"] == 30:
-                raise SingularDenominator("forced")
-            return real(man, man_slope, m, delta, p, clamp)
+            def flaky(man, c_slope, m, delta, dk, alpha, c1, clamp):
+                calls["n"] += 1
+                if calls["n"] == fail_at:
+                    raise SingularDenominator("forced")
+                return real(man, c_slope, m, delta, dk, alpha, c1, clamp)
 
-        monkeypatch.setattr(simulate, "_rhs", flaky)
-        with pytest.raises(SingularDenominator) as exc:
-            integrate(steel(), FieldWaveform((0.0, 1000.0, -1000.0), steps_per_segment=10))
-        assert exc.value.step_index is not None
-        # 4 evaluations per step: call 30 lands in step 8 (zero-based 7)
-        assert exc.value.step_index == 7
+            monkeypatch.setattr(simulate, "_rhs", flaky)
+            with pytest.raises(SingularDenominator) as exc:
+                integrate(steel(), FieldWaveform((0.0, 1000.0, -1000.0), steps_per_segment=steps))
+            assert exc.value.step_index == step_index
+            assert str(exc.value) == f"forced at segment {seg}, step {step}"
+
+    def test_c_of_minus_one_rejected(self):
+        with pytest.warns(NonPhysicalParameterWarning):
+            p = steel(c=-1.0)
+        with pytest.raises(ValueError, match="1 \\+ c"):
+            integrate(p, FieldWaveform((0.0, 100.0)))
+
+
+class TestIntegrateBitwise:
+    """``integrate`` has the bits of the per-step numpy-scalar loop it replaced."""
+
+    @staticmethod
+    def check(waveform, M0=0.0, clamp=False):
+        p = steel()
+        curve = integrate(p, waveform, M0, clamp=clamp)
+        H, M = _integrate_reference(p, waveform, M0, clamp=clamp)
+        assert curve.H.tobytes() == H.tobytes()
+        assert curve.M.tobytes() == M.tobytes()
+
+    @pytest.mark.parametrize("steps", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_block_boundaries(self, steps, clamp):
+        self.check(FieldWaveform((0.0, 5000.0, -5000.0), steps_per_segment=steps), clamp=clamp)
+
+    @pytest.mark.parametrize("targets", [(0.0, 3000.0, 2000.0), (0.0, -4000.0, 4000.0)])
+    @pytest.mark.parametrize("M0", [0.0, 2.5e5])
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_waveforms_and_initial_states(self, targets, M0, clamp):
+        self.check(FieldWaveform(targets, steps_per_segment=BLOCK + 1), M0, clamp)
 
 
 class TestLoopParams:

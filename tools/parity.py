@@ -73,14 +73,20 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
                 "fit-anhysteretic", *f[curve], *material, *extra,
                 "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
             ]))
-    loop = ["--c", "0.1", "--k", "1000", "--hmax", "5000", "--cycles", "2", "--steps", "2000"]
-    for name, params in (
-        ("simulate-loop-flags", ["--aj", "972", "--alpha", "1.4e-3", "--ms", MS]),
-        ("simulate-loop-uncoupled", ["--aj", "972", "--alpha", "0", "--ms", MS]),
-        ("simulate-loop-params", ["--params", "fit-anhysteretic-argmin-anh0/report.json"]),
+    loop = ["--c", "0.1", "--k", "1000", "--hmax", "5000", "--cycles", "2"]
+    steel = ["--aj", "972", "--alpha", "1.4e-3", "--ms", MS]
+    # 2 000 steps fit in one integrator block; 9 000 cross several block boundaries
+    for name, params, steps in (
+        ("simulate-loop-flags", steel, ["--steps", "2000"]),
+        ("simulate-loop-uncoupled", ["--aj", "972", "--alpha", "0", "--ms", MS], ["--steps", "2000"]),
+        ("simulate-loop-params", ["--params", "fit-anhysteretic-argmin-anh0/report.json"],
+         ["--steps", "2000"]),
+        ("simulate-loop-clamp", [*steel, "--clamp"], ["--steps", "2000"]),
+        ("simulate-loop-m0", [*steel, "--m0", "4e5"], ["--steps", "2000"]),
+        ("simulate-loop-steps-9000", steel, ["--steps", "9000"]),
     ):
         cmds.append((name, [
-            "simulate-loop", *params, *loop,
+            "simulate-loop", *params, *loop, *steps,
             "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
         ]))
     curves = [*f["loop"], *f["first_mag"], *f["anhysteretic"]]
