@@ -56,8 +56,8 @@ SWEEP_ARGMIN = "argmin"
 SWEEP_FIRST_LOCAL_MIN = "first-local-min"
 
 _COARSE_STRIDE = 100
-_BLOCK_POINTS = 4096
-"""Fields times candidates per lockstep curve solve of the sweep (20 rows of 200 samples)."""
+_BLOCK_POINTS = 16384
+"""Fields times candidates per lockstep curve solve of the sweep (81 rows of 200 samples)."""
 _CHI_ROOT_CFG = RootConfig(abs_tol=1e-20, rel_tol=1e-12, max_iter=200)
 
 _logger = getLogger(__name__)
@@ -71,11 +71,10 @@ class AnhystereticFitConfig:
     half-open sweep range and ``eps`` the grid step.  ``coarse=True``
     pre-scans at 100x the step, then refines around the coarse minimum;
     for a unimodal residual profile the result is bit-identical to the
-    plain scan.  It applies to ``argmin`` only: ``first-local-min``
-    ignores it (and ``validate --sweep first-local-min`` still reports
-    ``"coarse": true``).  ``slope_points=1`` reproduces the single-sample
-    initial susceptibility rule; larger values switch to a least-squares
-    slope through the origin.
+    plain scan.  It applies to ``argmin`` only: with ``first-local-min``
+    it is set to False, so reports show the scan that ran.
+    ``slope_points=1`` reproduces the single-sample initial susceptibility
+    rule; larger values switch to a least-squares slope through the origin.
     """
 
     ha1: float = 1.0e6
@@ -97,6 +96,8 @@ class AnhystereticFitConfig:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.sweep not in (SWEEP_ARGMIN, SWEEP_FIRST_LOCAL_MIN):
             raise ValueError(f"sweep must be '{SWEEP_ARGMIN}' or '{SWEEP_FIRST_LOCAL_MIN}'")
+        if self.sweep == SWEEP_FIRST_LOCAL_MIN:
+            object.__setattr__(self, "coarse", False)  # the walk has no coarse scan
         if self.slope_points < 1:
             raise ValueError(f"slope_points must be at least 1, got {self.slope_points}")
 

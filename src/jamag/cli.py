@@ -73,13 +73,36 @@ _WRITE_ROWS = 4096
 """CSV rows formatted and written with one ``write`` at a time."""
 
 
-def _write_curve(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write float ``columns`` as CSV rows, each value as its ``repr``."""
+def _write_curve(path: str | Path, header: list[str], columns: list) -> None:
+    """Write ``columns`` as CSV rows: float arrays as each value's ``repr``,
+    lists as the strings they hold."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _WRITE_ROWS):
-            block = [map(repr, col[start : start + _WRITE_ROWS].tolist()) for col in columns]
+            stop = start + _WRITE_ROWS
+            block = [
+                col[start:stop] if isinstance(col, list) else map(repr, col[start:stop].tolist())
+                for col in columns
+            ]
             f.write("\n".join(map(",".join, zip(*block))) + "\n")
+
+
+def _segment_reprs(H: np.ndarray, steps: int) -> list[str]:
+    """``repr`` of every value of a waveform's H column.
+
+    After the start point, each run of ``steps`` values is one segment; the
+    segments of a cyclic waveform repeat, so equal runs (same bytes) are
+    formatted once.
+    """
+    formatted: dict[bytes, list[str]] = {}
+    out = [repr(float(H[0]))]
+    for start in range(1, len(H), steps):
+        seg = H[start : start + steps]
+        key = seg.tobytes()
+        if key not in formatted:
+            formatted[key] = list(map(repr, seg.tolist()))
+        out += formatted[key]
+    return out
 
 
 def _collect_warnings(caught) -> list[dict]:
@@ -264,7 +287,7 @@ def cmd_simulate_loop(args) -> int:
         curve = integrate(params, waveform, M0=args.m0, clamp=args.clamp)
 
     b = MU0 * (curve.H + curve.M)
-    _write_curve(args.out, ["H", "M", "B"], [curve.H, curve.M, b])
+    _write_curve(args.out, ["H", "M", "B"], [_segment_reprs(curve.H, args.steps), curve.M, b])
 
     run = {
         "command": "simulate-loop",
@@ -410,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", choices=["argmin", "first-local-min"], default="argmin")
     p.add_argument("--coarse", action="store_true",
                    help="coarse-to-fine scan (same answer on unimodal profiles, much faster); "
-                        "argmin only, ignored with --sweep first-local-min")
+                        "argmin only: with --sweep first-local-min it is not applied and the "
+                        "report says \"coarse\": false")
     p.add_argument("--slope-points", type=int, default=1,
                    help="samples for the initial-susceptibility estimate")
     p.add_argument("--out", type=Path, default=Path("fit_report.json"))

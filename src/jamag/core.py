@@ -11,7 +11,7 @@ dimensionless interdomain coupling.  ``aJ`` and ``m`` are two encodings of
 the same quantity; both appear in reports.
 
 Scalar arguments use plain ``math`` calls; numpy arrays are handled
-elementwise.  All quantities are SI (A/m, K, A*m^2).
+elementwise, with no floating-point warnings.  SI units (A/m, K, A*m^2).
 """
 
 from __future__ import annotations
@@ -93,12 +93,14 @@ def langevin(x):
     the switch point is below 1e-21.  Accepts floats or numpy arrays.
     """
     if isinstance(x, np.ndarray):
-        small = np.abs(x) < _X_SWITCH
-        xs = np.where(small, 1.0, x)  # keep 1/x finite in masked lanes
-        closed = 1.0 / np.tanh(xs) - 1.0 / xs
-        x2 = x * x
-        series = x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0)))
-        return np.where(small, series, closed)
+        f = x.reshape(-1)  # 1-d: ufuncs would return scalars for a 0-d x
+        with np.errstate(all="ignore"):  # x = 0 gives inf - inf, replaced below
+            y = np.tanh(f)
+            np.subtract(np.divide(1.0, y, out=y), 1.0 / f, out=y)
+        if (small := np.abs(f) < _X_SWITCH).any():
+            s = f[small]
+            y[small] = s * (1.0 / 3.0 + s * s * (-1.0 / 45.0 + s * s * (2.0 / 945.0)))
+        return y.reshape(x.shape)
     x = float(x)
     if abs(x) < _X_SWITCH:
         x2 = x * x
@@ -110,19 +112,20 @@ def langevin_prime(x):
     """Derivative of the Langevin function, 1/x^2 - 1/sinh(x)^2.
 
     Even, maximal at the origin where it equals 1/3; the series
-    1/3 - x^2/15 is used below ``|x| = 1e-3``.  For ``|x| > 300`` the
-    sinh term is dropped before it overflows (it is below 1e-260 there).
-    Accepts floats or numpy arrays.
+    1/3 - x^2/15 is used below ``|x| = 1e-3``.  For ``|x| > 300`` a float
+    drops the sinh term before it overflows; an array keeps it, as the
+    difference already rounds to 1/x^2 (sinh(x)^2 is 1e260 or more, or inf).
     """
     if isinstance(x, np.ndarray):
-        ax = np.abs(x)
-        small = ax < _X_SWITCH
-        big = ax > _X_PRIME_BIG
-        xs = np.where(small, 1.0, np.where(big, 1.0, x))
-        closed = 1.0 / (xs * xs) - 1.0 / np.sinh(xs) ** 2
-        series = 1.0 / 3.0 - x * x / 15.0
-        safe_big = np.where(big, x, 1.0)
-        return np.where(small, series, np.where(big, 1.0 / (safe_big * safe_big), closed))
+        f = x.reshape(-1)
+        with np.errstate(all="ignore"):  # x = 0, and sinh(x)^2 overflow
+            s = np.sinh(f)
+            np.divide(1.0, np.square(s, out=s), out=s)  # 1/sinh(x)^2
+            y = f * f
+            np.subtract(np.divide(1.0, y, out=y), s, out=y)
+        if (small := np.abs(f) < _X_SWITCH).any():
+            y[small] = 1.0 / 3.0 - f[small] * f[small] / 15.0
+        return y.reshape(x.shape)
     x = float(x)
     ax = abs(x)
     if ax < _X_SWITCH:
@@ -164,45 +167,42 @@ def _implicit_array(
     the monotone residual.  This is the only solver of the implicit curve;
     scalar fields reach it as one-element arrays.
 
-    With float ``aJ``/``alpha`` the fields ``Ha`` (shape ``(n,)``) give one
-    curve of shape ``(n,)``.  With ``(P, 1)`` arrays the P curves are
-    solved in lockstep and returned as ``(P, n)``: each row stops on its
-    own test ``max |M_new - M| <= abs_tol``, is written out and dropped from
-    the active rows, and every elementwise operation is the one of the
-    single-curve solve, so row i has the bits of the call with
-    ``aJ[i, 0]``, ``alpha[i, 0]``.  Raises :class:`NoConvergence` when any
-    row misses the tolerance within ``max_iter`` iterations.
+    Float ``aJ``/``alpha`` and fields ``Ha`` of shape ``(n,)`` give one curve.
+    ``(P, 1)`` arrays give P curves, solved in lockstep as ``(P, n)``: each
+    row stops on its own test ``max |M_new - M| <= abs_tol`` and leaves the
+    active rows, and every elementwise operation is the single-curve one, so
+    row i has the bits of the call with ``aJ[i, 0]``, ``alpha[i, 0]``.
+    Raises :class:`NoConvergence` if a row is not done in ``max_iter`` iterations.
     """
     sign = np.sign(Ha)
     A = np.abs(Ha.astype(np.float64, copy=False))
     M = Ms * langevin(A / aJ)  # alpha=0 start, underestimates for alpha>0
     lo = np.zeros_like(M)
     hi = np.where(A > 0.0, Ms, lo)  # H = 0 lanes start on their exact root, bracket [0, 0]
-    out = rows = None  # blocks only: finished rows, and the out row of each active row
+    kappa = alpha * Ms / aJ
+    out, rows = np.empty_like(M), np.arange(len(M))  # the result; out index of each active row
 
     for _ in range(max_iter):
-        x = (A + alpha * M) / aJ
-        g = M - Ms * langevin(x)
-        gp = 1.0 - (alpha * Ms / aJ) * langevin_prime(x)
-        lo = np.where(g < 0.0, M, lo)
-        hi = np.where(g > 0.0, M, hi)
-        step = g / gp
-        M_new = M - step
-        outside = (M_new <= lo) | (M_new >= hi)
-        M_new = np.where(outside, 0.5 * (lo + hi), M_new)
-        done = np.max(np.abs(M_new - M), axis=-1) <= abs_tol
+        x = alpha * M
+        np.divide(np.add(A, x, out=x), aJ, out=x)  # x = (A + alpha*M) / aJ
+        g = langevin(x)
+        np.subtract(M, np.multiply(Ms, g, out=g), out=g)  # g = M - Ms*L(x)
+        gp = langevin_prime(x)
+        np.subtract(1.0, np.multiply(kappa, gp, out=gp), out=gp)  # gp = 1 - kappa*L'(x)
+        np.copyto(lo, M, where=g < 0.0)
+        np.copyto(hi, M, where=g > 0.0)
+        M_new = np.subtract(M, np.divide(g, gp, out=g), out=g)  # Newton step
+        if (outside := (M_new <= lo) | (M_new >= hi)).any():  # bisect those lanes
+            M_new[outside] = 0.5 * (lo[outside] + hi[outside])
+        done = np.max(np.abs(np.subtract(M_new, M, out=x), out=x), axis=-1) <= abs_tol
         if done.all():
-            if out is None:
-                return sign * M_new
             out[rows] = M_new
             return sign * out
         if done.any():  # only a block (2-D) gets here: compact to the active rows
-            if out is None:
-                out, rows = np.empty_like(M_new), np.arange(len(M_new))
             out[rows[done]] = M_new[done]
             keep = ~done
             rows, M_new, lo, hi = rows[keep], M_new[keep], lo[keep], hi[keep]
-            aJ, alpha = aJ[keep], alpha[keep]
+            aJ, alpha, kappa = aJ[keep], alpha[keep], kappa[keep]
         M = M_new
 
     raise NoConvergence(

@@ -209,12 +209,12 @@ class TestFit:
     @pytest.mark.parametrize(
         "coarse,eta0,eps,evals",
         [
-            (False, 0.99, 2.3e-4, 44),  # index 0, then 43 rows: blocks of 20, 20, 3
-            (True, 0.9, 1.0e-4, 110),  # 10 more coarse rows, then 99 window rows: 4 x 20 + 19
+            (False, 0.99, 2.3e-4, 44),  # index 0, then 43 rows: one block
+            (True, 0.9, 1.0e-4, 110),  # 10 more coarse rows, then 99 window rows: 81 + 18
         ],
     )
     def test_sweep_norms_are_single_curve_norms_bitwise(self, material, coarse, eta0, eps, evals):
-        # 200 samples make 20-row blocks; neither sweep fills its last block
+        # 200 samples make 81-row blocks; neither sweep fills its last block
         data = synthetic_curve(972.0, 1.4e-3, material, 200, 1.0e4)
         cfg = AnhystereticFitConfig(eta0=eta0, eps=eps, coarse=coarse)
         report = fit_anhysteretic(data, material, cfg)

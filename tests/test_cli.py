@@ -162,6 +162,28 @@ class TestFitAnhysteretic:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+class TestCoarseReport:
+    """``"coarse"`` in a report is the scan that ran: first-local-min has none."""
+
+    @pytest.mark.parametrize("sweep,coarse", [("argmin", True), ("first-local-min", False)])
+    def test_fit_anhysteretic(self, anh_file, tmp_path, sweep, coarse):
+        rep = tmp_path / "rep.json"
+        argv = [
+            "fit-anhysteretic", str(anh_file), "--ms", str(MS), "--temp", str(T), "--coarse",
+            "--sweep", sweep, "--eps", "1e-3", "--out", str(rep),
+            "--curve-out", str(tmp_path / "fit.csv"), "--deterministic",
+        ]
+        assert cli.main(argv) == 0
+        assert json.loads(rep.read_text())["config"]["coarse"] is coarse
+
+    @pytest.mark.parametrize("sweep,coarse", [("argmin", True), ("first-local-min", False)])
+    def test_validate(self, tmp_path, sweep, coarse, capsys):
+        rep = tmp_path / "v.json"
+        argv = ["validate", "--sweep", sweep, "--eps", "1e-3", "--out", str(rep), "--deterministic"]
+        cli.main(argv)  # exits 3 on this coarse grid; the report is written either way
+        assert json.loads(rep.read_text())["config"]["coarse"] is coarse
+
+
 def _write_curve_rows(path, header, columns):
     """The per-row CSV writer that ``cli._write_curve`` replaced."""
     with open(path, "w", encoding="utf-8") as f:
@@ -193,7 +215,32 @@ class TestWriteCurve:
         assert len(new.read_text().splitlines()) == n + 1
 
 
+class TestSegmentReprs:
+    def test_equals_the_repr_of_every_value(self):
+        wf = FieldWaveform.cyclic(5000.0, cycles=3, steps_per_segment=7)
+        H = integrate(HysteresisParams(972.0, 1.4e-3, 0.1, 1000.0, MS), wf).H
+        assert cli._segment_reprs(H, 7) == list(map(repr, H.tolist()))
+
+    def test_keys_on_bytes_and_takes_a_short_last_run(self):
+        H = np.array([1.0, 0.0, 2.0, -0.0, 2.0, 0.0, 2.0, 0.5])  # -0.0 == 0.0, other bytes
+        assert cli._segment_reprs(H, 2) == list(map(repr, H.tolist()))
+
+
 class TestSimulateLoop:
+    def test_csv_bytes_equal_the_per_row_writer(self, tmp_path):
+        out = tmp_path / "loop.csv"
+        argv = [
+            "simulate-loop", "--aj", "972", "--alpha", "1.4e-3", "--c", "0.1", "--k", "1000",
+            "--ms", str(MS), "--hmax", "5000", "--cycles", "2", "--steps", "300",
+            "--out", str(out), "--deterministic",
+        ]
+        assert cli.main(argv) == 0
+        p = HysteresisParams(aJ=972.0, alpha=1.4e-3, c=0.1, k=1000.0, Ms=MS)
+        curve = integrate(p, FieldWaveform.cyclic(5000.0, cycles=2, steps_per_segment=300))
+        ref = tmp_path / "ref.csv"
+        _write_curve_rows(ref, ["H", "M", "B"], [curve.H, curve.M, cli.MU0 * (curve.H + curve.M)])
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_flags_path(self, tmp_path):
         out = tmp_path / "loop.csv"
         r = run_cli(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,86 @@ class TestLangevinPrime:
     def test_positive(self, x):
         v = langevin_prime(x)
         assert 0.0 < v <= 1.0 / 3.0 + 1e-15
+
+
+def _langevin_where(x):
+    """The all-lane ``np.where`` array body that ``langevin`` replaced."""
+    small = np.abs(x) < core._X_SWITCH
+    xs = np.where(small, 1.0, x)
+    closed = 1.0 / np.tanh(xs) - 1.0 / xs
+    x2 = x * x
+    series = x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0)))
+    return np.where(small, series, closed)
+
+
+def _langevin_prime_where(x):
+    """The all-lane ``np.where`` body, tail lanes included, that ``langevin_prime`` replaced."""
+    ax = np.abs(x)
+    small = ax < core._X_SWITCH
+    big = ax > core._X_PRIME_BIG
+    xs = np.where(small, 1.0, np.where(big, 1.0, x))
+    closed = 1.0 / (xs * xs) - 1.0 / np.sinh(xs) ** 2
+    series = 1.0 / 3.0 - x * x / 15.0
+    safe_big = np.where(big, x, 1.0)
+    return np.where(small, series, np.where(big, 1.0 / (safe_big * safe_big), closed))
+
+
+def _special_values():
+    vals = [0.0, 355.0, 709.5, 711.0, 1e154, 1e300, np.inf, np.nan]
+    for v in (1e-3, 300.0):  # the series and tail switch points and their neighbours
+        vals += [v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+    vals = np.array(vals)
+    return np.concatenate([vals, -vals])  # -0.0 and -inf too
+
+
+class TestLangevinArrayBitwise:
+    """The array kernels return the bytes, dtype and shape of the ``np.where`` bodies."""
+
+    VALUES = {
+        "special": _special_values(),
+        **{
+            f"normal*{scale:g}": np.random.default_rng(i).standard_normal(10_000) * scale
+            for i, scale in enumerate((1e-3, 1.0, 50.0))
+        },
+    }
+
+    @staticmethod
+    def _assert_same(new_fn, old_fn, x):
+        with np.errstate(all="ignore"):  # the old bodies overflow in the series above ~1e154
+            old = old_fn(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the new kernels warn on no lane
+            new = new_fn(x)
+        assert type(new) is type(old) is np.ndarray
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("kernel", ["langevin", "langevin_prime"])
+    @pytest.mark.parametrize("values", list(VALUES))
+    @pytest.mark.parametrize("shape", ["(n,)", "(P, 1)", "(P, n)", "0-d"])
+    def test_same_bits(self, kernel, values, shape):
+        new_fn = getattr(core, kernel)
+        old_fn = {"langevin": _langevin_where, "langevin_prime": _langevin_prime_where}[kernel]
+        v = self.VALUES[values]
+        if shape == "0-d":
+            for x in v[:200]:
+                self._assert_same(new_fn, old_fn, np.array(x))
+            return
+        x = {"(n,)": v, "(P, 1)": v[:, None], "(P, n)": np.stack([v, -v[::-1]])}[shape]
+        self._assert_same(new_fn, old_fn, x)
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_implicit_solve_through_zero_warns_on_no_lane(self, block):
+        Ha = np.linspace(-2.0e4, 2.0e4, 401)  # H = 0 and |x| > 300 at both ends (aJ 50)
+        if block:
+            aJ, alpha = np.array([[972.0], [50.0]]), np.array([[1.4e-3], [1e-5]])
+        else:
+            aJ, alpha = 50.0, 1e-5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            M = _implicit_array(Ha, aJ, alpha, 1.6e6, 1e-9 * 1.6e6, 200)
+        assert M.shape == ((2, 401) if block else (401,))
+        assert np.all(M[..., 200] == 0.0)
 
 
 class TestExplicit:

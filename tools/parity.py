@@ -89,6 +89,13 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
             "simulate-loop", *params, *loop, *steps,
             "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
         ]))
+    # |x| > 300 on the pre-solve grid: the tail lanes of langevin_prime
+    name = "simulate-loop-high-field"
+    cmds.append((name, [
+        "simulate-loop", *steel, "--c", "0.1", "--k", "1000", "--hmax", "4e5",
+        "--cycles", "1", "--steps", "2000",
+        "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
+    ]))
     curves = [*f["loop"], *f["first_mag"], *f["anhysteretic"]]
     cmds.append(("extract", ["extract", *curves, "--ms", MS, "--out", "extract/features.json"]))
     for name, source, extra in (
