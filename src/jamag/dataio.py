@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from logging import getLogger
 from pathlib import Path
 
@@ -144,6 +145,13 @@ def _convert_m(h: np.ndarray, raw: np.ndarray, unit: Unit) -> np.ndarray:
     raise UnitError(f"unknown unit {unit!r}")
 
 
+_AUTO_DELIMITERS = (",", ";", "\t")
+"""Delimiters tried in this order when none is given; whitespace is the fallback."""
+
+_BLOCK_LINES = 4096
+"""Lines joined and split at a time on the bulk path."""
+
+
 def parse_curve(
     path: str | Path,
     *,
@@ -156,12 +164,22 @@ def parse_curve(
 ) -> MagnetizationCurve:
     """Read a delimited text file into a :class:`MagnetizationCurve`.
 
+    The file is UTF-8 text; a leading byte-order mark is accepted.
     ``delimiter`` defaults to auto-detection among comma, semicolon and tab
     (falling back to whitespace).  ``skip_header=None`` skips one leading
     row if and only if none of its cells parse as numbers; pass an integer
-    to skip exactly that many rows.  Curves whose kind requires monotone H
-    are sorted by H before validation.  Raises :class:`ParseError` (with
-    the 1-based line number), :class:`UnitError` or :class:`EmptyFile`.
+    to skip exactly that many rows.  Blank lines are ignored.  Curves whose
+    kind requires monotone H are sorted by H before validation.  Raises
+    :class:`ParseError` (with the 1-based line number, or naming the file
+    when it is not UTF-8), :class:`UnitError` or :class:`EmptyFile`.
+
+    A well-formed file is read in bulk: every data row split on one
+    single-character delimiter into the same number of cells, every H and
+    M cell a number (auto-detection also needs no row to hold a delimiter
+    that comes earlier in the list).  Other files (whitespace-delimited,
+    mixed delimiters, ragged rows, a bad cell) are read line by line.  Both
+    paths parse with ``float``, so they give the same values, and every
+    error comes from the line-by-line path, so it is the same too.
     """
     if isinstance(unit, str):
         try:
@@ -169,51 +187,19 @@ def parse_curve(
         except ValueError:
             raise UnitError(f"unknown unit {unit!r}; expected one of m, j, b") from None
 
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") from None
     lines = text.splitlines()
-
-    def split(line: str) -> list[str]:
-        if delimiter is not None:
-            return [c.strip() for c in line.split(delimiter)]
-        for cand in (",", ";", "\t"):
-            if cand in line:
-                return [c.strip() for c in line.split(cand)]
-        return line.split()
-
-    rows: list[tuple[float, float]] = []
-    skipped = 0
-    auto_header = skip_header is None
-    to_skip = 0 if auto_header else skip_header
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        if skipped < to_skip:
-            skipped += 1
-            continue
-        cells = split(line)
-        if max(h_col, m_col) >= len(cells):
-            raise ParseError(
-                f"line {lineno}: expected at least {max(h_col, m_col) + 1} columns, got {len(cells)}",
-                line=lineno,
-            )
-        try:
-            h = float(cells[h_col])
-            m = float(cells[m_col])
-        except ValueError:
-            if auto_header and not rows and skipped == 0:
-                # A fully non-numeric first row is a header.
-                if all(not _is_number(c) for c in cells if c):
-                    skipped += 1
-                    continue
-            raise ParseError(f"line {lineno}: non-numeric cell in {cells!r}", line=lineno) from None
-        rows.append((h, m))
-
-    if not rows:
+    columns = _read_columns(lines, delimiter, h_col, m_col, skip_header)
+    if columns is None:
+        columns = _read_lines(lines, delimiter, h_col, m_col, skip_header)
+    H, raw = columns
+    if not H.size:
         raise EmptyFile(f"{path}: no data rows")
 
-    arr = np.asarray(rows, dtype=np.float64)
-    H = arr[:, 0]
-    M = _convert_m(H, arr[:, 1], unit)
+    M = _convert_m(H, raw, unit)
     if kind in _MONOTONE_KINDS:
         order = np.argsort(H, kind="stable")
         H, M = H[order], M[order]
@@ -226,6 +212,107 @@ def _is_number(cell: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _split_cells(line: str, delimiter: str | None) -> list[str]:
+    if delimiter is not None:
+        return [c.strip() for c in line.split(delimiter)]
+    for cand in _AUTO_DELIMITERS:
+        if cand in line:
+            return [c.strip() for c in line.split(cand)]
+    return line.split()
+
+
+def _is_header(cells: list[str]) -> bool:
+    """A row none of whose non-empty cells is a number."""
+    return all(not _is_number(c) for c in cells if c)
+
+
+def _read_columns(
+    lines: list[str], delimiter: str | None, h_col: int, m_col: int, skip_header: int | None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The raw H and M columns read in bulk, or None when the file needs :func:`_read_lines`."""
+    rows = list(filter(str.strip, lines))
+    if skip_header is not None:
+        del rows[: max(skip_header, 0)]
+    elif rows:
+        cells = _split_cells(rows[0], delimiter)
+        if max(h_col, m_col) >= len(cells):
+            return None
+        try:
+            float(cells[h_col])
+            float(cells[m_col])
+        except ValueError:
+            if not _is_header(cells):
+                return None
+            del rows[0]
+    n = len(rows)
+    if not n:
+        return np.empty(0), np.empty(0)
+
+    if delimiter is None:
+        delim = next((c for c in _AUTO_DELIMITERS if c in rows[0]), None)
+        if delim is None:
+            return None
+        earlier = _AUTO_DELIMITERS[: _AUTO_DELIMITERS.index(delim)]
+    else:
+        delim, earlier = delimiter, ()
+        if len(delim) != 1:
+            return None
+    count = rows[0].count(delim)
+    width = count + 1
+    if not (0 <= h_col < width and 0 <= m_col < width):
+        return None
+    if set(map(str.count, rows, repeat(delim))) != {count}:
+        return None
+
+    H, M = np.empty(n), np.empty(n)
+    for b in range(0, n, _BLOCK_LINES):
+        joined = delim.join(rows[b : b + _BLOCK_LINES])
+        if any(c in joined for c in earlier):
+            return None
+        cells = joined.split(delim)
+        try:
+            H[b : b + _BLOCK_LINES] = list(map(float, cells[h_col::width]))
+            M[b : b + _BLOCK_LINES] = list(map(float, cells[m_col::width]))
+        except ValueError:
+            return None
+    return H, M
+
+
+def _read_lines(
+    lines: list[str], delimiter: str | None, h_col: int, m_col: int, skip_header: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The raw H and M columns read one line at a time; raises :class:`ParseError`."""
+    rows: list[tuple[float, float]] = []
+    skipped = 0
+    auto_header = skip_header is None
+    to_skip = 0 if auto_header else skip_header
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        if skipped < to_skip:
+            skipped += 1
+            continue
+        cells = _split_cells(line, delimiter)
+        if max(h_col, m_col) >= len(cells):
+            raise ParseError(
+                f"line {lineno}: expected at least {max(h_col, m_col) + 1} columns, got {len(cells)}",
+                line=lineno,
+            )
+        try:
+            h = float(cells[h_col])
+            m = float(cells[m_col])
+        except ValueError:
+            # A fully non-numeric first row is a header.
+            if auto_header and not rows and skipped == 0 and _is_header(cells):
+                skipped += 1
+                continue
+            raise ParseError(f"line {lineno}: non-numeric cell in {cells!r}", line=lineno) from None
+        rows.append((h, m))
+
+    arr = np.asarray(rows, dtype=np.float64).reshape(-1, 2)
+    return arr[:, 0], arr[:, 1]
 
 
 def split_branches(loop: MagnetizationCurve) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:

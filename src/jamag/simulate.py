@@ -10,10 +10,11 @@ reversibility fraction.  The field trace is a piecewise-linear waveform and
 the ODE is integrated with fixed-step classical Runge-Kutta per segment.
 
 M_an depends on H only, so it is pre-evaluated on each segment's half-step
-grid in one vectorized solve.  The stepping runs on plain Python floats: the
-pre-solved arrays are converted with ``tolist`` and M is collected in blocks
-of ``_BLOCK_STEPS`` steps, which keeps both the per-step cost and the memory
-of the lists small.
+grid in one vectorized solve, once per distinct segment of the waveform.
+The stepping runs on plain Python floats: the pre-solved arrays are
+converted with ``tolist`` and M is collected in blocks of ``_BLOCK_STEPS``
+steps, which keeps both the per-step cost and the memory of the lists
+small.
 """
 
 from __future__ import annotations
@@ -152,10 +153,11 @@ def integrate(
     """Integrate the hysteresis ODE along a field waveform.
 
     Classical fixed-step RK4 per segment (the anhysteretic curve and its
-    slope are pre-evaluated on the half-step grid).  The steps run on plain
-    floats, ``_BLOCK_STEPS`` at a time.  Returns the sampled trajectory, one
-    point per step plus the initial point; committed M values are limited
-    to [-Ms, Ms].  A vanishing pinning denominator is reported with the
+    slope are pre-evaluated on the half-step grid, once for all segments
+    with the same end fields).  The steps run on plain floats,
+    ``_BLOCK_STEPS`` at a time.  Returns the sampled trajectory, one point
+    per step plus the initial point; committed M values are limited to
+    [-Ms, Ms].  A vanishing pinning denominator is reported with the
     failing global step index.
     """
     if abs(M0) > p.Ms:
@@ -174,14 +176,20 @@ def integrate(
     M_out[0] = M = float(M0)
     rhs = _rhs
 
+    # a cyclic waveform repeats its segments: pre-solve each distinct one once,
+    # keyed on the bits of its ends so that -0.0 and 0.0 stay apart
+    presolved = {}
     step_base = 0
     for seg in range(waveform.n_segments):
         h0, h1 = waveform.targets[seg], waveform.targets[seg + 1]
         delta = 1.0 if h1 > h0 else -1.0
         dk = delta * p.k
-        grid = np.linspace(h0, h1, 2 * S + 1)
-        man = _implicit_array(grid, p.aJ, alpha, Ms, tol, 200)
-        c_slope = c * _slope_raw(grid, man, p.aJ, alpha, Ms)
+        key = (h0.hex(), h1.hex())
+        if key not in presolved:
+            grid = np.linspace(h0, h1, 2 * S + 1)
+            man = _implicit_array(grid, p.aJ, alpha, Ms, tol, 200)
+            presolved[key] = grid, man, c * _slope_raw(grid, man, p.aJ, alpha, Ms)
+        grid, man, c_slope = presolved[key]
         h = (h1 - h0) / S
         half, sixth = 0.5 * h, h / 6.0
         H_out[step_base + 1 : step_base + S + 1] = grid[2::2]

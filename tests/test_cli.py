@@ -83,6 +83,13 @@ class TestUsageErrors:
         assert r.returncode == 2
         assert "line 2" in r.stderr
 
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("H,M (\u00b5T)\n1.0,10.0\n".encode("latin-1"))
+        r = run_cli("fit-anhysteretic", path, "--ms", MS, "--temp", T)
+        assert r.returncode == 2
+        assert "latin1.csv: not UTF-8" in r.stderr
+
     def test_too_few_samples(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("1.0,10.0\n2.0,20.0\n")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import jamag.dataio as dataio
 from jamag.core import MU0, MaterialSpec
 from jamag.dataio import (
     CurveKind,
@@ -163,6 +165,120 @@ class TestParse:
         path.write_text(f"10.0,{b!r}\n")
         curve = parse_curve(path, kind=CurveKind.ANHYSTERETIC, unit=Unit.B_TESLA)
         assert curve.M[0] == pytest.approx(1.0e4, rel=1e-10)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n")
+        curve = parse_curve(path, kind=CurveKind.ANHYSTERETIC)
+        assert np.array_equal(curve.H, [1.0, 3.0])
+        assert np.array_equal(curve.M, [2.0, 4.0])
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("H,M\n1.0,2.0\n# \u00b5 T\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="latin1.csv: not UTF-8") as exc:
+            parse_curve(path, kind=CurveKind.ANHYSTERETIC)
+        assert exc.value.line is None
+
+
+def _many_rows(n: int, bad_row: int, bad: str) -> str:
+    rows = [f"{0.5 * i!r},{1.5e3 * i!r}" for i in range(n)]
+    rows[bad_row] = bad
+    return "H,M\n" + "\n".join(rows) + "\n"
+
+
+# (id, file content, parse_curve options, whether the bulk path reads it)
+_EQUIVALENCE_CASES = [
+    ("comma", "H,M\n1.0,5.0\n2.0,6.0\n", {}, True),
+    ("semicolon", "0.1;5e-1\n0.2;7.25\n", {}, True),
+    ("tab", "1.0\t5.0\n2.0\t6.0\n", {}, True),
+    ("explicit-pipe", "1.0|5.0\n2.0|6.0\n", {"delimiter": "|"}, True),
+    ("crlf", b"H;M\r\n1.0;5.0\r\n2.0;6.0\r\n", {}, True),
+    ("blank-lines", "\n1.0,5.0\n\n   \n\t\n2.0,6.0\n\n", {}, True),
+    ("auto-header", "field (A/m);M (A/m)\n1.0;5.0\n2.0;6.0\n", {}, True),
+    ("whitespace-header", "H  M\n1.0,5.0\n2.0,6.0\n", {}, True),
+    ("skip-header-2", "title\nmeta,stuff\n1.0,5.0\n2.0,6.0\n", {"skip_header": 2}, True),
+    ("skip-header-0", "H,M\n1.0,5.0\n", {"skip_header": 0}, False),
+    ("skip-header-negative", "1.0,5.0\n2.0,6.0\n", {"skip_header": -1}, True),
+    ("columns", "a,1.0,5.0\nb,2.0,6.0\n", {"h_col": 1, "m_col": 2}, True),
+    ("columns-negative", "a,1.0,5.0\nb,2.0,6.0\n", {"h_col": -2, "m_col": -1}, False),
+    ("padded", " 1.0 , 5.0\t\n2.0,  6.0  \n", {}, True),
+    ("underscores", "1_000,2_000.5\n1_001,3e1_0\n", {}, True),
+    ("unit-separator-pad", "1.0\x1f,5.0\n2.0,6.0\n", {}, False),
+    ("mixed-delimiters", "1.0,5.0\n2.0;6.0\n", {}, False),
+    ("earlier-delimiter", "a;1.0;5.0\nb,c;2.0;6.0\n", {"h_col": 1, "m_col": 2}, False),
+    ("ragged-long", "1.0,5.0\n2.0,6.0,7.0\n", {}, False),
+    ("ragged-aligned", "1.0,5.0,0\n2.0\n3.0,6.0,7.0,8.0,9.0\n", {}, False),
+    ("ragged-short", "1.0,5.0\n2.0\n", {}, False),
+    ("whitespace", "1.0 5.0\n2.0   6.0\n", {}, False),
+    ("multichar-delimiter", "1.0, 5.0\n2.0, 6.0\n", {"delimiter": ", "}, False),
+    ("bad-first-row", "1.0,abc\n2.0,3.0\n", {}, False),
+    ("narrow-header", "H\n1.0,5.0\n", {}, False),
+    ("header-only", "H,M\n\n", {}, True),
+    ("empty", "", {}, True),
+    ("non-finite", "1.0,nan\n2.0,6.0\n", {}, True),
+    ("unit-j", f"10.0,{MU0 * 1.0e4!r}\n20.0,{MU0 * 2.0e4!r}\n", {"unit": "j"}, True),
+    ("unit-b", f"10.0,{MU0 * (10.0 + 1.0e4)!r}\n20.0,0.5\n", {"unit": "b"}, True),
+    ("bad-cell-second-block", _many_rows(5000, 4500, "2250.0,oops"), {}, False),
+    ("short-row-second-block", _many_rows(5000, 4200, "2100.0"), {}, False),
+    ("long-clean", _many_rows(9000, 0, "0.0,0.0"), {}, True),
+]
+
+
+def _outcome(path, kind, kw):
+    try:
+        curve = parse_curve(path, kind=kind, **kw)
+    except Exception as err:  # noqa: BLE001 - the comparison is the point
+        return (type(err), str(err), getattr(err, "line", None))
+    return (curve.H.tobytes(), curve.M.tobytes(), curve.kind, curve.source_units)
+
+
+class TestBulkMatchesLines:
+    """``parse_curve`` gives the bits and errors of the per-line reader on every file."""
+
+    @pytest.mark.parametrize("kind", [CurveKind.FULL_LOOP, CurveKind.ANHYSTERETIC])
+    @pytest.mark.parametrize(
+        "content, kw, bulk", [c[1:] for c in _EQUIVALENCE_CASES], ids=[c[0] for c in _EQUIVALENCE_CASES]
+    )
+    def test_same_outcome(self, tmp_path, monkeypatch, content, kw, bulk, kind):
+        path = tmp_path / "c.txt"
+        if isinstance(content, str):
+            content = content.encode("utf-8")
+        path.write_bytes(content)
+        taken = []
+        read_columns = dataio._read_columns
+
+        def spy(*args):
+            columns = read_columns(*args)
+            taken.append(columns is not None)
+            return columns
+
+        monkeypatch.setattr(dataio, "_read_columns", spy)
+        got = _outcome(path, kind, kw)
+        monkeypatch.setattr(dataio, "_read_columns", lambda *args: None)
+        assert got == _outcome(path, kind, kw)
+        assert taken == [bulk]
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                      st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1, max_size=40,
+        ),
+        st.sampled_from([repr, "{:.6e}".format]),
+        st.sampled_from([",", ";", "\t"]),
+        st.booleans(),
+    )
+    def test_finite_floats(self, pairs, fmt, delim, header):
+        lines = [f"{fmt(h)}{delim}{fmt(m)}" for h, m in pairs]
+        if header:
+            lines.insert(0, f"H{delim}M")
+        bulk = dataio._read_columns(lines, None, 0, 1, None)
+        assert bulk is not None
+        per_line = dataio._read_lines(lines, None, 0, 1, None)
+        expect = np.array([[float(fmt(h)), float(fmt(m))] for h, m in pairs])
+        for got, ref, col in zip(bulk, per_line, expect.T):
+            assert got.tobytes() == ref.tobytes() == col.tobytes()
 
 
 class TestFeaturesType:

@@ -310,6 +310,25 @@ class TestIntegrateBitwise:
     def test_waveforms_and_initial_states(self, targets, M0, clamp):
         self.check(FieldWaveform(targets, steps_per_segment=BLOCK + 1), M0, clamp)
 
+    @pytest.mark.parametrize("targets", [
+        (0.0, 5000.0, -5000.0, 5000.0, -5000.0, 5000.0, -5000.0, 5000.0),
+        # (5000, 0.0) and (5000, -0.0) end on different grid bits
+        (-0.0, 5000.0, 0.0, 5000.0, -0.0, 5000.0, -5000.0, -0.0),
+    ])
+    def test_repeated_segments_solved_once(self, monkeypatch, targets):
+        calls = {"_implicit_array": 0, "_slope_raw": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(simulate, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(simulate, name, counted)
+        waveform = FieldWaveform(targets, steps_per_segment=BLOCK + 1)
+        self.check(waveform)
+        distinct = len({(a.hex(), b.hex()) for a, b in zip(waveform.targets, waveform.targets[1:])})
+        assert distinct < waveform.n_segments
+        assert calls == {"_implicit_array": distinct, "_slope_raw": distinct}
+
 
 class TestLoopParams:
     """The loop parameters `extract` reports: c = chi_in/chi_an and k = Hc."""

@@ -51,10 +51,22 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path = anh_dir / "through_zero.csv"
     inputs.write_curve(path, H, inputs.anhysteretic(H, 972.0, 1.4e-3, inputs.MS))
     flags["zero"] = [str(path.relative_to(out))]
+    # the same curve whitespace-delimited under a "H M" header: the per-line parser
+    path = anh_dir / "through_zero_whitespace.txt"
+    text = path.with_name("through_zero.csv").read_text(encoding="utf-8")
+    path.write_text(text.replace(",", "  "), encoding="utf-8")
+    flags["zero-ws"] = [str(path.relative_to(out))]
     # a dense two-cycle loop, its first-magnetization branch and anhysteretic curve
     (case,) = inputs.jiles_cases(1, 1, loop_dir)
     for name, path in case.files.items():
         flags[name] = [f"--{name.replace('_', '-')}", str(path.relative_to(out))]
+    # the loop with semicolons, CRLF endings and a blank line every 1000 rows
+    lines = case.files["loop"].read_text(encoding="utf-8").replace(",", ";").splitlines()
+    for i in range(len(lines) - len(lines) % 1000, 0, -1000):
+        lines.insert(i, "")
+    path = loop_dir / "loop_semicolon_crlf.csv"
+    path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+    flags["loop-semicolon"] = ["--loop", str(path.relative_to(out))]
     return flags
 
 
@@ -73,6 +85,11 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
                 "fit-anhysteretic", *f[curve], *material, *extra,
                 "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
             ]))
+    name = "fit-anhysteretic-coarse-zero-whitespace"
+    cmds.append((name, [
+        "fit-anhysteretic", *f["zero-ws"], *material, "--coarse",
+        "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
+    ]))
     loop = ["--c", "0.1", "--k", "1000", "--hmax", "5000", "--cycles", "2"]
     steel = ["--aj", "972", "--alpha", "1.4e-3", "--ms", MS]
     # 2 000 steps fit in one integrator block; 9 000 cross several block boundaries
@@ -98,6 +115,11 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
     ]))
     curves = [*f["loop"], *f["first_mag"], *f["anhysteretic"]]
     cmds.append(("extract", ["extract", *curves, "--ms", MS, "--out", "extract/features.json"]))
+    name = "extract-semicolon-crlf"
+    cmds.append((name, [
+        "extract", *f["loop-semicolon"], *f["first_mag"], *f["anhysteretic"], "--ms", MS,
+        "--out", f"{name}/features.json",
+    ]))
     for name, source, extra in (
         ("fit-jiles92-curves", curves, []),
         ("fit-jiles92-features", [*f["loop"], "--features", "extract/features.json"], []),
