@@ -17,6 +17,7 @@ import logging
 import sys
 import time
 import warnings
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .anfit import AnhystereticFitConfig, fit_anhysteretic
 from .core import MU0, MaterialSpec
-from .dataio import CurveKind, LoopFeatures, MagnetizationCurve, Unit, extract_features, parse_curve
+from .dataio import CurveKind, LoopFeatures, MagnetizationCurve, extract_features, parse_curve
 from .errors import DataError, JamagError
 from .jiles92 import Jiles92Config, c_from_susceptibilities, estimate
 from .simulate import FieldWaveform, HysteresisParams, integrate
@@ -37,32 +38,21 @@ _CONVENTION_NOTE = (
     "remanence (H=0) and (Hm+alpha*Mm)/aJ at the tip"
 )
 
-_logger = logging.getLogger(__name__)
 
-
-def _sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
+def _inputs(**paths: Path | None) -> dict:
+    """A report's ``inputs`` entry: the path and sha256 of each given file."""
+    return {
+        name: {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+        for name, path in paths.items()
+        if path
+    }
 
 
 def _write_report(report: dict, out: str | None, deterministic: bool) -> None:
     if not deterministic:
         report = dict(report)
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -124,10 +114,6 @@ _WARNING_MESSAGES = {
 }
 
 
-def _unit(args) -> Unit:
-    return Unit(args.unit)
-
-
 # --- subcommands ----------------------------------------------------------
 
 
@@ -137,7 +123,7 @@ def cmd_fit_anhysteretic(args) -> int:
         sweep=args.sweep, coarse=args.coarse, slope_points=args.slope_points,
     )
     material = MaterialSpec(Ms=args.ms, T=args.temp)
-    data = parse_curve(args.data, kind=CurveKind.ANHYSTERETIC, unit=_unit(args))
+    data = parse_curve(args.data, kind=CurveKind.ANHYSTERETIC, unit=args.unit)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         data.check_amplitude(material.Ms)
@@ -156,7 +142,7 @@ def cmd_fit_anhysteretic(args) -> int:
     run = {
         "command": "fit-anhysteretic",
         "version": __version__,
-        "inputs": {"data": {"path": str(args.data), "sha256": _sha256(args.data)}},
+        "inputs": _inputs(data=args.data),
         "config": {
             "ms": args.ms, "temp": args.temp, "unit": args.unit,
             "ha1": cfg.ha1, "eta0": cfg.eta0, "eps": cfg.eps, "eta_max": cfg.eta_max,
@@ -188,15 +174,13 @@ def _load_features(args, loop: MagnetizationCurve) -> LoopFeatures:
         obj = json.loads(Path(args.features).read_text(encoding="utf-8"))
         if "features" in obj:
             obj = obj["features"]
-        return LoopFeatures(**{k: float(obj[k]) for k in (
-            "chi_in", "chi_an", "chi_max", "chi_r", "chi_m", "Hc", "Mr", "Hm", "Mm")})
+        return LoopFeatures(**{f.name: float(obj[f.name]) for f in fields(LoopFeatures)})
     if not (args.first_mag and args.anhysteretic):
         raise DataError(
             "feature extraction needs --first-mag and --anhysteretic (or pass --features)"
         )
-    unit = _unit(args)
-    first = parse_curve(args.first_mag, kind=CurveKind.FIRST_MAGNETIZATION, unit=unit)
-    anh = parse_curve(args.anhysteretic, kind=CurveKind.ANHYSTERETIC, unit=unit)
+    first = parse_curve(args.first_mag, kind=CurveKind.FIRST_MAGNETIZATION, unit=args.unit)
+    anh = parse_curve(args.anhysteretic, kind=CurveKind.ANHYSTERETIC, unit=args.unit)
     return extract_features(first, loop, anh, slope_points=args.slope_points)
 
 
@@ -209,7 +193,7 @@ def cmd_fit_jiles92(args) -> int:
         sim_steps=args.sim_steps,
         sim_cycles=args.sim_cycles,
     )
-    loop = parse_curve(args.loop, kind=CurveKind.FULL_LOOP, unit=_unit(args))
+    loop = parse_curve(args.loop, kind=CurveKind.FULL_LOOP, unit=args.unit)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         loop.check_amplitude(material.Ms)
@@ -223,16 +207,13 @@ def cmd_fit_jiles92(args) -> int:
             "message": _WARNING_MESSAGES["FIT_CONDITION_NOT_MET"],
         })
 
-    inputs = {"loop": {"path": str(args.loop), "sha256": _sha256(args.loop)}}
-    for name in ("first_mag", "anhysteretic", "features"):
-        val = getattr(args, name)
-        if val:
-            inputs[name] = {"path": str(val), "sha256": _sha256(val)}
-
     run = {
         "command": "fit-jiles92",
         "version": __version__,
-        "inputs": inputs,
+        "inputs": _inputs(
+            loop=args.loop, first_mag=args.first_mag,
+            anhysteretic=args.anhysteretic, features=args.features,
+        ),
         "config": {
             "ms": args.ms, "temp": args.temp, "unit": args.unit,
             "seeds": list(cfg.seeds), "max_outer_iter": cfg.max_outer_iter,
@@ -292,9 +273,7 @@ def cmd_simulate_loop(args) -> int:
     run = {
         "command": "simulate-loop",
         "version": __version__,
-        "inputs": {} if not args.params else {
-            "params": {"path": str(args.params), "sha256": _sha256(args.params)}
-        },
+        "inputs": _inputs(params=args.params),
         "config": {
             "aJ": aJ, "alpha": alpha, "c": args.c, "k": args.k, "ms": ms,
             "hmax": args.hmax, "cycles": args.cycles, "steps": args.steps,
@@ -313,12 +292,11 @@ def cmd_simulate_loop(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    unit = _unit(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        first = parse_curve(args.first_mag, kind=CurveKind.FIRST_MAGNETIZATION, unit=unit)
-        anh = parse_curve(args.anhysteretic, kind=CurveKind.ANHYSTERETIC, unit=unit)
-        loop = parse_curve(args.loop, kind=CurveKind.FULL_LOOP, unit=unit)
+        first = parse_curve(args.first_mag, kind=CurveKind.FIRST_MAGNETIZATION, unit=args.unit)
+        anh = parse_curve(args.anhysteretic, kind=CurveKind.ANHYSTERETIC, unit=args.unit)
+        loop = parse_curve(args.loop, kind=CurveKind.FULL_LOOP, unit=args.unit)
         if args.ms is not None:
             for curve in (first, anh, loop):
                 curve.check_amplitude(args.ms)
@@ -329,21 +307,9 @@ def cmd_extract(args) -> int:
     run = {
         "command": "extract",
         "version": __version__,
-        "inputs": {
-            name: {"path": str(p), "sha256": _sha256(p)}
-            for name, p in (
-                ("first_mag", args.first_mag),
-                ("loop", args.loop),
-                ("anhysteretic", args.anhysteretic),
-            )
-        },
+        "inputs": _inputs(first_mag=args.first_mag, loop=args.loop, anhysteretic=args.anhysteretic),
         "config": {"unit": args.unit, "slope_points": args.slope_points, "ms": args.ms},
-        "features": {
-            "chi_in": features.chi_in, "chi_an": features.chi_an,
-            "chi_max": features.chi_max, "chi_r": features.chi_r,
-            "chi_m": features.chi_m, "Hc": features.Hc, "Mr": features.Mr,
-            "Hm": features.Hm, "Mm": features.Mm,
-        },
+        "features": asdict(features),
         "derived": {"c": c, "k": k},
         "warnings": _collect_warnings(caught),
         "status": "ok",
@@ -403,13 +369,14 @@ def cmd_validate(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 
-def _add_common(sp, *, ms_required: bool = False, temp: bool = False) -> None:
+def _add_common(sp, *, ms_required: bool = False, temp: bool = False, unit: bool = True) -> None:
     sp.add_argument("--ms", type=float, required=ms_required, default=None,
                     help="saturation magnetization, A/m")
     if temp:
         sp.add_argument("--temp", type=float, required=True, help="temperature, K")
-    sp.add_argument("--unit", choices=["m", "j", "b"], default="m",
-                    help="M column unit: m=A/m, j=polarization T, b=flux density T")
+    if unit:
+        sp.add_argument("--unit", choices=["m", "j", "b"], default="m",
+                        help="M column unit: m=A/m, j=polarization T, b=flux density T")
     sp.add_argument("--deterministic", action="store_true",
                     help="omit timestamps/timings so reports are byte-identical")
 
@@ -464,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--c", type=float, required=True, help="reversibility fraction")
     p.add_argument("--k", type=float, required=True, help="pinning strength, A/m")
-    _add_common(p)
+    _add_common(p, unit=False)
     p.add_argument("--params", type=Path, default=None,
                    help="fit report JSON supplying aJ/alpha (flags override)")
     p.add_argument("--hmax", type=float, required=True, help="field amplitude, A/m")
@@ -506,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (DataError, OSError, ValueError, json.JSONDecodeError, KeyError) as err:
+    except (DataError, OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except JamagError as err:

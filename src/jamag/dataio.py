@@ -15,7 +15,6 @@ import enum
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from logging import getLogger
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +30,6 @@ from .errors import (
 )
 
 _MIN_BRANCH_SAMPLES = 10
-
-_logger = getLogger(__name__)
 
 
 class Unit(enum.Enum):
@@ -168,10 +165,11 @@ def parse_curve(
     ``delimiter`` defaults to auto-detection among comma, semicolon and tab
     (falling back to whitespace).  ``skip_header=None`` skips one leading
     row if and only if none of its cells parse as numbers; pass an integer
-    to skip exactly that many rows.  Blank lines are ignored.  Curves whose
-    kind requires monotone H are sorted by H before validation.  Raises
-    :class:`ParseError` (with the 1-based line number, or naming the file
-    when it is not UTF-8), :class:`UnitError` or :class:`EmptyFile`.
+    to skip exactly that many non-blank rows.  Blank lines are ignored.
+    Curves whose kind requires monotone H are sorted by H before validation.
+    Raises :class:`ParseError` (with the 1-based line number, or naming the
+    file when it is not UTF-8), :class:`UnitError`, :class:`EmptyFile`, or
+    ``ValueError`` for an empty ``delimiter``.
 
     A well-formed file is read in bulk: every data row split on one
     single-character delimiter into the same number of cells, every H and
@@ -192,9 +190,15 @@ def parse_curve(
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") from None
     lines = text.splitlines()
-    columns = _read_columns(lines, delimiter, h_col, m_col, skip_header)
+    rows = list(filter(str.strip, lines))
+    if skip_header is not None:
+        skip = max(skip_header, 0)
+    else:
+        skip = int(bool(rows) and _is_header(_split_cells(rows[0], delimiter), h_col, m_col))
+    del rows[:skip]
+    columns = _read_columns(rows, delimiter, h_col, m_col)
     if columns is None:
-        columns = _read_lines(lines, delimiter, h_col, m_col, skip_header)
+        columns = _read_lines(rows, delimiter, h_col, m_col, lines, skip)
     H, raw = columns
     if not H.size:
         raise EmptyFile(f"{path}: no data rows")
@@ -214,51 +218,43 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _split_cells(line: str, delimiter: str | None) -> list[str]:
+def _delimiter(line: str, delimiter: str | None) -> str | None:
+    """The delimiter that splits ``line``: ``delimiter`` when given, else the
+    first of comma, semicolon and tab that ``line`` holds, else None (whitespace)."""
     if delimiter is not None:
-        return [c.strip() for c in line.split(delimiter)]
+        if not delimiter:
+            raise ValueError("delimiter must be a non-empty string or None, got ''")
+        return delimiter
     for cand in _AUTO_DELIMITERS:
         if cand in line:
-            return [c.strip() for c in line.split(cand)]
-    return line.split()
+            return cand
+    return None
 
 
-def _is_header(cells: list[str]) -> bool:
-    """A row none of whose non-empty cells is a number."""
-    return all(not _is_number(c) for c in cells if c)
+def _split_cells(line: str, delimiter: str | None) -> list[str]:
+    delim = _delimiter(line, delimiter)
+    if delim is None:
+        return line.split()
+    return [c.strip() for c in line.split(delim)]
+
+
+def _is_header(cells: list[str], h_col: int, m_col: int) -> bool:
+    """A row that holds the H and M columns and none of whose non-empty cells is a number."""
+    return max(h_col, m_col) < len(cells) and all(not _is_number(c) for c in cells if c)
 
 
 def _read_columns(
-    lines: list[str], delimiter: str | None, h_col: int, m_col: int, skip_header: int | None
+    rows: list[str], delimiter: str | None, h_col: int, m_col: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The raw H and M columns read in bulk, or None when the file needs :func:`_read_lines`."""
-    rows = list(filter(str.strip, lines))
-    if skip_header is not None:
-        del rows[: max(skip_header, 0)]
-    elif rows:
-        cells = _split_cells(rows[0], delimiter)
-        if max(h_col, m_col) >= len(cells):
-            return None
-        try:
-            float(cells[h_col])
-            float(cells[m_col])
-        except ValueError:
-            if not _is_header(cells):
-                return None
-            del rows[0]
+    """The raw H and M columns read in bulk, or None when the rows need :func:`_read_lines`."""
     n = len(rows)
     if not n:
         return np.empty(0), np.empty(0)
 
-    if delimiter is None:
-        delim = next((c for c in _AUTO_DELIMITERS if c in rows[0]), None)
-        if delim is None:
-            return None
-        earlier = _AUTO_DELIMITERS[: _AUTO_DELIMITERS.index(delim)]
-    else:
-        delim, earlier = delimiter, ()
-        if len(delim) != 1:
-            return None
+    delim = _delimiter(rows[0], delimiter)
+    if delim is None or len(delim) != 1:
+        return None
+    earlier = _AUTO_DELIMITERS[: _AUTO_DELIMITERS.index(delim)] if delimiter is None else ()
     count = rows[0].count(delim)
     width = count + 1
     if not (0 <= h_col < width and 0 <= m_col < width):
@@ -281,37 +277,29 @@ def _read_columns(
 
 
 def _read_lines(
-    lines: list[str], delimiter: str | None, h_col: int, m_col: int, skip_header: int | None
+    rows: list[str], delimiter: str | None, h_col: int, m_col: int, lines: list[str], skip: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The raw H and M columns read one line at a time; raises :class:`ParseError`."""
-    rows: list[tuple[float, float]] = []
-    skipped = 0
-    auto_header = skip_header is None
-    to_skip = 0 if auto_header else skip_header
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        if skipped < to_skip:
-            skipped += 1
-            continue
-        cells = _split_cells(line, delimiter)
-        if max(h_col, m_col) >= len(cells):
-            raise ParseError(
-                f"line {lineno}: expected at least {max(h_col, m_col) + 1} columns, got {len(cells)}",
-                line=lineno,
-            )
-        try:
-            h = float(cells[h_col])
-            m = float(cells[m_col])
-        except ValueError:
-            # A fully non-numeric first row is a header.
-            if auto_header and not rows and skipped == 0 and _is_header(cells):
-                skipped += 1
-                continue
-            raise ParseError(f"line {lineno}: non-numeric cell in {cells!r}", line=lineno) from None
-        rows.append((h, m))
+    """The raw H and M columns read one row at a time.
 
-    arr = np.asarray(rows, dtype=np.float64).reshape(-1, 2)
+    ``rows`` are the non-blank ``lines`` of the file after the first ``skip``.
+    The first bad row raises :class:`ParseError` with its 1-based line number.
+    """
+    pairs: list[tuple[float, float]] = []
+    need = max(h_col, m_col) + 1
+    for i, row in enumerate(rows):
+        cells = _split_cells(row, delimiter)
+        if len(cells) < need:
+            problem = f"expected at least {need} columns, got {len(cells)}"
+        else:
+            try:
+                pairs.append((float(cells[h_col]), float(cells[m_col])))
+                continue
+            except ValueError:
+                problem = f"non-numeric cell in {cells!r}"
+        lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][skip + i]
+        raise ParseError(f"line {lineno}: {problem}", line=lineno)
+
+    arr = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
     return arr[:, 0], arr[:, 1]
 
 

@@ -46,40 +46,28 @@ def expand_bracket(
     f: Callable[[float], float],
     x0: float,
     *,
-    grow: float = 2.0,
-    step0: float | None = None,
     lo_limit: float | None = None,
-    hi_limit: float | None = None,
 ) -> tuple[float, float]:
     """Grow an interval around ``x0`` until ``f`` changes sign across it.
 
-    The half-width starts at ``step0`` (default ``max(0.01*|x0|, 1e-12)``) and
-    is multiplied by ``grow`` after each failed attempt, for at most 64
-    attempts.  Endpoints are clamped to ``lo_limit``/``hi_limit`` when given.
-    Returns the tighter of ``(lo, x0)`` / ``(x0, hi)`` once a sign change
-    appears.  Raises :class:`NoSignChange` if the budget is exhausted.
+    The half-width starts at ``max(0.01*|x0|, 1e-12)`` and doubles after each
+    failed attempt, for at most 64 attempts.  The lower endpoint is clamped
+    to ``lo_limit`` when given.  Returns the tighter of ``(lo, x0)`` /
+    ``(x0, hi)`` once a sign change appears.  Raises :class:`NoSignChange`
+    if the budget is exhausted.
     """
-    if grow <= 1.0:
-        raise ValueError(f"grow must exceed 1, got {grow}")
+    d = max(0.01 * abs(x0), 1e-12)
     fx0 = f(x0)
     if fx0 == 0.0:
         # x0 is already a root; hand back a degenerate-but-valid bracket.
-        hi = x0 + (step0 if step0 is not None else max(0.01 * abs(x0), 1e-12))
-        if hi_limit is not None:
-            hi = min(hi, hi_limit)
+        hi = x0 + d
         return (x0, hi) if hi > x0 else (x0, x0)
-
-    d = step0 if step0 is not None else max(0.01 * abs(x0), 1e-12)
-    if d <= 0.0:
-        raise ValueError(f"step0 must be positive, got {step0}")
 
     for _ in range(_MAX_EXPANSIONS):
         lo = x0 - d
         hi = x0 + d
         if lo_limit is not None:
             lo = max(lo, lo_limit)
-        if hi_limit is not None:
-            hi = min(hi, hi_limit)
         if lo < x0:
             flo = f(lo)
             if flo == 0.0 or (flo < 0.0) != (fx0 < 0.0):
@@ -88,7 +76,7 @@ def expand_bracket(
             fhi = f(hi)
             if fhi == 0.0 or (fhi < 0.0) != (fx0 < 0.0):
                 return x0, hi
-        d *= grow
+        d *= 2.0
 
     raise NoSignChange(
         f"no sign change within {_MAX_EXPANSIONS} expansions around x0={x0!r}"

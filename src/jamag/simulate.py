@@ -21,15 +21,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from logging import getLogger
 
 import numpy as np
 
 from .core import _check_stability, _implicit_array, _slope_raw
 from .dataio import CurveKind, MagnetizationCurve
 from .errors import NonPhysicalParameterWarning, SingularDenominator
-
-_logger = getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -82,14 +79,14 @@ class FieldWaveform:
 
     @classmethod
     def cyclic(
-        cls, hmax: float, *, cycles: int = 3, steps_per_segment: int = 2000, start: float = 0.0
+        cls, hmax: float, *, cycles: int = 3, steps_per_segment: int = 2000
     ) -> "FieldWaveform":
-        """Initial rise from ``start`` to +hmax, then ``cycles`` full cycles."""
+        """Initial rise from 0 to +hmax, then ``cycles`` full cycles."""
         if not hmax > 0.0:
             raise ValueError(f"hmax must be positive, got {hmax}")
         if cycles < 1:
             raise ValueError(f"cycles must be at least 1, got {cycles}")
-        targets = (start, hmax) + (-hmax, hmax) * cycles
+        targets = (0.0, hmax) + (-hmax, hmax) * cycles
         return cls(targets=targets, steps_per_segment=steps_per_segment)
 
     @property

@@ -58,14 +58,14 @@ def synthetic_curve(
 
 def run_row(
     aJ: float, alpha: float, cfg: AnhystereticFitConfig,
-    material: MaterialSpec = GRID_MATERIAL,
 ) -> RowResult:
-    data = synthetic_curve(aJ, alpha, material)
+    """Fit the noiseless curve of one grid row on :data:`GRID_MATERIAL`."""
+    data = synthetic_curve(aJ, alpha)
     t0 = time.perf_counter()
-    report = fit_anhysteretic(data, material, cfg)
+    report = fit_anhysteretic(data, GRID_MATERIAL, cfg)
     elapsed = time.perf_counter() - t0
     rms = report.residual_norm / np.sqrt(len(data))
-    bound = RMS_BOUND_FRACTION * MU0 * material.Ms
+    bound = RMS_BOUND_FRACTION * MU0 * GRID_MATERIAL.Ms
     return RowResult(
         aJ_true=aJ, alpha_true=alpha, rms=float(rms), bound=float(bound),
         passed=bool(rms <= bound), report=report, elapsed=elapsed,
@@ -74,9 +74,8 @@ def run_row(
 
 def run_grid(
     cfg: AnhystereticFitConfig | None = None,
-    material: MaterialSpec = GRID_MATERIAL,
 ) -> list[RowResult]:
     """Round-trip every grid row.  Coarse sweep by default (same minimum)."""
     if cfg is None:
         cfg = AnhystereticFitConfig(coarse=True)
-    return [run_row(aJ, alpha, cfg, material) for aJ, alpha in GRID_ROWS]
+    return [run_row(aJ, alpha, cfg) for aJ, alpha in GRID_ROWS]

@@ -294,6 +294,18 @@ class TestSimulateLoop:
         assert "NON_PHYSICAL_ALPHA" in r.stderr
         assert str(rep) in r.stderr
 
+    def test_unit_flag_rejected(self, tmp_path, capsys):
+        # simulate-loop reads no curve file, so it has no M column unit to set
+        out = tmp_path / "loop.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "simulate-loop", "--unit", "j", "--aj", "972", "--alpha", "1.4e-3", "--c", "0.1",
+                "--k", "1000", "--ms", str(MS), "--hmax", "5000", "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --unit j" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_alpha_flag_exits_2(self, tmp_path):
         r = run_cli(
             "simulate-loop", "--aj", 972, "--alpha=-1e-4", "--c", 0.1, "--k", 1000,

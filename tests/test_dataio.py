@@ -68,6 +68,17 @@ class TestCurveType:
         assert not recwarn.list
 
 
+def _blank_every_1000(n: int, bad_row: int) -> str:
+    """Two blank lines, an "H,M" header, then n rows with a blank line before
+    rows 1000, 2000, ...; row ``bad_row`` has a non-numeric M cell."""
+    lines = ["", "", "H,M"]
+    for j in range(n):
+        if j and j % 1000 == 0:
+            lines.append("")
+        lines.append(f"{0.5 * j!r},oops" if j == bad_row else f"{0.5 * j!r},{1.5e3 * j!r}")
+    return "\n".join(lines) + "\n"
+
+
 class TestParse:
     def test_comma_with_header(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -131,6 +142,32 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_curve(path, kind=CurveKind.ANHYSTERETIC)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "content, kw, line",
+        [
+            # auto header on line 3, blank and whitespace-only lines among the rows
+            ("\n\nH,M\n1.0,5.0\n\n\n2.0,6.0\n \n3.0,oops\n", {}, 9),
+            # skip_header counts non-blank lines only, numeric or not
+            ("\n1.0,5.0\n\ntitle\n2.0,6.0\n\n2.0\n", {"skip_header": 2}, 7),
+            # header on line 3, data row j on line 4 + j + j // 1000: row 4500, in the
+            # second 4096-row block, is on line 4508
+            (_blank_every_1000(5000, 4500), {}, 4508),
+        ],
+        ids=["auto-header", "skip-header-2", "second-block"],
+    )
+    def test_parse_error_line_counts_blank_and_header_lines(self, tmp_path, content, kw, line):
+        path = tmp_path / "c.csv"
+        path.write_text(content)
+        with pytest.raises(ParseError, match=f"^line {line}: ") as exc:
+            parse_curve(path, kind=CurveKind.FULL_LOOP, **kw)
+        assert exc.value.line == line
+
+    def test_empty_delimiter_rejected(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("1.0,5.0\n2.0,6.0\n")
+        with pytest.raises(ValueError, match="delimiter"):
+            parse_curve(path, kind=CurveKind.ANHYSTERETIC, delimiter="")
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -267,15 +304,12 @@ class TestBulkMatchesLines:
         ),
         st.sampled_from([repr, "{:.6e}".format]),
         st.sampled_from([",", ";", "\t"]),
-        st.booleans(),
     )
-    def test_finite_floats(self, pairs, fmt, delim, header):
-        lines = [f"{fmt(h)}{delim}{fmt(m)}" for h, m in pairs]
-        if header:
-            lines.insert(0, f"H{delim}M")
-        bulk = dataio._read_columns(lines, None, 0, 1, None)
+    def test_finite_floats(self, pairs, fmt, delim):
+        rows = [f"{fmt(h)}{delim}{fmt(m)}" for h, m in pairs]
+        bulk = dataio._read_columns(rows, None, 0, 1)
         assert bulk is not None
-        per_line = dataio._read_lines(lines, None, 0, 1, None)
+        per_line = dataio._read_lines(rows, None, 0, 1, rows, 0)
         expect = np.array([[float(fmt(h)), float(fmt(m))] for h, m in pairs])
         for got, ref, col in zip(bulk, per_line, expect.T):
             assert got.tobytes() == ref.tobytes() == col.tobytes()

@@ -77,7 +77,7 @@ def test_expand_bracket_left():
 def test_expand_bracket_respects_lo_limit():
     # f > 0 on [0, inf); with the domain floored at 0 no sign change exists
     with pytest.raises(NoSignChange):
-        expand_bracket(lambda v: v + 0.5, 1.0, lo_limit=0.0, hi_limit=1e6)
+        expand_bracket(lambda v: v + 0.5, 1.0, lo_limit=0.0)
 
 
 def test_expand_bracket_zero_at_start():

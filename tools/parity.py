@@ -56,6 +56,15 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     text = path.with_name("through_zero.csv").read_text(encoding="utf-8")
     path.write_text(text.replace(",", "  "), encoding="utf-8")
     flags["zero-ws"] = [str(path.relative_to(out))]
+    # the curve with a blank line after the header and before every 50th row, and a
+    # bad M cell in row 120: the per-line parser's line-numbered error, exit 2
+    lines = text.splitlines()
+    lines[121] = lines[121].split(",")[0] + ",n/a"
+    for i in range(len(lines) - 1, 0, -50):
+        lines.insert(i, "")
+    path = anh_dir / "through_zero_malformed.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    flags["zero-malformed"] = [str(path.relative_to(out))]
     # a dense two-cycle loop, its first-magnetization branch and anhysteretic curve
     (case,) = inputs.jiles_cases(1, 1, loop_dir)
     for name, path in case.files.items():
@@ -85,11 +94,14 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
                 "fit-anhysteretic", *f[curve], *material, *extra,
                 "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
             ]))
-    name = "fit-anhysteretic-coarse-zero-whitespace"
-    cmds.append((name, [
-        "fit-anhysteretic", *f["zero-ws"], *material, "--coarse",
-        "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
-    ]))
+    for name, curve in (
+        ("fit-anhysteretic-coarse-zero-whitespace", "zero-ws"),
+        ("fit-anhysteretic-coarse-zero-malformed", "zero-malformed"),
+    ):
+        cmds.append((name, [
+            "fit-anhysteretic", *f[curve], *material, "--coarse",
+            "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
+        ]))
     loop = ["--c", "0.1", "--k", "1000", "--hmax", "5000", "--cycles", "2"]
     steel = ["--aj", "972", "--alpha", "1.4e-3", "--ms", MS]
     # 2 000 steps fit in one integrator block; 9 000 cross several block boundaries
