@@ -63,36 +63,47 @@ _WRITE_ROWS = 4096
 """CSV rows formatted and written with one ``write`` at a time."""
 
 
-def _write_curve(path: str | Path, header: list[str], columns: list) -> None:
-    """Write ``columns`` as CSV rows: float arrays as each value's ``repr``,
-    lists as the strings they hold."""
+def _rows(columns: list[np.ndarray], start: int, stop: int) -> str:
+    """CSV text of rows ``start:stop``, each value as its ``repr``."""
+    cells = (map(repr, col[start:stop].tolist()) for col in columns)
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _write_curve(path: str | Path, header: list[str], columns: list, run: int = _WRITE_ROWS) -> None:
+    """Write float ``columns`` as CSV rows of each value's ``repr``: row 0, then
+    runs of ``run`` rows (``simulate-loop`` passes one segment).  A run whose
+    column bytes equal an earlier run's (found by ``hash``, confirmed by the
+    bytes) is written from that run's text, kept only while a later run needs it."""
+    n = len(columns[0])
+    edges = sorted({0, *range(1, n, run), n})
+    runs = list(zip(edges, edges[1:]))
+
+    def key(r: int) -> tuple[bytes, ...]:
+        return tuple(col[slice(*runs[r])].tobytes() for col in columns)
+
+    # source[r]: the first run with run r's bytes; last[q]: the last run written from q's text
+    source, last, seen = [], {}, {}
+    for r in range(len(runs)):
+        k = key(r)
+        same = seen.setdefault(hash(k), [])
+        src = next((q for q in same if key(q) == k), r)
+        if src == r:
+            same.append(r)
+        source.append(src)
+        last[src] = r
+
+    kept: dict[int, list[str]] = {}
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _WRITE_ROWS):
-            stop = start + _WRITE_ROWS
-            block = [
-                col[start:stop] if isinstance(col, list) else map(repr, col[start:stop].tolist())
-                for col in columns
-            ]
-            f.write("\n".join(map(",".join, zip(*block))) + "\n")
-
-
-def _segment_reprs(H: np.ndarray, steps: int) -> list[str]:
-    """``repr`` of every value of a waveform's H column.
-
-    After the start point, each run of ``steps`` values is one segment; the
-    segments of a cyclic waveform repeat, so equal runs (same bytes) are
-    formatted once.
-    """
-    formatted: dict[bytes, list[str]] = {}
-    out = [repr(float(H[0]))]
-    for start in range(1, len(H), steps):
-        seg = H[start : start + steps]
-        key = seg.tobytes()
-        if key not in formatted:
-            formatted[key] = list(map(repr, seg.tolist()))
-        out += formatted[key]
-    return out
+        for r, ((start, stop), src) in enumerate(zip(runs, source)):
+            if src != r:
+                f.writelines(kept.pop(src) if last[src] == r else kept[src])
+                continue
+            blocks = range(start, stop, _WRITE_ROWS)
+            texts = (_rows(columns, b, min(b + _WRITE_ROWS, stop)) for b in blocks)
+            if last[r] > r:
+                texts = kept[r] = list(texts)
+            f.writelines(texts)
 
 
 def _collect_warnings(caught) -> list[dict]:
@@ -268,7 +279,7 @@ def cmd_simulate_loop(args) -> int:
         curve = integrate(params, waveform, M0=args.m0, clamp=args.clamp)
 
     b = MU0 * (curve.H + curve.M)
-    _write_curve(args.out, ["H", "M", "B"], [_segment_reprs(curve.H, args.steps), curve.M, b])
+    _write_curve(args.out, ["H", "M", "B"], [curve.H, curve.M, b], run=args.steps)
 
     run = {
         "command": "simulate-loop",

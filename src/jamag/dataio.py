@@ -285,7 +285,7 @@ def _read_lines(
     The first bad row raises :class:`ParseError` with its 1-based line number.
     """
     pairs: list[tuple[float, float]] = []
-    need = max(h_col, m_col) + 1
+    need = max(-col if col < 0 else col + 1 for col in (h_col, m_col))
     for i, row in enumerate(rows):
         cells = _split_cells(row, delimiter)
         if len(cells) < need:

@@ -14,11 +14,13 @@ grid in one vectorized solve, once per distinct segment of the waveform.
 The stepping runs on plain Python floats: the pre-solved arrays are
 converted with ``tolist`` and M is collected in blocks of ``_BLOCK_STEPS``
 steps, which keeps both the per-step cost and the memory of the lists
-small.
+small.  A cyclic loop settles onto its limit cycle bit for bit, so each
+distinct (segment, start M) is integrated once and its repeats are copied.
 """
 
 from __future__ import annotations
 
+import struct
 import warnings
 from dataclasses import dataclass
 
@@ -152,10 +154,11 @@ def integrate(
     Classical fixed-step RK4 per segment (the anhysteretic curve and its
     slope are pre-evaluated on the half-step grid, once for all segments
     with the same end fields).  The steps run on plain floats,
-    ``_BLOCK_STEPS`` at a time.  Returns the sampled trajectory, one point
-    per step plus the initial point; committed M values are limited to
-    [-Ms, Ms].  A vanishing pinning denominator is reported with the
-    failing global step index.
+    ``_BLOCK_STEPS`` at a time, with :func:`_rhs` written inline; each
+    distinct (segment, start M) is integrated once and its repeats copied.
+    Returns the sampled trajectory, one point per step plus the initial
+    point; committed M values are limited to [-Ms, Ms].  A vanishing
+    pinning denominator is reported with the failing global step index.
     """
     if abs(M0) > p.Ms:
         raise ValueError(f"|M0| = {abs(M0)} exceeds Ms = {p.Ms}")
@@ -171,13 +174,13 @@ def integrate(
     M_out = np.empty_like(H_out)
     H_out[0] = waveform.targets[0]
     M_out[0] = M = float(M0)
-    rhs = _rhs
 
-    # a cyclic waveform repeats its segments: pre-solve each distinct one once,
-    # keyed on the bits of its ends so that -0.0 and 0.0 stay apart
-    presolved = {}
-    step_base = 0
+    # a cyclic waveform repeats its segments and, on its limit cycle, their start M:
+    # pre-solve each distinct segment once and integrate each distinct (segment,
+    # start M) once, keyed on bits so that -0.0/0.0 and NaN payloads stay apart
+    presolved, integrated = {}, {}
     for seg in range(waveform.n_segments):
+        step_base = seg * S
         h0, h1 = waveform.targets[seg], waveform.targets[seg + 1]
         delta = 1.0 if h1 > h0 else -1.0
         dk = delta * p.k
@@ -191,6 +194,12 @@ def integrate(
         half, sixth = 0.5 * h, h / 6.0
         H_out[step_base + 1 : step_base + S + 1] = grid[2::2]
 
+        row = integrated.setdefault((*key, struct.pack("<d", M)), step_base + 1)
+        if row <= step_base:
+            M_out[step_base + 1 : step_base + S + 1] = M_out[row : row + S]
+            M = float(M_out[step_base + S])
+            continue
+
         for b0 in range(0, S, _BLOCK_STEPS):
             b1 = min(b0 + _BLOCK_STEPS, S)
             man_b = man[2 * b0 : 2 * b1 + 1].tolist()
@@ -199,22 +208,30 @@ def integrate(
             try:
                 for n0 in range(0, 2 * (b1 - b0), 2):
                     mh, sh = man_b[n0 + 1], cs_b[n0 + 1]
-                    k1 = rhs(man_b[n0], cs_b[n0], M, delta, dk, alpha, c1, clamp)
-                    k2 = rhs(mh, sh, M + half * k1, delta, dk, alpha, c1, clamp)
-                    k3 = rhs(mh, sh, M + half * k2, delta, dk, alpha, c1, clamp)
-                    k4 = rhs(man_b[n0 + 2], cs_b[n0 + 2], M + h * k3, delta, dk, alpha, c1, clamp)
+                    dm = man_b[n0] - M
+                    k1 = ((0.0 if clamp and delta * dm < 0.0 else dm / (dk - alpha * dm)) + cs_b[n0]) / c1
+                    dm = mh - (M + half * k1)
+                    k2 = ((0.0 if clamp and delta * dm < 0.0 else dm / (dk - alpha * dm)) + sh) / c1
+                    dm = mh - (M + half * k2)
+                    k3 = ((0.0 if clamp and delta * dm < 0.0 else dm / (dk - alpha * dm)) + sh) / c1
+                    dm = man_b[n0 + 2] - (M + h * k3)
+                    k4 = ((0.0 if clamp and delta * dm < 0.0 else dm / (dk - alpha * dm)) + cs_b[n0 + 2]) / c1
                     M = M + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                     if M > Ms:
                         M = Ms
                     elif M < -Ms:
                         M = -Ms
                     block.append(M)
-            except SingularDenominator as err:
-                i = b0 + n0 // 2
-                raise SingularDenominator(
-                    f"{err} at segment {seg}, step {i}", step_index=step_base + i
-                ) from None
+            except ZeroDivisionError:
+                # dm is the failing stage's M_an - M: _rhs raises the error that names it
+                try:
+                    _rhs(dm, 0.0, 0.0, delta, dk, alpha, c1, False)
+                except SingularDenominator as err:
+                    i = b0 + n0 // 2
+                    raise SingularDenominator(
+                        f"{err} at segment {seg}, step {i}", step_index=step_base + i
+                    ) from None
+                raise
             M_out[step_base + b0 + 1 : step_base + b1 + 1] = block
-        step_base += S
 
     return MagnetizationCurve(H=H_out, M=M_out, kind=CurveKind.FULL_LOOP)

@@ -1,3 +1,4 @@
+import builtins
 import json
 import subprocess
 import sys
@@ -222,15 +223,37 @@ class TestWriteCurve:
         assert len(new.read_text().splitlines()) == n + 1
 
 
-class TestSegmentReprs:
-    def test_equals_the_repr_of_every_value(self):
-        wf = FieldWaveform.cyclic(5000.0, cycles=3, steps_per_segment=7)
-        H = integrate(HysteresisParams(972.0, 1.4e-3, 0.1, 1000.0, MS), wf).H
-        assert cli._segment_reprs(H, 7) == list(map(repr, H.tolist()))
+    @staticmethod
+    def repeating_columns(length):
+        """Row 0, then runs A B A A' B A and a partial A, where A' is A with one
+        0.0 turned into -0.0: equal as floats, other bytes."""
+        rng = np.random.default_rng(length)
+        a, b = rng.standard_normal((2, 3, length)) * 1e4
+        a[:, 1] = 0.0
+        a_neg = a.copy()
+        a_neg[2, 1] = -0.0
+        runs = [rng.standard_normal((3, 1)), a, b, a, a_neg, b, a, a[:, : length // 2 + 1]]
+        return list(np.concatenate(runs, axis=1))
 
-    def test_keys_on_bytes_and_takes_a_short_last_run(self):
-        H = np.array([1.0, 0.0, 2.0, -0.0, 2.0, 0.0, 2.0, 0.5])  # -0.0 == 0.0, other bytes
-        assert cli._segment_reprs(H, 2) == list(map(repr, H.tolist()))
+    @pytest.mark.parametrize("length, run", [
+        (5, 5),  # runs on the repeats
+        (5, 3),  # runs across them
+        (5, 1000),  # one run longer than the file
+        (ROWS + 1, ROWS + 1),  # runs of two write blocks each
+    ])
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_repeated_runs_equal_the_per_row_writer(self, tmp_path, monkeypatch, length, run, collide):
+        columns = self.repeating_columns(length)
+        hashed = []
+        if collide:
+            monkeypatch.setattr(builtins, "hash", lambda key: hashed.append(key) or 0)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        cli._write_curve(new, ["H", "M", "B"], columns, run=run)
+        monkeypatch.undo()
+        _write_curve_rows(old, ["H", "M", "B"], columns)
+        assert new.read_bytes() == old.read_bytes()
+        if collide:  # every run's key went through the constant hash: row 0 and the rest
+            assert len(hashed) == 1 + -(-(len(columns[0]) - 1) // run)
 
 
 class TestSimulateLoop:

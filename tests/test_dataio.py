@@ -169,6 +169,14 @@ class TestParse:
         with pytest.raises(ValueError, match="delimiter"):
             parse_curve(path, kind=CurveKind.ANHYSTERETIC, delimiter="")
 
+    @pytest.mark.parametrize("sep", [",", " "])
+    @pytest.mark.parametrize("kw", [{"h_col": -3}, {"m_col": -3}])
+    def test_negative_column_out_of_range(self, tmp_path, sep, kw):
+        path = tmp_path / "c.csv"
+        write_curve_file(path, [1.0, 2.0], [5.0, 6.0], header=None, sep=sep)
+        with pytest.raises(ParseError, match="^line 1: expected at least 3 columns, got 2$"):
+            parse_curve(path, kind=CurveKind.ANHYSTERETIC, **kw)
+
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("1.0,5.0\n2.0\n")

@@ -258,28 +258,31 @@ class TestIntegrate:
         assert np.max(np.abs(clamped.M)) <= MS
 
     def test_singular_step_reports_global_index(self, monkeypatch):
-        real = simulate._rhs
+        p = HysteresisParams(aJ=1e6, alpha=0.5, c=0.1, k=100.0, Ms=MS)
         S = BLOCK + 10
-        # (steps per segment, failing call, global step, segment, step in segment);
-        # 4 evaluations per step: call 30 lands in step 8 (zero-based 7), and the
-        # second case fails in the second block of the second segment
-        for steps, fail_at, step_index, seg, step in (
-            (10, 30, 7, 0, 7),
-            (S, 4 * (S + BLOCK + 5) + 2, S + BLOCK + 5, 1, BLOCK + 5),
-        ):
-            calls = {"n": 0}
+        # (steps per segment, global step, segment, step in segment): with M_an and
+        # its slope zero, M stays 0 until M_an = delta*k/alpha at the failing step's
+        # midpoint, where the k2 stage's denominator delta*k - 0.5*200*delta is 0;
+        # the second case fails in the second block of the second segment
+        for steps, step_index, seg, step in ((10, 7, 0, 7), (S, S + BLOCK + 5, 1, BLOCK + 5)):
+            targets = (0.0, 1000.0, -1000.0)
 
-            def flaky(man, c_slope, m, delta, dk, alpha, c1, clamp):
-                calls["n"] += 1
-                if calls["n"] == fail_at:
-                    raise SingularDenominator("forced")
-                return real(man, c_slope, m, delta, dk, alpha, c1, clamp)
+            def man(grid, *args, _h0=targets[seg], _step=step):
+                out = np.zeros(len(grid))
+                if grid[0] == _h0:
+                    dk = p.k if grid[-1] > grid[0] else -p.k
+                    out[2 * _step + 1] = dk / p.alpha
+                return out
 
-            monkeypatch.setattr(simulate, "_rhs", flaky)
+            monkeypatch.setattr(simulate, "_implicit_array", man)
+            monkeypatch.setattr(simulate, "_slope_raw", lambda grid, *args: np.zeros(len(grid)))
             with pytest.raises(SingularDenominator) as exc:
-                integrate(steel(), FieldWaveform((0.0, 1000.0, -1000.0), steps_per_segment=steps))
+                integrate(p, FieldWaveform(targets, steps_per_segment=steps))
             assert exc.value.step_index == step_index
-            assert str(exc.value) == f"forced at segment {seg}, step {step}"
+            assert str(exc.value) == (
+                f"delta*k - alpha*(M_an - M) vanished (M_an - M = {200 if seg == 0 else -200})"
+                f" at segment {seg}, step {step}"
+            )
 
     def test_c_of_minus_one_rejected(self):
         with pytest.warns(NonPhysicalParameterWarning):
@@ -298,6 +301,7 @@ class TestIntegrateBitwise:
         H, M = _integrate_reference(p, waveform, M0, clamp=clamp)
         assert curve.H.tobytes() == H.tobytes()
         assert curve.M.tobytes() == M.tobytes()
+        return curve.M
 
     @pytest.mark.parametrize("steps", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     @pytest.mark.parametrize("clamp", [False, True])
@@ -309,6 +313,40 @@ class TestIntegrateBitwise:
     @pytest.mark.parametrize("clamp", [False, True])
     def test_waveforms_and_initial_states(self, targets, M0, clamp):
         self.check(FieldWaveform(targets, steps_per_segment=BLOCK + 1), M0, clamp)
+
+    @staticmethod
+    def repeated_states(waveform, M):
+        """Segments whose end fields and start-M bits equal an earlier segment's."""
+        S, t = waveform.steps_per_segment, waveform.targets
+        states = [(t[i].hex(), t[i + 1].hex(), M[i * S].tobytes()) for i in range(len(t) - 1)]
+        return len(states) - len(set(states))
+
+    @pytest.mark.parametrize("M0", [0.0, -0.0, 2.5e5])
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_limit_cycle_segments_reused(self, M0, clamp):
+        waveform = FieldWaveform.cyclic(5000.0, cycles=6)
+        # the loop settles bit for bit, so the copy path is taken
+        assert self.repeated_states(waveform, self.check(waveform, M0, clamp)) > 0
+
+    def test_repeated_grid_from_other_start_state(self):
+        # each rise starts from a different M: nothing is copied, every segment is integrated
+        waveform = FieldWaveform(
+            (0.0, 3000.0, -1000.0, 3000.0, -2000.0, 3000.0, -1000.0, 3000.0), steps_per_segment=300
+        )
+        assert self.repeated_states(waveform, self.check(waveform)) == 0
+
+    def test_start_m_keyed_on_bits(self, monkeypatch):
+        # with M_an and its slope zero, M stays -0.0 from M0 = -0.0 on the first
+        # descent and turns 0.0 on the rise: the second descent starts from other bits
+        def zeros(grid, *args):
+            return np.zeros(len(grid))
+
+        for name in ("_implicit_array", "_slope_raw"):
+            monkeypatch.setattr(simulate, name, zeros)
+            monkeypatch.setitem(globals(), name, zeros)
+        waveform = FieldWaveform((0.0, -1000.0, 0.0, -1000.0), steps_per_segment=10)
+        M = self.check(waveform, -0.0)
+        assert np.signbit(M[:11]).all() and not np.signbit(M[20:]).any()
 
     @pytest.mark.parametrize("targets", [
         (0.0, 5000.0, -5000.0, 5000.0, -5000.0, 5000.0, -5000.0, 5000.0),

@@ -125,6 +125,14 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         "--cycles", "1", "--steps", "2000",
         "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
     ]))
+    # six cycles settle onto the limit cycle: later segments start from an earlier
+    # segment's state and are copied, not integrated
+    for name, extra in (("simulate-loop-cycles-6", []), ("simulate-loop-cycles-6-clamp", ["--clamp"])):
+        cmds.append((name, [
+            "simulate-loop", *steel, *extra, "--c", "0.1", "--k", "1000", "--hmax", "5000",
+            "--cycles", "6", "--steps", "2000",
+            "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
+        ]))
     curves = [*f["loop"], *f["first_mag"], *f["anhysteretic"]]
     cmds.append(("extract", ["extract", *curves, "--ms", MS, "--out", "extract/features.json"]))
     name = "extract-semicolon-crlf"
