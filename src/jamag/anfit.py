@@ -287,7 +287,7 @@ def fit_anhysteretic(
     if not unimodal:
         warn.append("NOT_UNIMODAL")
 
-    _logger.debug(
+    _logger.info(
         "fit: eta*=%.6g, chi_param=%.6g, aJ=%.6g, alpha=%.6g, |r|=%.6g (%d evals)",
         eta_star, chi_p, aJ, alpha, best_norm, len(norms),
     )

@@ -1,9 +1,9 @@
 """Command line interface.
 
 Five subcommands: ``fit-anhysteretic``, ``fit-jiles92``, ``simulate-loop``,
-``extract`` and ``validate``.  Each writes a JSON run report with stable
-key order; ``--deterministic`` drops timestamps and timings so two runs on
-the same inputs are byte-identical.
+``extract`` and ``validate``.  Each returns its JSON run report's entries;
+``main`` completes and writes it with stable key order.  ``--deterministic``
+drops timestamps and timings so two runs on the same inputs are identical.
 
 Exit codes: 0 success, 2 bad input or usage, 3 numerical failure.
 """
@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 import time
 import warnings
@@ -50,7 +51,6 @@ def _inputs(**paths: Path | None) -> dict:
 
 def _write_report(report: dict, out: str | None, deterministic: bool) -> None:
     if not deterministic:
-        report = dict(report)
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
@@ -125,23 +125,48 @@ _WARNING_MESSAGES = {
 }
 
 
+def _read_numbers(path: Path, section: str, names: list[str]) -> dict[str, float]:
+    """The numbers ``names`` in the ``section`` object of the JSON report at
+    ``path``, or in its top-level object when it has no ``section``.  Anything
+    else raises :class:`DataError` naming the file and the key."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise DataError(f"{path}: {section!r}: not a JSON report ({err})") from None
+    if isinstance(obj, dict):
+        obj = obj.get(section, obj)
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: {section!r}: expected a JSON object, got {type(obj).__name__}")
+    values = {}
+    for name in names:
+        if name not in obj:
+            raise DataError(f"{path}: {name!r}: missing")
+        try:
+            values[name] = float(obj[name])
+        except (TypeError, ValueError):
+            raise DataError(f"{path}: {name!r}: expected a number, got {json.dumps(obj[name])}") from None
+    return values
+
+
+def _parse(path: Path, kind: CurveKind, args) -> MagnetizationCurve:
+    """The curve in ``path``; warns when ``--ms`` is given and |M| exceeds it by 10%."""
+    curve = parse_curve(path, kind=kind, unit=args.unit)
+    if args.ms is not None:
+        curve.check_amplitude(args.ms)
+    return curve
+
+
 # --- subcommands ----------------------------------------------------------
 
 
-def cmd_fit_anhysteretic(args) -> int:
+def cmd_fit_anhysteretic(args) -> dict:
     cfg = AnhystereticFitConfig(
         ha1=args.ha1, eta0=args.eta0, eps=args.eps, eta_max=args.eta_max,
         sweep=args.sweep, coarse=args.coarse, slope_points=args.slope_points,
     )
     material = MaterialSpec(Ms=args.ms, T=args.temp)
-    data = parse_curve(args.data, kind=CurveKind.ANHYSTERETIC, unit=args.unit)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        data.check_amplitude(material.Ms)
-        report = fit_anhysteretic(data, material, cfg)
-
-    warns = _collect_warnings(caught)
-    warns.extend({"code": c, "message": _WARNING_MESSAGES[c]} for c in report.warnings)
+    data = _parse(args.data, CurveKind.ANHYSTERETIC, args)
+    report = fit_anhysteretic(data, material, cfg)
 
     m_fit = data.M + report.residual / MU0
     _write_curve(
@@ -149,10 +174,7 @@ def cmd_fit_anhysteretic(args) -> int:
         ["H", "M_data", "M_fit", "r"],
         [data.H, data.M, m_fit, report.residual],
     )
-
-    run = {
-        "command": "fit-anhysteretic",
-        "version": __version__,
+    return {
         "inputs": _inputs(data=args.data),
         "config": {
             "ms": args.ms, "temp": args.temp, "unit": args.unit,
@@ -173,29 +195,25 @@ def cmd_fit_anhysteretic(args) -> int:
             "unimodal": report.unimodal,
             "curve_file": str(args.curve_out),
         },
-        "warnings": warns,
-        "status": "ok",
+        "warnings": report.warnings,
     }
-    _write_report(run, args.out, args.deterministic)
-    return 0
 
 
 def _load_features(args, loop: MagnetizationCurve) -> LoopFeatures:
     if args.features:
-        obj = json.loads(Path(args.features).read_text(encoding="utf-8"))
-        if "features" in obj:
-            obj = obj["features"]
-        return LoopFeatures(**{f.name: float(obj[f.name]) for f in fields(LoopFeatures)})
+        return LoopFeatures(**_read_numbers(
+            args.features, "features", [f.name for f in fields(LoopFeatures)]
+        ))
     if not (args.first_mag and args.anhysteretic):
         raise DataError(
             "feature extraction needs --first-mag and --anhysteretic (or pass --features)"
         )
-    first = parse_curve(args.first_mag, kind=CurveKind.FIRST_MAGNETIZATION, unit=args.unit)
-    anh = parse_curve(args.anhysteretic, kind=CurveKind.ANHYSTERETIC, unit=args.unit)
+    first = _parse(args.first_mag, CurveKind.FIRST_MAGNETIZATION, args)
+    anh = _parse(args.anhysteretic, CurveKind.ANHYSTERETIC, args)
     return extract_features(first, loop, anh, slope_points=args.slope_points)
 
 
-def cmd_fit_jiles92(args) -> int:
+def cmd_fit_jiles92(args) -> dict:
     material = MaterialSpec(Ms=args.ms, T=args.temp)
     cfg = Jiles92Config(
         seeds=tuple(float(s) for s in args.seeds.split(",")) if args.seeds else Jiles92Config.seeds,
@@ -204,23 +222,10 @@ def cmd_fit_jiles92(args) -> int:
         sim_steps=args.sim_steps,
         sim_cycles=args.sim_cycles,
     )
-    loop = parse_curve(args.loop, kind=CurveKind.FULL_LOOP, unit=args.unit)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        loop.check_amplitude(material.Ms)
-        features = _load_features(args, loop)
-        result = estimate(features, material, cfg, loop)
-
-    warns = _collect_warnings(caught)
-    if not result.fit_condition_met:
-        warns.append({
-            "code": "FIT_CONDITION_NOT_MET",
-            "message": _WARNING_MESSAGES["FIT_CONDITION_NOT_MET"],
-        })
-
-    run = {
-        "command": "fit-jiles92",
-        "version": __version__,
+    loop = _parse(args.loop, CurveKind.FULL_LOOP, args)
+    features = _load_features(args, loop)
+    result = estimate(features, material, cfg, loop)
+    return {
         "inputs": _inputs(
             loop=args.loop, first_mag=args.first_mag,
             anhysteretic=args.anhysteretic, features=args.features,
@@ -242,48 +247,35 @@ def cmd_fit_jiles92(args) -> int:
             "seed": result.seed,
             "iterations": result.iterations,
         },
-        "warnings": warns,
-        "status": "ok",
+        "warnings": [] if result.fit_condition_met else ["FIT_CONDITION_NOT_MET"],
     }
-    _write_report(run, args.out, args.deterministic)
-    return 0
 
 
-def cmd_simulate_loop(args) -> int:
+def cmd_simulate_loop(args) -> dict:
     aJ, alpha, ms = args.aj, args.alpha, args.ms
     if args.params:
-        obj = json.loads(Path(args.params).read_text(encoding="utf-8"))
-        res = obj.get("result", obj)
-        if aJ is None:
-            aJ = float(res["aJ"])
-        if alpha is None:
-            alpha = float(res["alpha"])
-            if alpha < 0.0:
-                # a valid fit report that the fit flagged, so not bad input: exit 3
-                raise JamagError(
-                    f"{args.params}: fitted alpha = {alpha:.6g} is negative "
-                    "(NON_PHYSICAL_ALPHA); the hysteresis model needs alpha >= 0"
-                )
-        if ms is None and "config" in obj and "ms" in obj["config"]:
-            ms = float(obj["config"]["ms"])
+        wanted = [n for n, v in (("aJ", aJ), ("alpha", alpha)) if v is None]
+        fit = _read_numbers(args.params, "result", wanted)
+        aJ, alpha = fit.get("aJ", aJ), fit.get("alpha", alpha)
+        if fit.get("alpha", 0.0) < 0.0:
+            # a valid fit report that the fit flagged, so not bad input: exit 3
+            raise JamagError(
+                f"{args.params}: fitted alpha = {alpha:.6g} is negative "
+                "(NON_PHYSICAL_ALPHA); the hysteresis model needs alpha >= 0"
+            )
+        if ms is None:
+            ms = _read_numbers(args.params, "config", ["ms"])["ms"]
     missing = [n for n, v in (("--aj", aJ), ("--alpha", alpha), ("--ms", ms)) if v is None]
     if missing:
         raise DataError(f"missing {', '.join(missing)} (flags or --params report)")
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        params = HysteresisParams(aJ=aJ, alpha=alpha, c=args.c, k=args.k, Ms=ms)
-        waveform = FieldWaveform.cyclic(
-            args.hmax, cycles=args.cycles, steps_per_segment=args.steps
-        )
-        curve = integrate(params, waveform, M0=args.m0, clamp=args.clamp)
+    params = HysteresisParams(aJ=aJ, alpha=alpha, c=args.c, k=args.k, Ms=ms)
+    waveform = FieldWaveform.cyclic(args.hmax, cycles=args.cycles, steps_per_segment=args.steps)
+    curve = integrate(params, waveform, M0=args.m0, clamp=args.clamp)
 
     b = MU0 * (curve.H + curve.M)
     _write_curve(args.out, ["H", "M", "B"], [curve.H, curve.M, b], run=args.steps)
-
-    run = {
-        "command": "simulate-loop",
-        "version": __version__,
+    return {
         "inputs": _inputs(params=args.params),
         "config": {
             "aJ": aJ, "alpha": alpha, "c": args.c, "k": args.k, "ms": ms,
@@ -295,62 +287,41 @@ def cmd_simulate_loop(args) -> int:
             "final_m": float(curve.M[-1]),
             "curve_file": str(args.out),
         },
-        "warnings": _collect_warnings(caught),
-        "status": "ok",
     }
-    _write_report(run, args.report, args.deterministic)
-    return 0
 
 
-def cmd_extract(args) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        first = parse_curve(args.first_mag, kind=CurveKind.FIRST_MAGNETIZATION, unit=args.unit)
-        anh = parse_curve(args.anhysteretic, kind=CurveKind.ANHYSTERETIC, unit=args.unit)
-        loop = parse_curve(args.loop, kind=CurveKind.FULL_LOOP, unit=args.unit)
-        if args.ms is not None:
-            for curve in (first, anh, loop):
-                curve.check_amplitude(args.ms)
-        features = extract_features(first, loop, anh, slope_points=args.slope_points)
-        c = c_from_susceptibilities(features.chi_in, features.chi_an)
-        k = features.Hc
-
-    run = {
-        "command": "extract",
-        "version": __version__,
+def cmd_extract(args) -> dict:
+    first = _parse(args.first_mag, CurveKind.FIRST_MAGNETIZATION, args)
+    anh = _parse(args.anhysteretic, CurveKind.ANHYSTERETIC, args)
+    loop = _parse(args.loop, CurveKind.FULL_LOOP, args)
+    features = extract_features(first, loop, anh, slope_points=args.slope_points)
+    return {
         "inputs": _inputs(first_mag=args.first_mag, loop=args.loop, anhysteretic=args.anhysteretic),
         "config": {"unit": args.unit, "slope_points": args.slope_points, "ms": args.ms},
         "features": asdict(features),
-        "derived": {"c": c, "k": k},
-        "warnings": _collect_warnings(caught),
-        "status": "ok",
+        "derived": {"c": c_from_susceptibilities(features.chi_in, features.chi_an), "k": features.Hc},
     }
-    _write_report(run, args.out, args.deterministic)
-    return 0
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> dict:
     cfg = AnhystereticFitConfig(eps=args.eps, sweep=args.sweep, coarse=not args.plain)
     t0 = time.perf_counter()
     rows = run_grid(cfg)
     total = time.perf_counter() - t0
 
     for r in rows:
-        line = (
+        print(
             f"{'PASS' if r.passed else 'FAIL'} "
             f"aJ={r.aJ_true:g} alpha={r.alpha_true:g} "
             f"rms={r.rms:.6e} bound={r.bound:.6e} "
             f"aJ_fit={r.report.aJ:.6g} alpha_fit={r.report.alpha:.6g} eta={r.report.eta_star:.6g}"
         )
-        print(line)
     n_pass = sum(r.passed for r in rows)
     print(f"{n_pass}/{len(rows)} rows passed")
     if not args.deterministic:
         print(f"elapsed: {total:.2f} s", file=sys.stderr)
 
-    run = {
-        "command": "validate",
-        "version": __version__,
+    return {
         "inputs": {},
         "config": {
             "eps": cfg.eps, "sweep": cfg.sweep, "coarse": cfg.coarse,
@@ -369,12 +340,8 @@ def cmd_validate(args) -> int:
                 for r in rows
             ],
         },
-        "warnings": [],
         "status": "ok" if n_pass == len(rows) else "failed",
     }
-    if args.out:
-        _write_report(run, args.out, args.deterministic)
-    return 0 if n_pass == len(rows) else 3
 
 
 # --- parser ----------------------------------------------------------------
@@ -415,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "report says \"coarse\": false")
     p.add_argument("--slope-points", type=int, default=1,
                    help="samples for the initial-susceptibility estimate")
-    p.add_argument("--out", type=Path, default=Path("fit_report.json"))
+    p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path("fit_report.json"))
     p.add_argument("--curve-out", type=Path, default=Path("fit_curve.csv"))
     p.set_defaults(func=cmd_fit_anhysteretic)
 
@@ -434,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim-steps", type=int, default=600)
     p.add_argument("--sim-cycles", type=int, default=2)
     p.add_argument("--slope-points", type=int, default=5)
-    p.add_argument("--out", type=Path, default=Path("jiles92_report.json"))
+    p.add_argument("--out", dest="report", metavar="OUT", type=Path,
+                   default=Path("jiles92_report.json"))
     p.set_defaults(func=cmd_fit_jiles92)
 
     p = sub.add_parser("simulate-loop", help="integrate the hysteresis ODE along a cyclic field")
@@ -461,14 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anhysteretic", type=Path, required=True)
     _add_common(p)
     p.add_argument("--slope-points", type=int, default=5)
-    p.add_argument("--out", type=Path, default=Path("features.json"))
+    p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path("features.json"))
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("validate", help="synthetic round-trip check of the fitting pipeline")
     p.add_argument("--eps", type=float, default=1.0e-5)
     p.add_argument("--sweep", choices=["argmin", "first-local-min"], default="argmin")
     p.add_argument("--plain", action="store_true", help="disable the coarse-to-fine shortcut")
-    p.add_argument("--out", type=Path, default=None)
+    # no --out: the report is written nowhere (simulate-loop's default prints it)
+    p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path(os.devnull))
     p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_validate)
 
@@ -483,13 +452,26 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
-    except (DataError, OSError, ValueError, KeyError) as err:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run = args.func(args)
+        codes = run.pop("warnings", [])
+        report = {
+            "command": args.command,
+            "version": __version__,
+            "status": "ok",
+            **run,
+            "warnings": _collect_warnings(caught)
+            + [{"code": c, "message": _WARNING_MESSAGES[c]} for c in codes],
+        }
+        _write_report(report, args.report, args.deterministic)
+    except (DataError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except JamagError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
+    return 3 if report["status"] == "failed" else 0
 
 
 if __name__ == "__main__":

@@ -217,7 +217,6 @@ def anhysteretic_implicit(
     Ms: float,
     *,
     abs_tol: float | None = None,
-    max_iter: int = 200,
 ):
     """Self-consistent anhysteretic magnetization at applied field ``Ha``.
 
@@ -231,9 +230,9 @@ def anhysteretic_implicit(
     _check_stability(params.aJ, params.alpha, Ms)
     tol = _IMPLICIT_REL_TOL * Ms if abs_tol is None else abs_tol
     if isinstance(Ha, np.ndarray):
-        return _implicit_array(Ha, params.aJ, params.alpha, Ms, tol, max_iter)
+        return _implicit_array(Ha, params.aJ, params.alpha, Ms, tol, 200)
     one = np.array([float(Ha)])
-    return float(_implicit_array(one, params.aJ, params.alpha, Ms, tol, max_iter)[0])
+    return float(_implicit_array(one, params.aJ, params.alpha, Ms, tol, 200)[0])
 
 
 def _slope_raw(Ha, M, aJ: float, alpha: float, Ms: float):

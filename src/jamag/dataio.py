@@ -43,7 +43,6 @@ class Unit(enum.Enum):
 class CurveKind(enum.Enum):
     ANHYSTERETIC = "anhysteretic"
     FIRST_MAGNETIZATION = "first_magnetization"
-    LOOP_BRANCH = "loop_branch"
     FULL_LOOP = "full_loop"
 
 
@@ -54,15 +53,13 @@ _MONOTONE_KINDS = (CurveKind.ANHYSTERETIC, CurveKind.FIRST_MAGNETIZATION)
 class MagnetizationCurve:
     """An ordered set of (H, M) samples in A/m.
 
-    ``source_units`` records what the M column looked like on disk.  For
-    anhysteretic and first-magnetization kinds H must be strictly
+    For anhysteretic and first-magnetization kinds H must be strictly
     increasing; loop kinds are time-ordered instead.
     """
 
     H: np.ndarray
     M: np.ndarray
     kind: CurveKind
-    source_units: Unit = Unit.M_A_PER_M
 
     def __post_init__(self) -> None:
         H = np.asarray(self.H, dtype=np.float64)
@@ -137,13 +134,11 @@ def _convert_m(h: np.ndarray, raw: np.ndarray, unit: Unit) -> np.ndarray:
         return raw
     if unit is Unit.J_TESLA:
         return raw / MU0
-    if unit is Unit.B_TESLA:
-        return raw / MU0 - h
-    raise UnitError(f"unknown unit {unit!r}")
+    return raw / MU0 - h
 
 
 _AUTO_DELIMITERS = (",", ";", "\t")
-"""Delimiters tried in this order when none is given; whitespace is the fallback."""
+"""Delimiters tried in this order; whitespace is the fallback."""
 
 _BLOCK_LINES = 4096
 """Lines joined and split at a time on the bulk path."""
@@ -154,30 +149,25 @@ def parse_curve(
     *,
     kind: CurveKind,
     unit: Unit = Unit.M_A_PER_M,
-    delimiter: str | None = None,
-    h_col: int = 0,
-    m_col: int = 1,
-    skip_header: int | None = None,
 ) -> MagnetizationCurve:
     """Read a delimited text file into a :class:`MagnetizationCurve`.
 
-    The file is UTF-8 text; a leading byte-order mark is accepted.
-    ``delimiter`` defaults to auto-detection among comma, semicolon and tab
-    (falling back to whitespace).  ``skip_header=None`` skips one leading
-    row if and only if none of its cells parse as numbers; pass an integer
-    to skip exactly that many non-blank rows.  Blank lines are ignored.
-    Curves whose kind requires monotone H are sorted by H before validation.
-    Raises :class:`ParseError` (with the 1-based line number, or naming the
-    file when it is not UTF-8), :class:`UnitError`, :class:`EmptyFile`, or
-    ``ValueError`` for an empty ``delimiter``.
+    The file is UTF-8 text; a leading byte-order mark is accepted.  H and M
+    are the first two columns of each row, split on the first of comma,
+    semicolon and tab that the row holds (on whitespace when it holds
+    none).  One leading row is skipped if and only if none of its cells
+    parse as numbers.  Blank lines are ignored.  Curves whose kind requires
+    monotone H are sorted by H before validation.  Raises
+    :class:`ParseError` (with the 1-based line number, or naming the file
+    when it is not UTF-8), :class:`UnitError` or :class:`EmptyFile`.
 
-    A well-formed file is read in bulk: every data row split on one
-    single-character delimiter into the same number of cells, every H and
-    M cell a number (auto-detection also needs no row to hold a delimiter
-    that comes earlier in the list).  Other files (whitespace-delimited,
-    mixed delimiters, ragged rows, a bad cell) are read line by line.  Both
-    paths parse with ``float``, so they give the same values, and every
-    error comes from the line-by-line path, so it is the same too.
+    A well-formed file is read in bulk: every data row split on one comma,
+    semicolon or tab into the same number of cells, every H and M cell a
+    number, and no row holding a delimiter that comes earlier in that list.
+    Other files (whitespace-delimited, mixed delimiters, ragged rows, a bad
+    cell) are read line by line.  Both paths parse with ``float``, so they
+    give the same values, and every error comes from the line-by-line path,
+    so it is the same too.
     """
     if isinstance(unit, str):
         try:
@@ -191,14 +181,11 @@ def parse_curve(
         raise ParseError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") from None
     lines = text.splitlines()
     rows = list(filter(str.strip, lines))
-    if skip_header is not None:
-        skip = max(skip_header, 0)
-    else:
-        skip = int(bool(rows) and _is_header(_split_cells(rows[0], delimiter), h_col, m_col))
+    skip = int(bool(rows) and _is_header(_split_cells(rows[0])))
     del rows[:skip]
-    columns = _read_columns(rows, delimiter, h_col, m_col)
+    columns = _read_columns(rows)
     if columns is None:
-        columns = _read_lines(rows, delimiter, h_col, m_col, lines, skip)
+        columns = _read_lines(rows, lines, skip)
     H, raw = columns
     if not H.size:
         raise EmptyFile(f"{path}: no data rows")
@@ -207,7 +194,7 @@ def parse_curve(
     if kind in _MONOTONE_KINDS:
         order = np.argsort(H, kind="stable")
         H, M = H[order], M[order]
-    return MagnetizationCurve(H=H, M=M, kind=kind, source_units=unit)
+    return MagnetizationCurve(H=H, M=M, kind=kind)
 
 
 def _is_number(cell: str) -> bool:
@@ -218,47 +205,38 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _delimiter(line: str, delimiter: str | None) -> str | None:
-    """The delimiter that splits ``line``: ``delimiter`` when given, else the
-    first of comma, semicolon and tab that ``line`` holds, else None (whitespace)."""
-    if delimiter is not None:
-        if not delimiter:
-            raise ValueError("delimiter must be a non-empty string or None, got ''")
-        return delimiter
+def _delimiter(line: str) -> str | None:
+    """The first of comma, semicolon and tab that ``line`` holds, else None (whitespace)."""
     for cand in _AUTO_DELIMITERS:
         if cand in line:
             return cand
     return None
 
 
-def _split_cells(line: str, delimiter: str | None) -> list[str]:
-    delim = _delimiter(line, delimiter)
+def _split_cells(line: str) -> list[str]:
+    delim = _delimiter(line)
     if delim is None:
         return line.split()
     return [c.strip() for c in line.split(delim)]
 
 
-def _is_header(cells: list[str], h_col: int, m_col: int) -> bool:
-    """A row that holds the H and M columns and none of whose non-empty cells is a number."""
-    return max(h_col, m_col) < len(cells) and all(not _is_number(c) for c in cells if c)
+def _is_header(cells: list[str]) -> bool:
+    """A row of at least two cells, none of whose non-empty cells is a number."""
+    return len(cells) >= 2 and all(not _is_number(c) for c in cells if c)
 
 
-def _read_columns(
-    rows: list[str], delimiter: str | None, h_col: int, m_col: int
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _read_columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     """The raw H and M columns read in bulk, or None when the rows need :func:`_read_lines`."""
     n = len(rows)
     if not n:
         return np.empty(0), np.empty(0)
 
-    delim = _delimiter(rows[0], delimiter)
-    if delim is None or len(delim) != 1:
+    delim = _delimiter(rows[0])
+    if delim is None:
         return None
-    earlier = _AUTO_DELIMITERS[: _AUTO_DELIMITERS.index(delim)] if delimiter is None else ()
+    earlier = _AUTO_DELIMITERS[: _AUTO_DELIMITERS.index(delim)]
     count = rows[0].count(delim)
     width = count + 1
-    if not (0 <= h_col < width and 0 <= m_col < width):
-        return None
     if set(map(str.count, rows, repeat(delim))) != {count}:
         return None
 
@@ -269,30 +247,27 @@ def _read_columns(
             return None
         cells = joined.split(delim)
         try:
-            H[b : b + _BLOCK_LINES] = list(map(float, cells[h_col::width]))
-            M[b : b + _BLOCK_LINES] = list(map(float, cells[m_col::width]))
+            H[b : b + _BLOCK_LINES] = list(map(float, cells[0::width]))
+            M[b : b + _BLOCK_LINES] = list(map(float, cells[1::width]))
         except ValueError:
             return None
     return H, M
 
 
-def _read_lines(
-    rows: list[str], delimiter: str | None, h_col: int, m_col: int, lines: list[str], skip: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _read_lines(rows: list[str], lines: list[str], skip: int) -> tuple[np.ndarray, np.ndarray]:
     """The raw H and M columns read one row at a time.
 
     ``rows`` are the non-blank ``lines`` of the file after the first ``skip``.
     The first bad row raises :class:`ParseError` with its 1-based line number.
     """
     pairs: list[tuple[float, float]] = []
-    need = max(-col if col < 0 else col + 1 for col in (h_col, m_col))
     for i, row in enumerate(rows):
-        cells = _split_cells(row, delimiter)
-        if len(cells) < need:
-            problem = f"expected at least {need} columns, got {len(cells)}"
+        cells = _split_cells(row)
+        if len(cells) < 2:
+            problem = f"expected at least 2 columns, got {len(cells)}"
         else:
             try:
-                pairs.append((float(cells[h_col]), float(cells[m_col])))
+                pairs.append((float(cells[0]), float(cells[1])))
                 continue
             except ValueError:
                 problem = f"non-numeric cell in {cells!r}"

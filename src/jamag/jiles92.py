@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import (
     MU0,
-    AnhystereticParams,
     MaterialSpec,
     _slope_raw,
     langevin,
@@ -113,7 +112,7 @@ def aj_initial(Ms: float, chi_an: float, alpha: float) -> float:
     return (Ms / 3.0) * (1.0 / chi_an + alpha)
 
 
-def k_from_coercive(features: LoopFeatures, c: float, p: AnhystereticParams, Ms: float) -> float:
+def k_from_coercive(features: LoopFeatures, c: float, aJ: float, alpha: float, Ms: float) -> float:
     """Pinning strength from the coercive point of the loop.
 
     k = M_an(Hc)/(1-c) * [alpha + 1/( chi_max/(1-c) - c*M_an'(Hc)/(1-c) )]
@@ -121,12 +120,12 @@ def k_from_coercive(features: LoopFeatures, c: float, p: AnhystereticParams, Ms:
     """
     if c == 1.0:
         raise DegenerateC("c = 1: the pinning term drops out of the loop equations")
-    man_c = Ms * langevin(features.Hc / p.aJ)
-    slope_c = _slope_raw(features.Hc, 0.0, p.aJ, p.alpha, Ms)
+    man_c = Ms * langevin(features.Hc / aJ)
+    slope_c = _slope_raw(features.Hc, 0.0, aJ, alpha, Ms)
     inner = features.chi_max / (1.0 - c) - c * slope_c / (1.0 - c)
     if inner == 0.0:
         raise SingularDenominator("chi_max/(1-c) - c*M_an'(Hc)/(1-c) vanished")
-    return man_c / (1.0 - c) * (p.alpha + 1.0 / inner)
+    return man_c / (1.0 - c) * (alpha + 1.0 / inner)
 
 
 def alpha_update(
@@ -228,8 +227,7 @@ def estimate(
         aJ = aj_initial(Ms, features.chi_an, alpha)
         try:
             for it in range(1, cfg.max_outer_iter + 1):
-                p = AnhystereticParams.from_shape(aJ, alpha, material.T)
-                k = k_from_coercive(features, c, p, Ms)
+                k = k_from_coercive(features, c, aJ, alpha, Ms)
                 if not (np.isfinite(k) and k > 0.0):
                     break
                 alpha = alpha_update(features, c, k, aJ, Ms, guess=alpha)
@@ -252,7 +250,7 @@ def estimate(
                     return cand
         # numerical failures abandon the seed; anything else is a bug and propagates
         except (RootFindError, SingularDenominator, SingularSlope, UnstableParams) as err:
-            _logger.debug("seed %.3g aborted: %s", seed, err)
+            _logger.info("seed %.3g aborted: %s", seed, err)
             continue
 
     if best is None:

@@ -72,10 +72,6 @@ def run_row(
     )
 
 
-def run_grid(
-    cfg: AnhystereticFitConfig | None = None,
-) -> list[RowResult]:
-    """Round-trip every grid row.  Coarse sweep by default (same minimum)."""
-    if cfg is None:
-        cfg = AnhystereticFitConfig(coarse=True)
+def run_grid(cfg: AnhystereticFitConfig) -> list[RowResult]:
+    """Round-trip every grid row with the sweep settings ``cfg``."""
     return [run_row(aJ, alpha, cfg) for aJ, alpha in GRID_ROWS]

@@ -113,6 +113,47 @@ class TestUsageErrors:
         assert "--aj" in r.stderr
 
 
+# (id, saved report text, the command that reads it, the key its error names)
+_SIMULATE = ["simulate-loop", "--c", "0.1", "--k", "1000", "--hmax", "5000", "--steps", "50"]
+_BAD_REPORTS = [
+    ("params-list", "[972.0, 0.0014]", [*_SIMULATE, "--params"], "result"),
+    ("params-null-aj", '{"result": {"aJ": null, "alpha": 0.0014}, "config": {"ms": 1.6e6}}',
+     [*_SIMULATE, "--params"], "aJ"),
+    ("params-not-json", "aJ = 972\n", [*_SIMULATE, "--params"], "result"),
+    ("features-null", '{"features": {"chi_in": 50.0, "chi_an": null}}', ["--features"], "chi_an"),
+    ("features-list", "[50.0, 500.0]", ["--features"], "features"),
+    ("features-missing", '{"features": {"chi_in": 50.0}}', ["--features"], "chi_an"),
+]
+
+
+class TestSavedReports:
+    """A saved report the next stage cannot read exits 2, naming the file and the key."""
+
+    @pytest.mark.parametrize(
+        "text, argv, key", [c[1:] for c in _BAD_REPORTS], ids=[c[0] for c in _BAD_REPORTS]
+    )
+    def test_malformed_report_exits_2(self, loop_files, tmp_path, capsys, text, argv, key):
+        path = tmp_path / "saved.json"
+        path.write_text(text)
+        if argv[0] != "simulate-loop":
+            argv = ["fit-jiles92", "--loop", str(loop_files["loop"]), "--ms", str(MS),
+                    "--temp", str(T), *argv]
+        code = cli.main([*argv, str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(path) in err and repr(key) in err
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_verbose_logs_the_fit_summary(anh_file, tmp_path, verbose):
+    r = run_cli(
+        *(["--verbose"] if verbose else []), "fit-anhysteretic", anh_file, "--ms", MS, "--temp", T,
+        "--coarse", "--eps", "1e-3", "--out", tmp_path / "rep.json", "--curve-out", tmp_path / "c.csv",
+    )
+    assert r.returncode == 0, r.stderr
+    assert ("INFO jamag.anfit: fit: eta*=" in r.stderr) is verbose
+
+
 class TestNumericalErrors:
     def test_unstable_parameters_exit_3(self, tmp_path):
         r = run_cli(
@@ -421,6 +462,21 @@ class TestExtractAndJiles92:
         assert r.returncode == 0, r.stderr
         res = json.loads(rep.read_text())["result"]
         assert all(np.isfinite(res[k]) for k in ("aJ", "alpha", "c", "k", "mse"))
+
+    def test_fit_checks_the_amplitude_of_every_curve(self, loop_files, tmp_path):
+        # the anhysteretic curve plus one far sample at 1.2*Ms; the features stay the same
+        H, M = np.loadtxt(loop_files["anh"], delimiter=",", skiprows=1).T
+        high = tmp_path / "anh_high.csv"
+        write_curve_file(high, [*H, 2.0 * H[-1]], [*M, 1.2 * MS])
+        rep = tmp_path / "j92.json"
+        code = cli.main([
+            "fit-jiles92", "--loop", str(loop_files["loop"]), "--first-mag", str(loop_files["first"]),
+            "--anhysteretic", str(high), "--ms", str(MS), "--temp", str(T),
+            "--sim-steps", "50", "--max-iter", "1", "--out", str(rep), "--deterministic",
+        ])
+        assert code == 0
+        assert [w["message"] for w in json.loads(rep.read_text())["warnings"]
+                if w["code"] == "NON_PHYSICAL_PARAMETER" and w["message"].startswith("|M| reaches")]
 
     def test_fit_requires_feature_source(self, loop_files):
         r = run_cli(

@@ -94,30 +94,12 @@ class TestParse:
         curve = parse_curve(path, kind=CurveKind.ANHYSTERETIC)
         assert np.array_equal(curve.M, [5.0, 6.0])
 
-    def test_explicit_delimiter(self, tmp_path):
-        path = tmp_path / "c.txt"
-        path.write_text("1.0|5.0\n2.0|6.0\n")
-        curve = parse_curve(path, kind=CurveKind.ANHYSTERETIC, delimiter="|")
-        assert np.array_equal(curve.M, [5.0, 6.0])
-
     def test_round_trip_is_exact(self, tmp_path, steel_curve):
         path = tmp_path / "rt.csv"
         write_curve_file(path, steel_curve.H, steel_curve.M)
         back = parse_curve(path, kind=CurveKind.ANHYSTERETIC)
         assert np.array_equal(back.H, steel_curve.H)
         assert np.array_equal(back.M, steel_curve.M)
-
-    def test_skip_header_rows(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("title\nmeta,stuff\n1.0,5.0\n2.0,6.0\n")
-        curve = parse_curve(path, kind=CurveKind.ANHYSTERETIC, skip_header=2)
-        assert len(curve) == 2
-
-    def test_column_selection(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("0,1.0,5.0\n0,2.0,6.0\n")
-        curve = parse_curve(path, kind=CurveKind.ANHYSTERETIC, h_col=1, m_col=2)
-        assert np.array_equal(curve.H, [1.0, 2.0])
 
     def test_sorts_monotone_kinds(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -144,38 +126,22 @@ class TestParse:
         assert exc.value.line == 2
 
     @pytest.mark.parametrize(
-        "content, kw, line",
+        "content, line",
         [
             # auto header on line 3, blank and whitespace-only lines among the rows
-            ("\n\nH,M\n1.0,5.0\n\n\n2.0,6.0\n \n3.0,oops\n", {}, 9),
-            # skip_header counts non-blank lines only, numeric or not
-            ("\n1.0,5.0\n\ntitle\n2.0,6.0\n\n2.0\n", {"skip_header": 2}, 7),
+            ("\n\nH,M\n1.0,5.0\n\n\n2.0,6.0\n \n3.0,oops\n", 9),
             # header on line 3, data row j on line 4 + j + j // 1000: row 4500, in the
             # second 4096-row block, is on line 4508
-            (_blank_every_1000(5000, 4500), {}, 4508),
+            (_blank_every_1000(5000, 4500), 4508),
         ],
-        ids=["auto-header", "skip-header-2", "second-block"],
+        ids=["auto-header", "second-block"],
     )
-    def test_parse_error_line_counts_blank_and_header_lines(self, tmp_path, content, kw, line):
+    def test_parse_error_line_counts_blank_and_header_lines(self, tmp_path, content, line):
         path = tmp_path / "c.csv"
         path.write_text(content)
         with pytest.raises(ParseError, match=f"^line {line}: ") as exc:
-            parse_curve(path, kind=CurveKind.FULL_LOOP, **kw)
+            parse_curve(path, kind=CurveKind.FULL_LOOP)
         assert exc.value.line == line
-
-    def test_empty_delimiter_rejected(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("1.0,5.0\n2.0,6.0\n")
-        with pytest.raises(ValueError, match="delimiter"):
-            parse_curve(path, kind=CurveKind.ANHYSTERETIC, delimiter="")
-
-    @pytest.mark.parametrize("sep", [",", " "])
-    @pytest.mark.parametrize("kw", [{"h_col": -3}, {"m_col": -3}])
-    def test_negative_column_out_of_range(self, tmp_path, sep, kw):
-        path = tmp_path / "c.csv"
-        write_curve_file(path, [1.0, 2.0], [5.0, 6.0], header=None, sep=sep)
-        with pytest.raises(ParseError, match="^line 1: expected at least 3 columns, got 2$"):
-            parse_curve(path, kind=CurveKind.ANHYSTERETIC, **kw)
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -202,7 +168,6 @@ class TestParse:
         path.write_text(f"10.0,{j!r}\n20.0,{2 * j!r}\n")
         curve = parse_curve(path, kind=CurveKind.ANHYSTERETIC, unit="j")
         assert curve.M[0] == pytest.approx(1.0e4, rel=1e-12)
-        assert curve.source_units is Unit.J_TESLA
 
     def test_flux_density_unit(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -237,26 +202,21 @@ _EQUIVALENCE_CASES = [
     ("comma", "H,M\n1.0,5.0\n2.0,6.0\n", {}, True),
     ("semicolon", "0.1;5e-1\n0.2;7.25\n", {}, True),
     ("tab", "1.0\t5.0\n2.0\t6.0\n", {}, True),
-    ("explicit-pipe", "1.0|5.0\n2.0|6.0\n", {"delimiter": "|"}, True),
     ("crlf", b"H;M\r\n1.0;5.0\r\n2.0;6.0\r\n", {}, True),
     ("blank-lines", "\n1.0,5.0\n\n   \n\t\n2.0,6.0\n\n", {}, True),
     ("auto-header", "field (A/m);M (A/m)\n1.0;5.0\n2.0;6.0\n", {}, True),
     ("whitespace-header", "H  M\n1.0,5.0\n2.0,6.0\n", {}, True),
-    ("skip-header-2", "title\nmeta,stuff\n1.0,5.0\n2.0,6.0\n", {"skip_header": 2}, True),
-    ("skip-header-0", "H,M\n1.0,5.0\n", {"skip_header": 0}, False),
-    ("skip-header-negative", "1.0,5.0\n2.0,6.0\n", {"skip_header": -1}, True),
-    ("columns", "a,1.0,5.0\nb,2.0,6.0\n", {"h_col": 1, "m_col": 2}, True),
-    ("columns-negative", "a,1.0,5.0\nb,2.0,6.0\n", {"h_col": -2, "m_col": -1}, False),
     ("padded", " 1.0 , 5.0\t\n2.0,  6.0  \n", {}, True),
     ("underscores", "1_000,2_000.5\n1_001,3e1_0\n", {}, True),
     ("unit-separator-pad", "1.0\x1f,5.0\n2.0,6.0\n", {}, False),
     ("mixed-delimiters", "1.0,5.0\n2.0;6.0\n", {}, False),
-    ("earlier-delimiter", "a;1.0;5.0\nb,c;2.0;6.0\n", {"h_col": 1, "m_col": 2}, False),
+    # the third cells are never parsed, so only the delimiter check keeps the bulk
+    # reader from splitting "b,c" on ";" where the per-line reader splits it on ","
+    ("earlier-delimiter", "1.0;5.0;a\n2.0;6.0;b,c\n", {}, False),
     ("ragged-long", "1.0,5.0\n2.0,6.0,7.0\n", {}, False),
     ("ragged-aligned", "1.0,5.0,0\n2.0\n3.0,6.0,7.0,8.0,9.0\n", {}, False),
     ("ragged-short", "1.0,5.0\n2.0\n", {}, False),
     ("whitespace", "1.0 5.0\n2.0   6.0\n", {}, False),
-    ("multichar-delimiter", "1.0, 5.0\n2.0, 6.0\n", {"delimiter": ", "}, False),
     ("bad-first-row", "1.0,abc\n2.0,3.0\n", {}, False),
     ("narrow-header", "H\n1.0,5.0\n", {}, False),
     ("header-only", "H,M\n\n", {}, True),
@@ -275,7 +235,7 @@ def _outcome(path, kind, kw):
         curve = parse_curve(path, kind=kind, **kw)
     except Exception as err:  # noqa: BLE001 - the comparison is the point
         return (type(err), str(err), getattr(err, "line", None))
-    return (curve.H.tobytes(), curve.M.tobytes(), curve.kind, curve.source_units)
+    return (curve.H.tobytes(), curve.M.tobytes(), curve.kind)
 
 
 class TestBulkMatchesLines:
@@ -315,9 +275,9 @@ class TestBulkMatchesLines:
     )
     def test_finite_floats(self, pairs, fmt, delim):
         rows = [f"{fmt(h)}{delim}{fmt(m)}" for h, m in pairs]
-        bulk = dataio._read_columns(rows, None, 0, 1)
+        bulk = dataio._read_columns(rows)
         assert bulk is not None
-        per_line = dataio._read_lines(rows, None, 0, 1, rows, 0)
+        per_line = dataio._read_lines(rows, rows, 0)
         expect = np.array([[float(fmt(h)), float(fmt(m))] for h, m in pairs])
         for got, ref, col in zip(bulk, per_line, expect.T):
             assert got.tobytes() == ref.tobytes() == col.tobytes()

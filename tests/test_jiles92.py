@@ -118,15 +118,13 @@ class TestKFromCoercive:
     def test_uncoupled_reversible_free_reduction(self):
         # c=0, alpha=0: k = Ms*L(Hc/aJ) / chi_max
         aJ, hc, chi_max = 1000.0, 100.0, 533.0
-        p = AnhystereticParams.from_shape(aJ, 0.0, T)
         f = features(Hc=hc, chi_max=chi_max)
-        k = k_from_coercive(f, 0.0, p, MS)
+        k = k_from_coercive(f, 0.0, aJ, 0.0, MS)
         assert k == pytest.approx(MS * langevin(hc / aJ) / chi_max, rel=1e-12)
 
     def test_degenerate_c(self):
-        p = AnhystereticParams.from_shape(1000.0, 0.0, T)
         with pytest.raises(DegenerateC):
-            k_from_coercive(features(), 1.0, p, MS)
+            k_from_coercive(features(), 1.0, 1000.0, 0.0, MS)
 
     def test_singular_inner_denominator(self):
         aJ, alpha, c = 1000.0, 1.4e-3, 0.5
@@ -134,11 +132,10 @@ class TestKFromCoercive:
         slope_c = anhysteretic_slope(features().Hc, 0.0, p, MS)
         f = features(chi_max=c * slope_c)
         with pytest.raises(SingularDenominator):
-            k_from_coercive(f, c, p, MS)
+            k_from_coercive(f, c, aJ, alpha, MS)
 
     def test_positive_on_realistic_features(self):
-        p = AnhystereticParams.from_shape(972.0, 1.4e-3, T)
-        k = k_from_coercive(features(), 0.1, p, MS)
+        k = k_from_coercive(features(), 0.1, 972.0, 1.4e-3, MS)
         assert k > 0.0
 
 

@@ -21,6 +21,7 @@ OUT_DIR must not exist yet.  A run takes about 15 s on a 2-core machine.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -76,6 +77,16 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path = loop_dir / "loop_semicolon_crlf.csv"
     path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
     flags["loop-semicolon"] = ["--loop", str(path.relative_to(out))]
+    # saved reports a later stage cannot read: a JSON list as --params, and a features
+    # report with a null feature; both exit 2 naming the file and the key
+    rep_dir = out / "inputs" / "reports"
+    rep_dir.mkdir()
+    for name, flag, obj in (
+        ("params_list.json", "--params", [972.0, 1.4e-3]),
+        ("features_null.json", "--features", {"features": {"chi_in": 50.0, "chi_an": None}}),
+    ):
+        (rep_dir / name).write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        flags[name] = [flag, str((rep_dir / name).relative_to(out))]
     return flags
 
 
@@ -113,11 +124,15 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("simulate-loop-clamp", [*steel, "--clamp"], ["--steps", "2000"]),
         ("simulate-loop-m0", [*steel, "--m0", "4e5"], ["--steps", "2000"]),
         ("simulate-loop-steps-9000", steel, ["--steps", "9000"]),
+        ("simulate-loop-params-list", f["params_list.json"], ["--steps", "2000"]),
     ):
         cmds.append((name, [
             "simulate-loop", *params, *loop, *steps,
             "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
         ]))
+    # no --report: the report is printed on stdout
+    name = "simulate-loop-stdout"
+    cmds.append((name, ["simulate-loop", *steel, *loop, "--steps", "2000", "--out", f"{name}/loop.csv"]))
     # |x| > 300 on the pre-solve grid: the tail lanes of langevin_prime
     name = "simulate-loop-high-field"
     cmds.append((name, [
@@ -144,6 +159,7 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-jiles92-curves", curves, []),
         ("fit-jiles92-features", [*f["loop"], "--features", "extract/features.json"], []),
         ("fit-jiles92-sim-steps-5", curves, ["--sim-steps", "5"]),
+        ("fit-jiles92-features-null", [*f["loop"], *f["features_null.json"]], []),
     ):
         cmds.append((name, [
             "fit-jiles92", *source, *material, *extra, "--out", f"{name}/report.json",
@@ -151,6 +167,8 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
     # the coarse scan at the default step passes; the plain one at 1e-4 fails a row (exit 3)
     for name, extra in (("validate-coarse", []), ("validate-plain", ["--plain", "--eps", "1e-4"])):
         cmds.append((name, ["validate", *extra, "--out", f"{name}/report.json"]))
+    # no --out: no report is written, the PASS/FAIL lines are still printed
+    cmds.append(("validate-plain-no-out", ["validate", "--plain", "--eps", "1e-3"]))
     return cmds
 
 
