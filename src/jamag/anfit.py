@@ -35,6 +35,7 @@ import numpy as np
 from .core import (
     MU0,
     MaterialSpec,
+    _IMPLICIT_REL_TOL,
     _implicit_array,
     anhysteretic_explicit,
     langevin,
@@ -50,7 +51,7 @@ from .errors import (
     NoPositiveSample,
     NoSolution,
 )
-from .rootfind import RootConfig, find_root
+from .rootfind import find_root
 
 SWEEP_ARGMIN = "argmin"
 SWEEP_FIRST_LOCAL_MIN = "first-local-min"
@@ -58,7 +59,6 @@ SWEEP_FIRST_LOCAL_MIN = "first-local-min"
 _COARSE_STRIDE = 100
 _BLOCK_POINTS = 16384
 """Fields times candidates per lockstep curve solve of the sweep (81 rows of 200 samples)."""
-_CHI_ROOT_CFG = RootConfig(abs_tol=1e-20, rel_tol=1e-12, max_iter=200)
 
 _logger = getLogger(__name__)
 
@@ -183,7 +183,7 @@ def solve_chi_param(eta: float, chi_an1: float, Ha1: float, Ms: float) -> float:
     def f(chi: float) -> float:
         return eta * chi_an1 - (Ms / Ha1) * langevin(3.0 * chi * Ha1 / Ms)
 
-    return find_root(f, _CHI_ROOT_CFG, bracket=(lo, hi))
+    return find_root(f, (lo, hi), abs_tol=1e-20, rel_tol=1e-12)
 
 
 def fit_anhysteretic(
@@ -209,7 +209,7 @@ def fit_anhysteretic(
     chi_an1 = anhysteretic_explicit(cfg.ha1, Ms, shape_param_from_moment(m1, T)) / cfg.ha1
 
     n_grid = int(math.floor((cfg.eta_max - cfg.eta0) / cfg.eps - 1e-9)) + 1
-    tol = 1e-9 * Ms
+    tol = _IMPLICIT_REL_TOL * Ms
 
     def candidate(j: int) -> tuple:
         eta = cfg.eta0 + j * cfg.eps
@@ -220,7 +220,7 @@ def fit_anhysteretic(
         return eta, chi_p, m2, aJ, alpha
 
     def residual(aJ, alpha) -> np.ndarray:
-        return MU0 * (_implicit_array(H, aJ, alpha, Ms, tol, 200) - M)
+        return MU0 * (_implicit_array(H, aJ, alpha, Ms, tol) - M)
 
     norms: dict[int, float] = {}
     block_rows = max(1, _BLOCK_POINTS // H.size)

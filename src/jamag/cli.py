@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .anfit import AnhystereticFitConfig, fit_anhysteretic
+from .anfit import SWEEP_ARGMIN, SWEEP_FIRST_LOCAL_MIN, AnhystereticFitConfig, fit_anhysteretic
 from .core import MU0, MaterialSpec
-from .dataio import CurveKind, LoopFeatures, MagnetizationCurve, extract_features, parse_curve
+from .dataio import CurveKind, LoopFeatures, MagnetizationCurve, Unit, extract_features, parse_curve
 from .errors import DataError, JamagError
 from .jiles92 import Jiles92Config, c_from_susceptibilities, estimate
 from .simulate import FieldWaveform, HysteresisParams, integrate
@@ -148,6 +148,11 @@ def _read_numbers(path: Path, section: str, names: list[str]) -> dict[str, float
     return values
 
 
+def _config(cls, args):
+    """A ``cls`` config built from the parsed flags named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def _parse(path: Path, kind: CurveKind, args) -> MagnetizationCurve:
     """The curve in ``path``; warns when ``--ms`` is given and |M| exceeds it by 10%."""
     curve = parse_curve(path, kind=kind, unit=args.unit)
@@ -160,10 +165,7 @@ def _parse(path: Path, kind: CurveKind, args) -> MagnetizationCurve:
 
 
 def cmd_fit_anhysteretic(args) -> dict:
-    cfg = AnhystereticFitConfig(
-        ha1=args.ha1, eta0=args.eta0, eps=args.eps, eta_max=args.eta_max,
-        sweep=args.sweep, coarse=args.coarse, slope_points=args.slope_points,
-    )
+    cfg = _config(AnhystereticFitConfig, args)
     material = MaterialSpec(Ms=args.ms, T=args.temp)
     data = _parse(args.data, CurveKind.ANHYSTERETIC, args)
     report = fit_anhysteretic(data, material, cfg)
@@ -176,11 +178,7 @@ def cmd_fit_anhysteretic(args) -> dict:
     )
     return {
         "inputs": _inputs(data=args.data),
-        "config": {
-            "ms": args.ms, "temp": args.temp, "unit": args.unit,
-            "ha1": cfg.ha1, "eta0": cfg.eta0, "eps": cfg.eps, "eta_max": cfg.eta_max,
-            "sweep": cfg.sweep, "coarse": cfg.coarse, "slope_points": cfg.slope_points,
-        },
+        "config": {"ms": args.ms, "temp": args.temp, "unit": args.unit, **asdict(cfg)},
         "result": {
             "eta_star": report.eta_star,
             "chi_param": report.chi_param,
@@ -215,13 +213,7 @@ def _load_features(args, loop: MagnetizationCurve) -> LoopFeatures:
 
 def cmd_fit_jiles92(args) -> dict:
     material = MaterialSpec(Ms=args.ms, T=args.temp)
-    cfg = Jiles92Config(
-        seeds=tuple(float(s) for s in args.seeds.split(",")) if args.seeds else Jiles92Config.seeds,
-        max_outer_iter=args.max_iter,
-        fit_tol=args.fit_tol,
-        sim_steps=args.sim_steps,
-        sim_cycles=args.sim_cycles,
-    )
+    cfg = _config(Jiles92Config, args)
     loop = _parse(args.loop, CurveKind.FULL_LOOP, args)
     features = _load_features(args, loop)
     result = estimate(features, material, cfg, loop)
@@ -230,12 +222,8 @@ def cmd_fit_jiles92(args) -> dict:
             loop=args.loop, first_mag=args.first_mag,
             anhysteretic=args.anhysteretic, features=args.features,
         ),
-        "config": {
-            "ms": args.ms, "temp": args.temp, "unit": args.unit,
-            "seeds": list(cfg.seeds), "max_outer_iter": cfg.max_outer_iter,
-            "fit_tol": cfg.fit_tol, "sim_steps": cfg.sim_steps,
-            "sim_cycles": cfg.sim_cycles, "slope_points": args.slope_points,
-        },
+        "config": {"ms": args.ms, "temp": args.temp, "unit": args.unit,
+                   "slope_points": args.slope_points, **asdict(cfg)},
         "assumptions": [_CONVENTION_NOTE],
         "result": {
             "aJ": result.params.aJ,
@@ -346,14 +334,20 @@ def cmd_validate(args) -> dict:
 
 # --- parser ----------------------------------------------------------------
 
+_SWEEPS = [SWEEP_ARGMIN, SWEEP_FIRST_LOCAL_MIN]
+
+
+def _seeds(text: str) -> tuple[float, ...]:
+    """``--seeds``: comma-separated numbers; argparse reports a bad one."""
+    return tuple(map(float, text.split(",")))
+
 
 def _add_common(sp, *, ms_required: bool = False, temp: bool = False, unit: bool = True) -> None:
-    sp.add_argument("--ms", type=float, required=ms_required, default=None,
-                    help="saturation magnetization, A/m")
+    sp.add_argument("--ms", type=float, required=ms_required, help="saturation magnetization, A/m")
     if temp:
         sp.add_argument("--temp", type=float, required=True, help="temperature, K")
     if unit:
-        sp.add_argument("--unit", choices=["m", "j", "b"], default="m",
+        sp.add_argument("--unit", choices=[u.value for u in Unit], default=Unit.M_A_PER_M.value,
                         help="M column unit: m=A/m, j=polarization T, b=flux density T")
     sp.add_argument("--deterministic", action="store_true",
                     help="omit timestamps/timings so reports are byte-identical")
@@ -371,48 +365,45 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-anhysteretic", help="fit (aJ, alpha, m) to an anhysteretic curve")
     p.add_argument("data", type=Path, help="delimited file of (H, M) samples")
     _add_common(p, ms_required=True, temp=True)
-    p.add_argument("--ha1", type=float, default=1.0e6, help="high-field reference, A/m")
-    p.add_argument("--eta0", type=float, default=0.9)
-    p.add_argument("--eps", type=float, default=1.0e-5, help="eta grid step")
-    p.add_argument("--eta-max", type=float, default=1.0)
-    p.add_argument("--sweep", choices=["argmin", "first-local-min"], default="argmin")
+    p.set_defaults(**asdict(AnhystereticFitConfig()))
+    p.add_argument("--ha1", type=float, help="high-field reference, A/m")
+    p.add_argument("--eta0", type=float)
+    p.add_argument("--eps", type=float, help="eta grid step")
+    p.add_argument("--eta-max", type=float)
+    p.add_argument("--sweep", choices=_SWEEPS)
     p.add_argument("--coarse", action="store_true",
                    help="coarse-to-fine scan (same answer on unimodal profiles, much faster); "
                         "argmin only: with --sweep first-local-min it is not applied and the "
                         "report says \"coarse\": false")
-    p.add_argument("--slope-points", type=int, default=1,
-                   help="samples for the initial-susceptibility estimate")
+    p.add_argument("--slope-points", type=int, help="samples for the initial-susceptibility estimate")
     p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path("fit_report.json"))
     p.add_argument("--curve-out", type=Path, default=Path("fit_curve.csv"))
     p.set_defaults(func=cmd_fit_anhysteretic)
 
     p = sub.add_parser("fit-jiles92", help="fit (aJ, alpha, c, k) to a hysteresis loop")
     p.add_argument("--loop", type=Path, required=True, help="measured full loop")
-    p.add_argument("--first-mag", type=Path, default=None)
-    p.add_argument("--anhysteretic", type=Path, default=None)
-    p.add_argument("--features", type=Path, default=None,
-                   help="precomputed features JSON (alternative to curve files)")
+    p.add_argument("--first-mag", type=Path)
+    p.add_argument("--anhysteretic", type=Path)
+    p.add_argument("--features", type=Path, help="precomputed features JSON (alternative to curve files)")
     _add_common(p, ms_required=True, temp=True)
-    p.add_argument("--seeds", type=str, default=None,
-                   help="comma-separated alpha seeds, e.g. '1e-4,1e-3'")
-    p.add_argument("--max-iter", type=int, default=8)
-    p.add_argument("--fit-tol", type=float, default=1.0e-3,
-                   help="MSE threshold on mu0*M, T^2")
-    p.add_argument("--sim-steps", type=int, default=600)
-    p.add_argument("--sim-cycles", type=int, default=2)
+    p.set_defaults(**asdict(Jiles92Config()))
+    p.add_argument("--seeds", type=_seeds, help="comma-separated alpha seeds, e.g. '1e-4,1e-3'")
+    p.add_argument("--max-iter", dest="max_outer_iter", metavar="MAX_ITER", type=int)
+    p.add_argument("--fit-tol", type=float, help="MSE threshold on mu0*M, T^2")
+    p.add_argument("--sim-steps", type=int)
+    p.add_argument("--sim-cycles", type=int)
     p.add_argument("--slope-points", type=int, default=5)
     p.add_argument("--out", dest="report", metavar="OUT", type=Path,
                    default=Path("jiles92_report.json"))
     p.set_defaults(func=cmd_fit_jiles92)
 
     p = sub.add_parser("simulate-loop", help="integrate the hysteresis ODE along a cyclic field")
-    p.add_argument("--aj", type=float, default=None, help="shape parameter, A/m")
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--aj", type=float, help="shape parameter, A/m")
+    p.add_argument("--alpha", type=float)
     p.add_argument("--c", type=float, required=True, help="reversibility fraction")
     p.add_argument("--k", type=float, required=True, help="pinning strength, A/m")
     _add_common(p, unit=False)
-    p.add_argument("--params", type=Path, default=None,
-                   help="fit report JSON supplying aJ/alpha (flags override)")
+    p.add_argument("--params", type=Path, help="fit report JSON supplying aJ/alpha (flags override)")
     p.add_argument("--hmax", type=float, required=True, help="field amplitude, A/m")
     p.add_argument("--cycles", type=int, default=3)
     p.add_argument("--steps", type=int, default=2000, help="steps per segment")
@@ -420,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clamp", action="store_true",
                    help="zero the irreversible term when it points away from the anhysteretic curve")
     p.add_argument("--out", type=Path, default=Path("loop.csv"))
-    p.add_argument("--report", type=Path, default=None, help="also write a JSON run report")
+    p.add_argument("--report", type=Path, help="also write a JSON run report")
     p.set_defaults(func=cmd_simulate_loop)
 
     p = sub.add_parser("extract", help="measure loop features from curve files")
@@ -433,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("validate", help="synthetic round-trip check of the fitting pipeline")
-    p.add_argument("--eps", type=float, default=1.0e-5)
-    p.add_argument("--sweep", choices=["argmin", "first-local-min"], default="argmin")
+    p.add_argument("--eps", type=float, default=AnhystereticFitConfig.eps)
+    p.add_argument("--sweep", choices=_SWEEPS, default=AnhystereticFitConfig.sweep)
     p.add_argument("--plain", action="store_true", help="disable the coarse-to-fine shortcut")
     # no --out: the report is written nowhere (simulate-loop's default prints it)
     p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path(os.devnull))

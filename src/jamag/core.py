@@ -39,6 +39,8 @@ _X_PRIME_BIG = 300.0
 _IMPLICIT_REL_TOL = 1e-9
 """Default absolute tolerance for the implicit solve, as a fraction of Ms."""
 
+_MAX_ITER = 200  # iteration cap of the implicit solve
+
 
 @dataclass(frozen=True)
 class MaterialSpec:
@@ -158,7 +160,6 @@ def _implicit_array(
     alpha: float | np.ndarray,
     Ms: float,
     abs_tol: float,
-    max_iter: int,
 ) -> np.ndarray:
     """Vectorized bracketed solve of M = Ms*L((|Ha| + alpha*M)/aJ) on [0, Ms].
 
@@ -172,7 +173,7 @@ def _implicit_array(
     row stops on its own test ``max |M_new - M| <= abs_tol`` and leaves the
     active rows, and every elementwise operation is the single-curve one, so
     row i has the bits of the call with ``aJ[i, 0]``, ``alpha[i, 0]``.
-    Raises :class:`NoConvergence` if a row is not done in ``max_iter`` iterations.
+    Raises :class:`NoConvergence` if a row is not done in ``_MAX_ITER`` iterations.
     """
     sign = np.sign(Ha)
     A = np.abs(Ha.astype(np.float64, copy=False))
@@ -182,7 +183,7 @@ def _implicit_array(
     kappa = alpha * Ms / aJ
     out, rows = np.empty_like(M), np.arange(len(M))  # the result; out index of each active row
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         x = alpha * M
         np.divide(np.add(A, x, out=x), aJ, out=x)  # x = (A + alpha*M) / aJ
         g = langevin(x)
@@ -206,7 +207,7 @@ def _implicit_array(
         M = M_new
 
     raise NoConvergence(
-        f"implicit anhysteretic solve: {max_iter} iterations without reaching "
+        f"implicit anhysteretic solve: {_MAX_ITER} iterations without reaching "
         f"tolerance {abs_tol:.3g}"
     )
 
@@ -230,9 +231,9 @@ def anhysteretic_implicit(
     _check_stability(params.aJ, params.alpha, Ms)
     tol = _IMPLICIT_REL_TOL * Ms if abs_tol is None else abs_tol
     if isinstance(Ha, np.ndarray):
-        return _implicit_array(Ha, params.aJ, params.alpha, Ms, tol, 200)
+        return _implicit_array(Ha, params.aJ, params.alpha, Ms, tol)
     one = np.array([float(Ha)])
-    return float(_implicit_array(one, params.aJ, params.alpha, Ms, tol, 200)[0])
+    return float(_implicit_array(one, params.aJ, params.alpha, Ms, tol)[0])
 
 
 def _slope_raw(Ha, M, aJ: float, alpha: float, Ms: float):

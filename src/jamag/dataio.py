@@ -54,7 +54,8 @@ class MagnetizationCurve:
     """An ordered set of (H, M) samples in A/m.
 
     For anhysteretic and first-magnetization kinds H must be strictly
-    increasing; loop kinds are time-ordered instead.
+    increasing; loop kinds are time-ordered instead.  A ``kind`` value is
+    stored as its :class:`CurveKind` member.
     """
 
     H: np.ndarray
@@ -62,6 +63,7 @@ class MagnetizationCurve:
     kind: CurveKind
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", CurveKind(self.kind))
         H = np.asarray(self.H, dtype=np.float64)
         M = np.asarray(self.M, dtype=np.float64)
         object.__setattr__(self, "H", H)
@@ -113,14 +115,17 @@ class LoopFeatures:
     Mm: float
 
     def __post_init__(self) -> None:
+        for name in ("Hc", "Mr", "Hm", "Mm"):
+            if not np.isfinite(v := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {v}")
         for name in ("chi_in", "chi_an", "chi_max", "chi_r", "chi_m"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and non-negative, got {v}")
             if v == 0.0:
                 warnings.warn(f"{name} is zero", NonPhysicalParameterWarning, stacklevel=2)
-        if not np.isfinite(self.Hc) or self.Hc < 0.0:
-            raise ValueError(f"Hc must be finite and non-negative, got {self.Hc}")
+        if self.Hc < 0.0:
+            raise ValueError(f"Hc must be non-negative, got {self.Hc}")
         if self.Hc == 0.0:
             warnings.warn("Hc is zero (lossless loop)", NonPhysicalParameterWarning, stacklevel=2)
         if abs(self.Mr) > abs(self.Mm):
@@ -167,8 +172,9 @@ def parse_curve(
     Other files (whitespace-delimited, mixed delimiters, ragged rows, a bad
     cell) are read line by line.  Both paths parse with ``float``, so they
     give the same values, and every error comes from the line-by-line path,
-    so it is the same too.
+    so it is the same too.  ``kind`` and ``unit`` also accept enum values.
     """
+    kind = CurveKind(kind)
     if isinstance(unit, str):
         try:
             unit = Unit(unit)

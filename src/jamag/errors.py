@@ -10,6 +10,10 @@ class JamagError(Exception):
     """Base class for all jamag-specific errors."""
 
 
+class DataError(JamagError):
+    """Base class for input-data problems (maps to CLI exit code 2)."""
+
+
 # --- scalar root finding ---------------------------------------------------
 
 class RootFindError(JamagError):
@@ -40,7 +44,7 @@ class SingularSlope(JamagError):
 
 # --- anhysteretic-curve estimator -------------------------------------------
 
-class NoPositiveSample(JamagError):
+class NoPositiveSample(DataError):
     """No usable sample with positive field and magnetization was found."""
 
 
@@ -54,7 +58,7 @@ class DegenerateSweep(JamagError):
 
 # --- loop-feature estimator ---------------------------------------------------
 
-class ZeroDenominator(JamagError):
+class ZeroDenominator(DataError):
     """A susceptibility ratio has a zero denominator."""
 
 
@@ -75,10 +79,6 @@ class DegenerateC(JamagError):
 
 
 # --- data handling -----------------------------------------------------------
-
-class DataError(JamagError):
-    """Base class for input-data problems (maps to CLI exit code 2)."""
-
 
 class ParseError(DataError):
     """A cell could not be parsed.  ``line`` is the 1-based line number."""

@@ -41,10 +41,10 @@ from .errors import (
     UnstableParams,
     ZeroDenominator,
 )
-from .rootfind import RootConfig, expand_bracket, find_root
+from .rootfind import expand_bracket, find_root
 from .simulate import FieldWaveform, HysteresisParams, integrate
 
-_ROOT_CFG = RootConfig(abs_tol=1e-12, rel_tol=1e-10, max_iter=200)
+_ROOT_TOL = {"abs_tol": 1e-12, "rel_tol": 1e-10}  # of both root solves
 
 _logger = getLogger(__name__)
 
@@ -153,7 +153,7 @@ def alpha_update(
         return man_r + k / outer - Mr
 
     bracket = expand_bracket(g, guess, lo_limit=0.0)
-    return find_root(g, _ROOT_CFG, bracket=bracket)
+    return find_root(g, bracket, **_ROOT_TOL)
 
 
 def aj_update(
@@ -174,7 +174,7 @@ def aj_update(
         return Ms * langevin(he / aJ) - pinned - features.Mm
 
     bracket = expand_bracket(g, guess, lo_limit=1e-30)
-    return find_root(g, _ROOT_CFG, bracket=bracket)
+    return find_root(g, bracket, **_ROOT_TOL)
 
 
 def _loop_mse(sim: MagnetizationCurve, waveform: FieldWaveform, measured) -> float:

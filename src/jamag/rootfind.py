@@ -5,13 +5,12 @@ secant steps, safeguarded by bisection so the bracket width shrinks on every
 iteration.  ``expand_bracket`` grows an interval geometrically around an
 initial guess until the function changes sign.
 
-Both are deterministic: the same function, guess and configuration always
+Both are deterministic: the same function, guess and tolerances always
 produce the same float.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InvalidBracket, NoConvergence, NoSignChange
@@ -20,26 +19,7 @@ _EPS = 2.220446049250313e-16  # float64 machine epsilon
 
 _MAX_EXPANSIONS = 64
 
-
-@dataclass(frozen=True)
-class RootConfig:
-    """Termination settings for :func:`find_root`.
-
-    The iteration stops once the bracket width is at most
-    ``abs_tol + rel_tol * |x|`` around the current best estimate ``x``.
-    """
-
-    abs_tol: float
-    rel_tol: float = 0.0
-    max_iter: int = 100
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.rel_tol < 0.0:
-            raise ValueError(f"rel_tol must be non-negative, got {self.rel_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+_MAX_ITER = 200  # iteration cap of find_root
 
 
 def expand_bracket(
@@ -84,16 +64,20 @@ def expand_bracket(
 
 
 def find_root(
-    f: Callable[[float], float],
-    cfg: RootConfig,
-    bracket: tuple[float, float],
+    f: Callable[[float], float], bracket: tuple[float, float], *, abs_tol: float, rel_tol: float
 ) -> float:
     """Find a root of ``f`` inside the sign-changing interval ``bracket``.
 
+    The iteration stops once the bracket width is at most
+    ``abs_tol + rel_tol * |x|`` around the current best estimate ``x``.
     The returned root always lies inside that interval.  Raises
     :class:`InvalidBracket` when the endpoints do not straddle a sign
-    change and :class:`NoConvergence` when ``cfg.max_iter`` is exhausted.
+    change and :class:`NoConvergence` after ``_MAX_ITER`` iterations.
     """
+    if not abs_tol > 0.0:
+        raise ValueError(f"abs_tol must be positive, got {abs_tol}")
+    if rel_tol < 0.0:
+        raise ValueError(f"rel_tol must be non-negative, got {rel_tol}")
     lo, hi = bracket
     if not lo < hi:
         raise InvalidBracket(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
@@ -114,7 +98,7 @@ def find_root(
     c, fc = a, fa
     d = e = b - a
 
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         if (fb < 0.0) == (fc < 0.0):
             c, fc = a, fa
             d = e = b - a
@@ -122,7 +106,7 @@ def find_root(
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
 
-        tol = 0.5 * (cfg.abs_tol + cfg.rel_tol * abs(b)) + 2.0 * _EPS * abs(b)
+        tol = 0.5 * (abs_tol + rel_tol * abs(b)) + 2.0 * _EPS * abs(b)
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b
@@ -154,5 +138,5 @@ def find_root(
         fb = f(b)
 
     raise NoConvergence(
-        f"no root within {cfg.max_iter} iterations; last estimate {b!r}"
+        f"no root within {_MAX_ITER} iterations; last estimate {b!r}"
     )

@@ -101,6 +101,8 @@ class FieldWaveform:
         return slice(i * s, (i + 1) * s + 1)
 
 
+_MAN_REL_TOL = 1e-12  # tolerance of the anhysteretic solve, as a fraction of Ms
+
 _BLOCK_STEPS = 2048
 """RK4 steps per block: the anhysteretic values are turned into float lists
 and M is collected this many steps at a time."""
@@ -136,7 +138,7 @@ def dM_dH(H: float, M: float, delta: int, p: HysteresisParams, *, clamp: bool = 
     if delta not in (1, -1):
         raise ValueError(f"delta must be +1 or -1, got {delta}")
     _check_stability(p.aJ, p.alpha, p.Ms)
-    man = float(_implicit_array(np.array([float(H)]), p.aJ, p.alpha, p.Ms, 1e-12 * p.Ms, 200)[0])
+    man = float(_implicit_array(np.array([float(H)]), p.aJ, p.alpha, p.Ms, _MAN_REL_TOL * p.Ms)[0])
     man_slope = _slope_raw(H, man, p.aJ, p.alpha, p.Ms)
     delta = float(delta)
     return _rhs(man, p.c * man_slope, M, delta, delta * p.k, p.alpha, 1.0 + p.c, clamp)
@@ -169,7 +171,7 @@ def integrate(
         raise ValueError("c = -1 makes the 1 + c divisor of dM/dH vanish")
 
     S = waveform.steps_per_segment
-    tol = 1e-12 * Ms
+    tol = _MAN_REL_TOL * Ms
     H_out = np.empty(waveform.n_segments * S + 1)
     M_out = np.empty_like(H_out)
     H_out[0] = waveform.targets[0]
@@ -187,7 +189,7 @@ def integrate(
         key = (h0.hex(), h1.hex())
         if key not in presolved:
             grid = np.linspace(h0, h1, 2 * S + 1)
-            man = _implicit_array(grid, p.aJ, alpha, Ms, tol, 200)
+            man = _implicit_array(grid, p.aJ, alpha, Ms, tol)
             presolved[key] = grid, man, c * _slope_raw(grid, man, p.aJ, alpha, Ms)
         grid, man, c_slope = presolved[key]
         h = (h1 - h0) / S

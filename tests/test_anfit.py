@@ -193,7 +193,7 @@ class TestFit:
         eta0, eps = 0.9, 0.01
         data = linear_curve(n=4)
 
-        def fake_curve(H, aJ, alpha, Ms, tol, max_iter):
+        def fake_curve(H, aJ, alpha, Ms, tol):
             # one row per entry of alpha: (P, 1) -> (P, n), a float -> (n,)
             return data.M + np.asarray(profile)[np.rint((alpha - eta0) / eps).astype(int)]
 
@@ -228,7 +228,7 @@ class TestFit:
             chi_p = solve_chi_param(float(eta), chi_an1, cfg.ha1, MS)
             aJ = shape_param_from_moment(moment_from_susceptibility(chi_p, MS, T), T)
             alpha = alpha_from_susceptibilities(chi_p, chi_a)
-            curve = _implicit_array(data.H, aJ, alpha, MS, 1e-9 * MS, 200)
+            curve = _implicit_array(data.H, aJ, alpha, MS, 1e-9 * MS)
             want.append(float(np.linalg.norm(MU0 * (curve - data.M))))
         assert report.sweep_norms.tobytes() == np.array(want).tobytes()
 
@@ -265,7 +265,7 @@ class TestFit:
                 raise NoSolution(f"chi at {chi_fails}")
             return eta
 
-        def fake_curve(H, aJ, alpha, Ms, tol, max_iter):
+        def fake_curve(H, aJ, alpha, Ms, tol):
             if np.any(index(alpha) == curve_fails):
                 raise NoConvergence(f"curve at {curve_fails}")
             return data.M + (10 - index(alpha))

@@ -2,6 +2,7 @@ import builtins
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ import jamag.anfit as anfit
 import jamag.dataio as dataio
 import jamag.jiles92 as jiles92
 from jamag import cli
+from jamag.anfit import AnhystereticFitConfig
 from jamag.core import MaterialSpec
 from jamag.dataio import CurveKind, MagnetizationCurve
+from jamag.jiles92 import Jiles92Config
 from jamag.simulate import FieldWaveform, HysteresisParams, integrate
 from jamag.validation import synthetic_curve
 
@@ -111,6 +114,59 @@ class TestUsageErrors:
         )
         assert r.returncode == 2
         assert "--aj" in r.stderr
+
+    def test_bad_seeds_named(self, loop_files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit-jiles92", "--loop", str(loop_files["loop"]), "--ms", str(MS),
+                      "--temp", str(T), "--seeds", "1e-4,x"])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, cls", [
+    (["fit-anhysteretic", "data.csv"], AnhystereticFitConfig),
+    (["fit-jiles92", "--loop", "loop.csv"], Jiles92Config),
+])
+def test_flag_defaults_are_the_config_defaults(argv, cls):
+    args = cli.build_parser().parse_args([*argv, "--ms", "1", "--temp", "1"])
+    for name, value in asdict(cls()).items():
+        assert getattr(args, name) == value, name
+
+
+_FEATURES = dict(
+    chi_in=50.0, chi_an=500.0, chi_max=1500.0, chi_r=1900.0, chi_m=50.0,
+    Hc=120.0, Mr=5.0e5, Hm=5000.0, Mm=1.3e6,
+)
+
+
+class TestMeasuredValueErrors:
+    """A measured value the fit cannot use exits 2 as bad input, naming the cause."""
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("Mr", float("nan"), "Mr must be finite"),
+        ("Mm", float("nan"), "Mm must be finite"),
+        ("chi_an", 0.0, "chi_an is zero"),
+    ])
+    def test_features(self, loop_files, tmp_path, capsys, name, value, message):
+        path = tmp_path / "features.json"
+        path.write_text(json.dumps({"features": {**_FEATURES, name: value}}))
+        code = cli.main([
+            "fit-jiles92", "--loop", str(loop_files["loop"]), "--features", str(path),
+            "--ms", str(MS), "--temp", str(T), "--out", str(tmp_path / "out.json"),
+        ])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_no_positive_sample(self, tmp_path, capsys):
+        path = tmp_path / "negative.csv"
+        H = np.linspace(100.0, 1.0e4, 20)
+        write_curve_file(path, H, -1.0e-3 * MS * np.ones_like(H))
+        code = cli.main([
+            "fit-anhysteretic", str(path), "--ms", str(MS), "--temp", str(T),
+            "--out", str(tmp_path / "out.json"), "--curve-out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 2
+        assert "error: no sample with H > 0 and M > 0" in capsys.readouterr().err
 
 
 # (id, saved report text, the command that reads it, the key its error names)

@@ -196,7 +196,7 @@ class TestLangevinArrayBitwise:
             aJ, alpha = 50.0, 1e-5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            M = _implicit_array(Ha, aJ, alpha, 1.6e6, 1e-9 * 1.6e6, 200)
+            M = _implicit_array(Ha, aJ, alpha, 1.6e6, 1e-9 * 1.6e6)
         assert M.shape == ((2, 401) if block else (401,))
         assert np.all(M[..., 200] == 0.0)
 
@@ -265,10 +265,11 @@ class TestImplicit:
         assert np.array([scalar]).tobytes() == array.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0e-3])
-    def test_zero_field_lane_stays_on_its_root(self, alpha):
+    def test_zero_field_lane_stays_on_its_root(self, alpha, monkeypatch):
         # M = 0 solves the H = 0 lane exactly; bisecting it away costs ~30 iterations
+        monkeypatch.setattr(core, "_MAX_ITER", 5)
         Ha = np.linspace(-4000.0, 4000.0, 9)
-        out = _implicit_array(Ha, 972.0, alpha, 1.6e6, 1e-9 * 1.6e6, 5)
+        out = _implicit_array(Ha, 972.0, alpha, 1.6e6, 1e-9 * 1.6e6)
         assert out[4] == 0.0
 
     def test_odd_exactly(self, steel_params):
@@ -325,10 +326,10 @@ class TestImplicitBlock:
     ]
 
     @staticmethod
-    def _block(Ha, rows, tol=1e-9 * 1.6e6, max_iter=200):
+    def _block(Ha, rows, tol=1e-9 * 1.6e6):
         aJ = np.array([r[0] for r in rows])[:, None]
         alpha = np.array([r[1] for r in rows])[:, None]
-        return _implicit_array(Ha, aJ, alpha, 1.6e6, tol, max_iter)
+        return _implicit_array(Ha, aJ, alpha, 1.6e6, tol)
 
     def test_rows_match_single_curves_bitwise(self, monkeypatch):
         iters = []
@@ -338,7 +339,7 @@ class TestImplicitBlock:
         singles = []
         for aJ, alpha in self.ROWS:
             before = len(calls)
-            singles.append(_implicit_array(self.HA, aJ, alpha, 1.6e6, 1e-9 * 1.6e6, 200))
+            singles.append(_implicit_array(self.HA, aJ, alpha, 1.6e6, 1e-9 * 1.6e6))
             iters.append(len(calls) - before)  # one L' call per iteration
         # rows leave the lockstep loop at different iterations
         assert len(set(iters)) == len(self.ROWS), iters
@@ -357,19 +358,20 @@ class TestImplicitBlock:
         rows = list(zip(aJ, alpha))
         block = self._block(Ha, rows)
         for row, (a, b) in zip(block, rows):
-            one = _implicit_array(Ha, float(a), float(b), 1.6e6, 1e-9 * 1.6e6, 200)
+            one = _implicit_array(Ha, float(a), float(b), 1.6e6, 1e-9 * 1.6e6)
             assert row.tobytes() == one.tobytes()
 
     def test_one_row_block_is_the_single_curve(self):
         block = self._block(self.HA, self.ROWS[:1])
-        one = _implicit_array(self.HA, *self.ROWS[0], 1.6e6, 1e-9 * 1.6e6, 200)
+        one = _implicit_array(self.HA, *self.ROWS[0], 1.6e6, 1e-9 * 1.6e6)
         assert block.shape == (1, self.HA.size)
         assert block[0].tobytes() == one.tobytes()
 
-    def test_a_row_that_misses_the_tolerance_fails_the_block(self):
+    def test_a_row_that_misses_the_tolerance_fails_the_block(self, monkeypatch):
         # the near-stability row needs 8 iterations, the others 1 to 5
+        monkeypatch.setattr(core, "_MAX_ITER", 6)
         with pytest.raises(NoConvergence):
-            self._block(self.HA, self.ROWS, max_iter=6)
+            self._block(self.HA, self.ROWS)
 
 
 class TestSlope:

@@ -53,6 +53,12 @@ class TestCurveType:
         # loops are time-ordered, repeats allowed
         MagnetizationCurve(H=np.array([1.0, 2.0, 1.0]), M=np.zeros(3), kind=CurveKind.FULL_LOOP)
 
+    def test_kind_given_by_value(self):
+        curve = MagnetizationCurve(H=np.array([1.0, 2.0]), M=np.zeros(2), kind="full_loop")
+        assert curve.kind is CurveKind.FULL_LOOP
+        with pytest.raises(ValueError):
+            MagnetizationCurve(H=np.array([1.0, 2.0]), M=np.zeros(2), kind="loop")
+
     def test_amplitude_check_warns(self):
         curve = MagnetizationCurve(
             H=np.array([1.0, 2.0]), M=np.array([0.0, 2.0e6]), kind=CurveKind.FIRST_MAGNETIZATION
@@ -106,6 +112,15 @@ class TestParse:
         path.write_text("2.0,6.0\n1.0,5.0\n")
         curve = parse_curve(path, kind=CurveKind.ANHYSTERETIC)
         assert np.array_equal(curve.H, [1.0, 2.0])
+
+    def test_kind_given_by_value(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("H,M\n200,2\n100,1\n300,3\n")
+        curve = parse_curve(path, kind="anhysteretic")
+        assert curve.kind is CurveKind.ANHYSTERETIC
+        assert np.array_equal(curve.H, [100.0, 200.0, 300.0])
+        with pytest.raises(ValueError):
+            parse_curve(path, kind="hysteretic")
 
     def test_loop_order_preserved(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -319,6 +334,14 @@ class TestFeaturesType:
     def test_tip_field_beyond_coercive(self):
         with pytest.raises(ValueError):
             self.make(Hm=100.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("Mr", np.nan), ("Mm", np.nan), ("Mm", np.inf), ("Hm", np.inf), ("Hm", np.nan),
+        ("Hc", np.nan),
+    ])
+    def test_non_finite_point_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got"):
+            self.make(**{name: value})
 
 
 def triangle_loop(n=60, hmax=100.0):

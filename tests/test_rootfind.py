@@ -3,51 +3,50 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from jamag import rootfind
 from jamag.errors import InvalidBracket, NoConvergence, NoSignChange
-from jamag.rootfind import RootConfig, expand_bracket, find_root
+from jamag.rootfind import expand_bracket, find_root
 
-TIGHT = RootConfig(abs_tol=1e-14, rel_tol=1e-14)
+TIGHT = {"abs_tol": 1e-14, "rel_tol": 1e-14}
 
 
 def test_config_rejects_bad_tolerances():
     with pytest.raises(ValueError):
-        RootConfig(abs_tol=0.0)
+        find_root(lambda v: v, (-1.0, 1.0), abs_tol=0.0, rel_tol=0.0)
     with pytest.raises(ValueError):
-        RootConfig(abs_tol=1e-12, rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        RootConfig(abs_tol=1e-12, max_iter=0)
+        find_root(lambda v: v, (-1.0, 1.0), abs_tol=1e-12, rel_tol=-1.0)
 
 
 def test_quadratic_root():
-    x = find_root(lambda v: v * v - 4.0, TIGHT, bracket=(0.0, 10.0))
+    x = find_root(lambda v: v * v - 4.0, (0.0, 10.0), **TIGHT)
     assert math.isclose(x, 2.0, rel_tol=1e-12)
 
 
 def test_exact_zero_at_endpoint():
-    assert find_root(lambda v: v - 2.0, TIGHT, bracket=(2.0, 5.0)) == 2.0
-    assert find_root(lambda v: v - 5.0, TIGHT, bracket=(2.0, 5.0)) == 5.0
+    assert find_root(lambda v: v - 2.0, (2.0, 5.0), **TIGHT) == 2.0
+    assert find_root(lambda v: v - 5.0, (2.0, 5.0), **TIGHT) == 5.0
 
 
 def test_same_sign_bracket_rejected():
     with pytest.raises(InvalidBracket):
-        find_root(lambda v: v * v + 1.0, TIGHT, bracket=(-1.0, 1.0))
+        find_root(lambda v: v * v + 1.0, (-1.0, 1.0), **TIGHT)
 
 
-def test_iteration_budget_enforced():
-    cfg = RootConfig(abs_tol=1e-300, rel_tol=0.0, max_iter=2)
+def test_iteration_budget_enforced(monkeypatch):
+    monkeypatch.setattr(rootfind, "_MAX_ITER", 2)
     with pytest.raises(NoConvergence):
-        find_root(lambda v: math.cos(v) - v, cfg, bracket=(0.0, 10.0))
+        find_root(lambda v: math.cos(v) - v, (0.0, 10.0), abs_tol=1e-300, rel_tol=0.0)
 
 
 def test_transcendental_root():
-    x = find_root(lambda v: math.cos(v) - v, TIGHT, bracket=(0.0, 1.0))
+    x = find_root(lambda v: math.cos(v) - v, (0.0, 1.0), **TIGHT)
     assert math.isclose(math.cos(x), x, rel_tol=1e-12)
 
 
 def test_steep_flat_mix():
     # flat near the root, steep away from it
     f = lambda v: math.tanh(50.0 * (v - 0.3))
-    x = find_root(f, TIGHT, bracket=(-10.0, 10.0))
+    x = find_root(f, (-10.0, 10.0), **TIGHT)
     assert math.isclose(x, 0.3, abs_tol=1e-10)
 
 
@@ -57,15 +56,14 @@ def test_steep_flat_mix():
 )
 def test_cubic_roots_recovered(root, scale):
     f = lambda v: scale * (v - root) ** 3 + scale * (v - root)
-    x = find_root(f, RootConfig(abs_tol=1e-12, rel_tol=1e-12, max_iter=200),
-                  bracket=(root - 50.0, root + 50.0))
+    x = find_root(f, (root - 50.0, root + 50.0), abs_tol=1e-12, rel_tol=1e-12)
     assert math.isclose(x, root, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_expand_bracket_right():
     lo, hi = expand_bracket(lambda v: v - 5.0, 1.0)
     assert lo <= 5.0 <= hi
-    x = find_root(lambda v: v - 5.0, TIGHT, bracket=(lo, hi))
+    x = find_root(lambda v: v - 5.0, (lo, hi), **TIGHT)
     assert math.isclose(x, 5.0, rel_tol=1e-12)
 
 

@@ -61,7 +61,7 @@ def _integrate_reference(p, waveform, M0=0.0, *, clamp=False):
         h0, h1 = waveform.targets[seg], waveform.targets[seg + 1]
         delta = 1.0 if h1 > h0 else -1.0
         grid = np.linspace(h0, h1, 2 * S + 1)
-        man = _implicit_array(grid, p.aJ, p.alpha, p.Ms, tol, 200)
+        man = _implicit_array(grid, p.aJ, p.alpha, p.Ms, tol)
         slope = _slope_raw(grid, man, p.aJ, p.alpha, p.Ms)
         h = (h1 - h0) / S
 

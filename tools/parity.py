@@ -66,6 +66,10 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path = anh_dir / "through_zero_malformed.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     flags["zero-malformed"] = [str(path.relative_to(out))]
+    # the noiseless curve shifted down by Ms: M < 0 everywhere, so no initial slope (exit 2)
+    path = anh_dir / "negative.csv"
+    inputs.write_curve(path, H, inputs.anhysteretic(H, 972.0, 1.4e-3, inputs.MS) - inputs.MS)
+    flags["negative"] = [str(path.relative_to(out))]
     # a dense two-cycle loop, its first-magnetization branch and anhysteretic curve
     (case,) = inputs.jiles_cases(1, 1, loop_dir)
     for name, path in case.files.items():
@@ -78,12 +82,17 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
     flags["loop-semicolon"] = ["--loop", str(path.relative_to(out))]
     # saved reports a later stage cannot read: a JSON list as --params, and a features
-    # report with a null feature; both exit 2 naming the file and the key
+    # report with a null feature; both exit 2 naming the file and the key.  Features with
+    # a NaN remanence or a zero anhysteretic slope are bad measurements: exit 2 too
     rep_dir = out / "inputs" / "reports"
     rep_dir.mkdir()
+    features = {"chi_in": 50.0, "chi_an": 500.0, "chi_max": 1500.0, "chi_r": 1900.0,
+                "chi_m": 50.0, "Hc": 120.0, "Mr": 5.0e5, "Hm": 5000.0, "Mm": 1.3e6}
     for name, flag, obj in (
         ("params_list.json", "--params", [972.0, 1.4e-3]),
         ("features_null.json", "--features", {"features": {"chi_in": 50.0, "chi_an": None}}),
+        ("features_nan_mr.json", "--features", {"features": {**features, "Mr": float("nan")}}),
+        ("features_zero_chi_an.json", "--features", {"features": {**features, "chi_an": 0.0}}),
     ):
         (rep_dir / name).write_text(json.dumps(obj) + "\n", encoding="utf-8")
         flags[name] = [flag, str((rep_dir / name).relative_to(out))]
@@ -108,6 +117,7 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
     for name, curve in (
         ("fit-anhysteretic-coarse-zero-whitespace", "zero-ws"),
         ("fit-anhysteretic-coarse-zero-malformed", "zero-malformed"),
+        ("fit-anhysteretic-coarse-negative", "negative"),
     ):
         cmds.append((name, [
             "fit-anhysteretic", *f[curve], *material, "--coarse",
@@ -160,6 +170,9 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-jiles92-features", [*f["loop"], "--features", "extract/features.json"], []),
         ("fit-jiles92-sim-steps-5", curves, ["--sim-steps", "5"]),
         ("fit-jiles92-features-null", [*f["loop"], *f["features_null.json"]], []),
+        ("fit-jiles92-features-nan-mr", [*f["loop"], *f["features_nan_mr.json"]], []),
+        ("fit-jiles92-features-zero-chi-an", [*f["loop"], *f["features_zero_chi_an.json"]], []),
+        ("fit-jiles92-bad-seeds", curves, ["--seeds", "1e-4,x"]),
     ):
         cmds.append((name, [
             "fit-jiles92", *source, *material, *extra, "--out", f"{name}/report.json",
