@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import logging
 import os
@@ -20,6 +21,7 @@ import time
 import warnings
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -59,51 +61,60 @@ def _write_report(report: dict, out: str | None, deterministic: bool) -> None:
         sys.stdout.write(text)
 
 
-_WRITE_ROWS = 4096
-"""CSV rows formatted and written with one ``write`` at a time."""
+_WRITE_ROWS = 1024
+"""Most CSV rows formatted and written with one ``write``."""
 
 
-def _rows(columns: list[np.ndarray], start: int, stop: int) -> str:
-    """CSV text of rows ``start:stop``, each value as its ``repr``."""
-    cells = (map(repr, col[start:stop].tolist()) for col in columns)
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+def _memo(items: list, key):
+    """``get(i, make)``: ``make()`` for the first of ``items`` with its ``key`` (found
+    by ``hash``, confirmed by comparing keys) and that value for the later ones, kept
+    only until the last of them; also returns each item's first index."""
+    seen, first = {}, []
+    for i, item in enumerate(items):
+        k = key(item)
+        same = seen.setdefault(hash(k), [])
+        first.append(next((q for q in same if key(items[q]) == k), i))
+        if first[i] == i:
+            same.append(i)
+    last = {q: i for i, q in enumerate(first)}
+    kept = {}
+
+    def get(i: int, make):
+        q = first[i]
+        value = make() if q == i else kept.pop(q)
+        if last[q] > i:
+            kept[q] = value
+        return value
+
+    return get, first
 
 
 def _write_curve(path: str | Path, header: list[str], columns: list, run: int = _WRITE_ROWS) -> None:
     """Write float ``columns`` as CSV rows of each value's ``repr``: row 0, then
-    runs of ``run`` rows (``simulate-loop`` passes one segment).  A run whose
-    column bytes equal an earlier run's (found by ``hash``, confirmed by the
-    bytes) is written from that run's text, kept only while a later run needs it."""
+    runs of ``run`` rows (``simulate-loop`` passes one segment), each in blocks of
+    at most ``_WRITE_ROWS``.  A block whose column bytes equal an earlier block's is
+    written from that block's text; in a block formatted afresh, a column whose
+    bytes equal an earlier such column (a repeated H grid) takes its strings."""
     n = len(columns[0])
     edges = sorted({0, *range(1, n, run), n})
-    runs = list(zip(edges, edges[1:]))
+    blocks = [
+        slice(b, min(b + _WRITE_ROWS, stop))
+        for start, stop in zip(edges, edges[1:])
+        for b in range(start, stop, _WRITE_ROWS)
+    ]
+    text, first = _memo(blocks, lambda rows: tuple(col[rows].tobytes() for col in columns))
+    cells = [col[rows] for b, rows in enumerate(blocks) if first[b] == b for col in columns]
+    strings, _ = _memo(cells, np.ndarray.tobytes)
+    cell = iter(range(len(cells)))
 
-    def key(r: int) -> tuple[bytes, ...]:
-        return tuple(col[slice(*runs[r])].tobytes() for col in columns)
+    def fresh() -> str:  # the text of the next fresh block, from its next len(columns) cells
+        strs = [strings(i, lambda: list(map(repr, cells[i].tolist()))) for i in islice(cell, len(columns))]
+        return "\n".join(map(",".join, zip(*strs))) + "\n"
 
-    # source[r]: the first run with run r's bytes; last[q]: the last run written from q's text
-    source, last, seen = [], {}, {}
-    for r in range(len(runs)):
-        k = key(r)
-        same = seen.setdefault(hash(k), [])
-        src = next((q for q in same if key(q) == k), r)
-        if src == r:
-            same.append(r)
-        source.append(src)
-        last[src] = r
-
-    kept: dict[int, list[str]] = {}
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        for r, ((start, stop), src) in enumerate(zip(runs, source)):
-            if src != r:
-                f.writelines(kept.pop(src) if last[src] == r else kept[src])
-                continue
-            blocks = range(start, stop, _WRITE_ROWS)
-            texts = (_rows(columns, b, min(b + _WRITE_ROWS, stop)) for b in blocks)
-            if last[r] > r:
-                texts = kept[r] = list(texts)
-            f.writelines(texts)
+        for b in range(len(blocks)):
+            f.write(text(b, fresh))
 
 
 def _collect_warnings(caught) -> list[dict]:
@@ -361,6 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"jamag {__version__}")
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
+    # plain-function defaults, stated once in the library (read through any wrapper)
+    slope_points = inspect.signature(extract_features).parameters["slope_points"].default
+    cyclic = inspect.signature(FieldWaveform.cyclic).parameters
 
     p = sub.add_parser("fit-anhysteretic", help="fit (aJ, alpha, m) to an anhysteretic curve")
     p.add_argument("data", type=Path, help="delimited file of (H, M) samples")
@@ -392,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-tol", type=float, help="MSE threshold on mu0*M, T^2")
     p.add_argument("--sim-steps", type=int)
     p.add_argument("--sim-cycles", type=int)
-    p.add_argument("--slope-points", type=int, default=5)
+    p.add_argument("--slope-points", type=int, default=slope_points)
     p.add_argument("--out", dest="report", metavar="OUT", type=Path,
                    default=Path("jiles92_report.json"))
     p.set_defaults(func=cmd_fit_jiles92)
@@ -405,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, unit=False)
     p.add_argument("--params", type=Path, help="fit report JSON supplying aJ/alpha (flags override)")
     p.add_argument("--hmax", type=float, required=True, help="field amplitude, A/m")
-    p.add_argument("--cycles", type=int, default=3)
-    p.add_argument("--steps", type=int, default=2000, help="steps per segment")
+    p.add_argument("--cycles", type=int, default=cyclic["cycles"].default)
+    p.add_argument("--steps", type=int, default=cyclic["steps_per_segment"].default, help="steps per segment")
     p.add_argument("--m0", type=float, default=0.0)
     p.add_argument("--clamp", action="store_true",
                    help="zero the irreversible term when it points away from the anhysteretic curve")
@@ -419,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--first-mag", type=Path, required=True)
     p.add_argument("--anhysteretic", type=Path, required=True)
     _add_common(p)
-    p.add_argument("--slope-points", type=int, default=5)
+    p.add_argument("--slope-points", type=int, default=slope_points)
     p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path("features.json"))
     p.set_defaults(func=cmd_extract)
 

@@ -167,12 +167,13 @@ def parse_curve(
     when it is not UTF-8), :class:`UnitError` or :class:`EmptyFile`.
 
     A well-formed file is read in bulk: every data row split on one comma,
-    semicolon or tab into the same number of cells, every H and M cell a
-    number, and no row holding a delimiter that comes earlier in that list.
-    Other files (whitespace-delimited, mixed delimiters, ragged rows, a bad
-    cell) are read line by line.  Both paths parse with ``float``, so they
-    give the same values, and every error comes from the line-by-line path,
-    so it is the same too.  ``kind`` and ``unit`` also accept enum values.
+    semicolon or tab (or, when no row holds any of them, on whitespace) into
+    the same number of cells, every H and M cell a number, and no row holding
+    a delimiter that comes earlier in that list.  Other files (mixed
+    delimiters, ragged rows, a bad cell) are read line by line.  Both paths
+    parse with ``float``, so they give the same values, and every error comes
+    from the line-by-line path, so it is the same too.  ``kind`` and ``unit``
+    also accept enum values.
     """
     kind = CurveKind(kind)
     if isinstance(unit, str):
@@ -238,17 +239,18 @@ def _read_columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
         return np.empty(0), np.empty(0)
 
     delim = _delimiter(rows[0])
-    if delim is None:
-        return None
-    earlier = _AUTO_DELIMITERS[: _AUTO_DELIMITERS.index(delim)]
-    count = rows[0].count(delim)
-    width = count + 1
-    if set(map(str.count, rows, repeat(delim))) != {count}:
+    width = len(rows[0].split(delim))
+    if delim is None:  # whitespace, and no row may hold a comma, semicolon or tab
+        earlier, widths = _AUTO_DELIMITERS, set(map(len, map(str.split, rows)))
+    else:
+        earlier = _AUTO_DELIMITERS[: _AUTO_DELIMITERS.index(delim)]
+        widths = {count + 1 for count in set(map(str.count, rows, repeat(delim)))}
+    if width < 2 or widths != {width}:
         return None
 
     H, M = np.empty(n), np.empty(n)
     for b in range(0, n, _BLOCK_LINES):
-        joined = delim.join(rows[b : b + _BLOCK_LINES])
+        joined = (delim or " ").join(rows[b : b + _BLOCK_LINES])
         if any(c in joined for c in earlier):
             return None
         cells = joined.split(delim)

@@ -14,13 +14,13 @@ grid in one vectorized solve, once per distinct segment of the waveform.
 The stepping runs on plain Python floats: the pre-solved arrays are
 converted with ``tolist`` and M is collected in blocks of ``_BLOCK_STEPS``
 steps, which keeps both the per-step cost and the memory of the lists
-small.  A cyclic loop settles onto its limit cycle bit for bit, so each
-distinct (segment, start M) is integrated once and its repeats are copied.
+small.  A cyclic loop repeats its segments, and a repeat's trajectory joins
+the earlier one's bit for bit, from the start on its limit cycle and partway
+before it; from the step where it joins, its rows are copied, not integrated.
 """
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -48,6 +48,8 @@ class HysteresisParams:
                 raise ValueError(f"{name} must be positive, got {v}")
         if not self.alpha >= 0.0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        if not np.isfinite(self.c):
+            raise ValueError(f"c must be finite, got {self.c}")
         if not 0.0 <= self.c <= 1.0:
             warnings.warn(
                 f"reversibility fraction c = {self.c} outside [0, 1]",
@@ -156,14 +158,15 @@ def integrate(
     Classical fixed-step RK4 per segment (the anhysteretic curve and its
     slope are pre-evaluated on the half-step grid, once for all segments
     with the same end fields).  The steps run on plain floats,
-    ``_BLOCK_STEPS`` at a time, with :func:`_rhs` written inline; each
-    distinct (segment, start M) is integrated once and its repeats copied.
+    ``_BLOCK_STEPS`` at a time, with :func:`_rhs` written inline.  Once a
+    segment commits the same non-zero M at the same step as the last earlier
+    segment with its end fields, the rest of it is copied from that one.
     Returns the sampled trajectory, one point per step plus the initial
     point; committed M values are limited to [-Ms, Ms].  A vanishing
     pinning denominator is reported with the failing global step index.
     """
-    if abs(M0) > p.Ms:
-        raise ValueError(f"|M0| = {abs(M0)} exceeds Ms = {p.Ms}")
+    if not abs(M0) <= p.Ms:
+        raise ValueError(f"M0 must be finite with |M0| <= Ms = {p.Ms}, got {M0}")
     _check_stability(p.aJ, p.alpha, p.Ms)
     c, alpha, Ms = p.c, p.alpha, p.Ms
     c1 = 1.0 + c
@@ -177,10 +180,11 @@ def integrate(
     H_out[0] = waveform.targets[0]
     M_out[0] = M = float(M0)
 
-    # a cyclic waveform repeats its segments and, on its limit cycle, their start M:
-    # pre-solve each distinct segment once and integrate each distinct (segment,
-    # start M) once, keyed on bits so that -0.0/0.0 and NaN payloads stay apart
-    presolved, integrated = {}, {}
+    # a cyclic waveform repeats its segments: pre-solve each distinct one once.  Two
+    # segments over one grid that commit the same M at the same step go on
+    # identically, so a segment joins the last earlier one over its grid (``ref``)
+    # at the first such M and copies the rest.  Zero is skipped: 0.0 == -0.0, other bits
+    presolved, last = {}, {}
     for seg in range(waveform.n_segments):
         step_base = seg * S
         h0, h1 = waveform.targets[seg], waveform.targets[seg + 1]
@@ -192,48 +196,52 @@ def integrate(
             man = _implicit_array(grid, p.aJ, alpha, Ms, tol)
             presolved[key] = grid, man, c * _slope_raw(grid, man, p.aJ, alpha, Ms)
         grid, man, c_slope = presolved[key]
+        ref, last[key] = last.get(key), step_base
         h = (h1 - h0) / S
         half, sixth = 0.5 * h, h / 6.0
         H_out[step_base + 1 : step_base + S + 1] = grid[2::2]
-
-        row = integrated.setdefault((*key, struct.pack("<d", M)), step_base + 1)
-        if row <= step_base:
-            M_out[step_base + 1 : step_base + S + 1] = M_out[row : row + S]
-            M = float(M_out[step_base + S])
-            continue
 
         for b0 in range(0, S, _BLOCK_STEPS):
             b1 = min(b0 + _BLOCK_STEPS, S)
             man_b = man[2 * b0 : 2 * b1 + 1].tolist()
             cs_b = c_slope[2 * b0 : 2 * b1 + 1].tolist()
+            ref_b = [np.nan] * (b1 - b0) if ref is None else M_out[ref + b0 + 1 : ref + b1 + 1].tolist()
             block = []
             try:
-                for n0 in range(0, 2 * (b1 - b0), 2):
-                    mh, sh = man_b[n0 + 1], cs_b[n0 + 1]
-                    dm = man_b[n0] - M
-                    k1 = ((0.0 if clamp and delta * dm < 0.0 else dm / (dk - alpha * dm)) + cs_b[n0]) / c1
+                for m0, mh, m1, s0, sh, s1, m_ref in zip(
+                    man_b[0::2], man_b[1::2], man_b[2::2], cs_b[0::2], cs_b[1::2], cs_b[2::2], ref_b
+                ):
+                    dm = m0 - M
+                    k1 = ((0.0 if clamp and delta * dm < 0.0 else dm / (dk - alpha * dm)) + s0) / c1
                     dm = mh - (M + half * k1)
                     k2 = ((0.0 if clamp and delta * dm < 0.0 else dm / (dk - alpha * dm)) + sh) / c1
                     dm = mh - (M + half * k2)
                     k3 = ((0.0 if clamp and delta * dm < 0.0 else dm / (dk - alpha * dm)) + sh) / c1
-                    dm = man_b[n0 + 2] - (M + h * k3)
-                    k4 = ((0.0 if clamp and delta * dm < 0.0 else dm / (dk - alpha * dm)) + cs_b[n0 + 2]) / c1
+                    dm = m1 - (M + h * k3)
+                    k4 = ((0.0 if clamp and delta * dm < 0.0 else dm / (dk - alpha * dm)) + s1) / c1
                     M = M + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                     if M > Ms:
                         M = Ms
                     elif M < -Ms:
                         M = -Ms
                     block.append(M)
+                    if M == m_ref and M:
+                        break
             except ZeroDivisionError:
                 # dm is the failing stage's M_an - M: _rhs raises the error that names it
                 try:
                     _rhs(dm, 0.0, 0.0, delta, dk, alpha, c1, False)
                 except SingularDenominator as err:
-                    i = b0 + n0 // 2
+                    i = b0 + len(block)
                     raise SingularDenominator(
                         f"{err} at segment {seg}, step {i}", step_index=step_base + i
                     ) from None
                 raise
-            M_out[step_base + b0 + 1 : step_base + b1 + 1] = block
+            done = step_base + b0 + len(block)
+            M_out[step_base + b0 + 1 : done + 1] = block
+            if M == m_ref and M:  # joined ref: the last step's test held
+                M_out[done + 1 : step_base + S + 1] = M_out[done - step_base + ref + 1 : ref + S + 1]
+                M = float(M_out[step_base + S])
+                break
 
     return MagnetizationCurve(H=H_out, M=M_out, kind=CurveKind.FULL_LOOP)

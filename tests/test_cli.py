@@ -1,7 +1,9 @@
 import builtins
+import functools
 import json
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -115,6 +117,17 @@ class TestUsageErrors:
         assert r.returncode == 2
         assert "--aj" in r.stderr
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--c", "c must be finite, got nan"),
+        ("--m0", "M0 must be finite with |M0| <= Ms"),
+    ])
+    def test_non_finite_simulation_input_named(self, tmp_path, capsys, flag, message):
+        argv = ["simulate-loop", "--aj", "972", "--alpha", "1.4e-3", "--c", "0.1", "--k", "1000",
+                "--ms", str(MS), "--hmax", "5000", "--out", str(tmp_path / "l.csv"), flag, "nan"]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "l.csv").exists()
+
     def test_bad_seeds_named(self, loop_files, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["fit-jiles92", "--loop", str(loop_files["loop"]), "--ms", str(MS),
@@ -131,6 +144,26 @@ def test_flag_defaults_are_the_config_defaults(argv, cls):
     args = cli.build_parser().parse_args([*argv, "--ms", "1", "--temp", "1"])
     for name, value in asdict(cls()).items():
         assert getattr(args, name) == value, name
+
+
+@pytest.mark.parametrize("argv, func, flags", [
+    (["fit-jiles92", "--loop", "l", "--ms", "1", "--temp", "1"], dataio.extract_features,
+     {"slope_points": "slope_points"}),
+    (["extract", "--loop", "l", "--first-mag", "f", "--anhysteretic", "a"], dataio.extract_features,
+     {"slope_points": "slope_points"}),
+    (["simulate-loop", "--c", "0", "--k", "1", "--hmax", "1"], FieldWaveform.cyclic.__func__,
+     {"cycles": "cycles", "steps": "steps_per_segment"}),
+])
+def test_flag_defaults_are_the_library_defaults(monkeypatch, argv, func, flags):
+    # a changed library default moves the flag's default with it, also while the
+    # name in cli is a wrapper, as a profiler installs it
+    changed = {name: value + 1 for name, value in func.__kwdefaults__.items()}
+    monkeypatch.setattr(func, "__kwdefaults__", changed)
+    monkeypatch.setattr(cli, "extract_features", functools.wraps(dataio.extract_features)(
+        lambda *args, **kwargs: dataio.extract_features(*args, **kwargs)))
+    args = cli.build_parser().parse_args(argv)
+    for flag, name in flags.items():
+        assert getattr(args, flag) == changed[name], flag
 
 
 _FEATURES = dict(
@@ -300,7 +333,8 @@ def _write_curve_rows(path, header, columns):
 class TestWriteCurve:
     ROWS = cli._WRITE_ROWS
 
-    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1])
+    # files of one block and of four, at each block boundary
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 4 * ROWS - 1, 4 * ROWS, 4 * ROWS + 1])
     def test_bytes_equal_the_per_row_writer(self, tmp_path, n):
         rng = np.random.default_rng(n)
         special = [-0.0, 5e-324, 1e22, -1e22, -5e-324, 0.0, -1.5, 1.0 / 3.0]
@@ -337,6 +371,7 @@ class TestWriteCurve:
         (5, 3),  # runs across them
         (5, 1000),  # one run longer than the file
         (ROWS + 1, ROWS + 1),  # runs of two write blocks each
+        (4 * ROWS + 1, 4 * ROWS + 1),  # runs of five write blocks each
     ])
     @pytest.mark.parametrize("collide", [False, True])
     def test_repeated_runs_equal_the_per_row_writer(self, tmp_path, monkeypatch, length, run, collide):
@@ -349,8 +384,48 @@ class TestWriteCurve:
         monkeypatch.undo()
         _write_curve_rows(old, ["H", "M", "B"], columns)
         assert new.read_bytes() == old.read_bytes()
-        if collide:  # every run's key went through the constant hash: row 0 and the rest
-            assert len(hashed) == 1 + -(-(len(columns[0]) - 1) // run)
+        if collide:  # every block's key went through the constant hash: row 0 and the rest
+            runs = [min(run, len(columns[0]) - 1 - r) for r in range(0, len(columns[0]) - 1, run)]
+            assert sum(isinstance(k, tuple) for k in hashed) == 1 + sum(-(-r // self.ROWS) for r in runs)
+
+    @pytest.mark.parametrize("join", [None, 5])
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_repeats_formatted_once(self, tmp_path, monkeypatch, join, collide):
+        """Runs of 10 rows in blocks of 4: row 0, runs A and B, then C over A's H grid.
+        C formats only its M and B; when it joins A at row ``join``, only up to the
+        block holding that row."""
+        rng = np.random.default_rng(7)
+        row0, a, b, c = rng.standard_normal((4, 3, 10)) * 1e4
+        c[0] = a[0]
+        if join is not None:
+            c[:, join:] = a[:, join:]
+        columns = list(np.concatenate([row0[:, :1], a, b, c], axis=1))
+        formatted = []
+        monkeypatch.setattr(cli, "_WRITE_ROWS", 4)
+        monkeypatch.setattr(cli, "repr", lambda v: formatted.append(v) or builtins.repr(v), raising=False)
+        if collide:
+            monkeypatch.setattr(builtins, "hash", lambda key: 0)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        cli._write_curve(new, ["H", "M", "B"], columns, run=10)
+        monkeypatch.undo()
+        _write_curve_rows(old, ["H", "M", "B"], columns)
+        assert new.read_bytes() == old.read_bytes()
+        assert len(formatted) == 3 * 21 + 2 * (10 if join is None else 8)
+
+    def test_memo_keeps_each_value_until_its_last_use(self):
+        class Value:
+            pass
+
+        items = [b"a", b"b", b"a", b"c", b"b", b"a"]
+        get, first = cli._memo(items, bytes)
+        assert first == [0, 1, 0, 3, 1, 0]
+        made = {}
+        for i, item in enumerate(items):
+            value = get(i, Value)
+            assert made.setdefault(item, weakref.ref(value))() is value
+            del value
+            alive = {k for k, ref in made.items() if ref() is not None}
+            assert alive == {k for k in made if k in items[i + 1 :]}
 
 
 class TestSimulateLoop:

@@ -231,7 +231,16 @@ _EQUIVALENCE_CASES = [
     ("ragged-long", "1.0,5.0\n2.0,6.0,7.0\n", {}, False),
     ("ragged-aligned", "1.0,5.0,0\n2.0\n3.0,6.0,7.0,8.0,9.0\n", {}, False),
     ("ragged-short", "1.0,5.0\n2.0\n", {}, False),
-    ("whitespace", "1.0 5.0\n2.0   6.0\n", {}, False),
+    ("whitespace", "1.0 5.0\n2.0   6.0\n", {}, True),
+    ("whitespace-three-columns", "H M B\n1.0 5.0 0\n 2.0  6.0 0 \n", {}, True),
+    ("whitespace-then-tab", "1.0 5.0\n2.0\t6.0\n", {}, False),
+    ("whitespace-unit-separator", "1.0\x1f5.0\n2.0 6.0\n", {}, True),
+    ("whitespace-then-comma", "1.0 5.0\n2.0,6.0\n", {}, False),
+    # equal cell counts in total, not per row
+    ("whitespace-ragged-aligned", "1.0 5.0 0\n2.0\n3.0 6.0 7.0 8.0 9.0\n", {}, False),
+    ("whitespace-one-column", "1.0\n2.0\n", {}, False),
+    ("whitespace-bad-cell", "1.0 5.0\n2.0 x\n", {}, False),
+    ("whitespace-long-clean", _many_rows(9000, 0, "0.0,0.0").replace(",", " "), {}, True),
     ("bad-first-row", "1.0,abc\n2.0,3.0\n", {}, False),
     ("narrow-header", "H\n1.0,5.0\n", {}, False),
     ("header-only", "H,M\n\n", {}, True),
@@ -286,7 +295,7 @@ class TestBulkMatchesLines:
             min_size=1, max_size=40,
         ),
         st.sampled_from([repr, "{:.6e}".format]),
-        st.sampled_from([",", ";", "\t"]),
+        st.sampled_from([",", ";", "\t", " ", " \x1f "]),
     )
     def test_finite_floats(self, pairs, fmt, delim):
         rows = [f"{fmt(h)}{delim}{fmt(m)}" for h, m in pairs]

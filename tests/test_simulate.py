@@ -1,3 +1,7 @@
+import inspect
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -81,6 +85,45 @@ def _integrate_reference(p, waveform, M0=0.0, *, clamp=False):
             M_out[idx] = M
         step_base += S
     return H_out, M_out
+
+
+def _expected_steps(waveform, M):
+    """RK4 steps per segment that ``integrate`` takes on the trajectory ``M``: up to
+    the first step that commits a non-zero M equal to the M at the same step of the
+    last earlier segment with the same end fields, else all of them."""
+    S, t = waveform.steps_per_segment, waveform.targets
+    last, steps = {}, []
+    for seg in range(waveform.n_segments):
+        key = (t[seg].hex(), t[seg + 1].hex())
+        ref, last[key] = last.get(key), seg
+        joined = np.empty(0, dtype=int)
+        if ref is not None:
+            own, other = M[seg * S + 1 : (seg + 1) * S + 1], M[ref * S + 1 : (ref + 1) * S + 1]
+            joined = np.flatnonzero((own == other) & (own != 0.0))
+        steps.append(int(joined[0]) + 1 if joined.size else S)
+    return steps
+
+
+def _steps_taken(run):
+    """``run()`` and the RK4 steps per segment that ``integrate`` took in it: the
+    executions of the line that collects a committed M, by ``seg``."""
+    code = simulate.integrate.__code__
+    source, first = inspect.getsourcelines(simulate.integrate)
+    (line,) = [first + i for i, text in enumerate(source) if "block.append(M)" in text]
+    steps = Counter()
+
+    def count(frame, event, arg):
+        if event == "line" and frame.f_lineno == line:
+            steps[frame.f_locals["seg"]] += 1
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return result, [steps[seg] for seg in range(max(steps) + 1)]
 
 
 class TestParams:
@@ -295,8 +338,8 @@ class TestIntegrateBitwise:
     """``integrate`` has the bits of the per-step numpy-scalar loop it replaced."""
 
     @staticmethod
-    def check(waveform, M0=0.0, clamp=False):
-        p = steel()
+    def check(waveform, M0=0.0, clamp=False, p=None):
+        p = p or steel()
         curve = integrate(p, waveform, M0, clamp=clamp)
         H, M = _integrate_reference(p, waveform, M0, clamp=clamp)
         assert curve.H.tobytes() == H.tobytes()
@@ -314,26 +357,58 @@ class TestIntegrateBitwise:
     def test_waveforms_and_initial_states(self, targets, M0, clamp):
         self.check(FieldWaveform(targets, steps_per_segment=BLOCK + 1), M0, clamp)
 
-    @staticmethod
-    def repeated_states(waveform, M):
-        """Segments whose end fields and start-M bits equal an earlier segment's."""
-        S, t = waveform.steps_per_segment, waveform.targets
-        states = [(t[i].hex(), t[i + 1].hex(), M[i * S].tobytes()) for i in range(len(t) - 1)]
-        return len(states) - len(set(states))
+    def check_steps(self, waveform, M0=0.0, clamp=False, p=None):
+        """``check``, and that each segment took the RK4 steps up to where it joins."""
+        M, steps = _steps_taken(lambda: self.check(waveform, M0, clamp, p))
+        assert steps == _expected_steps(waveform, M)
+        return steps
 
     @pytest.mark.parametrize("M0", [0.0, -0.0, 2.5e5])
     @pytest.mark.parametrize("clamp", [False, True])
     def test_limit_cycle_segments_reused(self, M0, clamp):
         waveform = FieldWaveform.cyclic(5000.0, cycles=6)
-        # the loop settles bit for bit, so the copy path is taken
-        assert self.repeated_states(waveform, self.check(waveform, M0, clamp)) > 0
+        # the loop settles bit for bit: later segments start on an earlier one's
+        # trajectory and join it after one step
+        steps = self.check_steps(waveform, M0, clamp)
+        assert steps[-6:] == [1] * 6
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_mid_segment_merge(self, clamp):
+        # the second rise over the cycle's grid joins the first one's trajectory in
+        # its second integrator block, partway through it
+        S = 5000
+        steps = self.check_steps(FieldWaveform.cyclic(5000.0, cycles=2, steps_per_segment=S), clamp=clamp)
+        assert steps[:4] == [S] * 4 and BLOCK + 1 < steps[4] < 2 * BLOCK
 
     def test_repeated_grid_from_other_start_state(self):
-        # each rise starts from a different M: nothing is copied, every segment is integrated
+        # each rise starts from a different M and never joins: every step is integrated
         waveform = FieldWaveform(
             (0.0, 3000.0, -1000.0, 3000.0, -2000.0, 3000.0, -1000.0, 3000.0), steps_per_segment=300
         )
-        assert self.repeated_states(waveform, self.check(waveform)) == 0
+        assert self.check_steps(waveform) == [300] * 7
+
+    def test_merge_skips_zero(self, monkeypatch):
+        # With M_an zero, an unreachable k and c = 1, a step adds 6*sixth*c_slope/2
+        # exactly: c_slope is 0 on the half of each grid nearer H = 0 and 1 on the rest.
+        # The first descent stays at -0.0 from M0 = -0.0 for 50 steps, then falls by
+        # 299/2; the rise climbs by as much, back to 0.0, and the second descent stays
+        # at 0.0 where the first was -0.0: it joins that one only after step 51
+        p = HysteresisParams(aJ=972.0, alpha=0.0, c=1.0, k=1e300, Ms=MS)
+
+        def zeros(grid, *args):
+            return np.zeros(len(grid))
+
+        def slope(grid, *args):
+            return (np.abs(grid) > 300.0).astype(float)
+
+        for name, fake in (("_implicit_array", zeros), ("_slope_raw", slope)):
+            monkeypatch.setattr(simulate, name, fake)
+            monkeypatch.setitem(globals(), name, fake)
+        waveform = FieldWaveform((0.0, -600.0, 0.0, -600.0), steps_per_segment=100)
+        M, steps = _steps_taken(lambda: self.check(waveform, -0.0, False, p))
+        assert M[100] == -299 / 2 and M[200] == 0.0 and M[251] == M[51] == -2.5
+        assert np.signbit(M[:51]).all() and not np.signbit(M[200:251]).any()
+        assert steps == _expected_steps(waveform, M) == [100, 100, 51]
 
     def test_start_m_keyed_on_bits(self, monkeypatch):
         # with M_an and its slope zero, M stays -0.0 from M0 = -0.0 on the first

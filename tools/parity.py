@@ -158,6 +158,20 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
             "--cycles", "6", "--steps", "2000",
             "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
         ]))
+    # 12 000 steps over three cycles: the second rise over the cycle's grid joins the
+    # first one's trajectory partway, past several integrator and writer blocks
+    name = "simulate-loop-steps-12000"
+    cmds.append((name, [
+        "simulate-loop", *steel, "--c", "0.1", "--k", "1000", "--hmax", "5000",
+        "--cycles", "3", "--steps", "12000",
+        "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
+    ]))
+    # a non-finite c or M0 is rejected before the loop is integrated: exit 2 naming it
+    for name, c, m0 in (("simulate-loop-c-nan", "nan", "0"), ("simulate-loop-m0-nan", "0.1", "nan")):
+        cmds.append((name, [
+            "simulate-loop", *steel, "--c", c, "--k", "1000", "--hmax", "5000", "--m0", m0,
+            "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
+        ]))
     curves = [*f["loop"], *f["first_mag"], *f["anhysteretic"]]
     cmds.append(("extract", ["extract", *curves, "--ms", MS, "--out", "extract/features.json"]))
     name = "extract-semicolon-crlf"
