@@ -104,11 +104,13 @@ def _write_curve(path: str | Path, header: list[str], columns: list, run: int = 
     ]
     text, first = _memo(blocks, lambda rows: tuple(col[rows].tobytes() for col in columns))
     cells = [col[rows] for b, rows in enumerate(blocks) if first[b] == b for col in columns]
-    strings, _ = _memo(cells, np.ndarray.tobytes)
+    strings, same = _memo(cells, np.ndarray.tobytes)
+    taken = {q for i, q in enumerate(same) if q != i}  # cells a later block reuses: kept as lists
     cell = iter(range(len(cells)))
 
     def fresh() -> str:  # the text of the next fresh block, from its next len(columns) cells
-        strs = [strings(i, lambda: list(map(repr, cells[i].tolist()))) for i in islice(cell, len(columns))]
+        strs = [strings(i, lambda: (list if i in taken else iter)(map(repr, cells[i].tolist())))
+                for i in islice(cell, len(columns))]
         return "\n".join(map(",".join, zip(*strs))) + "\n"
 
     with open(path, "w", encoding="utf-8") as f:

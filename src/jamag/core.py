@@ -10,6 +10,8 @@ with ``aJ = kB*T / (mu0*m)`` the shape parameter in A/m and ``alpha`` the
 dimensionless interdomain coupling.  ``aJ`` and ``m`` are two encodings of
 the same quantity; both appear in reports.
 
+The implicit curve is solved by Newton's method from above its root, with a
+bisection safeguard for the rare rows not done in ``_NEWTON_STEPS`` steps.
 Scalar arguments use plain ``math`` calls; numpy arrays are handled
 elementwise, with no floating-point warnings.  SI units (A/m, K, A*m^2).
 """
@@ -40,6 +42,7 @@ _IMPLICIT_REL_TOL = 1e-9
 """Default absolute tolerance for the implicit solve, as a fraction of Ms."""
 
 _MAX_ITER = 200  # iteration cap of the implicit solve
+_NEWTON_STEPS = 16  # unbracketed Newton steps before a still-active row is bracketed
 
 
 @dataclass(frozen=True)
@@ -161,12 +164,17 @@ def _implicit_array(
     Ms: float,
     abs_tol: float,
 ) -> np.ndarray:
-    """Vectorized bracketed solve of M = Ms*L((|Ha| + alpha*M)/aJ) on [0, Ms].
+    """Vectorized Newton solve of M = Ms*L((|Ha| + alpha*M)/aJ) on [0, Ms].
 
-    Newton steps from the uncoupled curve, clipped into a shrinking
-    [lo, hi] bracket (bisection fallback), so convergence is guaranteed for
-    the monotone residual.  This is the only solver of the implicit curve;
-    scalar fields reach it as one-element arrays.
+    The start is above the root: the uncoupled curve for alpha <= 0, else
+    Ms*L(min(A/(aJ - alpha*Ms/3), (A + alpha*Ms)/aJ)), A = |Ha|, as
+    aJ*x - alpha*Ms*L(x) - A is convex on x >= 0 with a positive origin slope.
+    M - Ms*L(x) increases, convex where x >= 0, so Newton descends to the root
+    unbracketed.  Rows not done in ``_NEWTON_STEPS`` steps (stability nearly
+    lost at mA/m fields, or alpha*Ms/(3*aJ) < -1) switch on a [lo, hi] bracket
+    from [0, Ms] that bisects any step leaving it, so every row terminates.
+    This is the only solver of the implicit curve; scalar fields reach it as
+    one-element arrays.
 
     Float ``aJ``/``alpha`` and fields ``Ha`` of shape ``(n,)`` give one curve.
     ``(P, 1)`` arrays give P curves, solved in lockstep as ``(P, n)``: each
@@ -177,24 +185,27 @@ def _implicit_array(
     """
     sign = np.sign(Ha)
     A = np.abs(Ha.astype(np.float64, copy=False))
-    M = Ms * langevin(A / aJ)  # alpha=0 start, underestimates for alpha>0
-    lo = np.zeros_like(M)
-    hi = np.where(A > 0.0, Ms, lo)  # H = 0 lanes start on their exact root, bracket [0, 0]
+    a = np.maximum(alpha, 0.0)  # alpha <= 0 starts on the uncoupled curve, H = 0 lanes on M = 0
+    x = A + a * Ms
+    M = Ms * langevin(np.minimum(A / (aJ - a * Ms / 3.0), np.divide(x, aJ, out=x), out=x))
     kappa = alpha * Ms / aJ
     out, rows = np.empty_like(M), np.arange(len(M))  # the result; out index of each active row
+    lo = hi = None  # the safeguard bracket, off for the first _NEWTON_STEPS iterations
 
-    for _ in range(_MAX_ITER):
+    for it in range(_MAX_ITER):
+        if it == _NEWTON_STEPS:  # switch on the bracket; H = 0 lanes stay on their root
+            lo = np.zeros_like(M)
+            hi = np.where(A > 0.0, Ms, lo)
         x = alpha * M
         np.divide(np.add(A, x, out=x), aJ, out=x)  # x = (A + alpha*M) / aJ
         g = langevin(x)
         np.subtract(M, np.multiply(Ms, g, out=g), out=g)  # g = M - Ms*L(x)
         gp = langevin_prime(x)
         np.subtract(1.0, np.multiply(kappa, gp, out=gp), out=gp)  # gp = 1 - kappa*L'(x)
-        np.copyto(lo, M, where=g < 0.0)
-        np.copyto(hi, M, where=g > 0.0)
-        M_new = np.subtract(M, np.divide(g, gp, out=g), out=g)  # Newton step
-        if (outside := (M_new <= lo) | (M_new >= hi)).any():  # bisect those lanes
-            M_new[outside] = 0.5 * (lo[outside] + hi[outside])
+        M_new = np.subtract(M, np.divide(g, gp, out=gp), out=gp)  # Newton step
+        if lo is not None:  # shrink the bracket; bisect the lanes whose step leaves it
+            lo, hi = np.where(g < 0.0, M, lo), np.where(g > 0.0, M, hi)
+            M_new = np.where((M_new <= lo) | (M_new >= hi), 0.5 * (lo + hi), M_new)
         done = np.max(np.abs(np.subtract(M_new, M, out=x), out=x), axis=-1) <= abs_tol
         if done.all():
             out[rows] = M_new
@@ -202,8 +213,9 @@ def _implicit_array(
         if done.any():  # only a block (2-D) gets here: compact to the active rows
             out[rows[done]] = M_new[done]
             keep = ~done
-            rows, M_new, lo, hi = rows[keep], M_new[keep], lo[keep], hi[keep]
-            aJ, alpha, kappa = aJ[keep], alpha[keep], kappa[keep]
+            rows, M_new, aJ, alpha, kappa = rows[keep], M_new[keep], aJ[keep], alpha[keep], kappa[keep]
+            if lo is not None:
+                lo, hi = lo[keep], hi[keep]
         M = M_new
 
     raise NoConvergence(
@@ -221,8 +233,9 @@ def anhysteretic_implicit(
 ):
     """Self-consistent anhysteretic magnetization at applied field ``Ha``.
 
-    Solves M = Ms * L((Ha + alpha*M)/aJ) by bracketed Newton iteration on
-    [0, Ms] (mirrored for negative fields, so the result is exactly odd).
+    Solves M = Ms * L((Ha + alpha*M)/aJ) by Newton iteration from above the
+    root, bracketed in [0, Ms] if not done in ``_NEWTON_STEPS`` steps
+    (mirrored for negative fields, so the result is exactly odd).
     Default tolerance is 1e-9 * Ms.  Raises :class:`UnstableParams` when
     ``alpha*Ms/(3*aJ) >= 1``.  Accepts a float or a numpy array of fields;
     a float is solved as a one-element array and returned as a float, so

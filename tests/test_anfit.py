@@ -161,6 +161,23 @@ class TestFit:
         assert coarse.residual_norm == plain.residual_norm
         assert np.array_equal(coarse.residual, plain.residual)
 
+    @pytest.mark.parametrize("n", [3, 2000])
+    def test_sweep_norms_are_numpy_norm_bits_at_other_lengths(self, material, monkeypatch, n):
+        # as test_sweep_norms_are_single_curve_norms_bitwise, on noisy rows of 3 and of
+        # 2000 samples: each profile point has the bits of np.linalg.norm of its row
+        data = synthetic_curve(972.0, 1.4e-3, material, n, 1.0e4)
+        noisy = MagnetizationCurve(
+            H=data.H, M=data.M + 2e3 * np.random.default_rng(n).standard_normal(n), kind=data.kind
+        )
+        blocks = []
+        solve = anfit._implicit_array
+        monkeypatch.setattr(anfit, "_implicit_array", lambda *a: blocks.append(solve(*a)) or blocks[-1])
+        report = fit_anhysteretic(noisy, material, AnhystereticFitConfig(eps=1e-3))
+        rows = np.concatenate([b for b in blocks if b.ndim == 2])
+        expected = np.array([np.linalg.norm(MU0 * (row - noisy.M)) for row in rows])
+        assert report.sweep_norms.tobytes() == expected.tobytes()
+        assert report.residual_norm == np.linalg.norm(report.residual)
+
     def test_first_local_min_agrees_on_unimodal_profile(self, material):
         data = synthetic_curve(1000.0, 1.4e-3, material, 120, 1.0e4)
         cfg = dict(eta0=0.99, eps=1e-5)

@@ -19,9 +19,12 @@ from jamag.core import (
     moment_from_susceptibility,
     shape_param_from_moment,
 )
+import jamag.anfit as anfit
 import jamag.core as core
+from jamag.anfit import AnhystereticFitConfig
 from jamag.core import _implicit_array, _slope_raw
 from jamag.errors import NoConvergence, SingularSlope, UnstableParams
+from jamag.validation import GRID_ROWS, run_row
 
 # high-precision references, 50-digit arithmetic
 L_REF = {
@@ -320,9 +323,10 @@ class TestImplicitBlock:
     ROWS = [
         (972.0, 1.4e-3),  # the steel reference
         (972.0, 0.0),  # uncoupled
-        (972.0, -1.0e-3),  # negative alpha, as a NON_PHYSICAL_ALPHA candidate has
-        (1000.0, 1.87e-3),  # alpha*Ms/(3*aJ) = 0.997: Newton leaves the bracket at nonzero fields
+        (972.0, -4.0e-3),  # negative alpha, as a NON_PHYSICAL_ALPHA candidate has
+        (1000.0, 1.87e-3),  # alpha*Ms/(3*aJ) = 0.997, near stability
         (1.0e4, 1.0e-6),  # nearly linear, converges in a few iterations
+        (972.0, -1.0e-2),  # alpha*Ms/(3*aJ) = -5.5: runs past the Newton phase into the bracket
     ]
 
     @staticmethod
@@ -341,8 +345,9 @@ class TestImplicitBlock:
             before = len(calls)
             singles.append(_implicit_array(self.HA, aJ, alpha, 1.6e6, 1e-9 * 1.6e6))
             iters.append(len(calls) - before)  # one L' call per iteration
-        # rows leave the lockstep loop at different iterations
+        # rows leave the lockstep loop at different iterations, one after the Newton phase
         assert len(set(iters)) == len(self.ROWS), iters
+        assert max(iters) > core._NEWTON_STEPS, iters
         block = self._block(self.HA, self.ROWS)
         assert block.shape == (len(self.ROWS), self.HA.size)
         for row, one in zip(block, singles):
@@ -368,10 +373,93 @@ class TestImplicitBlock:
         assert block[0].tobytes() == one.tobytes()
 
     def test_a_row_that_misses_the_tolerance_fails_the_block(self, monkeypatch):
-        # the near-stability row needs 8 iterations, the others 1 to 5
+        # the near-stability row needs 8 iterations, the alpha < 0 rows 5 and 27, the others 1 to 4
         monkeypatch.setattr(core, "_MAX_ITER", 6)
         with pytest.raises(NoConvergence):
             self._block(self.HA, self.ROWS)
+
+
+class TestImplicitRegimes:
+    """Seeded draws over the coupling regimes: every solve ends, near its root."""
+
+    MS = 1.6e6
+    TOL = 1e-9 * MS
+    # alpha*Ms/(3*aJ) per regime
+    RATIOS = {
+        "uncoupled": lambda rng: 0.0,
+        "coupled": lambda rng: 0.99 - rng.uniform(0.0, 0.99),  # (0, 0.99]
+        "near-critical": lambda rng: 1.0 - 10.0 ** rng.uniform(-6.0, -2.0),  # (0.99, 1 - 1e-6]
+        "negative": lambda rng: rng.uniform(-5.0, 0.0),  # [-5, 0)
+    }
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Iterations of each solve, counted as L' calls (one per iteration)."""
+        calls = []
+        lprime = core.langevin_prime
+        monkeypatch.setattr(core, "langevin_prime", lambda x: calls.append(1) or lprime(x))
+        return calls
+
+    @pytest.mark.parametrize("regime", list(RATIOS))
+    def test_every_draw_ends_near_its_root(self, regime, monkeypatch):
+        calls = self._counted(monkeypatch)
+        rng = np.random.default_rng(list(self.RATIOS).index(regime))
+        bracketed = 0
+        for _ in range(300):
+            aJ = 10.0 ** rng.uniform(1.0, 5.0)
+            alpha = self.RATIOS[regime](rng) * 3.0 * aJ / self.MS
+            mag = 10.0 ** rng.uniform(-3.0, 6.0, 16)
+            Ha = np.concatenate([[0.0], mag, -mag[:8]])
+            calls.clear()
+            M = np.abs(_implicit_array(Ha, aJ, alpha, self.MS, self.TOL))  # no NoConvergence
+            bracketed += len(calls) > core._NEWTON_STEPS
+            # The last step moved M by at most TOL; after a bisection that leaves M
+            # within TOL of the root, and the residual's slope 1 - kappa*L'(x) is at
+            # most 1 + 5 for alpha*Ms/(3*aJ) >= -5.
+            resid = M - self.MS * langevin((np.abs(Ha) + alpha * M) / aJ)
+            assert np.max(np.abs(resid)) <= 6.0 * self.TOL, (aJ, alpha)
+        # the two regimes that need the bracket reach it on some draws
+        assert (bracketed > 0) == (regime in ("near-critical", "negative")), bracketed
+
+    def test_bracketed_rows_match_single_curves_bitwise(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        Ha = np.array([-1e3, -1e-3, 0.0, 1e-3, 3e-3, 1e-2, 1.0, 1e3, 1e6])
+        rows = [
+            (1.0e5, 0.1874995),  # alpha*Ms/(3*aJ) = 0.999997: noise at mA/m fields
+            (972.0, -1.0e-2),  # alpha*Ms/(3*aJ) = -5.5: x < 0 above the root
+            (972.0, 1.4e-3),
+        ]
+        singles = []
+        for aJ, alpha in rows:
+            calls.clear()
+            singles.append(_implicit_array(Ha, aJ, alpha, self.MS, self.TOL))
+            iters = len(calls)
+            assert (iters > core._NEWTON_STEPS) == (alpha != 1.4e-3), iters
+            # the H = 0 lane's bracket is [0, 0]: it stays on its root and costs no iteration
+            calls.clear()
+            _implicit_array(np.delete(Ha, 2), aJ, alpha, self.MS, self.TOL)
+            assert len(calls) == iters and singles[-1][2] == 0.0
+        aJ = np.array([r[0] for r in rows])[:, None]
+        alpha = np.array([r[1] for r in rows])[:, None]
+        block = _implicit_array(Ha, aJ, alpha, self.MS, self.TOL)
+        for row, one in zip(block, singles):
+            assert row.tobytes() == one.tobytes()
+
+    def test_validate_rows_stay_in_the_newton_phase(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        iters = []
+        solve = anfit._implicit_array
+
+        def counted(*args):
+            calls.clear()
+            out = solve(*args)
+            iters.append(len(calls))
+            return out
+
+        monkeypatch.setattr(anfit, "_implicit_array", counted)
+        for aJ, alpha in GRID_ROWS:
+            run_row(aJ, alpha, AnhystereticFitConfig(eps=1e-4))
+        assert len(iters) > 6 and max(iters) <= core._NEWTON_STEPS, max(iters)
 
 
 class TestSlope:

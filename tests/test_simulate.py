@@ -376,7 +376,7 @@ class TestIntegrateBitwise:
     def test_mid_segment_merge(self, clamp):
         # the second rise over the cycle's grid joins the first one's trajectory in
         # its second integrator block, partway through it
-        S = 5000
+        S = 6000
         steps = self.check_steps(FieldWaveform.cyclic(5000.0, cycles=2, steps_per_segment=S), clamp=clamp)
         assert steps[:4] == [S] * 4 and BLOCK + 1 < steps[4] < 2 * BLOCK
 

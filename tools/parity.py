@@ -135,6 +135,9 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("simulate-loop-m0", [*steel, "--m0", "4e5"], ["--steps", "2000"]),
         ("simulate-loop-steps-9000", steel, ["--steps", "9000"]),
         ("simulate-loop-params-list", f["params_list.json"], ["--steps", "2000"]),
+        # alpha*Ms/(3*aJ) = 0.99996: the pre-solve where the solver's last bits move most
+        ("simulate-loop-near-critical", ["--aj", "20000", "--alpha", "0.0374985", "--ms", MS],
+         ["--steps", "2000"]),
     ):
         cmds.append((name, [
             "simulate-loop", *params, *loop, *steps,
