@@ -5,7 +5,8 @@ measured initial susceptibility fixes a first moment guess; the equivalent
 paramagnet's high-field magnetization at a reference field ``Ha1`` is then
 scaled by a factor ``eta`` swept over [eta0, eta_max).  Each ``eta`` yields
 a candidate susceptibility chi_param (by inverting the Langevin curve at
-``Ha1``), hence a candidate (aJ, alpha) pair through
+``Ha1`` with Newton's method from an analytic lower bound, which climbs to
+the root monotonically), hence a candidate (aJ, alpha) pair through
 
     aJ = Ms / (3 * chi_param),    alpha = 1/chi_param - 1/chi_an(0)
 
@@ -39,6 +40,7 @@ from .core import (
     _implicit_array,
     anhysteretic_explicit,
     langevin,
+    langevin_prime,
     moment_from_susceptibility,
     shape_param_from_moment,
     alpha_from_susceptibilities,
@@ -48,15 +50,19 @@ from .errors import (
     DegenerateSweep,
     InsufficientSamples,
     JamagError,
+    NoConvergence,
     NoPositiveSample,
     NoSolution,
 )
-from .rootfind import find_root
+from .rootfind import find_root  # noqa: F401  # unused here; perfbench/tracer.py wraps anfit.find_root
 
 SWEEP_ARGMIN = "argmin"
 SWEEP_FIRST_LOCAL_MIN = "first-local-min"
 
 _COARSE_STRIDE = 100
+_X_SATURATED = 20.0  # above this 1/tanh(x) rounds to 1, so 1/(1 - y) solves L(x) = y
+_CHI_STEP_TOL = 1e-9  # the chi solve stops once Newton climbs by at most this fraction of x
+_CHI_MAX_ITER = 50  # iteration cap of the chi solve
 _BLOCK_POINTS = 16384
 """Fields times candidates per lockstep curve solve of the sweep (81 rows of 200 samples)."""
 
@@ -86,14 +92,14 @@ class AnhystereticFitConfig:
     slope_points: int = 1
 
     def __post_init__(self) -> None:
-        if not self.ha1 > 0.0:
-            raise ValueError(f"ha1 must be positive, got {self.ha1}")
+        if not 0.0 < self.ha1 < math.inf:
+            raise ValueError(f"ha1 must be positive and finite, got {self.ha1}")
         if not 0.0 < self.eta0 < self.eta_max <= 1.0:
             raise ValueError(
                 f"need 0 < eta0 < eta_max <= 1, got eta0={self.eta0}, eta_max={self.eta_max}"
             )
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.sweep not in (SWEEP_ARGMIN, SWEEP_FIRST_LOCAL_MIN):
             raise ValueError(f"sweep must be '{SWEEP_ARGMIN}' or '{SWEEP_FIRST_LOCAL_MIN}'")
         if self.sweep == SWEEP_FIRST_LOCAL_MIN:
@@ -162,28 +168,31 @@ def initial_susceptibility(data: MagnetizationCurve, *, points: int = 1) -> floa
 def solve_chi_param(eta: float, chi_an1: float, Ha1: float, Ms: float) -> float:
     """Susceptibility whose Langevin paramagnet hits ``eta*chi_an1`` at Ha1.
 
-    Solves eta*chi_an1 = (Ms/Ha1) * L(3*chi*Ha1/Ms) for chi.  The root is
-    bracketed analytically: L(x) <= x/3 gives the lower bound and
-    L(x) >= 1 - 1/x the upper one, so no expansion search is needed and
-    the result depends only on the arguments.  Raises :class:`NoSolution`
-    when ``eta*chi_an1*Ha1 >= Ms`` (target at or above saturation).
+    Solves L(x) = y, x = 3*chi*Ha1/Ms, y = eta*chi_an1*Ha1/Ms, by Newton's
+    method from the lower bound max(3y, 1/(1 - y) - 1) (L(x) <= x/3 and
+    L(u - 1) <= 1 - 1/u), or from the upper bound 1/(1 - y) (L(x) >= 1 - 1/x)
+    where that exceeds 20 and is the root to rounding.  L is increasing and
+    concave on x > 0, so the steps climb monotonically to the root; the solve
+    stops at a climb of at most ``_CHI_STEP_TOL`` of x or at a step back,
+    which only rounding makes.  Raises :class:`NoSolution` unless
+    0 < eta*chi_an1*Ha1 < Ms, :class:`NoConvergence` past ``_CHI_MAX_ITER`` steps.
     """
     y = eta * chi_an1 * Ha1 / Ms
-    if y >= 1.0:
+    if not y < 1.0:  # also a NaN target
         raise NoSolution(
             f"target magnetization {eta * chi_an1 * Ha1:.6g} is not below Ms = {Ms:.6g}"
         )
-    if y <= 0.0:
+    if not y > 0.0:
         raise NoSolution(f"target fraction must be positive, got {y:.6g}")
 
-    scale = Ms / (3.0 * Ha1)
-    lo = 0.5 * (3.0 * y) * scale
-    hi = 2.0 * scale / (1.0 - y)
-
-    def f(chi: float) -> float:
-        return eta * chi_an1 - (Ms / Ha1) * langevin(3.0 * chi * Ha1 / Ms)
-
-    return find_root(f, (lo, hi), abs_tol=1e-20, rel_tol=1e-12)
+    hi = 1.0 / (1.0 - y)
+    x = hi if hi > _X_SATURATED else max(3.0 * y, hi - 1.0)
+    for _ in range(_CHI_MAX_ITER):
+        step = (y - langevin(x)) / langevin_prime(x)
+        x += step
+        if step <= _CHI_STEP_TOL * x:
+            return x * Ms / (3.0 * Ha1)
+    raise NoConvergence(f"chi_param solve: no root of L(x) = {y!r} in {_CHI_MAX_ITER} Newton steps")
 
 
 def fit_anhysteretic(

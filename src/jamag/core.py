@@ -53,10 +53,10 @@ class MaterialSpec:
     T: float
 
     def __post_init__(self) -> None:
-        if not self.Ms > 0.0:
-            raise ValueError(f"Ms must be positive, got {self.Ms}")
-        if not self.T > 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0.0 < self.Ms < math.inf:
+            raise ValueError(f"Ms must be positive and finite, got {self.Ms}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from jamag.anfit import (
 )
 from jamag.core import (
     MU0,
+    MaterialSpec,
     _implicit_array,
     alpha_from_susceptibilities,
     anhysteretic_explicit,
     langevin,
+    langevin_prime,
     moment_from_susceptibility,
     shape_param_from_moment,
 )
@@ -26,6 +30,7 @@ from jamag.errors import (
     NoPositiveSample,
     NoSolution,
 )
+from jamag.rootfind import find_root
 from jamag.validation import synthetic_curve
 
 from conftest import linear_curve
@@ -56,6 +61,16 @@ class TestConfig:
             AnhystereticFitConfig(sweep="steepest")
         with pytest.raises(ValueError):
             AnhystereticFitConfig(slope_points=0)
+
+    @pytest.mark.parametrize("field", ["ha1", "eps"])
+    def test_non_finite_settings_name_the_field(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got inf$"):
+            AnhystereticFitConfig(**{field: math.inf})
+
+    @pytest.mark.parametrize("field", ["Ms", "T"])
+    def test_non_finite_material_names_the_field(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got inf$"):
+            MaterialSpec(**{"Ms": MS, "T": T, field: math.inf})
 
 
 class TestInitialSusceptibility:
@@ -133,6 +148,85 @@ class TestSolveChiParam:
             target = (MS / 1.0e6) * langevin(3.0 * chi_true * 1.0e6 / MS)
             back = solve_chi_param(target / chi_an1, chi_an1, 1.0e6, MS)
             assert back == pytest.approx(chi_true, rel=1e-10)
+
+    # (Ha1, chi_an1): the default reference field, a low one, and a field of 1 A/m
+    SETTINGS = [(1.0e6, CHI_AN1_REF), (3.0e3, 300.0), (1.0, 5.0e4)]
+
+    @staticmethod
+    def targets() -> np.ndarray:
+        """Seeded L(x) targets y, log-spaced toward both ends: 1e-8 to 0.5, 0.5 to 1 - 1e-12."""
+        rng = np.random.default_rng(14)
+        low = 10.0 ** rng.uniform(-8.0, math.log10(0.5), 150)
+        return np.concatenate([low, 1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.5), 150)])
+
+    def solves(self):
+        """(y, chi_an1, Ha1, eta, chi_param) over every setting and target."""
+        for Ha1, chi_an1 in self.SETTINGS:
+            for y in self.targets():
+                eta = float(y) * MS / (chi_an1 * Ha1)
+                yield eta * chi_an1 * Ha1 / MS, chi_an1, Ha1, eta, solve_chi_param(eta, chi_an1, Ha1, MS)
+
+    @staticmethod
+    def closed_form_error(x: float) -> float:
+        """Rounding scale of langevin(x): an ulp of each term of coth(x) - 1/x, none on the series."""
+        return 0.0 if x < 1e-3 else float(np.spacing(1.0 / math.tanh(x)) + np.spacing(1.0 / x))
+
+    def test_result_lies_inside_the_analytic_bounds(self):
+        for y, _, Ha1, _, chi in self.solves():
+            x = 3.0 * chi * Ha1 / MS
+            lo, hi = max(3.0 * y, 1.0 / (1.0 - y) - 1.0), 1.0 / (1.0 - y)
+            assert lo * (1.0 - 4e-16) <= x <= hi * (1.0 + 4e-16), (y, x)
+
+    def test_forward_residual_is_at_rounding_level(self):
+        # 8 ulps of the target, plus 4 of each term that langevin's closed form subtracts
+        for _, chi_an1, Ha1, eta, chi in self.solves():
+            x = 3.0 * chi * Ha1 / MS
+            target = eta * chi_an1
+            bound = 8.0 * np.spacing(target) + 4.0 * (MS / Ha1) * self.closed_form_error(x)
+            assert abs((MS / Ha1) * langevin(x) - target) <= bound, (target, x)
+
+    @staticmethod
+    def reference_x(y: float) -> float:
+        """Brent at rel_tol=0 on L(x) - y or, for y > 0.5, on (1 - y) - (1 - L(x)) with
+        1 - L(x) = 1/x - 2/(e^(2x) - 1), which stays well conditioned where L(x) nears 1."""
+        def f(x: float) -> float:
+            if y <= 0.5:
+                return langevin(x) - y
+            return (1.0 - y) - (1.0 / x + 2.0 * math.exp(-2.0 * x) / math.expm1(-2.0 * x))
+
+        bracket = (0.5 * max(3.0 * y, 1.0 / (1.0 - y) - 1.0), 2.0 / (1.0 - y))
+        return find_root(f, bracket, abs_tol=1e-300, rel_tol=0.0)
+
+    def test_agrees_with_a_bracketed_reference(self):
+        # within 1e-14, plus 4x the root shift that an error of closed_form_error(x) in
+        # L(x) makes: the cancellation in coth(x) - 1/x, large for 1e-3 <= x < ~0.3
+        for y, _, Ha1, _, chi in self.solves():
+            x = self.reference_x(y)
+            shift = self.closed_form_error(x) / (x * langevin_prime(x))
+            assert chi == pytest.approx(x * MS / (3.0 * Ha1), rel=1e-14 + 4.0 * shift, abs=0.0), y
+
+    def test_newton_steps_stay_few(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(anfit, "langevin_prime", lambda x: steps.append(x) or langevin_prime(x))
+        for y, chi_an1, Ha1, eta, _ in self.solves():
+            steps.clear()
+            solve_chi_param(eta, chi_an1, Ha1, MS)
+            assert len(steps) <= 6, y
+            if 1.0 / (1.0 - y) > 20.0:  # the start is the root to rounding: one zero step
+                assert len(steps) == 1, y
+
+    def test_nan_target_has_no_solution(self):
+        for args in ((math.nan, 1.598006, 1.0e6, MS), (0.95, math.nan, 1.0e6, MS),
+                     (0.95, 1.598006, 1.0e6, math.nan), (0.95, 1.598006, math.inf, MS)):
+            with pytest.raises(NoSolution):
+                solve_chi_param(*args)
+
+    def test_no_convergence_past_the_cap(self, monkeypatch):
+        # L stuck at 0 with slope 1: every step climbs by y, far above the tolerance
+        monkeypatch.setattr(anfit, "langevin", lambda x: 0.0)
+        monkeypatch.setattr(anfit, "langevin_prime", lambda x: 1.0)
+        with pytest.raises(NoConvergence):
+            solve_chi_param(0.95, 1.598006, 1.0e6, MS)
 
 
 class TestFit:

@@ -128,6 +128,28 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "l.csv").exists()
 
+    @pytest.mark.parametrize("command, flag, message", [
+        ("fit-anhysteretic", "--ha1", "ha1 must be positive and finite, got inf"),
+        ("fit-anhysteretic", "--eps", "eps must be positive and finite, got inf"),
+        ("fit-anhysteretic", "--ms", "Ms must be positive and finite, got inf"),
+        ("fit-anhysteretic", "--temp", "T must be positive and finite, got inf"),
+        ("fit-jiles92", "--ms", "Ms must be positive and finite, got inf"),
+        ("validate", "--eps", "eps must be positive and finite, got inf"),
+    ])
+    def test_non_finite_setting_named(self, anh_file, tmp_path, capsys, command, flag, message):
+        # an infinite setting is bad input (exit 2) and the message names its field;
+        # an infinite --ha1 or --eps used to reach the sweep and exit 3 on a NaN bracket
+        argv = {
+            "fit-anhysteretic": ["fit-anhysteretic", str(anh_file), "--ms", str(MS), "--temp", str(T),
+                                 "--curve-out", str(tmp_path / "curve.csv")],
+            "fit-jiles92": ["fit-jiles92", "--loop", str(anh_file), "--ms", str(MS), "--temp", str(T)],
+            "validate": ["validate"],
+        }[command]
+        out = tmp_path / "report.json"
+        assert cli.main([*argv, flag, "inf", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_seeds_named(self, loop_files, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["fit-jiles92", "--loop", str(loop_files["loop"]), "--ms", str(MS),

@@ -123,6 +123,17 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
             "fit-anhysteretic", *f[curve], *material, "--coarse",
             "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
         ]))
+    # a low reference field: the winner's Langevin argument is about 2.4, where the chi
+    # solve starts from its 3y bound; and non-finite settings, which exit 2 naming them
+    for name, extra in (
+        ("fit-anhysteretic-coarse-low-ha1", ["--ha1", "3000", "--eta0", "0.5", "--coarse"]),
+        ("fit-anhysteretic-ha1-inf", ["--ha1", "inf", "--coarse"]),
+        ("fit-anhysteretic-eps-inf", ["--eps", "inf"]),
+    ):
+        cmds.append((name, [
+            "fit-anhysteretic", *f["anh2"], *material, *extra,
+            "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
+        ]))
     loop = ["--c", "0.1", "--k", "1000", "--hmax", "5000", "--cycles", "2"]
     steel = ["--aj", "972", "--alpha", "1.4e-3", "--ms", MS]
     # 2 000 steps fit in one integrator block; 9 000 cross several block boundaries
