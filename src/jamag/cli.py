@@ -142,8 +142,8 @@ def _read_numbers(path: Path, section: str, names: list[str]) -> dict[str, float
     """The numbers ``names`` in the ``section`` object of the JSON report at
     ``path``, or in its top-level object when it has no ``section``.  Anything
     else raises :class:`DataError` naming the file and the key."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:  # integers as floats: one past the float range reads as inf, as 1e400 does
+        obj = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
     except ValueError as err:  # not UTF-8, or not JSON
         raise DataError(f"{path}: {section!r}: not a JSON report ({err})") from None
     if isinstance(obj, dict):
@@ -154,10 +154,11 @@ def _read_numbers(path: Path, section: str, names: list[str]) -> dict[str, float
     for name in names:
         if name not in obj:
             raise DataError(f"{path}: {name!r}: missing")
-        try:
-            values[name] = float(obj[name])
-        except (TypeError, ValueError):
-            raise DataError(f"{path}: {name!r}: expected a number, got {json.dumps(obj[name])}") from None
+        value = obj[name]
+        # JSON numbers only: float() would also read true as 1.0 and "972" as 972.0
+        if not isinstance(value, float):
+            raise DataError(f"{path}: {name!r}: expected a number, got {json.dumps(value)}")
+        values[name] = value
     return values
 
 

@@ -44,10 +44,10 @@ class HysteresisParams:
     def __post_init__(self) -> None:
         for name in ("aJ", "k", "Ms"):
             v = getattr(self, name)
-            if not v > 0.0:
-                raise ValueError(f"{name} must be positive, got {v}")
-        if not self.alpha >= 0.0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+            if not 0.0 < v < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be non-negative and finite, got {self.alpha}")
         if not np.isfinite(self.c):
             raise ValueError(f"c must be finite, got {self.c}")
         if not 0.0 <= self.c <= 1.0:

@@ -128,6 +128,20 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "l.csv").exists()
 
+    # an infinite --aj or --k used to simulate a loop, and --ms or --alpha to exit 3
+    @pytest.mark.parametrize("flag, message", [
+        ("--aj", "aJ must be positive and finite, got inf"),
+        ("--alpha", "alpha must be non-negative and finite, got inf"),
+        ("--k", "k must be positive and finite, got inf"),
+        ("--ms", "Ms must be positive and finite, got inf"),
+    ])
+    def test_infinite_simulation_parameter_named(self, tmp_path, capsys, flag, message):
+        argv = ["simulate-loop", "--aj", "972", "--alpha", "1.4e-3", "--c", "0.1", "--k", "1000",
+                "--ms", str(MS), "--hmax", "5000", "--out", str(tmp_path / "l.csv"), flag, "inf"]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "l.csv").exists()
+
     @pytest.mark.parametrize("command, flag, message", [
         ("fit-anhysteretic", "--ha1", "ha1 must be positive and finite, got inf"),
         ("fit-anhysteretic", "--eps", "eps must be positive and finite, got inf"),
@@ -234,6 +248,10 @@ _BAD_REPORTS = [
     ("features-null", '{"features": {"chi_in": 50.0, "chi_an": null}}', ["--features"], "chi_an"),
     ("features-list", "[50.0, 500.0]", ["--features"], "features"),
     ("features-missing", '{"features": {"chi_in": 50.0}}', ["--features"], "chi_an"),
+    # float() reads true as 1.0 and "50" as 50.0; a report holds JSON numbers
+    ("params-bool-aj", '{"result": {"aJ": true, "alpha": 0.0014}, "config": {"ms": 1.6e6}}',
+     [*_SIMULATE, "--params"], "aJ"),
+    ("features-str", '{"features": {"chi_in": "50", "chi_an": 500.0}}', ["--features"], "chi_in"),
 ]
 
 
@@ -253,6 +271,14 @@ class TestSavedReports:
         err = capsys.readouterr().err
         assert code == 2
         assert str(path) in err and repr(key) in err
+
+    def test_integer_past_the_float_range_is_infinite(self, tmp_path, capsys):
+        # read as inf, like 1e400, and rejected as bad input; float() of the int raised OverflowError
+        path = tmp_path / "saved.json"
+        path.write_text('{"result": {"aJ": 1' + "0" * 400 + ', "alpha": 0.0014}, "config": {"ms": 1.6e6}}')
+        code = cli.main([*_SIMULATE, "--params", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "aJ must be positive and finite, got inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verbose", [False, True])

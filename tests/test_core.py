@@ -124,6 +124,59 @@ class TestLangevinPrime:
         assert 0.0 < v <= 1.0 / 3.0 + 1e-15
 
 
+class TestLangevinPrimeFromL:
+    """L' from the caller's L(x), without sinh, agrees with the sinh form."""
+
+    _mag = np.geomspace(1e-6, 1e8, 14_001)
+    _edges = np.array([1e-3, 20.0])  # the series and 1/x^2 switch points and their neighbours
+    _mag = np.concatenate([_mag, _edges, np.nextafter(_edges, 0.0), np.nextafter(_edges, np.inf)])
+    X = np.concatenate([[0.0, 5e-324, 710.0, 1e300], _mag, -_mag, [-710.0, -1e300]])
+
+    @staticmethod
+    def _check(x, fused, sinh_form):
+        assert np.all(np.isfinite(fused))
+        small = np.abs(x) < core._X_SWITCH
+        assert np.array_equal(fused[small], 1.0 / 3.0 - x[small] * x[small] / 15.0)
+        # Both forms carry langevin's cancellation, ~7e-16/x^2 relative for |x| < 1 (2.7e-9
+        # measured just above the switch, each form 1.4e-9 from a 40-digit L'); the identity
+        # also cancels as x^2 up to |x| = 20 (1.6e-13 there).
+        a2 = np.clip(np.abs(x), core._X_SWITCH, core._X_IDENTITY_MAX) ** 2
+        bound = 5e-15 / a2 + 1e-15 * a2 + 1e-15
+        assert np.all(np.abs(fused - sinh_form) <= bound * np.abs(sinh_form))
+
+    def test_array(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no floating-point warning on any lane
+            fused = langevin_prime(self.X, langevin(self.X))
+        self._check(self.X, fused, langevin_prime(self.X))
+
+    def test_block_shape(self):
+        x = np.stack([self.X, self.X[::-1]])
+        fused = langevin_prime(x, langevin(x))
+        assert fused.shape == x.shape
+        assert fused[0].tobytes() == langevin_prime(self.X, langevin(self.X)).tobytes()
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_implicit_solve_calls_no_sinh_and_one_lprime_per_iteration(self, block, monkeypatch):
+        def no_sinh(*args, **kwargs):
+            raise AssertionError("np.sinh called")
+
+        lcalls, lpcalls = [], []
+        lang, lprime = core.langevin, core.langevin_prime
+        monkeypatch.setattr(core.np, "sinh", no_sinh)
+        monkeypatch.setattr(core, "langevin", lambda *a: lcalls.append(a) or lang(*a))
+        monkeypatch.setattr(core, "langevin_prime", lambda *a: lpcalls.append(a) or lprime(*a))
+        Ha = np.linspace(-2.0e4, 2.0e4, 401)  # H = 0, and |x| > 20 at both ends
+        if block:  # the -1e-2 row runs into the bisection phase
+            aJ, alpha = np.array([[972.0], [50.0], [972.0]]), np.array([[1.4e-3], [1e-5], [-1e-2]])
+        else:
+            aJ, alpha = 972.0, 1.4e-3
+        _implicit_array(Ha, aJ, alpha, 1.6e6, 1e-9 * 1.6e6)
+        # langevin once for the start, then once per iteration, as is L'
+        assert len(lpcalls) == len(lcalls) - 1 > (core._NEWTON_STEPS if block else 1)
+        assert all(len(a) == 2 for a in lpcalls)
+
+
 def _langevin_where(x):
     """The all-lane ``np.where`` array body that ``langevin`` replaced."""
     small = np.abs(x) < core._X_SWITCH
@@ -339,7 +392,7 @@ class TestImplicitBlock:
         iters = []
         lprime = core.langevin_prime
         calls = []
-        monkeypatch.setattr(core, "langevin_prime", lambda x: calls.append(1) or lprime(x))
+        monkeypatch.setattr(core, "langevin_prime", lambda *a: calls.append(1) or lprime(*a))
         singles = []
         for aJ, alpha in self.ROWS:
             before = len(calls)
@@ -397,7 +450,7 @@ class TestImplicitRegimes:
         """Iterations of each solve, counted as L' calls (one per iteration)."""
         calls = []
         lprime = core.langevin_prime
-        monkeypatch.setattr(core, "langevin_prime", lambda x: calls.append(1) or lprime(x))
+        monkeypatch.setattr(core, "langevin_prime", lambda *a: calls.append(1) or lprime(*a))
         return calls
 
     @pytest.mark.parametrize("regime", list(RATIOS))
@@ -425,7 +478,7 @@ class TestImplicitRegimes:
         calls = self._counted(monkeypatch)
         Ha = np.array([-1e3, -1e-3, 0.0, 1e-3, 3e-3, 1e-2, 1.0, 1e3, 1e6])
         rows = [
-            (1.0e5, 0.1874995),  # alpha*Ms/(3*aJ) = 0.999997: noise at mA/m fields
+            (1.0e5, 0.18749998125),  # alpha*Ms/(3*aJ) = 0.9999999: noise at mA/m fields
             (972.0, -1.0e-2),  # alpha*Ms/(3*aJ) = -5.5: x < 0 above the root
             (972.0, 1.4e-3),
         ]

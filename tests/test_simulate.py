@@ -134,6 +134,12 @@ class TestParams:
             with pytest.raises(ValueError):
                 HysteresisParams(**base)
 
+    @pytest.mark.parametrize("name", ["aJ", "alpha", "k", "Ms"])
+    def test_non_finite_names_the_field(self, name):
+        base = dict(aJ=972.0, alpha=1.4e-3, c=0.1, k=1000.0, Ms=MS)
+        with pytest.raises(ValueError, match=f"^{name} must be .*finite, got inf$"):
+            HysteresisParams(**{**base, name: np.inf})
+
     def test_c_outside_unit_interval_warns(self):
         with pytest.warns(NonPhysicalParameterWarning):
             HysteresisParams(aJ=972.0, alpha=1.4e-3, c=1.2, k=1000.0, Ms=MS)

@@ -81,15 +81,18 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path = loop_dir / "loop_semicolon_crlf.csv"
     path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
     flags["loop-semicolon"] = ["--loop", str(path.relative_to(out))]
-    # saved reports a later stage cannot read: a JSON list as --params, and a features
-    # report with a null feature; both exit 2 naming the file and the key.  Features with
-    # a NaN remanence or a zero anhysteretic slope are bad measurements: exit 2 too
+    # saved reports a later stage cannot read: a JSON list as --params, a fit report whose
+    # aJ is the JSON boolean true, and a features report with a null feature; all exit 2
+    # naming the file and the key.  Features with a NaN remanence or a zero anhysteretic
+    # slope are bad measurements: exit 2 too
     rep_dir = out / "inputs" / "reports"
     rep_dir.mkdir()
     features = {"chi_in": 50.0, "chi_an": 500.0, "chi_max": 1500.0, "chi_r": 1900.0,
                 "chi_m": 50.0, "Hc": 120.0, "Mr": 5.0e5, "Hm": 5000.0, "Mm": 1.3e6}
     for name, flag, obj in (
         ("params_list.json", "--params", [972.0, 1.4e-3]),
+        ("params_bool.json", "--params", {"result": {"aJ": True, "alpha": 1.4e-3},
+                                          "config": {"ms": inputs.MS}}),
         ("features_null.json", "--features", {"features": {"chi_in": 50.0, "chi_an": None}}),
         ("features_nan_mr.json", "--features", {"features": {**features, "Mr": float("nan")}}),
         ("features_zero_chi_an.json", "--features", {"features": {**features, "chi_an": 0.0}}),
@@ -146,6 +149,7 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("simulate-loop-m0", [*steel, "--m0", "4e5"], ["--steps", "2000"]),
         ("simulate-loop-steps-9000", steel, ["--steps", "9000"]),
         ("simulate-loop-params-list", f["params_list.json"], ["--steps", "2000"]),
+        ("simulate-loop-params-bool", f["params_bool.json"], ["--steps", "2000"]),
         # alpha*Ms/(3*aJ) = 0.99996: the pre-solve where the solver's last bits move most
         ("simulate-loop-near-critical", ["--aj", "20000", "--alpha", "0.0374985", "--ms", MS],
          ["--steps", "2000"]),
@@ -180,10 +184,15 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         "--cycles", "3", "--steps", "12000",
         "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
     ]))
-    # a non-finite c or M0 is rejected before the loop is integrated: exit 2 naming it
-    for name, c, m0 in (("simulate-loop-c-nan", "nan", "0"), ("simulate-loop-m0-nan", "0.1", "nan")):
+    # a non-finite c, M0, aJ or k is rejected before the loop is integrated: exit 2 naming it
+    for name, params, c, k, m0 in (
+        ("simulate-loop-c-nan", steel, "nan", "1000", "0"),
+        ("simulate-loop-m0-nan", steel, "0.1", "1000", "nan"),
+        ("simulate-loop-aj-inf", ["--aj", "inf", "--alpha", "1.4e-3", "--ms", MS], "0.1", "1000", "0"),
+        ("simulate-loop-k-inf", steel, "0.1", "inf", "0"),
+    ):
         cmds.append((name, [
-            "simulate-loop", *steel, "--c", c, "--k", "1000", "--hmax", "5000", "--m0", m0,
+            "simulate-loop", *params, "--c", c, "--k", k, "--hmax", "5000", "--m0", m0,
             "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
         ]))
     curves = [*f["loop"], *f["first_mag"], *f["anhysteretic"]]
