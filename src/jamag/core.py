@@ -10,9 +10,9 @@ with ``aJ = kB*T / (mu0*m)`` the shape parameter in A/m and ``alpha`` the
 dimensionless interdomain coupling.  ``aJ`` and ``m`` are two encodings of
 the same quantity; both appear in reports.
 
-The implicit curve is solved by Newton's method from above its root, with a
-bisection safeguard for the rare rows not done in ``_NEWTON_STEPS`` steps.
-Each step takes L' from the L it has just computed, so it costs one tanh.
+The implicit curve is solved by Newton's method from below its root, at the
+root of the cubic L(x) ~ x/3 - x^3/45 gives, bisecting the rare rows not done
+in ``_NEWTON_STEPS`` steps.  Each step takes L' from its L: one tanh a step.
 Scalar arguments use plain ``math`` calls; numpy arrays are handled
 elementwise, with no floating-point warnings.  SI units (A/m, K, A*m^2).
 """
@@ -46,7 +46,7 @@ _IMPLICIT_REL_TOL = 1e-9
 """Default absolute tolerance for the implicit solve, as a fraction of Ms."""
 
 _MAX_ITER = 200  # iteration cap of the implicit solve
-_NEWTON_STEPS = 16  # unbracketed Newton steps before a still-active row is bracketed
+_NEWTON_STEPS = 16  # Newton steps before a row not yet done (alpha < 0, mostly) is bracketed
 
 
 @dataclass(frozen=True)
@@ -186,13 +186,14 @@ def _implicit_array(
 ) -> np.ndarray:
     """Vectorized Newton solve of M = Ms*L((|Ha| + alpha*M)/aJ) on [0, Ms].
 
-    The start is above the root: the uncoupled curve for alpha <= 0, else
-    Ms*L(min(A/(aJ - alpha*Ms/3), (A + alpha*Ms)/aJ)), A = |Ha|, as
-    aJ*x - alpha*Ms*L(x) - A is convex on x >= 0 with a positive origin slope.
-    M - Ms*L(x) increases, convex where x >= 0, so Newton descends to the root
-    unbracketed.  Rows not done in ``_NEWTON_STEPS`` steps (stability nearly
-    lost at mA/m fields, or alpha*Ms/(3*aJ) < -1) switch on a [lo, hi] bracket
-    from [0, Ms] that bisects any step leaving it, so every row terminates.
+    The start Ms*L(x_c), A = |Ha|, is at or below the root: x_c solves the
+    cubic eps*x + (alpha*Ms/45)*x^3 = A, eps = aJ - alpha*Ms/3, and L(x) >=
+    x/3 - x^3/45 on x >= 0.  M - Ms*L(x) increases, convex where x >= 0, so the
+    first step lands at or above the root and Newton descends from there
+    unbracketed.  alpha <= 0 gives the uncoupled start A/aJ.  Rows not done in
+    ``_NEWTON_STEPS`` steps (alpha*Ms/(3*aJ) < -1, or near stability at mA/m
+    fields) switch on a [lo, hi] bracket from [0, Ms] that bisects any step
+    leaving it, so every row terminates.
     This is the only solver of the implicit curve; scalar fields reach it as
     one-element arrays.
 
@@ -206,11 +207,19 @@ def _implicit_array(
     sign = np.sign(Ha)
     A = np.abs(Ha.astype(np.float64, copy=False))
     a = np.maximum(alpha, 0.0)  # alpha <= 0 starts on the uncoupled curve, H = 0 lanes on M = 0
-    x = A + a * Ms
-    M = Ms * langevin(np.minimum(A / (aJ - a * Ms / 3.0), np.divide(x, aJ, out=x), out=x))
+    eps = aJ - a * Ms / 3.0  # not positive only where rounding ate the stability margin
+    with np.errstate(all="ignore"):  # such rows take w = 0 and the bound below: min(A/eps, ...)
+        x = A / eps  # times 3c/(c^2 + c + 1), c = cbrt(w + sqrt(w^2 + 1))^2: x_c, free of cancellation
+        w = np.where(eps > 0.0, np.sqrt(0.15 * a * Ms / eps) / eps, 0.0) * A
+        c = np.multiply(w, w)
+        c = np.square(np.cbrt(np.add(w, np.sqrt(np.add(c, 1.0, out=c), out=c), out=c), out=c), out=c)
+        x *= np.divide(3.0, np.add(np.add(c, 1.0, out=w), np.divide(1.0, c, out=c), out=c), out=c)
+        if not np.all(eps > 0.0):  # on the other rows x_c, below the root, is below this bound
+            x = np.minimum(x, (A + a * Ms) / aJ)
+    M = np.multiply(Ms, langevin(x), out=x)
     kappa = alpha * Ms / aJ
-    out, rows = np.empty_like(M), np.arange(len(M))  # the result; out index of each active row
-    buf = np.empty_like(M)  # x of each iteration
+    out, rows = w, np.arange(len(M))  # the result, in the start's scratch; out index of each active row
+    buf = c  # x of each iteration
     lo = hi = None  # the safeguard bracket, off for the first _NEWTON_STEPS iterations
 
     for it in range(_MAX_ITER):
@@ -254,7 +263,7 @@ def anhysteretic_implicit(
 ):
     """Self-consistent anhysteretic magnetization at applied field ``Ha``.
 
-    Solves M = Ms * L((Ha + alpha*M)/aJ) by Newton iteration from above the
+    Solves M = Ms * L((Ha + alpha*M)/aJ) by Newton iteration from below the
     root, bracketed in [0, Ms] if not done in ``_NEWTON_STEPS`` steps
     (mirrored for negative fields, so the result is exactly odd).
     Default tolerance is 1e-9 * Ms.  Raises :class:`UnstableParams` when

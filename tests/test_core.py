@@ -23,8 +23,9 @@ import jamag.anfit as anfit
 import jamag.core as core
 from jamag.anfit import AnhystereticFitConfig
 from jamag.core import _implicit_array, _slope_raw
+from jamag.dataio import CurveKind, MagnetizationCurve
 from jamag.errors import NoConvergence, SingularSlope, UnstableParams
-from jamag.validation import GRID_ROWS, run_row
+from jamag.validation import GRID_ROWS, H_MAX, N_SAMPLES, run_row, synthetic_curve
 
 # high-precision references, 50-digit arithmetic
 L_REF = {
@@ -161,20 +162,22 @@ class TestLangevinPrimeFromL:
         def no_sinh(*args, **kwargs):
             raise AssertionError("np.sinh called")
 
-        lcalls, lpcalls = [], []
+        calls = []
         lang, lprime = core.langevin, core.langevin_prime
         monkeypatch.setattr(core.np, "sinh", no_sinh)
-        monkeypatch.setattr(core, "langevin", lambda *a: lcalls.append(a) or lang(*a))
-        monkeypatch.setattr(core, "langevin_prime", lambda *a: lpcalls.append(a) or lprime(*a))
+        monkeypatch.setattr(core, "langevin", lambda *a: calls.append(("L", a)) or lang(*a))
+        monkeypatch.setattr(core, "langevin_prime", lambda *a: calls.append(("L'", a)) or lprime(*a))
         Ha = np.linspace(-2.0e4, 2.0e4, 401)  # H = 0, and |x| > 20 at both ends
         if block:  # the -1e-2 row runs into the bisection phase
             aJ, alpha = np.array([[972.0], [50.0], [972.0]]), np.array([[1.4e-3], [1e-5], [-1e-2]])
         else:
             aJ, alpha = 972.0, 1.4e-3
         _implicit_array(Ha, aJ, alpha, 1.6e6, 1e-9 * 1.6e6)
-        # langevin once for the start, then once per iteration, as is L'
-        assert len(lpcalls) == len(lcalls) - 1 > (core._NEWTON_STEPS if block else 1)
-        assert all(len(a) == 2 for a in lpcalls)
+        # langevin once for the start, which calls no L', then langevin and L' once per iteration
+        n = sum(kind == "L'" for kind, _ in calls)
+        assert [kind for kind, _ in calls] == ["L"] + ["L", "L'"] * n
+        assert n > (core._NEWTON_STEPS if block else 1)
+        assert all(len(a) == 2 for kind, a in calls if kind == "L'")
 
 
 def _langevin_where(x):
@@ -374,7 +377,7 @@ class TestImplicitBlock:
     # negative, zero and positive fields; the zero lane starts on its bracket [0, 0]
     HA = np.array([-2.0e4, -1.0e3, -10.0, 0.0, 10.0, 300.0, 1.0e3, 5.0e3, 2.0e4])
     ROWS = [
-        (972.0, 1.4e-3),  # the steel reference
+        (972.0, 1.0e-3),  # alpha*Ms/(3*aJ) = 0.55: 3 iterations, one fewer than near stability
         (972.0, 0.0),  # uncoupled
         (972.0, -4.0e-3),  # negative alpha, as a NON_PHYSICAL_ALPHA candidate has
         (1000.0, 1.87e-3),  # alpha*Ms/(3*aJ) = 0.997, near stability
@@ -426,7 +429,7 @@ class TestImplicitBlock:
         assert block[0].tobytes() == one.tobytes()
 
     def test_a_row_that_misses_the_tolerance_fails_the_block(self, monkeypatch):
-        # the near-stability row needs 8 iterations, the alpha < 0 rows 5 and 27, the others 1 to 4
+        # the alpha < 0 rows need 5 and 23 iterations, the others 1 to 4
         monkeypatch.setattr(core, "_MAX_ITER", 6)
         with pytest.raises(NoConvergence):
             self._block(self.HA, self.ROWS)
@@ -471,8 +474,9 @@ class TestImplicitRegimes:
             # most 1 + 5 for alpha*Ms/(3*aJ) >= -5.
             resid = M - self.MS * langevin((np.abs(Ha) + alpha * M) / aJ)
             assert np.max(np.abs(resid)) <= 6.0 * self.TOL, (aJ, alpha)
-        # the two regimes that need the bracket reach it on some draws
-        assert (bracketed > 0) == (regime in ("near-critical", "negative")), bracketed
+        # on these draws only alpha < 0 reaches the bracket: coupled and near-critical rows
+        # start at the root of the cubic, below their own, and are done in 1 to 7 steps
+        assert (bracketed > 0) == (regime == "negative"), bracketed
 
     def test_bracketed_rows_match_single_curves_bitwise(self, monkeypatch):
         calls = self._counted(monkeypatch)
@@ -513,6 +517,118 @@ class TestImplicitRegimes:
         for aJ, alpha in GRID_ROWS:
             run_row(aJ, alpha, AnhystereticFitConfig(eps=1e-4))
         assert len(iters) > 6 and max(iters) <= core._NEWTON_STEPS, max(iters)
+
+
+class TestImplicitStart:
+    """A row with alpha > 0 starts at Ms*L(x_c), x_c the root of eps*x + (alpha*Ms/45)*x^3 = A.
+
+    G(M) = M - Ms*L((A + alpha*M)/aJ) increases, so G(M) <= 0 means M is at or
+    below the root.  x/3 - x^3/45 <= L(x) on x >= 0 puts the start below the
+    root, and the convexity of G puts the first Newton step at or above it.
+    """
+
+    MS = 1.6e6
+    TOL = 1e-9 * MS
+
+    @staticmethod
+    def _traced(monkeypatch):
+        """("L", x) and ("L'", x) for each kernel call of the solve, in order."""
+        events = []
+        lang, lprime = core.langevin, core.langevin_prime
+        monkeypatch.setattr(core, "langevin", lambda x: events.append(("L", x.copy())) or lang(x))
+        monkeypatch.setattr(
+            core, "langevin_prime", lambda x, L=None: events.append(("L'", x.copy())) or lprime(x, L)
+        )
+        return events
+
+    def _slack(self, A, M, aJ, alpha):
+        """Rounding of G(M): langevin's cancellation, ~7e-16/x^2 relative below x = 1."""
+        x = (A + alpha * M) / aJ
+        return 4e-15 * M * (1.0 + 1.0 / np.minimum(x, 1.0) ** 2), x
+
+    @pytest.mark.parametrize("regime", ["coupled", "near-critical"])
+    def test_start_is_below_the_root_and_the_first_step_above_it(self, regime, monkeypatch):
+        events = self._traced(monkeypatch)
+        rng = np.random.default_rng(10 + list(TestImplicitRegimes.RATIOS).index(regime))
+        for _ in range(300):
+            aJ = 10.0 ** rng.uniform(1.0, 5.0)
+            alpha = TestImplicitRegimes.RATIOS[regime](rng) * 3.0 * aJ / self.MS
+            A = 10.0 ** rng.uniform(-3.0, 6.0, 16)
+            events.clear()
+            M1 = _implicit_array(A, aJ, alpha, self.MS, math.inf)  # one Newton step, then done
+            M0 = self.MS * langevin(events[0][1])
+            M = _implicit_array(A, aJ, alpha, self.MS, self.TOL)
+            for Mk, sign in ((M0, 1.0), (M1, -1.0)):
+                slack, x = self._slack(A, Mk, aJ, alpha)
+                assert np.all(sign * (Mk - self.MS * langevin(x)) <= slack), (aJ, alpha)
+            # the converged root is known to TOL plus G's rounding over its slope
+            slack, x = self._slack(A, M, aJ, alpha)
+            slope = 1.0 - alpha * self.MS / aJ * langevin_prime(x)
+            assert np.all(M0 <= M + self.TOL + slack / slope), (aJ, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, -4.0e-3, -1.0e-2])
+    def test_rows_without_coupling_start_uncoupled(self, alpha, monkeypatch):
+        events = self._traced(monkeypatch)
+        Ha = np.array([-2.0e4, -10.0, 0.0, 1e-3, 300.0, 5.0e3, 4.0e5])
+        A = np.abs(Ha)
+        _implicit_array(Ha, 972.0, alpha, self.MS, self.TOL)
+        assert events[0][1].tobytes() == (A / 972.0).tobytes()
+        events.clear()  # and as a row of a block beside a coupled one
+        aJ, alphas = np.array([[972.0], [50.0]]), np.array([[alpha], [1e-5]])
+        _implicit_array(Ha, aJ, alphas, self.MS, self.TOL)
+        assert events[0][1][0].tobytes() == (A / 972.0).tobytes()
+
+    def test_iteration_budget(self, monkeypatch):
+        events = self._traced(monkeypatch)
+
+        def iterations():
+            return sum(kind == "L'" for kind, _ in events)
+
+        for aJ, alpha in GRID_ROWS:
+            events.clear()
+            synthetic_curve(aJ, alpha)
+            assert iterations() <= 5, (aJ, alpha, iterations())
+        # one sweep block of the plain fit: 81 candidates at coupling 0.97-0.9992
+        H = np.linspace(H_MAX / N_SAMPLES, H_MAX, N_SAMPLES)
+        for aJ in (100.0, 972.0, 1.0e4):
+            alpha = np.linspace(0.97, 0.9992, 81)[:, None] * 3.0 * aJ / self.MS
+            events.clear()
+            _implicit_array(H, np.full_like(alpha, aJ), alpha, self.MS, self.TOL)
+            assert iterations() <= 5, (aJ, iterations())
+
+    # A sweep over a curve with M near 1e20 reaches rows whose eps = aJ - alpha*Ms/3 rounds
+    # to 0 although alpha*Ms/(3*aJ) < 1, and rows just past stability where eps < 0.
+    @pytest.mark.parametrize("aJ, alpha", [(20000.00000000002, 0.03750000000000003), (1000.0, 0.0018750000000000001)])
+    def test_rows_without_stability_margin_keep_the_old_start(self, aJ, alpha, monkeypatch):
+        eps = aJ - alpha * self.MS / 3.0
+        assert eps <= 0.0 and (eps < 0.0 or alpha * self.MS / (3.0 * aJ) < 1.0)
+        events = self._traced(monkeypatch)
+        monkeypatch.setattr(core, "_MAX_ITER", 0)  # the start only
+        Ha = np.array([-1.0e3, 0.0, 1e-3, 50.0, 1.0e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence):
+                _implicit_array(Ha, aJ, alpha, self.MS, self.TOL)
+        A = np.abs(Ha)
+        with np.errstate(all="ignore"):
+            old = np.minimum(A / eps, (A + alpha * self.MS) / aJ)
+        assert events[0][1].tobytes() == old.tobytes()
+        # beside it in a block, a coupled row keeps the start of its own solve
+        starts = []
+        for rows in ([(972.0, 1.4e-3)], [(aJ, alpha), (972.0, 1.4e-3)]):
+            events.clear()
+            with pytest.raises(NoConvergence):
+                _implicit_array(Ha, np.array(rows)[:, :1], np.array(rows)[:, 1:], self.MS, self.TOL)
+            starts.append(events[0][1][-1])
+        assert starts[0].tobytes() == starts[1].tobytes()
+
+    def test_fit_past_the_stability_margin_warns_on_no_lane(self):
+        H = np.linspace(50.0, 1.0e4, 200)
+        data = MagnetizationCurve(H=H, M=np.geomspace(1e20, 1e60, 200), kind=CurveKind.ANHYSTERETIC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = anfit.fit_anhysteretic(data, MaterialSpec(self.MS, 303.5), AnhystereticFitConfig(coarse=True))
+        assert report.eta_star == 0.9
 
 
 class TestSlope:

@@ -66,6 +66,12 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path = anh_dir / "through_zero_malformed.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     flags["zero-malformed"] = [str(path.relative_to(out))]
+    # a noiseless curve at alpha*Ms/(3*aJ) = 0.99945 on validate's grid: near-critical
+    # candidates, where the implicit solve's start is furthest from the linear one
+    H200 = np.linspace(50.0, 1.0e4, 200)
+    path = anh_dir / "near_critical.csv"
+    inputs.write_curve(path, H200, inputs.anhysteretic(H200, 972.0, 1.8215e-3, inputs.MS))
+    flags["near-critical"] = [str(path.relative_to(out))]
     # the noiseless curve shifted down by Ms: M < 0 everywhere, so no initial slope (exit 2)
     path = anh_dir / "negative.csv"
     inputs.write_curve(path, H, inputs.anhysteretic(H, 972.0, 1.4e-3, inputs.MS) - inputs.MS)
@@ -126,6 +132,11 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
             "fit-anhysteretic", *f[curve], *material, "--coarse",
             "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
         ]))
+    name = "fit-anhysteretic-argmin-near-critical"
+    cmds.append((name, [
+        "fit-anhysteretic", *f["near-critical"], *material, "--eps", "1e-4",
+        "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
+    ]))
     # a low reference field: the winner's Langevin argument is about 2.4, where the chi
     # solve starts from its 3y bound; and non-finite settings, which exit 2 naming them
     for name, extra in (
