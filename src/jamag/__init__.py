@@ -1,12 +1,9 @@
-"""Jiles-Atherton magnetization curves: models, fitting and simulation."""
+"""Jiles-Atherton magnetization curves: models, fitting and simulation.
 
-from .anfit import (
-    AnhystereticFitConfig,
-    FitReport,
-    fit_anhysteretic,
-    initial_susceptibility,
-    solve_chi_param,
-)
+The names below are the supported API; the submodules are internal.
+"""
+
+from .anfit import AnhystereticFitConfig, FitReport, fit_anhysteretic
 from .core import (
     KB,
     MU0,
@@ -36,40 +33,22 @@ from .errors import (
     DegenerateSweep,
     EmptyFile,
     InsufficientSamples,
-    InvalidBracket,
     JamagError,
     MissingBranch,
     NoConvergence,
     NonPhysicalParameterWarning,
     NoPositiveSample,
-    NoSignChange,
     NoSolution,
     ParseError,
-    RootFindError,
     SingularDenominator,
     SingularSlope,
     UnitError,
     UnstableParams,
     ZeroDenominator,
 )
-from .jiles92 import (
-    Jiles92Config,
-    Jiles92Result,
-    aj_initial,
-    aj_update,
-    alpha_update,
-    c_from_susceptibilities,
-    estimate,
-    k_from_coercive,
-)
-from .rootfind import expand_bracket, find_root
-from .simulate import (
-    FieldWaveform,
-    HysteresisParams,
-    dM_dH,
-    integrate,
-)
-from .validation import GRID_MATERIAL, GRID_ROWS, RowResult, run_grid, run_row, synthetic_curve
+from .jiles92 import Jiles92Config, Jiles92Result, estimate
+from .simulate import FieldWaveform, HysteresisParams, dM_dH, integrate
+from .validation import RowResult, run_grid
 
 __version__ = "0.1.0"
 
@@ -85,11 +64,8 @@ __all__ = [
     "EmptyFile",
     "FieldWaveform",
     "FitReport",
-    "GRID_MATERIAL",
-    "GRID_ROWS",
     "HysteresisParams",
     "InsufficientSamples",
-    "InvalidBracket",
     "JamagError",
     "Jiles92Config",
     "Jiles92Result",
@@ -100,10 +76,8 @@ __all__ = [
     "NoConvergence",
     "NonPhysicalParameterWarning",
     "NoPositiveSample",
-    "NoSignChange",
     "NoSolution",
     "ParseError",
-    "RootFindError",
     "RowResult",
     "SingularDenominator",
     "SingularSlope",
@@ -111,30 +85,20 @@ __all__ = [
     "UnitError",
     "UnstableParams",
     "ZeroDenominator",
-    "aj_initial",
-    "aj_update",
     "alpha_from_susceptibilities",
-    "alpha_update",
     "anhysteretic_explicit",
     "anhysteretic_implicit",
     "anhysteretic_slope",
-    "c_from_susceptibilities",
     "dM_dH",
     "estimate",
-    "expand_bracket",
     "extract_features",
-    "find_root",
     "fit_anhysteretic",
-    "initial_susceptibility",
     "integrate",
     "langevin",
     "langevin_prime",
     "moment_from_susceptibility",
     "parse_curve",
     "run_grid",
-    "run_row",
     "shape_param_from_moment",
-    "solve_chi_param",
     "split_branches",
-    "synthetic_curve",
 ]

@@ -47,6 +47,7 @@ from .core import (
 )
 from .dataio import MagnetizationCurve
 from .errors import (
+    DataError,
     DegenerateSweep,
     InsufficientSamples,
     JamagError,
@@ -203,7 +204,8 @@ def fit_anhysteretic(
     """Estimate (aJ, alpha, m) from an anhysteretic curve.
 
     ``data`` must have strictly increasing H and at least 3 samples.
-    Raises :class:`DegenerateSweep` if the very first eta step fails.
+    Raises :class:`DataError` if M is too large for a finite residual norm,
+    and :class:`DegenerateSweep` if the very first eta step fails.
     """
     H, M = data.H, data.M
     if H.size < 3:
@@ -212,6 +214,13 @@ def fit_anhysteretic(
         raise ValueError("fields must be strictly increasing")
 
     Ms, T = material.Ms, material.T
+    with np.errstate(over="ignore"):
+        data_norm2 = (MU0 * M) @ (MU0 * M)
+    if not math.isfinite(data_norm2):
+        raise DataError(
+            f"max |M| = {np.max(np.abs(M)):.6g} A/m against Ms = {Ms:.6g} A/m: "
+            "the residual norm overflows"
+        )
     chi_a = initial_susceptibility(data, points=cfg.slope_points)
     m1 = moment_from_susceptibility(chi_a, Ms, T)
     # secant susceptibility of the equivalent paramagnet at ha1

@@ -56,6 +56,8 @@ class HysteresisParams:
                 NonPhysicalParameterWarning,
                 stacklevel=2,
             )
+        if self.c == -1.0:
+            raise ValueError("c = -1 makes the 1 + c divisor of dM/dH vanish")
 
 
 @dataclass(frozen=True)
@@ -170,8 +172,6 @@ def integrate(
     _check_stability(p.aJ, p.alpha, p.Ms)
     c, alpha, Ms = p.c, p.alpha, p.Ms
     c1 = 1.0 + c
-    if c1 == 0.0:
-        raise ValueError("c = -1 makes the 1 + c divisor of dM/dH vanish")
 
     S = waveform.steps_per_segment
     tol = _MAN_REL_TOL * Ms
@@ -228,15 +228,13 @@ def integrate(
                     if M == m_ref and M:
                         break
             except ZeroDivisionError:
-                # dm is the failing stage's M_an - M: _rhs raises the error that names it
-                try:
-                    _rhs(dm, 0.0, 0.0, delta, dk, alpha, c1, False)
-                except SingularDenominator as err:
-                    i = b0 + len(block)
-                    raise SingularDenominator(
-                        f"{err} at segment {seg}, step {i}", step_index=step_base + i
-                    ) from None
-                raise
+                # 1 + c is not 0, so dk - alpha*dm is, with dm the failing stage's M_an - M
+                i = b0 + len(block)
+                raise SingularDenominator(
+                    f"delta*k - alpha*(M_an - M) vanished (M_an - M = {dm:.6g})"
+                    f" at segment {seg}, step {i}",
+                    step_index=step_base + i,
+                ) from None
             done = step_base + b0 + len(block)
             M_out[step_base + b0 + 1 : done + 1] = block
             if M == m_ref and M:  # joined ref: the last step's test held

@@ -237,6 +237,20 @@ class TestMeasuredValueErrors:
         assert code == 2
         assert "error: no sample with H > 0 and M > 0" in capsys.readouterr().err
 
+    def test_residual_norm_overflow(self, tmp_path):
+        # |M| up to 1e304: the residual norm is not a float, so the fit has no winner
+        path = tmp_path / "huge.csv"
+        write_curve_file(path, np.linspace(10.0, 1.0e4, 200), np.logspace(20.0, 304.0, 200))
+        r = run_cli(
+            "fit-anhysteretic", path, "--coarse", "--ms", MS, "--temp", T,
+            "--out", tmp_path / "out.json", "--curve-out", tmp_path / "c.csv",
+        )
+        assert r.returncode == 2
+        assert r.stderr == (
+            "error: max |M| = 1e+304 A/m against Ms = 1.6e+06 A/m: the residual norm overflows\n"
+        )
+        assert not (tmp_path / "out.json").exists()
+
 
 # (id, saved report text, the command that reads it, the key its error names)
 _SIMULATE = ["simulate-loop", "--c", "0.1", "--k", "1000", "--hmax", "5000", "--steps", "50"]

@@ -146,6 +146,12 @@ class TestParams:
         with pytest.warns(NonPhysicalParameterWarning):
             HysteresisParams(aJ=972.0, alpha=1.4e-3, c=-0.1, k=1000.0, Ms=MS)
 
+    def test_c_of_minus_one_raises(self):
+        # 1 + c divides dM/dH: dM_dH and integrate both rely on this check
+        with pytest.warns(NonPhysicalParameterWarning):
+            with pytest.raises(ValueError, match="^c = -1 makes the 1 \\+ c divisor of dM/dH vanish$"):
+                HysteresisParams(aJ=972.0, alpha=1.4e-3, c=-1.0, k=1000.0, Ms=MS)
+
 
 class TestWaveform:
     def test_cyclic_targets(self):
@@ -335,9 +341,8 @@ class TestIntegrate:
 
     def test_c_of_minus_one_rejected(self):
         with pytest.warns(NonPhysicalParameterWarning):
-            p = steel(c=-1.0)
-        with pytest.raises(ValueError, match="1 \\+ c"):
-            integrate(p, FieldWaveform((0.0, 100.0)))
+            with pytest.raises(ValueError, match="1 \\+ c"):
+                integrate(steel(c=-1.0), FieldWaveform((0.0, 100.0)))
 
 
 class TestIntegrateBitwise:

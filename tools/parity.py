@@ -8,8 +8,9 @@ runs as ``python -m jamag ... --deterministic`` with the jamag package found
 in SRC_DIR (default: this checkout's ``src``) and OUT_DIR as the working
 directory, so every path in a report is relative and the same on any tree.
 A command's report and curve files, its ``stdout.txt``, ``stderr.txt`` and
-``exit.txt`` go to OUT_DIR/<command name>.  To compare two trees, run the
-tool once per tree and diff the results:
+``exit.txt`` go to OUT_DIR/<command name>, and the sorted ``jamag.__all__``
+of the package to OUT_DIR/surface.txt.  To compare two trees, run the tool
+once per tree and diff the results:
 
     python3 tools/parity.py /tmp/new
     python3 tools/parity.py /tmp/old --src /path/to/old-checkout/src
@@ -76,6 +77,10 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path = anh_dir / "negative.csv"
     inputs.write_curve(path, H, inputs.anhysteretic(H, 972.0, 1.4e-3, inputs.MS) - inputs.MS)
     flags["negative"] = [str(path.relative_to(out))]
+    # M from 1e20 to 1e304 A/m: the residual norm overflows float64 (exit 2)
+    path = anh_dir / "overflow.csv"
+    inputs.write_curve(path, np.linspace(10.0, 1.0e4, 200), np.logspace(20.0, 304.0, 200))
+    flags["overflow"] = [str(path.relative_to(out))]
     # a dense two-cycle loop, its first-magnetization branch and anhysteretic curve
     (case,) = inputs.jiles_cases(1, 1, loop_dir)
     for name, path in case.files.items():
@@ -127,6 +132,7 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-anhysteretic-coarse-zero-whitespace", "zero-ws"),
         ("fit-anhysteretic-coarse-zero-malformed", "zero-malformed"),
         ("fit-anhysteretic-coarse-negative", "negative"),
+        ("fit-anhysteretic-coarse-overflow", "overflow"),
     ):
         cmds.append((name, [
             "fit-anhysteretic", *f[curve], *material, "--coarse",
@@ -195,9 +201,11 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         "--cycles", "3", "--steps", "12000",
         "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
     ]))
-    # a non-finite c, M0, aJ or k is rejected before the loop is integrated: exit 2 naming it
+    # a non-finite c, M0, aJ or k, or c = -1, is rejected before the loop is integrated:
+    # exit 2 naming it
     for name, params, c, k, m0 in (
         ("simulate-loop-c-nan", steel, "nan", "1000", "0"),
+        ("simulate-loop-c-minus-one", steel, "-1", "1000", "0"),
         ("simulate-loop-m0-nan", steel, "0.1", "1000", "nan"),
         ("simulate-loop-aj-inf", ["--aj", "inf", "--alpha", "1.4e-3", "--ms", MS], "0.1", "1000", "0"),
         ("simulate-loop-k-inf", steel, "0.1", "inf", "0"),
@@ -243,6 +251,11 @@ def main(argv: list[str] | None = None) -> int:
     out = args.out.resolve()
     out.mkdir(parents=True, exist_ok=False)
     env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
+    surface = subprocess.run(
+        [sys.executable, "-c", "import jamag; print(*sorted(jamag.__all__), sep='\\n')"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    (out / "surface.txt").write_text(surface, encoding="utf-8")
     for name, cmd in commands(build_inputs(out)):
         (out / name).mkdir()
         r = subprocess.run(
