@@ -21,7 +21,6 @@ import time
 import warnings
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +67,7 @@ _WRITE_ROWS = 1024
 def _memo(items: list, key):
     """``get(i, make)``: ``make()`` for the first of ``items`` with its ``key`` (found
     by ``hash``, confirmed by comparing keys) and that value for the later ones, kept
-    only until the last of them; also returns each item's first index."""
+    only until the last of them."""
     seen, first = {}, []
     for i, item in enumerate(items):
         k = key(item)
@@ -86,15 +85,14 @@ def _memo(items: list, key):
             kept[q] = value
         return value
 
-    return get, first
+    return get
 
 
 def _write_curve(path: str | Path, header: list[str], columns: list, run: int = _WRITE_ROWS) -> None:
     """Write float ``columns`` as CSV rows of each value's ``repr``: row 0, then
     runs of ``run`` rows (``simulate-loop`` passes one segment), each in blocks of
-    at most ``_WRITE_ROWS``.  A block whose column bytes equal an earlier block's is
-    written from that block's text; in a block formatted afresh, a column whose
-    bytes equal an earlier such column (a repeated H grid) takes its strings."""
+    at most ``_WRITE_ROWS``.  A block whose column bytes equal an earlier block's
+    (a later cycle that repeats one) is written from that block's text."""
     n = len(columns[0])
     edges = sorted({0, *range(1, n, run), n})
     blocks = [
@@ -102,21 +100,16 @@ def _write_curve(path: str | Path, header: list[str], columns: list, run: int = 
         for start, stop in zip(edges, edges[1:])
         for b in range(start, stop, _WRITE_ROWS)
     ]
-    text, first = _memo(blocks, lambda rows: tuple(col[rows].tobytes() for col in columns))
-    cells = [col[rows] for b, rows in enumerate(blocks) if first[b] == b for col in columns]
-    strings, same = _memo(cells, np.ndarray.tobytes)
-    taken = {q for i, q in enumerate(same) if q != i}  # cells a later block reuses: kept as lists
-    cell = iter(range(len(cells)))
+    text = _memo(blocks, lambda rows: tuple(col[rows].tobytes() for col in columns))
 
-    def fresh() -> str:  # the text of the next fresh block, from its next len(columns) cells
-        strs = [strings(i, lambda: (list if i in taken else iter)(map(repr, cells[i].tolist())))
-                for i in islice(cell, len(columns))]
-        return "\n".join(map(",".join, zip(*strs))) + "\n"
+    def fresh(rows: slice) -> str:
+        cells = (map(repr, col[rows].tolist()) for col in columns)
+        return "\n".join(map(",".join, zip(*cells))) + "\n"
 
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        for b in range(len(blocks)):
-            f.write(text(b, fresh))
+        for b, rows in enumerate(blocks):
+            f.write(text(b, lambda: fresh(rows)))
 
 
 def _collect_warnings(caught) -> list[dict]:

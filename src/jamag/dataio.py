@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -145,9 +144,6 @@ def _convert_m(h: np.ndarray, raw: np.ndarray, unit: Unit) -> np.ndarray:
 _AUTO_DELIMITERS = (",", ";", "\t")
 """Delimiters tried in this order; whitespace is the fallback."""
 
-_BLOCK_LINES = 4096
-"""Lines joined and split at a time on the bulk path."""
-
 
 def parse_curve(
     path: str | Path,
@@ -166,14 +162,15 @@ def parse_curve(
     :class:`ParseError` (with the 1-based line number, or naming the file
     when it is not UTF-8), :class:`UnitError` or :class:`EmptyFile`.
 
-    A well-formed file is read in bulk: every data row split on one comma,
-    semicolon or tab (or, when no row holds any of them, on whitespace) into
-    the same number of cells, every H and M cell a number, and no row holding
-    a delimiter that comes earlier in that list.  Other files (mixed
-    delimiters, ragged rows, a bad cell) are read line by line.  Both paths
-    parse with ``float``, so they give the same values, and every error comes
-    from the line-by-line path, so it is the same too.  ``kind`` and ``unit``
-    also accept enum values.
+    A well-formed file is read in bulk by ``np.loadtxt``: every data row split
+    on one comma, semicolon or tab (or, when no row holds any of them, on
+    whitespace) into at least two cells, every H and M cell a number, and no
+    row holding a delimiter that comes earlier in that list.  Other files
+    (mixed delimiters, a short row, a bad cell, or cells that ``float`` reads
+    and numpy does not, such as ``1_000`` or non-ASCII digits) are read line
+    by line.  numpy gives ``float``'s bits for every cell it reads, and every
+    error comes from the line-by-line path, so both paths give the same
+    outcome.  ``kind`` and ``unit`` also accept enum values.
     """
     kind = CurveKind(kind)
     if isinstance(unit, str):
@@ -234,31 +231,17 @@ def _is_header(cells: list[str]) -> bool:
 
 def _read_columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     """The raw H and M columns read in bulk, or None when the rows need :func:`_read_lines`."""
-    n = len(rows)
-    if not n:
+    if not rows:
         return np.empty(0), np.empty(0)
-
     delim = _delimiter(rows[0])
-    width = len(rows[0].split(delim))
-    if delim is None:  # whitespace, and no row may hold a comma, semicolon or tab
-        earlier, widths = _AUTO_DELIMITERS, set(map(len, map(str.split, rows)))
-    else:
-        earlier = _AUTO_DELIMITERS[: _AUTO_DELIMITERS.index(delim)]
-        widths = {count + 1 for count in set(map(str.count, rows, repeat(delim)))}
-    if width < 2 or widths != {width}:
+    earlier = _AUTO_DELIMITERS[: _AUTO_DELIMITERS.index(delim)] if delim else _AUTO_DELIMITERS
+    joined = "\n".join(rows)
+    if any(c in joined for c in earlier):
         return None
-
-    H, M = np.empty(n), np.empty(n)
-    for b in range(0, n, _BLOCK_LINES):
-        joined = (delim or " ").join(rows[b : b + _BLOCK_LINES])
-        if any(c in joined for c in earlier):
-            return None
-        cells = joined.split(delim)
-        try:
-            H[b : b + _BLOCK_LINES] = list(map(float, cells[0::width]))
-            M[b : b + _BLOCK_LINES] = list(map(float, cells[1::width]))
-        except ValueError:
-            return None
+    try:  # no comment character: the line reader has none
+        H, M = np.loadtxt(rows, delimiter=delim, comments=None, usecols=(0, 1), ndmin=2).T
+    except ValueError:
+        return None
     return H, M
 
 
@@ -317,10 +300,8 @@ def split_branches(loop: MagnetizationCurve) -> tuple[tuple[np.ndarray, np.ndarr
 
 
 def _origin_slope(H: np.ndarray, M: np.ndarray, points: int) -> float:
-    """Least-squares slope over the first ``points`` samples."""
-    if H.size < 2:
-        raise InsufficientSamples("need at least 2 samples for a slope")
-    n = min(max(points, 2), H.size)
+    """Least-squares slope over the first ``points`` (at least 2) samples."""
+    n = min(points, H.size)
     h, m = H[:n], M[:n]
     hm = h - h.mean()
     denom = float(np.dot(hm, hm))
@@ -367,8 +348,11 @@ def extract_features(
     ``slope_points`` samples of the first-magnetization and anhysteretic
     curves.  Hc, Mr and the branch slopes are read off the descending
     branch with linear interpolation; the tip (Hm, Mm) and the tip slope
-    are taken at the top of the last ascending branch.
+    are taken at the top of the last ascending branch.  A line with an
+    intercept needs two samples, so ``slope_points`` below 2 raises ValueError.
     """
+    if slope_points < 2:
+        raise ValueError(f"slope_points must be at least 2, got {slope_points}")
     for curve, label in ((first_mag, "first_mag"), (anhysteretic, "anhysteretic")):
         if len(curve) < _MIN_BRANCH_SAMPLES:
             raise InsufficientSamples(f"{label} curve has {len(curve)} samples; need {_MIN_BRANCH_SAMPLES}")

@@ -66,12 +66,12 @@ class Jiles92Config:
     sim_cycles: int = 2
 
     def __post_init__(self) -> None:
-        if not (self.seeds and all(s > 0.0 for s in self.seeds)):
-            raise ValueError(f"need at least one alpha seed, all positive, got {self.seeds}")
+        if not (self.seeds and all(0.0 < s < np.inf for s in self.seeds)):
+            raise ValueError(f"seeds must be one or more positive, finite alphas, got {self.seeds}")
         if self.max_outer_iter < 1:
             raise ValueError(f"max_outer_iter must be at least 1, got {self.max_outer_iter}")
-        if not self.fit_tol > 0.0:
-            raise ValueError(f"fit_tol must be positive, got {self.fit_tol}")
+        if not 0.0 < self.fit_tol < np.inf:
+            raise ValueError(f"fit_tol must be positive and finite, got {self.fit_tol}")
         if self.sim_steps < 2 or self.sim_cycles < 1:
             raise ValueError("sim_steps must be >= 2 and sim_cycles >= 1")
 

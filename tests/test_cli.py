@@ -148,6 +148,8 @@ class TestUsageErrors:
         ("fit-anhysteretic", "--ms", "Ms must be positive and finite, got inf"),
         ("fit-anhysteretic", "--temp", "T must be positive and finite, got inf"),
         ("fit-jiles92", "--ms", "Ms must be positive and finite, got inf"),
+        ("fit-jiles92", "--fit-tol", "fit_tol must be positive and finite, got inf"),
+        ("fit-jiles92", "--seeds", "seeds must be one or more positive, finite alphas, got (inf,)"),
         ("validate", "--eps", "eps must be positive and finite, got inf"),
     ])
     def test_non_finite_setting_named(self, anh_file, tmp_path, capsys, command, flag, message):
@@ -454,8 +456,8 @@ class TestWriteCurve:
     @pytest.mark.parametrize("collide", [False, True])
     def test_repeats_formatted_once(self, tmp_path, monkeypatch, join, collide):
         """Runs of 10 rows in blocks of 4: row 0, runs A and B, then C over A's H grid.
-        C formats only its M and B; when it joins A at row ``join``, only up to the
-        block holding that row."""
+        C is formatted afresh; when it joins A at row ``join``, only up to the block
+        holding that row."""
         rng = np.random.default_rng(7)
         row0, a, b, c = rng.standard_normal((4, 3, 10)) * 1e4
         c[0] = a[0]
@@ -472,15 +474,14 @@ class TestWriteCurve:
         monkeypatch.undo()
         _write_curve_rows(old, ["H", "M", "B"], columns)
         assert new.read_bytes() == old.read_bytes()
-        assert len(formatted) == 3 * 21 + 2 * (10 if join is None else 8)
+        assert len(formatted) == 3 * 21 + 3 * (10 if join is None else 8)
 
     def test_memo_keeps_each_value_until_its_last_use(self):
         class Value:
             pass
 
         items = [b"a", b"b", b"a", b"c", b"b", b"a"]
-        get, first = cli._memo(items, bytes)
-        assert first == [0, 1, 0, 3, 1, 0]
+        get = cli._memo(items, bytes)
         made = {}
         for i, item in enumerate(items):
             value = get(i, Value)
@@ -586,6 +587,20 @@ class TestExtractAndJiles92:
         assert f["Hm"] == pytest.approx(5000.0)
         assert obj["derived"]["k"] == f["Hc"]
         assert obj["derived"]["c"] == pytest.approx(f["chi_in"] / f["chi_an"], rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["extract", "fit-jiles92"])
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_too_few_slope_points_exit_2(self, loop_files, tmp_path, capsys, command, points):
+        # a fitted line with an intercept needs two samples; fewer used to be taken as 2
+        out = tmp_path / "out.json"
+        temp = ["--temp", str(T)] if command == "fit-jiles92" else []
+        assert cli.main([
+            command, "--loop", str(loop_files["loop"]), "--first-mag", str(loop_files["first"]),
+            "--anhysteretic", str(loop_files["anh"]), "--ms", str(MS), *temp,
+            "--slope-points", str(points), "--out", str(out),
+        ]) == 2
+        assert f"error: slope_points must be at least 2, got {points}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fit_from_curves(self, loop_files, tmp_path):
         rep = tmp_path / "j92.json"

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -71,6 +72,12 @@ class TestConfig:
             Jiles92Config(fit_tol=0.0)
         with pytest.raises(ValueError):
             Jiles92Config(sim_steps=1)
+        # an infinite fit_tol met the fit condition at any MSE; an infinite seed
+        # failed every pass as a numerical error
+        with pytest.raises(ValueError, match="^fit_tol must be positive and finite"):
+            Jiles92Config(fit_tol=math.inf)
+        with pytest.raises(ValueError, match="^seeds must be "):
+            Jiles92Config(seeds=(1e-4, math.inf))
 
 
 class TestClosedFormPieces:

@@ -16,7 +16,7 @@ once per tree and diff the results:
     python3 tools/parity.py /tmp/old --src /path/to/old-checkout/src
     diff -r /tmp/old /tmp/new
 
-OUT_DIR must not exist yet.  A run takes about 15 s on a 2-core machine.
+OUT_DIR must not exist yet.  A run takes about 20 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -67,6 +67,13 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path = anh_dir / "through_zero_malformed.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     flags["zero-malformed"] = [str(path.relative_to(out))]
+    # anh0 with a third cell on every other data row: ragged, still read in bulk, and
+    # its fit's result is anh0's
+    lines = Path(out, flags["anh0"][0]).read_text(encoding="utf-8").splitlines()
+    lines[1::2] = [f"{line},0.0" for line in lines[1::2]]
+    path = anh_dir / "anh0_ragged.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    flags["anh0-ragged"] = [str(path.relative_to(out))]
     # a noiseless curve at alpha*Ms/(3*aJ) = 0.99945 on validate's grid: near-critical
     # candidates, where the implicit solve's start is furthest from the linear one
     H200 = np.linspace(50.0, 1.0e4, 200)
@@ -131,6 +138,7 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
     for name, curve in (
         ("fit-anhysteretic-coarse-zero-whitespace", "zero-ws"),
         ("fit-anhysteretic-coarse-zero-malformed", "zero-malformed"),
+        ("fit-anhysteretic-coarse-anh0-ragged", "anh0-ragged"),
         ("fit-anhysteretic-coarse-negative", "negative"),
         ("fit-anhysteretic-coarse-overflow", "overflow"),
     ):
@@ -221,6 +229,11 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         "extract", *f["loop-semicolon"], *f["first_mag"], *f["anhysteretic"], "--ms", MS,
         "--out", f"{name}/features.json",
     ]))
+    # a slope over one sample has no intercept: exit 2 naming slope_points
+    name = "extract-slope-points-1"
+    cmds.append((name, [
+        "extract", *curves, "--ms", MS, "--slope-points", "1", "--out", f"{name}/features.json",
+    ]))
     for name, source, extra in (
         ("fit-jiles92-curves", curves, []),
         ("fit-jiles92-features", [*f["loop"], "--features", "extract/features.json"], []),
@@ -229,6 +242,7 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-jiles92-features-nan-mr", [*f["loop"], *f["features_nan_mr.json"]], []),
         ("fit-jiles92-features-zero-chi-an", [*f["loop"], *f["features_zero_chi_an.json"]], []),
         ("fit-jiles92-bad-seeds", curves, ["--seeds", "1e-4,x"]),
+        ("fit-jiles92-fit-tol-inf", curves, ["--fit-tol", "inf"]),
     ):
         cmds.append((name, [
             "fit-jiles92", *source, *material, *extra, "--out", f"{name}/report.json",
