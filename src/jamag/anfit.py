@@ -50,10 +50,10 @@ from .errors import (
     DataError,
     DegenerateSweep,
     InsufficientSamples,
-    JamagError,
     NoConvergence,
     NoPositiveSample,
     NoSolution,
+    UnstableParams,
 )
 from .rootfind import find_root  # noqa: F401  # unused here; perfbench/tracer.py wraps anfit.find_root
 
@@ -204,8 +204,8 @@ def fit_anhysteretic(
     """Estimate (aJ, alpha, m) from an anhysteretic curve.
 
     ``data`` must have strictly increasing H and at least 3 samples.
-    Raises :class:`DataError` if M is too large for a finite residual norm,
-    and :class:`DegenerateSweep` if the very first eta step fails.
+    Raises :class:`DataError` if M is too large for a finite residual norm or the initial
+    susceptibility for a stable candidate, :class:`DegenerateSweep` if the first eta step fails.
     """
     H, M = data.H, data.M
     if H.size < 3:
@@ -238,7 +238,11 @@ def fit_anhysteretic(
         return eta, chi_p, m2, aJ, alpha
 
     def residual(aJ, alpha) -> np.ndarray:
-        return MU0 * (_implicit_array(H, aJ, alpha, Ms, tol) - M)
+        try:
+            return MU0 * (_implicit_array(H, aJ, alpha, Ms, tol) - M)
+        except UnstableParams as err:  # every candidate's margin is Ms/(3*chi_a), but for rounding
+            msg = f"initial susceptibility {chi_a:.6g} is too large for Ms = {Ms:.6g} A/m: {err}"
+            raise DataError(msg) from err
 
     norms: dict[int, float] = {}
     block_rows = max(1, _BLOCK_POINTS // H.size)
@@ -274,7 +278,7 @@ def fit_anhysteretic(
 
     try:
         evaluate([0])
-    except JamagError as err:
+    except (NoSolution, NoConvergence) as err:  # not the DataError of unstable candidates
         raise DegenerateSweep(f"first eta step {cfg.eta0} failed: {err}") from err
 
     if cfg.sweep == SWEEP_FIRST_LOCAL_MIN:

@@ -342,6 +342,9 @@ def cmd_validate(args) -> dict:
 # --- parser ----------------------------------------------------------------
 
 _SWEEPS = [SWEEP_ARGMIN, SWEEP_FIRST_LOCAL_MIN]
+_ORIGIN_SLOPE_HELP = ("chi_in, chi_an: slope of a least-squares line, with intercept, over this many first "
+                      "samples of the first-magnetization and anhysteretic curves (minimum 2, "
+                      "default %(default)s)")
 
 
 def _seeds(text: str) -> tuple[float, ...]:
@@ -385,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coarse-to-fine scan (same answer on unimodal profiles, much faster); "
                         "argmin only: with --sweep first-local-min it is not applied and the "
                         "report says \"coarse\": false")
-    p.add_argument("--slope-points", type=int, help="samples for the initial-susceptibility estimate")
+    p.add_argument("--slope-points", type=int,
+                   help="initial susceptibility: slope through the origin over this many first samples "
+                        "with H > 0, 1 being M/H at the first with M > 0 (minimum 1, default %(default)s)")
     p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path("fit_report.json"))
     p.add_argument("--curve-out", type=Path, default=Path("fit_curve.csv"))
     p.set_defaults(func=cmd_fit_anhysteretic)
@@ -402,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-tol", type=float, help="MSE threshold on mu0*M, T^2")
     p.add_argument("--sim-steps", type=int)
     p.add_argument("--sim-cycles", type=int)
-    p.add_argument("--slope-points", type=int, default=slope_points)
+    p.add_argument("--slope-points", type=int, default=slope_points, help=_ORIGIN_SLOPE_HELP)
     p.add_argument("--out", dest="report", metavar="OUT", type=Path,
                    default=Path("jiles92_report.json"))
     p.set_defaults(func=cmd_fit_jiles92)
@@ -429,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--first-mag", type=Path, required=True)
     p.add_argument("--anhysteretic", type=Path, required=True)
     _add_common(p)
-    p.add_argument("--slope-points", type=int, default=slope_points)
+    p.add_argument("--slope-points", type=int, default=slope_points, help=_ORIGIN_SLOPE_HELP)
     p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path("features.json"))
     p.set_defaults(func=cmd_extract)
 

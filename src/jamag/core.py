@@ -13,8 +13,8 @@ the same quantity; both appear in reports.
 The implicit curve is solved by Newton's method from below its root, at the
 root of the cubic L(x) ~ x/3 - x^3/45 gives, bisecting the rare rows not done
 in ``_NEWTON_STEPS`` steps.  Each step takes L' from its L: one tanh a step.
-Scalar arguments use plain ``math`` calls; numpy arrays are handled
-elementwise, with no floating-point warnings.  SI units (A/m, K, A*m^2).
+Scalar arguments use plain ``math`` calls; numpy arrays are handled elementwise,
+with no floating-point warnings below 1e130 A/m.  SI units (A/m, K, A*m^2).
 """
 
 from __future__ import annotations
@@ -168,15 +168,6 @@ def anhysteretic_explicit(Ha, Ms: float, a: float):
     return Ms * langevin(Ha / a)
 
 
-def _check_stability(aJ: float, alpha: float, Ms: float) -> None:
-    # alpha*Ms/(3*aJ) >= 1 makes the implicit curve multivalued.
-    if alpha * Ms / (3.0 * aJ) >= 1.0:
-        raise UnstableParams(
-            f"alpha*Ms/(3*aJ) = {alpha * Ms / (3.0 * aJ):.6g} >= 1; "
-            "the anhysteretic curve is multivalued"
-        )
-
-
 def _implicit_array(
     Ha: np.ndarray,
     aJ: float | np.ndarray,
@@ -202,20 +193,22 @@ def _implicit_array(
     row stops on its own test ``max |M_new - M| <= abs_tol`` and leaves the
     active rows, and every elementwise operation is the single-curve one, so
     row i has the bits of the call with ``aJ[i, 0]``, ``alpha[i, 0]``.
-    Raises :class:`NoConvergence` if a row is not done in ``_MAX_ITER`` iterations.
+    It alone decides stability: :class:`UnstableParams` if a row's eps, which
+    the start divides by, is not positive (alpha*Ms/(3*aJ) >= 1, to rounding),
+    :class:`NoConvergence` if a row is not done in ``_MAX_ITER`` iterations.
     """
     sign = np.sign(Ha)
     A = np.abs(Ha.astype(np.float64, copy=False))
     a = np.maximum(alpha, 0.0)  # alpha <= 0 starts on the uncoupled curve, H = 0 lanes on M = 0
-    eps = aJ - a * Ms / 3.0  # not positive only where rounding ate the stability margin
-    with np.errstate(all="ignore"):  # such rows take w = 0 and the bound below: min(A/eps, ...)
-        x = A / eps  # times 3c/(c^2 + c + 1), c = cbrt(w + sqrt(w^2 + 1))^2: x_c, free of cancellation
-        w = np.where(eps > 0.0, np.sqrt(0.15 * a * Ms / eps) / eps, 0.0) * A
-        c = np.multiply(w, w)
-        c = np.square(np.cbrt(np.add(w, np.sqrt(np.add(c, 1.0, out=c), out=c), out=c), out=c), out=c)
-        x *= np.divide(3.0, np.add(np.add(c, 1.0, out=w), np.divide(1.0, c, out=c), out=c), out=c)
-        if not np.all(eps > 0.0):  # on the other rows x_c, below the root, is below this bound
-            x = np.minimum(x, (A + a * Ms) / aJ)
+    eps = aJ - a * Ms / 3.0
+    if not np.all(eps > 0.0):  # the first such row's ratio
+        ratio = np.ravel(alpha * Ms / (3.0 * aJ))[np.argmin(np.ravel(eps > 0.0))]
+        raise UnstableParams(f"alpha*Ms/(3*aJ) = {ratio:.6g} >= 1; the anhysteretic curve is multivalued")
+    x = A / eps  # times 3c/(c^2 + c + 1), c = cbrt(w + sqrt(w^2 + 1))^2: x_c, free of cancellation
+    w = np.sqrt(0.15 * a * Ms / eps) / eps * A
+    c = np.multiply(w, w)
+    c = np.square(np.cbrt(np.add(w, np.sqrt(np.add(c, 1.0, out=c), out=c), out=c), out=c), out=c)
+    x *= np.divide(3.0, np.add(np.add(c, 1.0, out=w), np.divide(1.0, c, out=c), out=c), out=c)
     M = np.multiply(Ms, langevin(x), out=x)
     kappa = alpha * Ms / aJ
     out, rows = w, np.arange(len(M))  # the result, in the start's scratch; out index of each active row
@@ -266,17 +259,15 @@ def anhysteretic_implicit(
     Solves M = Ms * L((Ha + alpha*M)/aJ) by Newton iteration from below the
     root, bracketed in [0, Ms] if not done in ``_NEWTON_STEPS`` steps
     (mirrored for negative fields, so the result is exactly odd).
-    Default tolerance is 1e-9 * Ms.  Raises :class:`UnstableParams` when
-    ``alpha*Ms/(3*aJ) >= 1``.  Accepts a float or a numpy array of fields;
-    a float is solved as a one-element array and returned as a float, so
-    it has the same bits as that array solve.
+    Default tolerance is 1e-9 * Ms.  The solve raises :class:`UnstableParams`
+    when ``alpha*Ms/(3*aJ) >= 1``, to rounding.  Accepts a float or a numpy
+    array of fields; a float is solved as a one-element array and returned
+    as a float, so it has the same bits as that array solve.
     """
-    _check_stability(params.aJ, params.alpha, Ms)
     tol = _IMPLICIT_REL_TOL * Ms if abs_tol is None else abs_tol
     if isinstance(Ha, np.ndarray):
         return _implicit_array(Ha, params.aJ, params.alpha, Ms, tol)
-    one = np.array([float(Ha)])
-    return float(_implicit_array(one, params.aJ, params.alpha, Ms, tol)[0])
+    return float(_implicit_array(np.array([float(Ha)]), params.aJ, params.alpha, Ms, tol)[0])
 
 
 def _slope_raw(Ha, M, aJ: float, alpha: float, Ms: float):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_stability, _implicit_array, _slope_raw
+from .core import _implicit_array, _slope_raw
 from .dataio import CurveKind, MagnetizationCurve
 from .errors import NonPhysicalParameterWarning, SingularDenominator
 
@@ -65,7 +65,7 @@ class FieldWaveform:
     """Piecewise-linear applied-field trace.
 
     ``targets`` are the vertex fields; each consecutive pair is one segment
-    integrated in ``steps_per_segment`` equal H steps.
+    integrated in ``steps_per_segment`` equal H steps; its span must be finite.
     """
 
     targets: tuple[float, ...]
@@ -76,10 +76,10 @@ class FieldWaveform:
         object.__setattr__(self, "targets", t)
         if len(t) < 2:
             raise ValueError("waveform needs at least two targets (one segment)")
-        if not all(np.isfinite(t)):
-            raise ValueError("waveform targets must be finite")
-        if any(a == b for a, b in zip(t, t[1:])):
-            raise ValueError("consecutive waveform targets must differ (zero-length segment)")
+        for i, (a, b) in enumerate(zip(t, t[1:])):  # a non-finite target gives a non-finite span
+            if not 0.0 < abs(b - a) < np.inf:
+                raise ValueError(f"waveform segment {i} from {a!r} to {b!r} A/m spans {b - a!r}, "
+                                 "where a finite, non-zero span is needed")
         if self.steps_per_segment < 2:
             raise ValueError(f"steps_per_segment must be at least 2, got {self.steps_per_segment}")
 
@@ -88,8 +88,8 @@ class FieldWaveform:
         cls, hmax: float, *, cycles: int = 3, steps_per_segment: int = 2000
     ) -> "FieldWaveform":
         """Initial rise from 0 to +hmax, then ``cycles`` full cycles."""
-        if not hmax > 0.0:
-            raise ValueError(f"hmax must be positive, got {hmax}")
+        if not 0.0 < hmax < np.inf:
+            raise ValueError(f"hmax must be positive and finite, got {hmax}")
         if cycles < 1:
             raise ValueError(f"cycles must be at least 1, got {cycles}")
         targets = (0.0, hmax) + (-hmax, hmax) * cycles
@@ -136,12 +136,11 @@ def dM_dH(H: float, M: float, delta: int, p: HysteresisParams, *, clamp: bool = 
     ``delta`` must be +1 (ascending field) or -1 (descending).  With
     ``clamp=True`` the irreversible term is zeroed whenever it would drive
     M away from the anhysteretic curve (delta*(M_an - M) < 0), a common
-    regularization for loop tips.  Raises :class:`SingularDenominator`
-    when the pinning denominator vanishes.
+    regularization for loop tips.  Raises :class:`SingularDenominator` when the
+    pinning denominator vanishes, and the solve's :class:`UnstableParams`.
     """
     if delta not in (1, -1):
         raise ValueError(f"delta must be +1 or -1, got {delta}")
-    _check_stability(p.aJ, p.alpha, p.Ms)
     man = float(_implicit_array(np.array([float(H)]), p.aJ, p.alpha, p.Ms, _MAN_REL_TOL * p.Ms)[0])
     man_slope = _slope_raw(H, man, p.aJ, p.alpha, p.Ms)
     delta = float(delta)
@@ -165,11 +164,11 @@ def integrate(
     segment with its end fields, the rest of it is copied from that one.
     Returns the sampled trajectory, one point per step plus the initial
     point; committed M values are limited to [-Ms, Ms].  A vanishing
-    pinning denominator is reported with the failing global step index.
+    pinning denominator is reported with the failing global step index;
+    the first pre-solve raises :class:`UnstableParams` if alpha*Ms/(3*aJ) >= 1.
     """
     if not abs(M0) <= p.Ms:
         raise ValueError(f"M0 must be finite with |M0| <= Ms = {p.Ms}, got {M0}")
-    _check_stability(p.aJ, p.alpha, p.Ms)
     c, alpha, Ms = p.c, p.alpha, p.Ms
     c1 = 1.0 + c
 

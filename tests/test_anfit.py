@@ -24,11 +24,13 @@ from jamag.core import (
 )
 from jamag.dataio import CurveKind, MagnetizationCurve
 from jamag.errors import (
+    DataError,
     DegenerateSweep,
     InsufficientSamples,
     NoConvergence,
     NoPositiveSample,
     NoSolution,
+    UnstableParams,
 )
 from jamag.rootfind import find_root
 from jamag.validation import synthetic_curve
@@ -389,6 +391,36 @@ class TestFit:
             fit_anhysteretic(data, material, cfg)
         assert type(info.value) is error
         assert str(info.value).endswith(message)
+
+    @pytest.mark.parametrize(
+        "curve_fails,sweep,coarse",
+        [(0, "argmin", False), (7, "argmin", False), (0, "argmin", True), (9, "argmin", True),
+         (0, "first-local-min", False), (3, "first-local-min", False)],
+    )
+    def test_unstable_candidates_are_a_data_error(self, material, monkeypatch, curve_fails, sweep, coarse):
+        # wherever in the sweep the solve rejects a candidate: at the first step too, where
+        # it is not a DegenerateSweep
+        eta0, eps = 0.9, 0.01
+        data = linear_curve(n=4)
+
+        def fake_curve(H, aJ, alpha, Ms, tol):
+            index = np.rint((alpha - eta0) / eps).astype(int)
+            if np.any(index == curve_fails):
+                raise UnstableParams("alpha*Ms/(3*aJ) = 1 >= 1; the anhysteretic curve is multivalued")
+            return data.M + (10 - index)
+
+        monkeypatch.setattr(anfit, "solve_chi_param", lambda eta, *args: eta)
+        monkeypatch.setattr(anfit, "alpha_from_susceptibilities", lambda chi_p, chi_a: chi_p)
+        monkeypatch.setattr(anfit, "_implicit_array", fake_curve)
+        cfg = AnhystereticFitConfig(eta0=eta0, eps=eps, sweep=sweep, coarse=coarse)
+        with pytest.raises(DataError) as info:
+            fit_anhysteretic(data, material, cfg)
+        chi_a = initial_susceptibility(data)
+        assert type(info.value) is DataError
+        assert str(info.value) == (
+            f"initial susceptibility {chi_a:.6g} is too large for Ms = 1.6e+06 A/m: "
+            "alpha*Ms/(3*aJ) = 1 >= 1; the anhysteretic curve is multivalued"
+        )
 
     def test_profile_is_recorded_sorted(self, material):
         data = synthetic_curve(1000.0, 1.4e-3, material, 80, 1.0e4)

@@ -24,6 +24,8 @@ from conftest import write_curve_file
 
 MS = 1.6e6
 T = 303.5
+# the descending segment of a cyclic waveform with hmax 1e308
+_SPAN_1E308 = "waveform segment 1 from 1e+308 to -1e+308 A/m spans -inf, where a finite, non-zero span is needed"
 
 
 def run_cli(*args, cwd=None):
@@ -128,18 +130,29 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "l.csv").exists()
 
-    # an infinite --aj or --k used to simulate a loop, and --ms or --alpha to exit 3
+    # an infinite --aj or --k used to simulate a loop, and --ms or --alpha to exit 3;
+    # --hmax inf exited 2 without naming hmax
     @pytest.mark.parametrize("flag, message", [
         ("--aj", "aJ must be positive and finite, got inf"),
         ("--alpha", "alpha must be non-negative and finite, got inf"),
         ("--k", "k must be positive and finite, got inf"),
         ("--ms", "Ms must be positive and finite, got inf"),
+        ("--hmax", "hmax must be positive and finite, got inf"),
     ])
     def test_infinite_simulation_parameter_named(self, tmp_path, capsys, flag, message):
         argv = ["simulate-loop", "--aj", "972", "--alpha", "1.4e-3", "--c", "0.1", "--k", "1000",
                 "--ms", str(MS), "--hmax", "5000", "--out", str(tmp_path / "l.csv"), flag, "inf"]
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "l.csv").exists()
+
+    # --hmax 1e308 gives a descending segment of span -inf, over which np.linspace built a
+    # NaN grid: it used to exit 3, as did fit-jiles92 with Hm = 1e308
+    def test_hmax_past_the_float_range_names_the_span(self, tmp_path, capsys):
+        argv = ["simulate-loop", "--aj", "972", "--alpha", "1.4e-3", "--c", "0.1", "--k", "1000",
+                "--ms", str(MS), "--hmax", "1e308", "--out", str(tmp_path / "l.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {_SPAN_1E308}\n"
         assert not (tmp_path / "l.csv").exists()
 
     @pytest.mark.parametrize("command, flag, message", [
@@ -217,6 +230,7 @@ class TestMeasuredValueErrors:
         ("Mr", float("nan"), "Mr must be finite"),
         ("Mm", float("nan"), "Mm must be finite"),
         ("chi_an", 0.0, "chi_an is zero"),
+        ("Hm", 1.0e308, _SPAN_1E308),
     ])
     def test_features(self, loop_files, tmp_path, capsys, name, value, message):
         path = tmp_path / "features.json"
@@ -253,6 +267,23 @@ class TestMeasuredValueErrors:
         )
         assert not (tmp_path / "out.json").exists()
 
+
+    @pytest.mark.parametrize("extra", [["--coarse"], ["--eps", "1e-4"]])
+    def test_curve_far_above_ms(self, tmp_path, capsys, extra):
+        # M = 1e100 A/m: every eta candidate's stability margin, Ms/(3*chi_a), rounds away.
+        # --coarse used to exit 0 with a residual RMS of 1e94 T, --eps 1e-4 to exit 3
+        path = tmp_path / "far.csv"
+        write_curve_file(path, np.linspace(50.0, 1.0e4, 200), np.full(200, 1.0e100))
+        code = cli.main([
+            "fit-anhysteretic", str(path), "--ms", str(MS), "--temp", str(T), *extra,
+            "--out", str(tmp_path / "out.json"), "--curve-out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: initial susceptibility 2e+98 is too large for Ms = 1.6e+06 A/m: "
+            "alpha*Ms/(3*aJ) = 1 >= 1; the anhysteretic curve is multivalued\n"
+        )
+        assert not (tmp_path / "out.json").exists()
 
 # (id, saved report text, the command that reads it, the key its error names)
 _SIMULATE = ["simulate-loop", "--c", "0.1", "--k", "1000", "--hmax", "5000", "--steps", "50"]

@@ -24,7 +24,7 @@ import jamag.core as core
 from jamag.anfit import AnhystereticFitConfig
 from jamag.core import _implicit_array, _slope_raw
 from jamag.dataio import CurveKind, MagnetizationCurve
-from jamag.errors import NoConvergence, SingularSlope, UnstableParams
+from jamag.errors import DataError, NoConvergence, SingularSlope, UnstableParams
 from jamag.validation import GRID_ROWS, H_MAX, N_SAMPLES, run_row, synthetic_curve
 
 # high-precision references, 50-digit arithmetic
@@ -597,38 +597,40 @@ class TestImplicitStart:
             assert iterations() <= 5, (aJ, iterations())
 
     # A sweep over a curve with M near 1e20 reaches rows whose eps = aJ - alpha*Ms/3 rounds
-    # to 0 although alpha*Ms/(3*aJ) < 1, and rows just past stability where eps < 0.
+    # to 0 although alpha*Ms/(3*aJ) < 1, and rows just past stability where eps < 0.  The
+    # start divides by eps, so the solve rejects them, alone or in a block
     @pytest.mark.parametrize("aJ, alpha", [(20000.00000000002, 0.03750000000000003), (1000.0, 0.0018750000000000001)])
-    def test_rows_without_stability_margin_keep_the_old_start(self, aJ, alpha, monkeypatch):
+    def test_rows_without_stability_margin_raise_unstable_params(self, aJ, alpha):
         eps = aJ - alpha * self.MS / 3.0
         assert eps <= 0.0 and (eps < 0.0 or alpha * self.MS / (3.0 * aJ) < 1.0)
-        events = self._traced(monkeypatch)
-        monkeypatch.setattr(core, "_MAX_ITER", 0)  # the start only
         Ha = np.array([-1.0e3, 0.0, 1e-3, 50.0, 1.0e4])
+        message = "^alpha\\*Ms/\\(3\\*aJ\\) = 1 >= 1; the anhysteretic curve is multivalued$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NoConvergence):
+            with pytest.raises(UnstableParams, match=message):
                 _implicit_array(Ha, aJ, alpha, self.MS, self.TOL)
-        A = np.abs(Ha)
-        with np.errstate(all="ignore"):
-            old = np.minimum(A / eps, (A + alpha * self.MS) / aJ)
-        assert events[0][1].tobytes() == old.tobytes()
-        # beside it in a block, a coupled row keeps the start of its own solve
-        starts = []
-        for rows in ([(972.0, 1.4e-3)], [(aJ, alpha), (972.0, 1.4e-3)]):
-            events.clear()
-            with pytest.raises(NoConvergence):
-                _implicit_array(Ha, np.array(rows)[:, :1], np.array(rows)[:, 1:], self.MS, self.TOL)
-            starts.append(events[0][1][-1])
-        assert starts[0].tobytes() == starts[1].tobytes()
+            for rows in ([(aJ, alpha), (972.0, 1.4e-3)], [(972.0, 1.4e-3), (aJ, alpha)]):
+                with pytest.raises(UnstableParams, match=message):
+                    _implicit_array(Ha, np.array(rows)[:, :1], np.array(rows)[:, 1:], self.MS, self.TOL)
 
-    def test_fit_past_the_stability_margin_warns_on_no_lane(self):
+    def test_a_block_names_its_first_unstable_row(self):
+        aJ, alpha = np.array([[972.0], [100.0], [1.0]]), np.array([[1.4e-3], [1.4e-3], [0.01]])
+        with pytest.raises(UnstableParams, match="^alpha\\*Ms/\\(3\\*aJ\\) = 7.46667 >= 1;"):
+            _implicit_array(np.array([50.0, 1.0e4]), aJ, alpha, self.MS, self.TOL)
+
+    def test_fit_past_the_stability_margin_is_a_data_error(self):
         H = np.linspace(50.0, 1.0e4, 200)
         data = MagnetizationCurve(H=H, M=np.geomspace(1e20, 1e60, 200), kind=CurveKind.ANHYSTERETIC)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = anfit.fit_anhysteretic(data, MaterialSpec(self.MS, 303.5), AnhystereticFitConfig(coarse=True))
-        assert report.eta_star == 0.9
+            with pytest.raises(DataError) as info:
+                anfit.fit_anhysteretic(data, MaterialSpec(self.MS, 303.5), AnhystereticFitConfig(coarse=True))
+        assert type(info.value) is DataError
+        assert str(info.value) == (
+            "initial susceptibility 2e+18 is too large for Ms = 1.6e+06 A/m: "
+            "alpha*Ms/(3*aJ) = 1 >= 1; the anhysteretic curve is multivalued"
+        )
+        assert type(info.value.__cause__) is UnstableParams
 
 
 class TestSlope:

@@ -169,6 +169,19 @@ class TestWaveform:
         with pytest.raises(ValueError):
             FieldWaveform((0.0, np.inf))
 
+    def test_spans_and_hmax_must_be_finite(self):
+        # 1e308 - (-1e308) is inf: np.linspace over that span is not a grid
+        needed = ", where a finite, non-zero span is needed$"
+        with pytest.raises(ValueError, match=r"^waveform segment 1 from 1e\+308 to -1e\+308 A/m spans -inf" + needed):
+            FieldWaveform.cyclic(1e308)
+        with pytest.raises(ValueError, match="^waveform segment 0 from 0.0 to nan A/m spans nan" + needed):
+            FieldWaveform((0.0, np.nan))
+        with pytest.raises(ValueError, match="^waveform segment 1 from 1.0 to 1.0 A/m spans 0.0" + needed):
+            FieldWaveform((0.0, 1.0, 1.0))
+        for hmax in (np.inf, np.nan, 0.0):
+            with pytest.raises(ValueError, match=f"^hmax must be positive and finite, got {hmax}$"):
+                FieldWaveform.cyclic(hmax)
+
     def test_segment_slices_tile_output(self):
         w = FieldWaveform((0.0, 10.0, -10.0), steps_per_segment=4)
         curve = integrate(steel(), w)
@@ -241,6 +254,18 @@ class TestIntegrate:
         p = HysteresisParams(aJ=1.0, alpha=0.01, c=0.1, k=100.0, Ms=MS)
         with pytest.raises(UnstableParams):
             integrate(p, FieldWaveform((0.0, 100.0)))
+
+    @pytest.mark.parametrize("aJ, alpha, ratio", [(1.0, 0.01, "5333.33"), (1000.0, 0.0018750000000000001, "1")])
+    def test_every_entry_raises_the_solves_unstable_params(self, aJ, alpha, ratio):
+        # the second row is alpha*Ms/(3*aJ) = 1 + 2e-16, where eps = aJ - alpha*Ms/3 < 0
+        p = HysteresisParams(aJ=aJ, alpha=alpha, c=0.1, k=100.0, Ms=MS)
+        message = f"^alpha\\*Ms/\\(3\\*aJ\\) = {ratio} >= 1; the anhysteretic curve is multivalued$"
+        with pytest.raises(UnstableParams, match=message):
+            integrate(p, FieldWaveform((0.0, 100.0)))
+        with pytest.raises(UnstableParams, match=message):
+            dM_dH(50.0, 0.0, 1, p)
+        with pytest.raises(UnstableParams, match=message):
+            anhysteretic_implicit(50.0, AnhystereticParams.from_shape(aJ, alpha, T), MS)
 
     def test_output_structure(self):
         curve = integrate(steel(), FieldWaveform((0.0, 100.0), steps_per_segment=10))

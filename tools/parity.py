@@ -88,6 +88,15 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path = anh_dir / "overflow.csv"
     inputs.write_curve(path, np.linspace(10.0, 1.0e4, 200), np.logspace(20.0, 304.0, 200))
     flags["overflow"] = [str(path.relative_to(out))]
+    # M = 1e100 A/m everywhere, and M from 1e20 to 1e60: every eta candidate's stability
+    # margin, Ms/(3*chi_a), is lost to rounding, so the solve rejects them (exit 2)
+    for name, M in (
+        ("far_above_ms", np.full(200, 1.0e100)),
+        ("far_above_ms_geometric", np.geomspace(1e20, 1e60, 200)),
+    ):
+        path = anh_dir / f"{name}.csv"
+        inputs.write_curve(path, H200, M)
+        flags[name] = [str(path.relative_to(out))]
     # a dense two-cycle loop, its first-magnetization branch and anhysteretic curve
     (case,) = inputs.jiles_cases(1, 1, loop_dir)
     for name, path in case.files.items():
@@ -141,11 +150,18 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-anhysteretic-coarse-anh0-ragged", "anh0-ragged"),
         ("fit-anhysteretic-coarse-negative", "negative"),
         ("fit-anhysteretic-coarse-overflow", "overflow"),
+        ("fit-anhysteretic-coarse-far-above-ms", "far_above_ms"),
+        ("fit-anhysteretic-coarse-far-above-ms-geometric", "far_above_ms_geometric"),
     ):
         cmds.append((name, [
             "fit-anhysteretic", *f[curve], *material, "--coarse",
             "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
         ]))
+    name = "fit-anhysteretic-argmin-far-above-ms"
+    cmds.append((name, [
+        "fit-anhysteretic", *f["far_above_ms"], *material, "--eps", "1e-4",
+        "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
+    ]))
     name = "fit-anhysteretic-argmin-near-critical"
     cmds.append((name, [
         "fit-anhysteretic", *f["near-critical"], *material, "--eps", "1e-4",
@@ -220,6 +236,13 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
     ):
         cmds.append((name, [
             "simulate-loop", *params, "--c", c, "--k", k, "--hmax", "5000", "--m0", m0,
+            "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
+        ]))
+    # an infinite --hmax, and one whose descending segment spans more than the float
+    # range: exit 2 naming hmax, or the segment and its span
+    for name, hmax in (("simulate-loop-hmax-1e308", "1e308"), ("simulate-loop-hmax-inf", "inf")):
+        cmds.append((name, [
+            "simulate-loop", *steel, "--c", "0.1", "--k", "1000", "--hmax", hmax,
             "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
         ]))
     curves = [*f["loop"], *f["first_mag"], *f["anhysteretic"]]
