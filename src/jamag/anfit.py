@@ -270,8 +270,8 @@ def fit_anhysteretic(
         for b in range(0, len(aJs), block_rows):
             block = slice(b, b + block_rows)
             r = residual(np.array(aJs[block])[:, None], np.array(alphas[block])[:, None])
-            for j, row in zip(todo[block], r):
-                norms[j] = math.sqrt(row @ row)  # the bits of np.linalg.norm(row)
+            norm2 = np.matmul(r[:, None, :], r[:, :, None])  # row @ row for all rows in one call
+            norms.update(zip(todo[block], np.sqrt(norm2).ravel().tolist()))  # np.linalg.norm's bits
         if failure is not None:
             raise failure
         return [norms[j] for j in js]

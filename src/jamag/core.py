@@ -12,9 +12,10 @@ the same quantity; both appear in reports.
 
 The implicit curve is solved by Newton's method from below its root, at the
 root of the cubic L(x) ~ x/3 - x^3/45 gives, bisecting the rare rows not done
-in ``_NEWTON_STEPS`` steps.  Each step takes L' from its L: one tanh a step.
-Scalar arguments use plain ``math`` calls; numpy arrays are handled elementwise,
-with no floating-point warnings below 1e130 A/m.  SI units (A/m, K, A*m^2).
+in ``_NEWTON_STEPS`` steps.  A row is done once Newton's bound C*d^2 on its step d,
+C = alpha^2*Ms*max|L''|/(2*aJ*eps), is within the tolerance: 3 steps on sweep rows.
+Each step takes L' from its L: one tanh a step.  Scalar arguments use ``math``;
+arrays are handled elementwise, warning only where |Ha|/eps overflows.  SI units.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ _X_IDENTITY_MAX = 20.0
 _IMPLICIT_REL_TOL = 1e-9
 """Default absolute tolerance for the implicit solve, as a fraction of Ms."""
 
+_L2_MAX = 0.106  # max |L''(x)| = 0.1059636 at x = 1.3723, rounded up
 _MAX_ITER = 200  # iteration cap of the implicit solve
 _NEWTON_STEPS = 16  # Newton steps before a row not yet done (alpha < 0, mostly) is bracketed
 
@@ -189,10 +191,14 @@ def _implicit_array(
     one-element arrays.
 
     Float ``aJ``/``alpha`` and fields ``Ha`` of shape ``(n,)`` give one curve.
-    ``(P, 1)`` arrays give P curves, solved in lockstep as ``(P, n)``: each
-    row stops on its own test ``max |M_new - M| <= abs_tol`` and leaves the
-    active rows, and every elementwise operation is the single-curve one, so
-    row i has the bits of the call with ``aJ[i, 0]``, ``alpha[i, 0]``.
+    ``(P, 1)`` arrays give P curves, solved in lockstep as ``(P, n)``: each row
+    stops on its own test of its step d = max |M_new - M| and leaves the active
+    rows, and every elementwise operation is the single-curve one, so row i has
+    the bits of the call with ``aJ[i, 0]``, ``alpha[i, 0]``.  The test: f(M) =
+    M - Ms*L(x) has f' >= eps/aJ and |f''| <= (alpha/aJ)^2*Ms*L2, L2 = max|L''|, so
+    Taylor's |f(M_new)| <= |f''|*d^2/2 puts M_new within C*d^2 of the root, C =
+    alpha^2*Ms*L2/(2*aJ*eps).  A Newton-phase row is done when C*d^2 <= abs_tol - r,
+    r = 8 ulps of Ms over eps/aJ for f's rounding, or when d <= abs_tol, as in the bracket.
     It alone decides stability: :class:`UnstableParams` if a row's eps, which
     the start divides by, is not positive (alpha*Ms/(3*aJ) >= 1, to rounding),
     :class:`NoConvergence` if a row is not done in ``_MAX_ITER`` iterations.
@@ -205,12 +211,16 @@ def _implicit_array(
         ratio = np.ravel(alpha * Ms / (3.0 * aJ))[np.argmin(np.ravel(eps > 0.0))]
         raise UnstableParams(f"alpha*Ms/(3*aJ) = {ratio:.6g} >= 1; the anhysteretic curve is multivalued")
     x = A / eps  # times 3c/(c^2 + c + 1), c = cbrt(w + sqrt(w^2 + 1))^2: x_c, free of cancellation
-    w = np.sqrt(0.15 * a * Ms / eps) / eps * A
-    c = np.multiply(w, w)
-    c = np.square(np.cbrt(np.add(w, np.sqrt(np.add(c, 1.0, out=c), out=c), out=c), out=c), out=c)
-    x *= np.divide(3.0, np.add(np.add(c, 1.0, out=w), np.divide(1.0, c, out=c), out=c), out=c)
+    with np.errstate(over="ignore"):  # w past ~1e154 gives c = inf, x = 0: below the root, Newton climbs
+        w = np.sqrt(0.15 * a * Ms / eps) / eps * A
+        c = np.multiply(w, w)
+        c = np.square(np.cbrt(np.add(w, np.sqrt(np.add(c, 1.0, out=c), out=c), out=c), out=c), out=c)
+        x *= np.divide(3.0, np.add(np.add(c, 1.0, out=w), np.divide(1.0, c, out=c), out=c), out=c)
     M = np.multiply(Ms, langevin(x), out=x)
     kappa = alpha * Ms / aJ
+    with np.errstate(divide="ignore", invalid="ignore"):  # the largest d a row may stop on: inf if C = 0
+        slack = np.maximum(abs_tol - 8 * 2.0**-52 * Ms * aJ / eps, 0.0)  # abs_tol - r; if none, d <= abs_tol
+        d_max = np.ravel(np.fmax(abs_tol, np.sqrt(slack / (kappa * alpha * (_L2_MAX / 2.0) / eps))))
     out, rows = w, np.arange(len(M))  # the result, in the start's scratch; out index of each active row
     buf = c  # x of each iteration
     lo = hi = None  # the safeguard bracket, off for the first _NEWTON_STEPS iterations
@@ -219,6 +229,7 @@ def _implicit_array(
         if it == _NEWTON_STEPS:  # switch on the bracket; H = 0 lanes stay on their root
             lo = np.zeros_like(M)
             hi = np.where(A > 0.0, Ms, lo)
+            d_max[:] = abs_tol
         x = buf[: len(M)]  # the first rows of one buffer: rows only ever leave
         np.divide(np.add(A, np.multiply(alpha, M, out=x), out=x), aJ, out=x)  # x = (A + alpha*M) / aJ
         g = langevin(x)
@@ -229,14 +240,14 @@ def _implicit_array(
         if lo is not None:  # shrink the bracket; bisect the lanes whose step leaves it
             lo, hi = np.where(g < 0.0, M, lo), np.where(g > 0.0, M, hi)
             M_new = np.where((M_new <= lo) | (M_new >= hi), 0.5 * (lo + hi), M_new)
-        done = np.max(np.abs(np.subtract(M_new, M, out=x), out=x), axis=-1) <= abs_tol
+        done = np.max(np.abs(np.subtract(M_new, M, out=x), out=x), axis=-1) <= d_max
         if done.all():
             out[rows] = M_new
             return sign * out
         if done.any():  # only a block (2-D) gets here: compact to the active rows
             out[rows[done]] = M_new[done]
             keep = ~done
-            rows, M_new, aJ, alpha, kappa = rows[keep], M_new[keep], aJ[keep], alpha[keep], kappa[keep]
+            rows, M_new, aJ, alpha, kappa, d_max = (v[keep] for v in (rows, M_new, aJ, alpha, kappa, d_max))
             if lo is not None:
                 lo, hi = lo[keep], hi[keep]
         M = M_new

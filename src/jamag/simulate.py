@@ -163,9 +163,9 @@ def integrate(
     segment commits the same non-zero M at the same step as the last earlier
     segment with its end fields, the rest of it is copied from that one.
     Returns the sampled trajectory, one point per step plus the initial
-    point; committed M values are limited to [-Ms, Ms].  A vanishing
-    pinning denominator is reported with the failing global step index;
-    the first pre-solve raises :class:`UnstableParams` if alpha*Ms/(3*aJ) >= 1.
+    point; committed M values are limited to [-Ms, Ms] (a NaN one raises
+    ValueError).  A vanishing pinning denominator is reported with the failing
+    global step index; the first pre-solve raises UnstableParams if alpha*Ms/(3*aJ) >= 1.
     """
     if not abs(M0) <= p.Ms:
         raise ValueError(f"M0 must be finite with |M0| <= Ms = {p.Ms}, got {M0}")
@@ -240,5 +240,9 @@ def integrate(
                 M_out[done + 1 : step_base + S + 1] = M_out[done - step_base + ref + 1 : ref + S + 1]
                 M = float(M_out[step_base + S])
                 break
+        if M != M:  # a NaN persists past the clamp, so the segment's last M shows any of its steps
+            i = int(np.argmax(np.isnan(M_out[step_base + 1 : step_base + S + 1])))
+            raise ValueError(f"waveform segment {seg} from {h0!r} to {h1!r} A/m spans {h1 - h0!r}: "
+                             f"M turns non-finite at step {i} of {S}, with RK4 field steps of {h!r} A/m")
 
     return MagnetizationCurve(H=H_out, M=M_out, kind=CurveKind.FULL_LOOP)

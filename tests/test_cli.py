@@ -155,6 +155,29 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {_SPAN_1E308}\n"
         assert not (tmp_path / "l.csv").exists()
 
+    # past ~1e154 A/m the implicit solve's start squared an overflowing w, and each of the
+    # three pre-solves put an "overflow encountered in multiply" RUNTIMEWARNING in the report
+    def test_hmax_1e200_reports_no_floating_point_warning(self, tmp_path):
+        report = tmp_path / "r.json"
+        argv = ["simulate-loop", "--aj", "972", "--alpha", "1.4e-3", "--c", "0.1", "--k", "1000",
+                "--ms", str(MS), "--hmax", "1e200", "--steps", "200", "--out", str(tmp_path / "l.csv"),
+                "--report", str(report)]
+        assert cli.main(argv) == 0
+        rep = json.loads(report.read_text())
+        assert rep["warnings"] == [] and rep["result"]["final_m"] == -MS
+
+    # segments of span 1.78e308 are finite, but RK4's stage products overflow to a NaN M:
+    # this exited 2 on "curve contains non-finite values", naming neither flag nor segment
+    def test_hmax_near_the_float_range_names_the_segment(self, tmp_path, capsys):
+        argv = ["simulate-loop", "--aj", "972", "--alpha", "0", "--c", "0.1", "--k", "1000",
+                "--ms", str(MS), "--hmax", "8.9e307", "--out", str(tmp_path / "l.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: waveform segment 0 from 0.0 to 8.9e+307 A/m spans 8.9e+307: "
+            "M turns non-finite at step 0 of 2000, with RK4 field steps of 4.45e+304 A/m\n"
+        )
+        assert not (tmp_path / "l.csv").exists()
+
     @pytest.mark.parametrize("command, flag, message", [
         ("fit-anhysteretic", "--ha1", "ha1 must be positive and finite, got inf"),
         ("fit-anhysteretic", "--eps", "eps must be positive and finite, got inf"),

@@ -377,11 +377,11 @@ class TestImplicitBlock:
     # negative, zero and positive fields; the zero lane starts on its bracket [0, 0]
     HA = np.array([-2.0e4, -1.0e3, -10.0, 0.0, 10.0, 300.0, 1.0e3, 5.0e3, 2.0e4])
     ROWS = [
-        (972.0, 1.0e-3),  # alpha*Ms/(3*aJ) = 0.55: 3 iterations, one fewer than near stability
-        (972.0, 0.0),  # uncoupled
-        (972.0, -4.0e-3),  # negative alpha, as a NON_PHYSICAL_ALPHA candidate has
-        (1000.0, 1.87e-3),  # alpha*Ms/(3*aJ) = 0.997, near stability
-        (1.0e4, 1.0e-6),  # nearly linear, converges in a few iterations
+        (972.0, 1.0e-3),  # alpha*Ms/(3*aJ) = 0.55: 2 iterations, one fewer than near stability
+        (972.0, 0.0),  # uncoupled: 1 iteration
+        (972.0, -4.0e-3),  # negative alpha, as a NON_PHYSICAL_ALPHA candidate has: 4 iterations
+        (1000.0, 1.87e-3),  # alpha*Ms/(3*aJ) = 0.997, near stability: 3 iterations
+        (972.0, -6.0e-3),  # alpha*Ms/(3*aJ) = -3.3: 6 iterations
         (972.0, -1.0e-2),  # alpha*Ms/(3*aJ) = -5.5: runs past the Newton phase into the bracket
     ]
 
@@ -429,7 +429,7 @@ class TestImplicitBlock:
         assert block[0].tobytes() == one.tobytes()
 
     def test_a_row_that_misses_the_tolerance_fails_the_block(self, monkeypatch):
-        # the alpha < 0 rows need 5 and 23 iterations, the others 1 to 4
+        # the alpha < 0 rows need 4, 6 and 23 iterations, the others 1 to 3
         monkeypatch.setattr(core, "_MAX_ITER", 6)
         with pytest.raises(NoConvergence):
             self._block(self.HA, self.ROWS)
@@ -477,6 +477,56 @@ class TestImplicitRegimes:
         # on these draws only alpha < 0 reaches the bracket: coupled and near-critical rows
         # start at the root of the cubic, below their own, and are done in 1 to 7 steps
         assert (bracketed > 0) == (regime == "negative"), bracketed
+
+    def _bisected(self, A, aJ, alpha):
+        """Root of M - Ms*L((A + alpha*M)/aJ) in [0, Ms], bisected until no midpoint is left."""
+        lo, hi = np.zeros_like(A), np.where(A > 0.0, self.MS, 0.0)
+        while True:
+            mid = lo + 0.5 * (hi - lo)
+            inside = (mid != lo) & (mid != hi)
+            if not inside.any():
+                return lo, hi
+            below = mid - self.MS * langevin((A + alpha * mid) / aJ) < 0.0
+            lo, hi = np.where(inside & below, mid, lo), np.where(inside & ~below, mid, hi)
+
+    def test_max_langevin_curvature_bounds_the_stop_rule(self):
+        # L''(x) = 2*coth(x)/sinh(x)^2 - 2/x^3 peaks in magnitude at 0.1059636 near x = 1.3723
+        x = np.linspace(0.05, 20.0, 400_001)
+        l2 = np.max(np.abs(2.0 / (np.tanh(x) * np.sinh(x) ** 2) - 2.0 / x**3))
+        assert 0.1059 < l2 <= core._L2_MAX < 0.10601
+
+    @pytest.mark.parametrize("regime", [*RATIOS, "sweep"])
+    def test_every_row_is_within_tol_of_its_bisected_root(self, regime):
+        # The Newton-phase stop rule certifies C*d^2 <= abs_tol; a bisection of the same
+        # residual to the double floor must agree.  Where langevin's cancellation (~7e-16/x^2
+        # relative below x = 1) blurs the residual's sign over more than TOL, near
+        # stability, the root is only known to that rounding over the residual's slope.
+        rng = np.random.default_rng(20 + [*self.RATIOS, "sweep"].index(regime))
+        for _ in range(100):
+            aJ = 10.0 ** rng.uniform(1.0, 5.0)
+            if regime == "sweep":  # a block of the sweep's candidates on validate's fields
+                A = np.linspace(H_MAX / N_SAMPLES, H_MAX, N_SAMPLES)
+                alpha = np.sort(rng.uniform(0.97, 0.9992, 8))[:, None] * 3.0 * aJ / self.MS
+                M = _implicit_array(A, np.full_like(alpha, aJ), alpha, self.MS, self.TOL)
+                A = np.broadcast_to(A, M.shape)
+            else:
+                alpha = self.RATIOS[regime](rng) * 3.0 * aJ / self.MS
+                A = 10.0 ** rng.uniform(-3.0, 6.0, 16)
+                M = _implicit_array(A, aJ, alpha, self.MS, self.TOL)
+            lo, hi = self._bisected(A, aJ, alpha)
+            x = (A + alpha * M) / aJ
+            slope = 1.0 - alpha * self.MS / aJ * langevin_prime(x)
+            blur = 0.0 if regime == "sweep" else 2.0 * TestImplicitStart._slack(A, M, aJ, alpha)[0] / slope
+            assert np.all(np.maximum(M - lo, hi - M) <= self.TOL + blur), (aJ, alpha)
+
+    def test_validate_rows_take_three_steps_as_a_block(self, monkeypatch):
+        # each row's third step certifies it; the plain test d <= abs_tol took a fourth
+        data = synthetic_curve(*GRID_ROWS[0])
+        calls = self._counted(monkeypatch)
+        aJ, alpha = (np.array(col)[:, None] for col in zip(*GRID_ROWS))
+        M = _implicit_array(data.H, aJ, alpha, self.MS, self.TOL)
+        assert len(calls) == 3
+        assert M[0].tobytes() == data.M.tobytes()
 
     def test_bracketed_rows_match_single_curves_bitwise(self, monkeypatch):
         calls = self._counted(monkeypatch)
@@ -541,7 +591,8 @@ class TestImplicitStart:
         )
         return events
 
-    def _slack(self, A, M, aJ, alpha):
+    @staticmethod
+    def _slack(A, M, aJ, alpha):
         """Rounding of G(M): langevin's cancellation, ~7e-16/x^2 relative below x = 1."""
         x = (A + alpha * M) / aJ
         return 4e-15 * M * (1.0 + 1.0 / np.minimum(x, 1.0) ** 2), x

@@ -239,10 +239,17 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
             "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
         ]))
     # an infinite --hmax, and one whose descending segment spans more than the float
-    # range: exit 2 naming hmax, or the segment and its span
-    for name, hmax in (("simulate-loop-hmax-1e308", "1e308"), ("simulate-loop-hmax-inf", "inf")):
+    # range: exit 2 naming hmax, or the segment and its span.  At 8.9e307 the spans are
+    # finite but the uncoupled loop's RK4 steps overflow to a NaN M: exit 2 naming the
+    # segment and the step.  At 1e200 the loop saturates, with no floating-point warning
+    for name, params, hmax in (
+        ("simulate-loop-hmax-1e308", steel, "1e308"),
+        ("simulate-loop-hmax-inf", steel, "inf"),
+        ("simulate-loop-hmax-8.9e307", ["--aj", "972", "--alpha", "0", "--ms", MS], "8.9e307"),
+        ("simulate-loop-hmax-1e200", steel, "1e200"),
+    ):
         cmds.append((name, [
-            "simulate-loop", *steel, "--c", "0.1", "--k", "1000", "--hmax", hmax,
+            "simulate-loop", *params, "--c", "0.1", "--k", "1000", "--hmax", hmax,
             "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
         ]))
     curves = [*f["loop"], *f["first_mag"], *f["anhysteretic"]]
