@@ -16,13 +16,16 @@ mu0-scaled Euclidean residual against the data.
 Two sweep policies are offered: ``argmin`` scans the whole grid and takes
 the global minimum; ``first-local-min`` walks up from ``eta0`` and stops at
 the first increase of the residual norm, reporting the step before it.
-Every grid point is evaluated independently of sweep order, so both
-policies (and the coarse-to-fine shortcut) are exactly reproducible.  They
-differ only in which grid points they evaluate; the winner is always the
-smallest grid index among the minima of the evaluated norms.  The scans
-evaluate their grid points in blocks: one lockstep curve solve per block,
-each row with the bits of its own single-curve solve, so a norm does not
-depend on the block it was computed in.
+``argmin`` may refine by decades instead (``coarse``): every 100th grid
+point, then every 10th and then every point over the span from the first to
+the last tied minimum of the level before, widened by that level's stride.
+Every grid point is evaluated independently of sweep order, so all scans
+are exactly reproducible.  They differ only in which grid points they
+evaluate; the winner is always the smallest grid index among the minima of
+the evaluated norms, on a weakly unimodal profile the plain scan's.  The
+scans evaluate their grid points in blocks: one lockstep curve solve per
+block, each row with the bits of its own single-curve solve, so a norm does
+not depend on the block it was computed in.
 """
 
 from __future__ import annotations
@@ -76,8 +79,9 @@ class AnhystereticFitConfig:
 
     ``ha1`` is the high-field reference (A/m), ``eta0``/``eta_max`` the
     half-open sweep range and ``eps`` the grid step.  ``coarse=True``
-    pre-scans at 100x the step, then refines around the coarse minimum;
-    for a unimodal residual profile the result is bit-identical to the
+    scans at 100x the step, then at 10x and 1x around the minima of the
+    level before (about 140 of the 10 000 default grid points); for a
+    weakly unimodal residual profile the result is bit-identical to the
     plain scan.  It applies to ``argmin`` only: with ``first-local-min``
     it is set to False, so reports show the scan that ran.
     ``slope_points=1`` reproduces the single-sample initial susceptibility
@@ -118,7 +122,7 @@ class FitReport:
     tail; that case carries the ``NON_PHYSICAL_ALPHA`` warning code.
     ``sweep_etas``/``sweep_norms`` are the evaluated profile points in
     increasing eta order (the full grid unless coarse mode or an early
-    first-local-min stop truncated it).
+    first-local-min stop truncated it); ``iterations`` counts them.
     """
 
     eta_star: float
@@ -286,10 +290,16 @@ def fit_anhysteretic(
         while j < n_grid and evaluate([j])[0] < norms[j - 1]:
             j += 1
     elif cfg.coarse:
-        coarse = sorted(set(range(0, n_grid, _COARSE_STRIDE)) | {n_grid - 1})
-        evaluate(coarse)
-        center = min(coarse, key=norms.__getitem__)
-        evaluate(range(max(0, center - _COARSE_STRIDE), min(n_grid, center + _COARSE_STRIDE + 1)))
+        stride, lo, hi = _COARSE_STRIDE, 0, n_grid - 1
+        while stride:  # strides 100, 10, 1, each over the bracket of the level before
+            pts = sorted(set(range(lo, hi + 1, stride)) | {hi})
+            level = evaluate(pts)
+            low = min(level)
+            ties = [j for j, v in zip(pts, level) if v == low]
+            _logger.info("coarse stride %d over [%d, %d]: j=%d, %d evals",
+                         stride, lo, hi, ties[0], len(norms))
+            lo, hi = max(0, ties[0] - stride), min(n_grid - 1, ties[-1] + stride)
+            stride //= 10
     else:
         evaluate(range(n_grid))
 

@@ -385,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-max", type=float)
     p.add_argument("--sweep", choices=_SWEEPS)
     p.add_argument("--coarse", action="store_true",
-                   help="coarse-to-fine scan (same answer on unimodal profiles, much faster); "
+                   help="refine the scan by decades, every 100th, 10th, then every grid point "
+                        "(same answer on weakly unimodal profiles, far fewer candidates); "
                         "argmin only: with --sweep first-local-min it is not applied and the "
                         "report says \"coarse\": false")
     p.add_argument("--slope-points", type=int,
@@ -441,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="synthetic round-trip check of the fitting pipeline")
     p.add_argument("--eps", type=float, default=AnhystereticFitConfig.eps)
     p.add_argument("--sweep", choices=_SWEEPS, default=AnhystereticFitConfig.sweep)
-    p.add_argument("--plain", action="store_true", help="disable the coarse-to-fine shortcut")
+    p.add_argument("--plain", action="store_true", help="scan every grid point, not by decades")
     # no --out: the report is written nowhere (simulate-loop's default prints it)
     p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path(os.devnull))
     p.add_argument("--deterministic", action="store_true")

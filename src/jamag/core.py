@@ -15,7 +15,7 @@ root of the cubic L(x) ~ x/3 - x^3/45 gives, bisecting the rare rows not done
 in ``_NEWTON_STEPS`` steps.  A row is done once Newton's bound C*d^2 on its step d,
 C = alpha^2*Ms*max|L''|/(2*aJ*eps), is within the tolerance: 3 steps on sweep rows.
 Each step takes L' from its L: one tanh a step.  Scalar arguments use ``math``;
-arrays are handled elementwise, warning only where |Ha|/eps overflows.  SI units.
+arrays are handled elementwise, warning only where (|Ha| + alpha*M)/aJ overflows.  SI units.
 """
 
 from __future__ import annotations
@@ -210,12 +210,13 @@ def _implicit_array(
     if not np.all(eps > 0.0):  # the first such row's ratio
         ratio = np.ravel(alpha * Ms / (3.0 * aJ))[np.argmin(np.ravel(eps > 0.0))]
         raise UnstableParams(f"alpha*Ms/(3*aJ) = {ratio:.6g} >= 1; the anhysteretic curve is multivalued")
-    x = A / eps  # times 3c/(c^2 + c + 1), c = cbrt(w + sqrt(w^2 + 1))^2: x_c, free of cancellation
-    with np.errstate(over="ignore"):  # w past ~1e154 gives c = inf, x = 0: below the root, Newton climbs
+    with np.errstate(over="ignore", invalid="ignore"):  # w past ~1e154 gives c = inf, x = 0: below the root
+        x = A / eps  # times 3c/(c^2 + c + 1), c = cbrt(w + sqrt(w^2 + 1))^2: x_c, free of cancellation
         w = np.sqrt(0.15 * a * Ms / eps) / eps * A
         c = np.multiply(w, w)
         c = np.square(np.cbrt(np.add(w, np.sqrt(np.add(c, 1.0, out=c), out=c), out=c), out=c), out=c)
         x *= np.divide(3.0, np.add(np.add(c, 1.0, out=w), np.divide(1.0, c, out=c), out=c), out=c)
+    np.fmax(x, 0.0, out=x)  # where A/eps overflows too, inf*0 gives NaN: 0 there as well, and Newton climbs
     M = np.multiply(Ms, langevin(x), out=x)
     kappa = alpha * Ms / aJ
     with np.errstate(divide="ignore", invalid="ignore"):  # the largest d a row may stop on: inf if C = 0

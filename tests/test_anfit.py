@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import jamag.anfit as anfit
 from jamag.anfit import (
@@ -39,6 +40,42 @@ from conftest import linear_curve
 
 MS = 1.6e6
 T = 303.5
+
+
+def _patch_profile(mp, data, profile, eta0, eps):
+    """Make the residual norm of grid index j proportional to ``profile[j]``.
+
+    alpha carries eta into the patched curve solve, which offsets the data by profile[j].
+    """
+
+    def fake_curve(H, aJ, alpha, Ms, tol):
+        # one row per entry of alpha: (P, 1) -> (P, n), a float -> (n,)
+        return data.M + np.asarray(profile)[np.rint((alpha - eta0) / eps).astype(int)]
+
+    mp.setattr(anfit, "solve_chi_param", lambda eta, *args: eta)
+    mp.setattr(anfit, "alpha_from_susceptibilities", lambda chi_p, chi_a: chi_p)
+    mp.setattr(anfit, "_implicit_array", fake_curve)
+
+
+@st.composite
+def _unimodal_profiles(draw):
+    """Weakly unimodal profiles of 3 to 2 500 points: a bottom plateau with runs at
+    levels 1 to 3 above it on either side, each side's runs sorted to rise away from it.
+    Few levels make long plateaus that tie across a narrow bottom; an empty side puts
+    the minimum at an end of the grid."""
+    longest = draw(st.sampled_from([2, 30, 400, 800]))  # run lengths: small grids too
+    runs = st.lists(st.tuples(st.integers(1, longest), st.integers(1, 3)), max_size=4)
+
+    def side(rs):
+        rs = sorted(rs, key=lambda r: r[1])
+        return np.repeat([1.0 + level for _, level in rs], [length for length, _ in rs])
+
+    fall, rise = draw(runs), draw(runs)
+    bottom = draw(st.integers(1, draw(st.sampled_from([1, 3, 30, 400]))))
+    profile = np.concatenate([side(fall)[::-1], np.ones(bottom), side(rise)])
+    assume(profile.size >= 3)
+    return profile[:2500]
+
 
 # 50-digit references
 CHI_AN1_REF = 1.5980062404384166     # paramagnet secant susceptibility at Ha1=1e6, a1 = 1246.1 A/m
@@ -301,29 +338,56 @@ class TestFit:
     def test_sweep_policies_on_two_dip_profile(
         self, material, monkeypatch, profile, sweep, coarse, j_star, evals
     ):
-        # alpha carries eta into the patched curve solve, whose residual norm
-        # is then proportional to profile[j] at grid index j
         eta0, eps = 0.9, 0.01
         data = linear_curve(n=4)
-
-        def fake_curve(H, aJ, alpha, Ms, tol):
-            # one row per entry of alpha: (P, 1) -> (P, n), a float -> (n,)
-            return data.M + np.asarray(profile)[np.rint((alpha - eta0) / eps).astype(int)]
-
-        monkeypatch.setattr(anfit, "solve_chi_param", lambda eta, *args: eta)
-        monkeypatch.setattr(anfit, "alpha_from_susceptibilities", lambda chi_p, chi_a: chi_p)
-        monkeypatch.setattr(anfit, "_implicit_array", fake_curve)
+        _patch_profile(monkeypatch, data, profile, eta0, eps)
         cfg = AnhystereticFitConfig(eta0=eta0, eps=eps, sweep=sweep, coarse=coarse)
         report = fit_anhysteretic(data, material, cfg)
         assert report.eta_star == eta0 + j_star * eps
         assert report.residual_norm == min(report.sweep_norms)
         assert report.iterations == evals
 
+    def test_coarse_finds_a_minimum_between_tied_coarse_points(self, material, monkeypatch):
+        # every coarse point ties at 5: the window used to centre on the first of them,
+        # index 0, and miss the dip at 150 while still calling the profile unimodal
+        eta0, eps = 0.5, 0.002
+        profile = np.full(250, 5.0)
+        profile[150] = 1.0
+        data = linear_curve(n=4)
+        _patch_profile(monkeypatch, data, profile, eta0, eps)
+        plain = fit_anhysteretic(data, material, AnhystereticFitConfig(eta0=eta0, eps=eps))
+        coarse = fit_anhysteretic(data, material, AnhystereticFitConfig(eta0=eta0, eps=eps, coarse=True))
+        assert plain.eta_star == eta0 + 150 * eps and plain.iterations == 250
+        assert coarse.eta_star == plain.eta_star
+        assert coarse.residual_norm == plain.residual_norm
+        assert coarse.unimodal
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_unimodal_profiles())
+    def test_coarse_equals_plain_on_weakly_unimodal_profiles(self, profile):
+        eta0, eps = 0.5, 0.5 / profile.size  # a grid of profile.size points
+        data = linear_curve(n=4)
+        material = MaterialSpec(MS, T)
+        with pytest.MonkeyPatch.context() as mp:
+            _patch_profile(mp, data, profile, eta0, eps)
+            plain = fit_anhysteretic(data, material, AnhystereticFitConfig(eta0=eta0, eps=eps))
+            coarse = fit_anhysteretic(data, material, AnhystereticFitConfig(eta0=eta0, eps=eps, coarse=True))
+        assert plain.iterations == profile.size
+        assert coarse.eta_star == plain.eta_star
+        assert coarse.residual_norm == plain.residual_norm
+
+    def test_coarse_evaluations_at_the_default_step(self, material):
+        # 10 000 grid points: 101 at stride 100, then 18 new ones at stride 10 and at stride 1
+        data = synthetic_curve(972.0, 1.4e-3, material, 120, 1.0e4)
+        report = fit_anhysteretic(data, material, AnhystereticFitConfig(coarse=True))
+        assert report.iterations == report.sweep_norms.size == 137
+
     @pytest.mark.parametrize(
         "coarse,eta0,eps,evals",
         [
             (False, 0.99, 2.3e-4, 44),  # index 0, then 43 rows: one block
-            (True, 0.9, 1.0e-4, 110),  # 10 more coarse rows, then 99 window rows: 81 + 18
+            # 10 more rows at stride 100, 10 at stride 10 and 18 at stride 1: one block each
+            (True, 0.9, 1.0e-4, 39),
         ],
     )
     def test_sweep_norms_are_single_curve_norms_bitwise(self, material, coarse, eta0, eps, evals):

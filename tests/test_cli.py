@@ -1,6 +1,7 @@
 import builtins
 import functools
 import json
+import re
 import subprocess
 import sys
 import weakref
@@ -308,6 +309,20 @@ class TestMeasuredValueErrors:
         )
         assert not (tmp_path / "out.json").exists()
 
+    def test_steep_curve_up_to_1e306(self, tmp_path):
+        # chi_a = 1e9 puts every candidate within 1e-6 of stability, where the implicit
+        # solve's start overflowed at 1e306 A/m: the first eta step failed, exit 3
+        path = tmp_path / "steep.csv"
+        write_curve_file(path, np.array([1e-3, 1.0, 1e3, 1e6, 1e306]),
+                         np.array([1.0e6, 1.5e6, 1.59e6, 1.599e6, 1.6e6]))
+        code = cli.main([
+            "fit-anhysteretic", str(path), "--ms", str(MS), "--temp", str(T), "--coarse",
+            "--out", str(tmp_path / "out.json"), "--curve-out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 0
+        assert json.loads((tmp_path / "out.json").read_text())["warnings"] == []
+        assert np.loadtxt(tmp_path / "c.csv", delimiter=",", skiprows=1)[-1, 2] == MS
+
 # (id, saved report text, the command that reads it, the key its error names)
 _SIMULATE = ["simulate-loop", "--c", "0.1", "--k", "1000", "--hmax", "5000", "--steps", "50"]
 _BAD_REPORTS = [
@@ -359,6 +374,9 @@ def test_verbose_logs_the_fit_summary(anh_file, tmp_path, verbose):
     )
     assert r.returncode == 0, r.stderr
     assert ("INFO jamag.anfit: fit: eta*=" in r.stderr) is verbose
+    # one line per refinement level of the 100-point grid
+    strides = re.findall(r"INFO jamag.anfit: coarse stride (\d+) over", r.stderr)
+    assert strides == (["100", "10", "1"] if verbose else [])
 
 
 class TestNumericalErrors:

@@ -664,6 +664,22 @@ class TestImplicitStart:
                 with pytest.raises(UnstableParams, match=message):
                     _implicit_array(Ha, np.array(rows)[:, :1], np.array(rows)[:, 1:], self.MS, self.TOL)
 
+    # Near stability eps is so small that A/eps overflows at fields a float still holds:
+    # the start was inf*0 = NaN, with overflow and invalid warnings, and the solve ended
+    # on NoConvergence.  Those lanes start at 0, below the root, and climb to Ms
+    @pytest.mark.parametrize("ratio, lowest", [(1.0 - 1e-6, 1e306), (1.0 - 1e-12, 1e300)])
+    def test_fields_whose_start_overflows_saturate(self, ratio, lowest):
+        aJ = 1000.0
+        alpha = ratio * 3.0 * aJ / self.MS
+        H = np.geomspace(lowest, 1e308, 5)
+        assert H[0] > np.finfo(float).max * (aJ - alpha * self.MS / 3.0)  # A/eps overflows
+        small = np.array([0.0, 1.0, 1.0e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            M = _implicit_array(np.concatenate([-H, small, H]), aJ, alpha, self.MS, self.TOL)
+        assert np.all(M[:5] == -self.MS) and np.all(M[8:] == self.MS)
+        assert M[5:8].tobytes() == _implicit_array(small, aJ, alpha, self.MS, self.TOL).tobytes()
+
     def test_a_block_names_its_first_unstable_row(self):
         aJ, alpha = np.array([[972.0], [100.0], [1.0]]), np.array([[1.4e-3], [1.4e-3], [0.01]])
         with pytest.raises(UnstableParams, match="^alpha\\*Ms/\\(3\\*aJ\\) = 7.46667 >= 1;"):

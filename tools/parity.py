@@ -168,9 +168,13 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
     ]))
     # a low reference field: the winner's Langevin argument is about 2.4, where the chi
-    # solve starts from its 3y bound; and non-finite settings, which exit 2 naming them
+    # solve starts from its 3y bound; grids whose winner is their first or last index,
+    # so every refinement level's window is clipped at that end; and non-finite settings,
+    # which exit 2 naming them
     for name, extra in (
         ("fit-anhysteretic-coarse-low-ha1", ["--ha1", "3000", "--eta0", "0.5", "--coarse"]),
+        ("fit-anhysteretic-coarse-first-index", ["--ha1", "3000", "--eta0", "0.98", "--coarse"]),
+        ("fit-anhysteretic-coarse-last-index", ["--eta0", "0.5", "--eta-max", "0.6", "--coarse"]),
         ("fit-anhysteretic-ha1-inf", ["--ha1", "inf", "--coarse"]),
         ("fit-anhysteretic-eps-inf", ["--eps", "inf"]),
     ):
