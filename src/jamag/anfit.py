@@ -16,9 +16,11 @@ mu0-scaled Euclidean residual against the data.
 Two sweep policies are offered: ``argmin`` scans the whole grid and takes
 the global minimum; ``first-local-min`` walks up from ``eta0`` and stops at
 the first increase of the residual norm, reporting the step before it.
-``argmin`` may refine by decades instead (``coarse``): every 100th grid
-point, then every 10th and then every point over the span from the first to
-the last tied minimum of the level before, widened by that level's stride.
+``argmin`` may refine by decades instead (``coarse``): every 10^k-th grid
+point, 10^k the largest power of ten not above the last grid index, then
+every 10^(k-1)-th and so on down to every point, each level over the span
+from the first to the last tied minimum of the level before, widened by that
+level's stride.
 Every grid point is evaluated independently of sweep order, so all scans
 are exactly reproducible.  They differ only in which grid points they
 evaluate; the winner is always the smallest grid index among the minima of
@@ -62,8 +64,9 @@ from .rootfind import find_root  # noqa: F401  # unused here; perfbench/tracer.p
 
 SWEEP_ARGMIN = "argmin"
 SWEEP_FIRST_LOCAL_MIN = "first-local-min"
+RMS_BOUND_FRACTION = 0.01
+"""A fit meets its condition when its residual RMS is at most this fraction of mu0*Ms."""
 
-_COARSE_STRIDE = 100
 _X_SATURATED = 20.0  # above this 1/tanh(x) rounds to 1, so 1/(1 - y) solves L(x) = y
 _CHI_STEP_TOL = 1e-9  # the chi solve stops once Newton climbs by at most this fraction of x
 _CHI_MAX_ITER = 50  # iteration cap of the chi solve
@@ -79,8 +82,9 @@ class AnhystereticFitConfig:
 
     ``ha1`` is the high-field reference (A/m), ``eta0``/``eta_max`` the
     half-open sweep range and ``eps`` the grid step.  ``coarse=True``
-    scans at 100x the step, then at 10x and 1x around the minima of the
-    level before (about 140 of the 10 000 default grid points); for a
+    scans at the largest power-of-ten multiple of the step that fits the
+    grid, then at each lower decade down to 1x around the minima of the
+    level before (about 60 of the 10 000 default grid points); for a
     weakly unimodal residual profile the result is bit-identical to the
     plain scan.  It applies to ``argmin`` only: with ``first-local-min``
     it is set to False, so reports show the scan that ran.
@@ -123,6 +127,9 @@ class FitReport:
     ``sweep_etas``/``sweep_norms`` are the evaluated profile points in
     increasing eta order (the full grid unless coarse mode or an early
     first-local-min stop truncated it); ``iterations`` counts them.
+    ``fit_condition_met`` is false when the residual RMS exceeds
+    ``RMS_BOUND_FRACTION * mu0 * Ms`` (warning ``FIT_CONDITION_NOT_MET``);
+    a winner at either end of the grid carries ``SWEEP_EDGE``.
     """
 
     eta_star: float
@@ -138,6 +145,7 @@ class FitReport:
     sweep_etas: np.ndarray
     sweep_norms: np.ndarray
     unimodal: bool
+    fit_condition_met: bool
     warnings: tuple[str, ...]
 
 
@@ -290,8 +298,9 @@ def fit_anhysteretic(
         while j < n_grid and evaluate([j])[0] < norms[j - 1]:
             j += 1
     elif cfg.coarse:
-        stride, lo, hi = _COARSE_STRIDE, 0, n_grid - 1
-        while stride:  # strides 100, 10, 1, each over the bracket of the level before
+        lo, hi = 0, n_grid - 1
+        stride = 10 ** (len(str(hi)) - 1)  # the top decade of the grid: 1 000 for 10 000 points
+        while stride:  # strides fall by 10, each level over the bracket of the level before
             pts = sorted(set(range(lo, hi + 1, stride)) | {hi})
             level = evaluate(pts)
             low = min(level)
@@ -312,12 +321,17 @@ def fit_anhysteretic(
     sweep_etas = np.array([cfg.eta0 + j * cfg.eps for j in js])
     sweep_norms = np.array([norms[j] for j in js])
     unimodal = _is_unimodal(sweep_norms)
+    met = best_norm / math.sqrt(H.size) <= RMS_BOUND_FRACTION * MU0 * Ms
 
     warn: list[str] = []
     if alpha < 0.0:
         warn.append("NON_PHYSICAL_ALPHA")
     if not unimodal:
         warn.append("NOT_UNIMODAL")
+    if not met:
+        warn.append("FIT_CONDITION_NOT_MET")
+    if best_j in (0, n_grid - 1):
+        warn.append("SWEEP_EDGE")
 
     _logger.info(
         "fit: eta*=%.6g, chi_param=%.6g, aJ=%.6g, alpha=%.6g, |r|=%.6g (%d evals)",
@@ -337,6 +351,7 @@ def fit_anhysteretic(
         sweep_etas=sweep_etas,
         sweep_norms=sweep_norms,
         unimodal=unimodal,
+        fit_condition_met=met,
         warnings=tuple(warn),
     )
 

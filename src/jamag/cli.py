@@ -26,7 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .anfit import SWEEP_ARGMIN, SWEEP_FIRST_LOCAL_MIN, AnhystereticFitConfig, fit_anhysteretic
+from .anfit import (
+    RMS_BOUND_FRACTION, SWEEP_ARGMIN, SWEEP_FIRST_LOCAL_MIN, AnhystereticFitConfig, fit_anhysteretic,
+)
 from .core import MU0, MaterialSpec
 from .dataio import CurveKind, LoopFeatures, MagnetizationCurve, Unit, extract_features, parse_curve
 from .errors import DataError, JamagError
@@ -124,10 +126,11 @@ def _collect_warnings(caught) -> list[dict]:
     return out
 
 
-_WARNING_MESSAGES = {
+_WARNING_MESSAGES = {  # the anhysteretic fit's warning codes
     "NON_PHYSICAL_ALPHA": "fitted alpha is negative",
     "NOT_UNIMODAL": "residual profile over eta is not unimodal",
-    "FIT_CONDITION_NOT_MET": "no seed reached the fit tolerance; best candidate reported",
+    "FIT_CONDITION_NOT_MET": f"residual RMS exceeds {RMS_BOUND_FRACTION:.0%} of mu0*Ms; best eta reported",
+    "SWEEP_EDGE": "best eta is at an end of the grid; the minimum may lie beyond it",
 }
 
 
@@ -198,9 +201,10 @@ def cmd_fit_anhysteretic(args) -> dict:
             "residual_rms": report.residual_norm / float(np.sqrt(len(data))),
             "iterations": report.iterations,
             "unimodal": report.unimodal,
+            "fit_condition_met": report.fit_condition_met,
             "curve_file": str(args.curve_out),
         },
-        "warnings": report.warnings,
+        "warnings": [{"code": c, "message": _WARNING_MESSAGES[c]} for c in report.warnings],
     }
 
 
@@ -242,7 +246,10 @@ def cmd_fit_jiles92(args) -> dict:
             "seed": result.seed,
             "iterations": result.iterations,
         },
-        "warnings": [] if result.fit_condition_met else ["FIT_CONDITION_NOT_MET"],
+        "warnings": [] if result.fit_condition_met else [{
+            "code": "FIT_CONDITION_NOT_MET",
+            "message": "no seed reached the fit tolerance; best candidate reported",
+        }],
     }
 
 
@@ -385,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-max", type=float)
     p.add_argument("--sweep", choices=_SWEEPS)
     p.add_argument("--coarse", action="store_true",
-                   help="refine the scan by decades, every 100th, 10th, then every grid point "
+                   help="refine the scan by decades, from the grid's top power of ten down to every point "
                         "(same answer on weakly unimodal profiles, far fewer candidates); "
                         "argmin only: with --sweep first-local-min it is not applied and the "
                         "report says \"coarse\": false")
@@ -462,14 +469,13 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run = args.func(args)
-        codes = run.pop("warnings", [])
+        fit_warnings = run.pop("warnings", [])
         report = {
             "command": args.command,
             "version": __version__,
             "status": "ok",
             **run,
-            "warnings": _collect_warnings(caught)
-            + [{"code": c, "message": _WARNING_MESSAGES[c]} for c in codes],
+            "warnings": _collect_warnings(caught) + fit_warnings,
         }
         _write_report(report, args.report, args.deterministic)
     except (DataError, OSError, ValueError) as err:

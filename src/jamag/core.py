@@ -15,7 +15,7 @@ root of the cubic L(x) ~ x/3 - x^3/45 gives, bisecting the rare rows not done
 in ``_NEWTON_STEPS`` steps.  A row is done once Newton's bound C*d^2 on its step d,
 C = alpha^2*Ms*max|L''|/(2*aJ*eps), is within the tolerance: 3 steps on sweep rows.
 Each step takes L' from its L: one tanh a step.  Scalar arguments use ``math``;
-arrays are handled elementwise, warning only where (|Ha| + alpha*M)/aJ overflows.  SI units.
+arrays are handled elementwise, silently where (|Ha| + alpha*M)/aJ overflows to L = 1.  SI units.
 """
 
 from __future__ import annotations
@@ -226,32 +226,33 @@ def _implicit_array(
     buf = c  # x of each iteration
     lo = hi = None  # the safeguard bracket, off for the first _NEWTON_STEPS iterations
 
-    for it in range(_MAX_ITER):
-        if it == _NEWTON_STEPS:  # switch on the bracket; H = 0 lanes stay on their root
-            lo = np.zeros_like(M)
-            hi = np.where(A > 0.0, Ms, lo)
-            d_max[:] = abs_tol
-        x = buf[: len(M)]  # the first rows of one buffer: rows only ever leave
-        np.divide(np.add(A, np.multiply(alpha, M, out=x), out=x), aJ, out=x)  # x = (A + alpha*M) / aJ
-        g = langevin(x)
-        gp = langevin_prime(x, g)
-        np.subtract(M, np.multiply(Ms, g, out=g), out=g)  # g = M - Ms*L(x)
-        np.subtract(1.0, np.multiply(kappa, gp, out=gp), out=gp)  # gp = 1 - kappa*L'(x)
-        M_new = np.subtract(M, np.divide(g, gp, out=gp), out=gp)  # Newton step
-        if lo is not None:  # shrink the bracket; bisect the lanes whose step leaves it
-            lo, hi = np.where(g < 0.0, M, lo), np.where(g > 0.0, M, hi)
-            M_new = np.where((M_new <= lo) | (M_new >= hi), 0.5 * (lo + hi), M_new)
-        done = np.max(np.abs(np.subtract(M_new, M, out=x), out=x), axis=-1) <= d_max
-        if done.all():
-            out[rows] = M_new
-            return sign * out
-        if done.any():  # only a block (2-D) gets here: compact to the active rows
-            out[rows[done]] = M_new[done]
-            keep = ~done
-            rows, M_new, aJ, alpha, kappa, d_max = (v[keep] for v in (rows, M_new, aJ, alpha, kappa, d_max))
-            if lo is not None:
-                lo, hi = lo[keep], hi[keep]
-        M = M_new
+    with np.errstate(over="ignore"):  # x = inf past the float range: L = 1, M = Ms there
+        for it in range(_MAX_ITER):
+            if it == _NEWTON_STEPS:  # switch on the bracket; H = 0 lanes stay on their root
+                lo = np.zeros_like(M)
+                hi = np.where(A > 0.0, Ms, lo)
+                d_max[:] = abs_tol
+            x = buf[: len(M)]  # the first rows of one buffer: rows only ever leave
+            np.divide(np.add(A, np.multiply(alpha, M, out=x), out=x), aJ, out=x)  # x = (A + alpha*M) / aJ
+            g = langevin(x)
+            gp = langevin_prime(x, g)
+            np.subtract(M, np.multiply(Ms, g, out=g), out=g)  # g = M - Ms*L(x)
+            np.subtract(1.0, np.multiply(kappa, gp, out=gp), out=gp)  # gp = 1 - kappa*L'(x)
+            M_new = np.subtract(M, np.divide(g, gp, out=gp), out=gp)  # Newton step
+            if lo is not None:  # shrink the bracket; bisect the lanes whose step leaves it
+                lo, hi = np.where(g < 0.0, M, lo), np.where(g > 0.0, M, hi)
+                M_new = np.where((M_new <= lo) | (M_new >= hi), 0.5 * (lo + hi), M_new)
+            done = np.max(np.abs(np.subtract(M_new, M, out=x), out=x), axis=-1) <= d_max
+            if done.all():
+                out[rows] = M_new
+                return sign * out
+            if done.any():  # only a block (2-D) gets here: compact to the active rows
+                out[rows[done]] = M_new[done]
+                keep = ~done
+                rows, M_new, aJ, alpha, kappa, d_max = (v[keep] for v in (rows, M_new, aJ, alpha, kappa, d_max))
+                if lo is not None:
+                    lo, hi = lo[keep], hi[keep]
+            M = M_new
 
     raise NoConvergence(
         f"implicit anhysteretic solve: {_MAX_ITER} iterations without reaching "

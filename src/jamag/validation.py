@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anfit import AnhystereticFitConfig, FitReport, fit_anhysteretic
+from .anfit import RMS_BOUND_FRACTION, AnhystereticFitConfig, FitReport, fit_anhysteretic
 from .core import MU0, AnhystereticParams, MaterialSpec, anhysteretic_implicit
 from .dataio import CurveKind, MagnetizationCurve
 
@@ -31,7 +31,6 @@ GRID_ROWS: tuple[tuple[float, float], ...] = (
 
 N_SAMPLES = 200
 H_MAX = 1.0e4
-RMS_BOUND_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ def run_row(
     bound = RMS_BOUND_FRACTION * MU0 * GRID_MATERIAL.Ms
     return RowResult(
         aJ_true=aJ, alpha_true=alpha, rms=float(rms), bound=float(bound),
-        passed=bool(rms <= bound), report=report, elapsed=elapsed,
+        passed=report.fit_condition_met, report=report, elapsed=elapsed,
     )
 
 

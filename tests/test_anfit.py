@@ -34,7 +34,7 @@ from jamag.errors import (
     UnstableParams,
 )
 from jamag.rootfind import find_root
-from jamag.validation import synthetic_curve
+from jamag.validation import run_row, synthetic_curve
 
 from conftest import linear_curve
 
@@ -59,22 +59,23 @@ def _patch_profile(mp, data, profile, eta0, eps):
 
 @st.composite
 def _unimodal_profiles(draw):
-    """Weakly unimodal profiles of 3 to 2 500 points: a bottom plateau with runs at
+    """Weakly unimodal profiles of 3 to 12 000 points: a bottom plateau with runs at
     levels 1 to 3 above it on either side, each side's runs sorted to rise away from it.
     Few levels make long plateaus that tie across a narrow bottom; an empty side puts
-    the minimum at an end of the grid."""
-    longest = draw(st.sampled_from([2, 30, 400, 800]))  # run lengths: small grids too
-    runs = st.lists(st.tuples(st.integers(1, longest), st.integers(1, 3)), max_size=4)
+    the minimum at an end of the grid.  Grids of 1 001 points on start at stride 1 000."""
+    longest = draw(st.sampled_from([2, 30, 400, 800, 3000]))  # run lengths: small grids too
+    shortest = draw(st.sampled_from([1, longest // 2]))  # long runs only: grids past 10 000 too
+    runs = st.lists(st.tuples(st.integers(shortest, longest), st.integers(1, 3)), max_size=4)
 
     def side(rs):
         rs = sorted(rs, key=lambda r: r[1])
         return np.repeat([1.0 + level for _, level in rs], [length for length, _ in rs])
 
     fall, rise = draw(runs), draw(runs)
-    bottom = draw(st.integers(1, draw(st.sampled_from([1, 3, 30, 400]))))
+    bottom = draw(st.integers(1, draw(st.sampled_from([1, 3, 30, 400, 3000]))))
     profile = np.concatenate([side(fall)[::-1], np.ones(bottom), side(rise)])
     assume(profile.size >= 3)
-    return profile[:2500]
+    return profile[:12000]
 
 
 # 50-digit references
@@ -347,6 +348,32 @@ class TestFit:
         assert report.residual_norm == min(report.sweep_norms)
         assert report.iterations == evals
 
+    @pytest.mark.parametrize("sweep", ["argmin", "first-local-min"])
+    @pytest.mark.parametrize(
+        "profile,codes",
+        [
+            ((1, 2, 3, 4, 5), ["SWEEP_EDGE"]),  # best eta: the grid's first
+            ((5, 4, 3, 2, 1), ["SWEEP_EDGE"]),  # and its last
+            ((3, 2, 1, 2, 3), []),
+            ((3e4, 2e4, 1e4, 2e4, 3e4), []),  # rms 1e4 A/m * mu0: within 1% of mu0*Ms
+            ((3e4, 2e4, 1.7e4, 2e4, 3e4), ["FIT_CONDITION_NOT_MET"]),
+            ((1.7e4, 2e4, 3e4, 3e4, 3e4), ["FIT_CONDITION_NOT_MET", "SWEEP_EDGE"]),
+        ],
+    )
+    def test_fit_condition_and_sweep_edge(self, material, monkeypatch, profile, codes, sweep):
+        eta0, eps = 0.9, 0.02
+        data = linear_curve(n=4)
+        _patch_profile(monkeypatch, data, profile, eta0, eps)
+        report = fit_anhysteretic(data, material, AnhystereticFitConfig(eta0=eta0, eps=eps, sweep=sweep))
+        assert list(report.warnings) == codes
+        assert report.fit_condition_met is ("FIT_CONDITION_NOT_MET" not in codes)
+        assert report.fit_condition_met is (min(profile) <= anfit.RMS_BOUND_FRACTION * MS)
+
+    def test_validate_judges_rows_by_the_fit_condition(self):
+        row = run_row(972.0, 1.4e-3, AnhystereticFitConfig(coarse=True))
+        assert row.passed is row.report.fit_condition_met is True
+        assert row.bound == anfit.RMS_BOUND_FRACTION * MU0 * MS
+
     def test_coarse_finds_a_minimum_between_tied_coarse_points(self, material, monkeypatch):
         # every coarse point ties at 5: the window used to centre on the first of them,
         # index 0, and miss the dip at 150 while still calling the profile unimodal
@@ -377,10 +404,34 @@ class TestFit:
         assert coarse.residual_norm == plain.residual_norm
 
     def test_coarse_evaluations_at_the_default_step(self, material):
-        # 10 000 grid points: 101 at stride 100, then 18 new ones at stride 10 and at stride 1
+        # 10 000 grid points: 11 at stride 1 000 (the last one wins), 10 new ones at stride
+        # 100 in the window clipped at the grid's end, then 18 new ones at strides 10 and 1
         data = synthetic_curve(972.0, 1.4e-3, material, 120, 1.0e4)
         report = fit_anhysteretic(data, material, AnhystereticFitConfig(coarse=True))
-        assert report.iterations == report.sweep_norms.size == 137
+        assert report.iterations == report.sweep_norms.size == 57
+
+    @pytest.mark.parametrize(
+        "points,evals",
+        [
+            (10, 10),  # stride 1 from the start: the plain scan
+            (100, 29),  # 11 at stride 10 (0 to 90, and 99), then 18 new ones at stride 1
+            (1000, 47),  # 11 at stride 100, then 18 new ones at strides 10 and 1
+            (1001, 47),  # 0 and 1 000 at stride 1 000, 9 new ones at 100, then 18 at 10 and 1
+            (10000, 65),  # 11 at stride 1 000, then 18 new ones at strides 100, 10 and 1
+            (50000, 78),  # 6 at stride 10 000, then 18 new ones at each of four decades
+        ],
+    )
+    def test_coarse_starts_at_the_top_decade_of_the_grid(self, material, monkeypatch, points, evals):
+        # a V-shaped profile with its minimum off every coarse point and off every midpoint
+        # between two of them: each level has one winner, and its window is clipped only
+        # on the 1 001-point grid, whose first level has just two points
+        eta0, eps = 0.5, 0.5 / points
+        j_star = 4 * points // 10 + 3
+        data = linear_curve(n=4)
+        _patch_profile(monkeypatch, data, 1.0 + np.abs(np.arange(points) - j_star), eta0, eps)
+        report = fit_anhysteretic(data, material, AnhystereticFitConfig(eta0=eta0, eps=eps, coarse=True))
+        assert report.eta_star == eta0 + j_star * eps
+        assert report.iterations == evals
 
     @pytest.mark.parametrize(
         "coarse,eta0,eps,evals",
@@ -417,7 +468,6 @@ class TestFit:
             (5, 3, "argmin", False, NoConvergence, "curve at 3"),  # the earlier row wins
             (5, 7, "argmin", False, NoSolution, "chi at 5"),  # row 7 is never reached
             (8, 7, "argmin", False, NoConvergence, "curve at 7"),  # in the partial block [7]
-            (5, 9, "argmin", True, NoConvergence, "curve at 9"),  # coarse visits 9 before 5
             (5, 3, "argmin", True, NoConvergence, "curve at 3"),
             (3, 5, "first-local-min", False, NoSolution, "chi at 3"),
             (5, 3, "first-local-min", False, NoConvergence, "curve at 3"),
@@ -430,12 +480,25 @@ class TestFit:
         self, material, monkeypatch, chi_fails, curve_fails, sweep, coarse, error, message
     ):
         # as in a one-index-at-a-time sweep; the decreasing profile keeps the walk going
-        eta0, eps = 0.9, 0.01
+        cfg = AnhystereticFitConfig(eta0=0.9, eps=0.01, sweep=sweep, coarse=coarse)  # 10 points
+        self._assert_first_failure(material, monkeypatch, cfg, chi_fails, curve_fails, error, message)
+
+    def test_coarse_raises_the_first_failure_in_its_own_order(self, material, monkeypatch):
+        # 20 points: stride 10 visits 0, 10 and 19 before the stride-1 level reaches 5
+        cfg = AnhystereticFitConfig(eta0=0.9, eps=0.005, coarse=True)
+        self._assert_first_failure(material, monkeypatch, cfg, 5, 10, NoConvergence, "curve at 10")
+
+    @staticmethod
+    def _assert_first_failure(material, monkeypatch, cfg, chi_fails, curve_fails, error, message):
+        """Fail the chi solve at grid index ``chi_fails`` and the curve solve at
+        ``curve_fails``, on a profile that falls to the grid's last index."""
         data = linear_curve(n=4)
         monkeypatch.setattr(anfit, "_BLOCK_POINTS", 12)  # 3-row blocks: 1-3, 4-6, 7-9
 
         def index(eta):
-            return np.rint((eta - eta0) / eps).astype(int)
+            return np.rint((eta - cfg.eta0) / cfg.eps).astype(int)
+
+        last = index(cfg.eta_max) - 1
 
         def fake_chi(eta, *args):
             if index(eta) == chi_fails:
@@ -445,12 +508,11 @@ class TestFit:
         def fake_curve(H, aJ, alpha, Ms, tol):
             if np.any(index(alpha) == curve_fails):
                 raise NoConvergence(f"curve at {curve_fails}")
-            return data.M + (10 - index(alpha))
+            return data.M + (last + 1 - index(alpha))
 
         monkeypatch.setattr(anfit, "solve_chi_param", fake_chi)
         monkeypatch.setattr(anfit, "alpha_from_susceptibilities", lambda chi_p, chi_a: chi_p)
         monkeypatch.setattr(anfit, "_implicit_array", fake_curve)
-        cfg = AnhystereticFitConfig(eta0=eta0, eps=eps, sweep=sweep, coarse=coarse)
         with pytest.raises(error) as info:
             fit_anhysteretic(data, material, cfg)
         assert type(info.value) is error

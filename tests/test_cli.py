@@ -15,7 +15,7 @@ import jamag.dataio as dataio
 import jamag.jiles92 as jiles92
 from jamag import cli
 from jamag.anfit import AnhystereticFitConfig
-from jamag.core import MaterialSpec
+from jamag.core import MU0, MaterialSpec
 from jamag.dataio import CurveKind, MagnetizationCurve
 from jamag.jiles92 import Jiles92Config
 from jamag.simulate import FieldWaveform, HysteresisParams, integrate
@@ -320,7 +320,10 @@ class TestMeasuredValueErrors:
             "--out", str(tmp_path / "out.json"), "--curve-out", str(tmp_path / "c.csv"),
         ])
         assert code == 0
-        assert json.loads((tmp_path / "out.json").read_text())["warnings"] == []
+        # no floating-point warning: only the fit's own, as five Langevin-like samples over
+        # 309 decades fit at rms 0.74 T, at the grid's last eta
+        warnings = json.loads((tmp_path / "out.json").read_text())["warnings"]
+        assert [w["code"] for w in warnings] == ["FIT_CONDITION_NOT_MET", "SWEEP_EDGE"]
         assert np.loadtxt(tmp_path / "c.csv", delimiter=",", skiprows=1)[-1, 2] == MS
 
 # (id, saved report text, the command that reads it, the key its error names)
@@ -374,9 +377,9 @@ def test_verbose_logs_the_fit_summary(anh_file, tmp_path, verbose):
     )
     assert r.returncode == 0, r.stderr
     assert ("INFO jamag.anfit: fit: eta*=" in r.stderr) is verbose
-    # one line per refinement level of the 100-point grid
+    # one line per refinement level of the 100-point grid, from its top decade
     strides = re.findall(r"INFO jamag.anfit: coarse stride (\d+) over", r.stderr)
-    assert strides == (["100", "10", "1"] if verbose else [])
+    assert strides == (["10", "1"] if verbose else [])
 
 
 class TestNumericalErrors:
@@ -402,10 +405,35 @@ class TestFitAnhysteretic:
         assert report["status"] == "ok"
         assert report["result"]["aJ"] == pytest.approx(972.0, rel=0.02)
         assert report["result"]["alpha"] == pytest.approx(1.4e-3, rel=0.05)
+        assert report["result"]["fit_condition_met"] is True and report["warnings"] == []
         assert "timestamp" not in report
         assert report["inputs"]["data"]["sha256"]
         data = np.loadtxt(curve, delimiter=",", skiprows=1)
         assert data.shape == (200, 4)
+
+    @pytest.mark.parametrize(
+        "M, codes",
+        [
+            (np.full(200, 1.0e5), ["FIT_CONDITION_NOT_MET", "SWEEP_EDGE"]),  # best eta: the first
+            (np.linspace(1.0e6, 5.0e5, 200), ["FIT_CONDITION_NOT_MET"]),
+        ],
+        ids=["constant", "decreasing"],
+    )
+    def test_a_curve_off_the_model_is_flagged(self, tmp_path, M, codes):
+        # the fit still exits 0 and reports its best candidate, but says it misses the bound
+        path = tmp_path / "odd.csv"
+        write_curve_file(path, np.linspace(50.0, 1.0e4, 200), M)
+        rep = tmp_path / "rep.json"
+        code = cli.main([
+            "fit-anhysteretic", str(path), "--ms", str(MS), "--temp", str(T), "--coarse",
+            "--out", str(rep), "--curve-out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 0
+        report = json.loads(rep.read_text())
+        assert report["result"]["fit_condition_met"] is False
+        assert report["result"]["residual_rms"] > anfit.RMS_BOUND_FRACTION * MU0 * MS
+        assert [w["code"] for w in report["warnings"]] == codes
+        assert report["warnings"][0]["message"] == "residual RMS exceeds 1% of mu0*Ms; best eta reported"
 
     def test_report_keys_sorted(self, anh_file, tmp_path):
         rep = tmp_path / "rep.json"

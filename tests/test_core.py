@@ -680,6 +680,14 @@ class TestImplicitStart:
         assert np.all(M[:5] == -self.MS) and np.all(M[8:] == self.MS)
         assert M[5:8].tobytes() == _implicit_array(small, aJ, alpha, self.MS, self.TOL).tobytes()
 
+    def test_arguments_past_the_float_range_saturate_silently(self):
+        # aJ = 1e-3 A/m puts (|H| + alpha*M)/aJ past the float range at 1e307 A/m: L(inf) = 1
+        # gives M = Ms there, but the iteration's divide warned "overflow"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            M = _implicit_array(np.array([1e307, 1.0]), 1e-3, 0.0, self.MS, 1e-3)
+        assert M.tolist() == [self.MS, 1598400.0]  # 0.999*Ms
+
     def test_a_block_names_its_first_unstable_row(self):
         aJ, alpha = np.array([[972.0], [100.0], [1.0]]), np.array([[1.4e-3], [1.4e-3], [0.01]])
         with pytest.raises(UnstableParams, match="^alpha\\*Ms/\\(3\\*aJ\\) = 7.46667 >= 1;"):

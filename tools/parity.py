@@ -97,6 +97,12 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
         path = anh_dir / f"{name}.csv"
         inputs.write_curve(path, H200, M)
         flags[name] = [str(path.relative_to(out))]
+    # curves no anhysteretic model fits, a constant M and a falling one: each fit exits 0
+    # and flags the miss, the constant one's best eta being the grid's first
+    for name, M in (("constant", np.full(200, 1.0e5)), ("decreasing", np.linspace(1.0e6, 5.0e5, 200))):
+        path = anh_dir / f"{name}.csv"
+        inputs.write_curve(path, H200, M)
+        flags[name] = [str(path.relative_to(out))]
     # a dense two-cycle loop, its first-magnetization branch and anhysteretic curve
     (case,) = inputs.jiles_cases(1, 1, loop_dir)
     for name, path in case.files.items():
@@ -152,6 +158,8 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-anhysteretic-coarse-overflow", "overflow"),
         ("fit-anhysteretic-coarse-far-above-ms", "far_above_ms"),
         ("fit-anhysteretic-coarse-far-above-ms-geometric", "far_above_ms_geometric"),
+        ("fit-anhysteretic-coarse-constant", "constant"),
+        ("fit-anhysteretic-coarse-decreasing", "decreasing"),
     ):
         cmds.append((name, [
             "fit-anhysteretic", *f[curve], *material, "--coarse",
@@ -170,11 +178,14 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
     # a low reference field: the winner's Langevin argument is about 2.4, where the chi
     # solve starts from its 3y bound; grids whose winner is their first or last index,
     # so every refinement level's window is clipped at that end; and non-finite settings,
-    # which exit 2 naming them
+    # which exit 2 naming them.  A grid whose last index is 1 000 starts the coarse scan at
+    # stride 1 000, on its two ends alone; the plain scan of that grid must pick the same eta
     for name, extra in (
         ("fit-anhysteretic-coarse-low-ha1", ["--ha1", "3000", "--eta0", "0.5", "--coarse"]),
         ("fit-anhysteretic-coarse-first-index", ["--ha1", "3000", "--eta0", "0.98", "--coarse"]),
         ("fit-anhysteretic-coarse-last-index", ["--eta0", "0.5", "--eta-max", "0.6", "--coarse"]),
+        ("fit-anhysteretic-coarse-top-stride-1000", ["--eta0", "0.8999", "--eps", "1e-4", "--coarse"]),
+        ("fit-anhysteretic-argmin-top-stride-1000", ["--eta0", "0.8999", "--eps", "1e-4"]),
         ("fit-anhysteretic-ha1-inf", ["--ha1", "inf", "--coarse"]),
         ("fit-anhysteretic-eps-inf", ["--eps", "inf"]),
     ):
