@@ -13,15 +13,13 @@ the root monotonically), hence a candidate (aJ, alpha) pair through
 and the winner is the candidate whose reconstructed curve has the smallest
 mu0-scaled Euclidean residual against the data.
 
-Two sweep policies are offered: ``argmin`` scans the whole grid and takes
-the global minimum; ``first-local-min`` walks up from ``eta0`` and stops at
-the first increase of the residual norm, reporting the step before it.
-``argmin`` may refine by decades instead (``coarse``): every 10^k-th grid
+The plain scan evaluates the whole grid and takes the global minimum.  The
+coarse scan (``coarse``) refines by decades instead: every 10^k-th grid
 point, 10^k the largest power of ten not above the last grid index, then
 every 10^(k-1)-th and so on down to every point, each level over the span
 from the first to the last tied minimum of the level before, widened by that
 level's stride.
-Every grid point is evaluated independently of sweep order, so all scans
+Every grid point is evaluated independently of scan order, so both scans
 are exactly reproducible.  They differ only in which grid points they
 evaluate; the winner is always the smallest grid index among the minima of
 the evaluated norms, on a weakly unimodal profile the plain scan's.  The
@@ -62,8 +60,6 @@ from .errors import (
 )
 from .rootfind import find_root  # noqa: F401  # unused here; perfbench/tracer.py wraps anfit.find_root
 
-SWEEP_ARGMIN = "argmin"
-SWEEP_FIRST_LOCAL_MIN = "first-local-min"
 RMS_BOUND_FRACTION = 0.01
 """A fit meets its condition when its residual RMS is at most this fraction of mu0*Ms."""
 
@@ -85,18 +81,15 @@ class AnhystereticFitConfig:
     scans at the largest power-of-ten multiple of the step that fits the
     grid, then at each lower decade down to 1x around the minima of the
     level before (about 60 of the 10 000 default grid points); for a
-    weakly unimodal residual profile the result is bit-identical to the
-    plain scan.  It applies to ``argmin`` only: with ``first-local-min``
-    it is set to False, so reports show the scan that ran.
-    ``slope_points=1`` reproduces the single-sample initial susceptibility
-    rule; larger values switch to a least-squares slope through the origin.
+    weakly unimodal residual profile the result is the plain scan's, bit
+    for bit.  ``slope_points=1`` keeps the single-sample initial
+    susceptibility rule; larger values fit a least-squares slope through the origin.
     """
 
     ha1: float = 1.0e6
     eta0: float = 0.9
     eps: float = 1.0e-5
     eta_max: float = 1.0
-    sweep: str = SWEEP_ARGMIN
     coarse: bool = False
     slope_points: int = 1
 
@@ -109,10 +102,6 @@ class AnhystereticFitConfig:
             )
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if self.sweep not in (SWEEP_ARGMIN, SWEEP_FIRST_LOCAL_MIN):
-            raise ValueError(f"sweep must be '{SWEEP_ARGMIN}' or '{SWEEP_FIRST_LOCAL_MIN}'")
-        if self.sweep == SWEEP_FIRST_LOCAL_MIN:
-            object.__setattr__(self, "coarse", False)  # the walk has no coarse scan
         if self.slope_points < 1:
             raise ValueError(f"slope_points must be at least 1, got {self.slope_points}")
 
@@ -125,11 +114,11 @@ class FitReport:
     negative on data whose initial slope disagrees with the high-field
     tail; that case carries the ``NON_PHYSICAL_ALPHA`` warning code.
     ``sweep_etas``/``sweep_norms`` are the evaluated profile points in
-    increasing eta order (the full grid unless coarse mode or an early
-    first-local-min stop truncated it); ``iterations`` counts them.
-    ``fit_condition_met`` is false when the residual RMS exceeds
-    ``RMS_BOUND_FRACTION * mu0 * Ms`` (warning ``FIT_CONDITION_NOT_MET``);
-    a winner at either end of the grid carries ``SWEEP_EDGE``.
+    increasing eta order (the full grid unless coarse mode thinned it);
+    ``iterations`` counts them.  ``fit_condition_met`` is false when the
+    residual RMS ``residual_rms`` exceeds ``RMS_BOUND_FRACTION * mu0 * Ms``
+    (warning ``FIT_CONDITION_NOT_MET``); a winner at either end of the grid
+    carries ``SWEEP_EDGE``.
     """
 
     eta_star: float
@@ -141,6 +130,7 @@ class FitReport:
     m1: float
     residual: np.ndarray
     residual_norm: float
+    residual_rms: float
     iterations: int
     sweep_etas: np.ndarray
     sweep_norms: np.ndarray
@@ -217,7 +207,8 @@ def fit_anhysteretic(
 
     ``data`` must have strictly increasing H and at least 3 samples.
     Raises :class:`DataError` if M is too large for a finite residual norm or the initial
-    susceptibility for a stable candidate, :class:`DegenerateSweep` if the first eta step fails.
+    susceptibility too large for a stable candidate or too small for a finite moment's
+    aJ, :class:`DegenerateSweep` if the first eta step fails.
     """
     H, M = data.H, data.M
     if H.size < 3:
@@ -235,6 +226,11 @@ def fit_anhysteretic(
         )
     chi_a = initial_susceptibility(data, points=cfg.slope_points)
     m1 = moment_from_susceptibility(chi_a, Ms, T)
+    if not MU0 * m1 > 0.0:  # aJ = kB*T/(mu0*m1) would divide by zero
+        raise DataError(
+            f"initial susceptibility {chi_a:.6g} is too small for Ms = {Ms:.6g} A/m: "
+            f"the moment m = {m1:.6g} is too small for aJ = kB*T/(mu0*m)"
+        )
     # secant susceptibility of the equivalent paramagnet at ha1
     chi_an1 = anhysteretic_explicit(cfg.ha1, Ms, shape_param_from_moment(m1, T)) / cfg.ha1
 
@@ -293,11 +289,7 @@ def fit_anhysteretic(
     except (NoSolution, NoConvergence) as err:  # not the DataError of unstable candidates
         raise DegenerateSweep(f"first eta step {cfg.eta0} failed: {err}") from err
 
-    if cfg.sweep == SWEEP_FIRST_LOCAL_MIN:
-        j = 1
-        while j < n_grid and evaluate([j])[0] < norms[j - 1]:
-            j += 1
-    elif cfg.coarse:
+    if cfg.coarse:
         lo, hi = 0, n_grid - 1
         stride = 10 ** (len(str(hi)) - 1)  # the top decade of the grid: 1 000 for 10 000 points
         while stride:  # strides fall by 10, each level over the bracket of the level before
@@ -313,7 +305,7 @@ def fit_anhysteretic(
         evaluate(range(n_grid))
 
     js = sorted(norms)
-    # min keeps the first of equal norms: ties resolve to the smallest j under every policy
+    # min keeps the first of equal norms: ties resolve to the smallest j in both scans
     best_j = min(js, key=norms.__getitem__)
     best_norm = norms[best_j]
     eta_star, chi_p, m2, aJ, alpha = candidate(best_j)
@@ -321,7 +313,8 @@ def fit_anhysteretic(
     sweep_etas = np.array([cfg.eta0 + j * cfg.eps for j in js])
     sweep_norms = np.array([norms[j] for j in js])
     unimodal = _is_unimodal(sweep_norms)
-    met = best_norm / math.sqrt(H.size) <= RMS_BOUND_FRACTION * MU0 * Ms
+    rms = best_norm / math.sqrt(H.size)
+    met = rms <= RMS_BOUND_FRACTION * MU0 * Ms
 
     warn: list[str] = []
     if alpha < 0.0:
@@ -347,6 +340,7 @@ def fit_anhysteretic(
         m1=m1,
         residual=r,
         residual_norm=best_norm,
+        residual_rms=rms,
         iterations=len(norms),
         sweep_etas=sweep_etas,
         sweep_norms=sweep_norms,

@@ -23,12 +23,8 @@ from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .anfit import (
-    RMS_BOUND_FRACTION, SWEEP_ARGMIN, SWEEP_FIRST_LOCAL_MIN, AnhystereticFitConfig, fit_anhysteretic,
-)
+from .anfit import RMS_BOUND_FRACTION, AnhystereticFitConfig, fit_anhysteretic
 from .core import MU0, MaterialSpec
 from .dataio import CurveKind, LoopFeatures, MagnetizationCurve, Unit, extract_features, parse_curve
 from .errors import DataError, JamagError
@@ -198,7 +194,7 @@ def cmd_fit_anhysteretic(args) -> dict:
             "chi_an_a": report.chi_an_a,
             "m1": report.m1,
             "residual_norm": report.residual_norm,
-            "residual_rms": report.residual_norm / float(np.sqrt(len(data))),
+            "residual_rms": report.residual_rms,
             "iterations": report.iterations,
             "unimodal": report.unimodal,
             "fit_condition_met": report.fit_condition_met,
@@ -306,7 +302,7 @@ def cmd_extract(args) -> dict:
 
 
 def cmd_validate(args) -> dict:
-    cfg = AnhystereticFitConfig(eps=args.eps, sweep=args.sweep, coarse=not args.plain)
+    cfg = AnhystereticFitConfig(eps=args.eps, coarse=not args.plain)
     t0 = time.perf_counter()
     rows = run_grid(cfg)
     total = time.perf_counter() - t0
@@ -326,7 +322,7 @@ def cmd_validate(args) -> dict:
     return {
         "inputs": {},
         "config": {
-            "eps": cfg.eps, "sweep": cfg.sweep, "coarse": cfg.coarse,
+            "eps": cfg.eps, "coarse": cfg.coarse,
             "ms": GRID_MATERIAL.Ms, "temp": GRID_MATERIAL.T,
         },
         "result": {
@@ -348,7 +344,6 @@ def cmd_validate(args) -> dict:
 
 # --- parser ----------------------------------------------------------------
 
-_SWEEPS = [SWEEP_ARGMIN, SWEEP_FIRST_LOCAL_MIN]
 _ORIGIN_SLOPE_HELP = ("chi_in, chi_an: slope of a least-squares line, with intercept, over this many first "
                       "samples of the first-magnetization and anhysteretic curves (minimum 2, "
                       "default %(default)s)")
@@ -390,12 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta0", type=float)
     p.add_argument("--eps", type=float, help="eta grid step")
     p.add_argument("--eta-max", type=float)
-    p.add_argument("--sweep", choices=_SWEEPS)
     p.add_argument("--coarse", action="store_true",
                    help="refine the scan by decades, from the grid's top power of ten down to every point "
-                        "(same answer on weakly unimodal profiles, far fewer candidates); "
-                        "argmin only: with --sweep first-local-min it is not applied and the "
-                        "report says \"coarse\": false")
+                        "(same answer on weakly unimodal profiles, far fewer candidates)")
     p.add_argument("--slope-points", type=int,
                    help="initial susceptibility: slope through the origin over this many first samples "
                         "with H > 0, 1 being M/H at the first with M > 0 (minimum 1, default %(default)s)")
@@ -448,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="synthetic round-trip check of the fitting pipeline")
     p.add_argument("--eps", type=float, default=AnhystereticFitConfig.eps)
-    p.add_argument("--sweep", choices=_SWEEPS, default=AnhystereticFitConfig.sweep)
     p.add_argument("--plain", action="store_true", help="scan every grid point, not by decades")
     # no --out: the report is written nowhere (simulate-loop's default prints it)
     p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path(os.devnull))

@@ -63,10 +63,9 @@ def run_row(
     t0 = time.perf_counter()
     report = fit_anhysteretic(data, GRID_MATERIAL, cfg)
     elapsed = time.perf_counter() - t0
-    rms = report.residual_norm / np.sqrt(len(data))
-    bound = RMS_BOUND_FRACTION * MU0 * GRID_MATERIAL.Ms
     return RowResult(
-        aJ_true=aJ, alpha_true=alpha, rms=float(rms), bound=float(bound),
+        aJ_true=aJ, alpha_true=alpha, rms=report.residual_rms,
+        bound=RMS_BOUND_FRACTION * MU0 * GRID_MATERIAL.Ms,
         passed=report.fit_condition_met, report=report, elapsed=elapsed,
     )
 

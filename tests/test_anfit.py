@@ -97,8 +97,8 @@ class TestConfig:
             AnhystereticFitConfig(eta_max=1.5)
         with pytest.raises(ValueError):
             AnhystereticFitConfig(eps=0.0)
-        with pytest.raises(ValueError):
-            AnhystereticFitConfig(sweep="steepest")
+        with pytest.raises(TypeError):
+            AnhystereticFitConfig(sweep="argmin")  # one scan, plain or coarse: no sweep policy
         with pytest.raises(ValueError):
             AnhystereticFitConfig(slope_points=0)
 
@@ -312,43 +312,26 @@ class TestFit:
         assert report.sweep_norms.tobytes() == expected.tobytes()
         assert report.residual_norm == np.linalg.norm(report.residual)
 
-    def test_first_local_min_agrees_on_unimodal_profile(self, material):
-        data = synthetic_curve(1000.0, 1.4e-3, material, 120, 1.0e4)
-        cfg = dict(eta0=0.99, eps=1e-5)
-        walk = fit_anhysteretic(
-            data, material, AnhystereticFitConfig(sweep="first-local-min", **cfg)
-        )
-        full = fit_anhysteretic(data, material, AnhystereticFitConfig(coarse=True, **cfg))
-        assert walk.eta_star == full.eta_star
-        assert walk.residual_norm == full.residual_norm
-        # the walk stops one step past the minimum instead of covering the grid
-        n_grid = int((1.0 - 0.99) / 1e-5)
-        assert walk.iterations < n_grid
-
     @pytest.mark.parametrize(
-        "profile,sweep,coarse,j_star,evals",
+        "profile,coarse,j_star,evals",
         [
-            ((5, 4, 3, 4, 5, 6, 2, 3, 4, 5), "argmin", False, 6, 10),
-            ((5, 4, 3, 4, 5, 6, 2, 3, 4, 5), "argmin", True, 6, 10),
-            ((5, 4, 3, 4, 5, 6, 2, 3, 4, 5), "first-local-min", False, 2, 4),
-            ((5, 4, 2, 4, 5, 6, 2, 3, 4, 5), "argmin", False, 2, 10),
-            ((5, 4, 2, 4, 5, 6, 2, 3, 4, 5), "argmin", True, 2, 10),
-            ((5, 4, 4, 3, 5, 6, 2, 3, 4, 5), "first-local-min", False, 1, 3),
+            ((5, 4, 3, 4, 5, 6, 2, 3, 4, 5), False, 6, 10),
+            ((5, 4, 3, 4, 5, 6, 2, 3, 4, 5), True, 6, 10),
+            ((5, 4, 2, 4, 5, 6, 2, 3, 4, 5), False, 2, 10),
+            ((5, 4, 2, 4, 5, 6, 2, 3, 4, 5), True, 2, 10),
         ],
     )
-    def test_sweep_policies_on_two_dip_profile(
-        self, material, monkeypatch, profile, sweep, coarse, j_star, evals
-    ):
+    def test_sweep_policies_on_two_dip_profile(self, material, monkeypatch, profile, coarse, j_star, evals):
+        # both scans take the global minimum, the first of two equal ones
         eta0, eps = 0.9, 0.01
         data = linear_curve(n=4)
         _patch_profile(monkeypatch, data, profile, eta0, eps)
-        cfg = AnhystereticFitConfig(eta0=eta0, eps=eps, sweep=sweep, coarse=coarse)
+        cfg = AnhystereticFitConfig(eta0=eta0, eps=eps, coarse=coarse)
         report = fit_anhysteretic(data, material, cfg)
         assert report.eta_star == eta0 + j_star * eps
         assert report.residual_norm == min(report.sweep_norms)
         assert report.iterations == evals
 
-    @pytest.mark.parametrize("sweep", ["argmin", "first-local-min"])
     @pytest.mark.parametrize(
         "profile,codes",
         [
@@ -360,12 +343,13 @@ class TestFit:
             ((1.7e4, 2e4, 3e4, 3e4, 3e4), ["FIT_CONDITION_NOT_MET", "SWEEP_EDGE"]),
         ],
     )
-    def test_fit_condition_and_sweep_edge(self, material, monkeypatch, profile, codes, sweep):
+    def test_fit_condition_and_sweep_edge(self, material, monkeypatch, profile, codes):
         eta0, eps = 0.9, 0.02
         data = linear_curve(n=4)
         _patch_profile(monkeypatch, data, profile, eta0, eps)
-        report = fit_anhysteretic(data, material, AnhystereticFitConfig(eta0=eta0, eps=eps, sweep=sweep))
+        report = fit_anhysteretic(data, material, AnhystereticFitConfig(eta0=eta0, eps=eps))
         assert list(report.warnings) == codes
+        assert report.residual_rms == report.residual_norm / 2.0  # over the root of 4 samples
         assert report.fit_condition_met is ("FIT_CONDITION_NOT_MET" not in codes)
         assert report.fit_condition_met is (min(profile) <= anfit.RMS_BOUND_FRACTION * MS)
 
@@ -461,26 +445,23 @@ class TestFit:
         assert report.sweep_norms.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize(
-        "chi_fails,curve_fails,sweep,coarse,error,message",
+        "chi_fails,curve_fails,coarse,error,message",
         [
-            (5, None, "argmin", False, NoSolution, "chi at 5"),
-            (None, 7, "argmin", False, NoConvergence, "curve at 7"),
-            (5, 3, "argmin", False, NoConvergence, "curve at 3"),  # the earlier row wins
-            (5, 7, "argmin", False, NoSolution, "chi at 5"),  # row 7 is never reached
-            (8, 7, "argmin", False, NoConvergence, "curve at 7"),  # in the partial block [7]
-            (5, 3, "argmin", True, NoConvergence, "curve at 3"),
-            (3, 5, "first-local-min", False, NoSolution, "chi at 3"),
-            (5, 3, "first-local-min", False, NoConvergence, "curve at 3"),
-            (0, None, "argmin", False, DegenerateSweep, "first eta step 0.9 failed: chi at 0"),
-            (None, 0, "argmin", True, DegenerateSweep, "first eta step 0.9 failed: curve at 0"),
-            (4, 0, "first-local-min", False, DegenerateSweep, "failed: curve at 0"),
+            (5, None, False, NoSolution, "chi at 5"),
+            (None, 7, False, NoConvergence, "curve at 7"),
+            (5, 3, False, NoConvergence, "curve at 3"),  # the earlier row wins
+            (5, 7, False, NoSolution, "chi at 5"),  # row 7 is never reached
+            (8, 7, False, NoConvergence, "curve at 7"),  # in the partial block [7]
+            (5, 3, True, NoConvergence, "curve at 3"),
+            (0, None, False, DegenerateSweep, "first eta step 0.9 failed: chi at 0"),
+            (None, 0, True, DegenerateSweep, "first eta step 0.9 failed: curve at 0"),
         ],
     )
     def test_first_failing_index_decides_the_error(
-        self, material, monkeypatch, chi_fails, curve_fails, sweep, coarse, error, message
+        self, material, monkeypatch, chi_fails, curve_fails, coarse, error, message
     ):
-        # as in a one-index-at-a-time sweep; the decreasing profile keeps the walk going
-        cfg = AnhystereticFitConfig(eta0=0.9, eps=0.01, sweep=sweep, coarse=coarse)  # 10 points
+        # as in a one-index-at-a-time sweep
+        cfg = AnhystereticFitConfig(eta0=0.9, eps=0.01, coarse=coarse)  # 10 points
         self._assert_first_failure(material, monkeypatch, cfg, chi_fails, curve_fails, error, message)
 
     def test_coarse_raises_the_first_failure_in_its_own_order(self, material, monkeypatch):
@@ -519,11 +500,9 @@ class TestFit:
         assert str(info.value).endswith(message)
 
     @pytest.mark.parametrize(
-        "curve_fails,sweep,coarse",
-        [(0, "argmin", False), (7, "argmin", False), (0, "argmin", True), (9, "argmin", True),
-         (0, "first-local-min", False), (3, "first-local-min", False)],
+        "curve_fails,coarse", [(0, False), (7, False), (0, True), (9, True)],
     )
-    def test_unstable_candidates_are_a_data_error(self, material, monkeypatch, curve_fails, sweep, coarse):
+    def test_unstable_candidates_are_a_data_error(self, material, monkeypatch, curve_fails, coarse):
         # wherever in the sweep the solve rejects a candidate: at the first step too, where
         # it is not a DegenerateSweep
         eta0, eps = 0.9, 0.01
@@ -538,7 +517,7 @@ class TestFit:
         monkeypatch.setattr(anfit, "solve_chi_param", lambda eta, *args: eta)
         monkeypatch.setattr(anfit, "alpha_from_susceptibilities", lambda chi_p, chi_a: chi_p)
         monkeypatch.setattr(anfit, "_implicit_array", fake_curve)
-        cfg = AnhystereticFitConfig(eta0=eta0, eps=eps, sweep=sweep, coarse=coarse)
+        cfg = AnhystereticFitConfig(eta0=eta0, eps=eps, coarse=coarse)
         with pytest.raises(DataError) as info:
             fit_anhysteretic(data, material, cfg)
         chi_a = initial_susceptibility(data)

@@ -309,6 +309,30 @@ class TestMeasuredValueErrors:
         )
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize(
+        "scale,message",
+        [
+            # mu0*m underflows: aJ = kB*T/(mu0*m) used to raise ZeroDivisionError, exit 1
+            (1e-298, "initial susceptibility 1e-298 is too small for Ms = 1.6e+06 A/m: "
+                     "the moment m = 6.2522e-319 is too small for aJ = kB*T/(mu0*m)"),
+            # m itself underflows: this used to say only "moment must be positive, got 0.0"
+            (1e-320, "initial susceptibility 9.99989e-321 is too small for Ms = 1.6e+06 A/m: "
+                     "the moment m = 0 is too small for aJ = kB*T/(mu0*m)"),
+        ],
+        ids=["mu0-m-underflows", "m-underflows"],
+    )
+    def test_tiny_susceptibility(self, tmp_path, capsys, scale, message):
+        path = tmp_path / "tiny.csv"
+        H = 100.0 * np.arange(1, 101)
+        write_curve_file(path, H, scale * H)
+        code = cli.main([
+            "fit-anhysteretic", str(path), "--ms", str(MS), "--temp", str(T),
+            "--out", str(tmp_path / "out.json"), "--curve-out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.json").exists()
+
     def test_steep_curve_up_to_1e306(self, tmp_path):
         # chi_a = 1e9 puts every candidate within 1e-6 of stability, where the implicit
         # solve's start overflowed at 1e306 A/m: the first eta step failed, exit 3
@@ -465,25 +489,37 @@ class TestFitAnhysteretic:
 
 
 class TestCoarseReport:
-    """``"coarse"`` in a report is the scan that ran: first-local-min has none."""
+    """``"coarse"`` in a report is the scan that ran, plain or coarse; there is no other policy."""
 
-    @pytest.mark.parametrize("sweep,coarse", [("argmin", True), ("first-local-min", False)])
-    def test_fit_anhysteretic(self, anh_file, tmp_path, sweep, coarse):
+    def test_fit_anhysteretic(self, anh_file, tmp_path):
         rep = tmp_path / "rep.json"
         argv = [
             "fit-anhysteretic", str(anh_file), "--ms", str(MS), "--temp", str(T), "--coarse",
-            "--sweep", sweep, "--eps", "1e-3", "--out", str(rep),
-            "--curve-out", str(tmp_path / "fit.csv"), "--deterministic",
+            "--eps", "1e-3", "--out", str(rep), "--curve-out", str(tmp_path / "fit.csv"), "--deterministic",
         ]
         assert cli.main(argv) == 0
-        assert json.loads(rep.read_text())["config"]["coarse"] is coarse
+        config = json.loads(rep.read_text())["config"]
+        assert config["coarse"] is True and "sweep" not in config
 
-    @pytest.mark.parametrize("sweep,coarse", [("argmin", True), ("first-local-min", False)])
-    def test_validate(self, tmp_path, sweep, coarse, capsys):
+    def test_validate(self, tmp_path, capsys):
         rep = tmp_path / "v.json"
-        argv = ["validate", "--sweep", sweep, "--eps", "1e-3", "--out", str(rep), "--deterministic"]
+        argv = ["validate", "--eps", "1e-3", "--out", str(rep), "--deterministic"]
         cli.main(argv)  # exits 3 on this coarse grid; the report is written either way
-        assert json.loads(rep.read_text())["config"]["coarse"] is coarse
+        config = json.loads(rep.read_text())["config"]
+        assert config["coarse"] is True and "sweep" not in config
+
+    def test_sweep_flag_is_a_usage_error(self, anh_file, tmp_path, capsys):
+        # plain or coarse is the only choice of scan: no flag names a sweep policy
+        for argv in (
+            ["fit-anhysteretic", str(anh_file), "--ms", str(MS), "--temp", str(T), "--sweep", "argmin",
+             "--out", str(tmp_path / "rep.json"), "--curve-out", str(tmp_path / "fit.csv")],
+            ["validate", "--sweep", "argmin", "--out", str(tmp_path / "v.json")],
+        ):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 2
+            assert "unrecognized arguments: --sweep argmin" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 def _write_curve_rows(path, header, columns):

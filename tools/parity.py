@@ -140,11 +140,7 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
     material = ["--ms", MS, "--temp", TEMP]
     cmds = []
     for curve in ("anh0", "anh1", "anh2", "zero"):
-        for policy, extra in (
-            ("argmin", ["--eps", "1e-4"]),
-            ("coarse", ["--coarse"]),
-            ("first-local-min", ["--sweep", "first-local-min", "--eps", "1e-4"]),
-        ):
+        for policy, extra in (("argmin", ["--eps", "1e-4"]), ("coarse", ["--coarse"])):
             name = f"fit-anhysteretic-{policy}-{curve}"
             cmds.append((name, [
                 "fit-anhysteretic", *f[curve], *material, *extra,
