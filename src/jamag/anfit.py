@@ -31,6 +31,7 @@ not depend on the block it was computed in.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from logging import getLogger
 
@@ -206,9 +207,9 @@ def fit_anhysteretic(
     """Estimate (aJ, alpha, m) from an anhysteretic curve.
 
     ``data`` must have strictly increasing H and at least 3 samples.
-    Raises :class:`DataError` if M is too large for a finite residual norm or the initial
-    susceptibility too large for a stable candidate or too small for a finite moment's
-    aJ, :class:`DegenerateSweep` if the first eta step fails.
+    Raises :class:`DataError` if M is too large or too small for a normal residual norm or
+    the initial susceptibility too large for a stable candidate or too small for a finite
+    moment's aJ, :class:`DegenerateSweep` if the first eta step fails.
     """
     H, M = data.H, data.M
     if H.size < 3:
@@ -230,6 +231,11 @@ def fit_anhysteretic(
         raise DataError(
             f"initial susceptibility {chi_a:.6g} is too small for Ms = {Ms:.6g} A/m: "
             f"the moment m = {m1:.6g} is too small for aJ = kB*T/(mu0*m)"
+        )
+    if data_norm2 < sys.float_info.min:  # candidates' norms would round to 0 and all tie
+        raise DataError(
+            f"max |M| = {np.max(np.abs(M)):.6g} A/m against Ms = {Ms:.6g} A/m: "
+            "the residual norm underflows"
         )
     # secant susceptibility of the equivalent paramagnet at ha1
     chi_an1 = anhysteretic_explicit(cfg.ha1, Ms, shape_param_from_moment(m1, T)) / cfg.ha1

@@ -13,10 +13,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import inspect
+import itertools
 import json
 import logging
 import os
+import signal
 import sys
+import tempfile
 import time
 import warnings
 from dataclasses import asdict, fields
@@ -61,11 +64,18 @@ def _write_report(report: dict, out: str | None, deterministic: bool) -> None:
 _WRITE_ROWS = 1024
 """Most CSV rows formatted and written with one ``write``."""
 
+_SHARE_ROWS = 4096
+"""Fewest fresh CSV rows that ``_write_curve`` gives each core, so 8 192 are the
+fewest it splits in two: on fewer a forked child costs about what it saves."""
+
+# From Python 3.12, fork() in a process with threads (numpy's BLAS pool) warns.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
+
 
 def _memo(items: list, key):
     """``get(i, make)``: ``make()`` for the first of ``items`` with its ``key`` (found
     by ``hash``, confirmed by comparing keys) and that value for the later ones, kept
-    only until the last of them."""
+    only until the last of them.  ``get.fresh`` lists the ``i`` that call ``make``."""
     seen, first = {}, []
     for i, item in enumerate(items):
         k = key(item)
@@ -83,14 +93,98 @@ def _memo(items: list, key):
             kept[q] = value
         return value
 
+    get.fresh = [i for i, q in enumerate(first) if q == i]
     return get
+
+
+def _shares(items: list[int], sizes: list[int], k: int) -> list[list[int]]:
+    """``items`` cut in order into at most ``k`` runs of about equal total ``sizes``."""
+    total = sum(sizes)
+    runs = [[] for _ in range(k)]
+    done = 0
+    for item, size in zip(items, sizes):
+        runs[(2 * done + size) * k // (2 * total)].append(item)  # by the item's midpoint
+        done += size
+    return [run for run in runs if run]
+
+
+class _Child:
+    """A forked process that formats ``blocks`` (block index: rows) with ``fresh``
+    into an anonymous temporary file, sends their byte lengths through a pipe and
+    exits.  ``text(b)`` reaps it and reads block ``b`` back: None if it failed or
+    could not be forked.  ``stop()`` kills and reaps it if it still runs."""
+
+    def __init__(self, blocks: dict[int, slice], fresh) -> None:
+        self.blocks, self.pid, self.spans = blocks, None, None
+        self.tmp = tempfile.TemporaryFile()
+        self.pipe, w = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # safe in the child: it runs no thread pool, only numpy slicing and
+                # tolist, repr, str.join, encode and writes to its own two files
+                warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                self.pid = os.fork()
+            if self.pid == 0:
+                self._format(fresh, w)
+        except OSError:  # no child: the parent formats these blocks
+            pass
+        finally:
+            os.close(w)
+
+    def _format(self, fresh, w: int) -> None:
+        code = 1
+        try:
+            lengths = [self.tmp.write(fresh(rows)) for rows in self.blocks.values()]
+            self.tmp.flush()
+            with open(w, "wb") as pipe:
+                pipe.write(" ".join(map(str, lengths)).encode())
+            code = 0
+        finally:
+            os._exit(code)  # nothing of the parent's: no flush, no atexit, no exception
+
+    def text(self, b: int) -> bytes | None:
+        if self.spans is None:
+            self.spans = self._reap()
+        span = self.spans.get(b)
+        return None if span is None else os.pread(self.tmp.fileno(), *span)
+
+    def _reap(self) -> dict[int, tuple[int, int]]:
+        """Each block's (length, offset) in the temporary file, or {} on failure."""
+        if self.pid is None:
+            return {}
+        pipe, self.pipe = self.pipe, None
+        with open(pipe, "rb") as f:
+            lengths = list(map(int, f.read().split()))
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status != 0 or len(lengths) != len(self.blocks):
+            return {}
+        return dict(zip(self.blocks, zip(lengths, itertools.accumulate(lengths, initial=0))))
+
+    def stop(self) -> None:
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.pipe is not None:
+            os.close(self.pipe)
+            self.pipe = None
+        self.tmp.close()
 
 
 def _write_curve(path: str | Path, header: list[str], columns: list, run: int = _WRITE_ROWS) -> None:
     """Write float ``columns`` as CSV rows of each value's ``repr``: row 0, then
     runs of ``run`` rows (``simulate-loop`` passes one segment), each in blocks of
     at most ``_WRITE_ROWS``.  A block whose column bytes equal an earlier block's
-    (a later cycle that repeats one) is written from that block's text."""
+    (a later cycle that repeats one) is written from that block's text.
+
+    The other, fresh blocks are cut in file order into shares of about equal row
+    counts: at most one per core, each of ``_SHARE_ROWS`` rows or more.  The output
+    file is opened first; then a forked ``_Child`` formats each share but the first,
+    which this process formats as it writes.  It reads the next share's text back
+    when it reaches that share's first block, or formats the share itself if the
+    child failed.  Every child is reaped before this returns or raises.  The bytes
+    are those of formatting every block in one process."""
     n = len(columns[0])
     edges = sorted({0, *range(1, n, run), n})
     blocks = [
@@ -100,14 +194,30 @@ def _write_curve(path: str | Path, header: list[str], columns: list, run: int = 
     ]
     text = _memo(blocks, lambda rows: tuple(col[rows].tobytes() for col in columns))
 
-    def fresh(rows: slice) -> str:
+    def fresh(rows: slice) -> bytes:
         cells = (map(repr, col[rows].tolist()) for col in columns)
-        return "\n".join(map(",".join, zip(*cells))) + "\n"
+        return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
 
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        for b, rows in enumerate(blocks):
-            f.write(text(b, lambda: fresh(rows)))
+    sizes = [blocks[b].stop - blocks[b].start for b in text.fresh]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    shares = _shares(text.fresh, sizes, max(1, min(cores, sum(sizes) // _SHARE_ROWS)))
+    with open(path, "wb") as f:
+        children = []
+        try:
+            for share in shares[1:]:
+                children.append(_Child({b: blocks[b] for b in share}, fresh))
+            owner = {b: child for child in children for b in child.blocks}
+
+            def make(b: int) -> bytes:
+                got = owner[b].text(b) if b in owner else None
+                return fresh(blocks[b]) if got is None else got
+
+            f.write((",".join(header) + "\n").encode())
+            for b in range(len(blocks)):
+                f.write(text(b, lambda: make(b)))
+        finally:
+            for child in children:
+                child.stop()
 
 
 def _collect_warnings(caught) -> list[dict]:

@@ -1,9 +1,16 @@
 import builtins
+import contextlib
+import errno
 import functools
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
+import tempfile
+import time
+import warnings
 import weakref
 from dataclasses import asdict
 
@@ -291,6 +298,22 @@ class TestMeasuredValueErrors:
         )
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("scale, max_m", [(1e-160, "1e-156"), (1e-296, "1e-292")])
+    def test_residual_norm_underflow(self, tmp_path, capsys, scale, max_m):
+        # every candidate's residual norm rounded to 0: this used to exit 0 with residual_rms 0,
+        # aJ 5.9e165 (1e-160) or 6.1e301 (1e-296), SWEEP_EDGE and all 10 000 candidates
+        path = tmp_path / "tiny.csv"
+        H = 100.0 * np.arange(1, 101)
+        write_curve_file(path, H, scale * H)
+        code = cli.main([
+            "fit-anhysteretic", str(path), "--coarse", "--ms", str(MS), "--temp", str(T),
+            "--out", str(tmp_path / "out.json"), "--curve-out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: max |M| = {max_m} A/m against Ms = 1.6e+06 A/m: the residual norm underflows\n"
+        )
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("extra", [["--coarse"], ["--eps", "1e-4"]])
     def test_curve_far_above_ms(self, tmp_path, capsys, extra):
@@ -530,12 +553,53 @@ def _write_curve_rows(path, header, columns):
             f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+@pytest.fixture
+def cores(monkeypatch, tmp_path):
+    """``cores(k, share_rows)`` makes ``_write_curve`` see ``k`` cores and give each
+    share at least ``share_rows`` fresh rows; it returns the list of forked children's
+    pids.  Afterwards no child process is left, and no temporary file or descriptor
+    is open."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def set_cores(k, share_rows=1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        monkeypatch.setattr(cli, "_SHARE_ROWS", share_rows)
+        return forks
+
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    monkeypatch.setattr(os, "fork", fork)
+    fds = os.listdir("/proc/self/fd")
+    yield set_cores
+    try:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    finally:  # a broken writer's children must not outlive the test
+        for pid in forks:
+            with contextlib.suppress(ChildProcessError):
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    assert not list(tmp.iterdir())
+    assert os.listdir("/proc/self/fd") == fds
+
+
 class TestWriteCurve:
     ROWS = cli._WRITE_ROWS
+    SHARE = cli._SHARE_ROWS
 
-    # files of one block and of four, at each block boundary
-    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 4 * ROWS - 1, 4 * ROWS, 4 * ROWS + 1])
-    def test_bytes_equal_the_per_row_writer(self, tmp_path, n):
+    @staticmethod
+    def random_columns(n):
+        """Three columns of ``n`` random values, led by signed zeros, subnormals and
+        values whose repr switches to exponent form; the last value is -0.0."""
         rng = np.random.default_rng(n)
         special = [-0.0, 5e-324, 1e22, -1e22, -5e-324, 0.0, -1.5, 1.0 / 3.0]
         columns = [
@@ -547,6 +611,12 @@ class TestWriteCurve:
             k = min(n, len(special))
             col[:k] = np.roll(special, j)[:k]
         columns[2][-1] = -0.0
+        return columns
+
+    # files of one block and of four, at each block boundary
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 4 * ROWS - 1, 4 * ROWS, 4 * ROWS + 1])
+    def test_bytes_equal_the_per_row_writer(self, tmp_path, n):
+        columns = self.random_columns(n)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         cli._write_curve(new, ["H", "M", "B"], columns)
         _write_curve_rows(old, ["H", "M", "B"], columns)
@@ -626,8 +696,149 @@ class TestWriteCurve:
             alive = {k for k, ref in made.items() if ref() is not None}
             assert alive == {k for k in made if k in items[i + 1 :]}
 
+    def test_shares_cut_in_order_by_row_count(self):
+        assert cli._shares([0, 1, 2, 3], [1, 1024, 1024, 1023], 2) == [[0, 1], [2, 3]]
+        assert cli._shares([0, 1, 2, 3, 4], [1] * 5, 3) == [[0, 1], [2], [3, 4]]
+        assert cli._shares([3, 8], [10, 1], 3) == [[3], [8]]
+        assert cli._shares([7], [5], 1) == [[7]]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("length, run", [
+        (5, 5), (5, 3), (ROWS + 1, ROWS + 1), (4 * ROWS + 1, 4 * ROWS + 1),
+    ])
+    def test_shares_write_the_bytes_of_repeated_runs(self, tmp_path, cores, k, length, run):
+        forks = cores(k)
+        columns = self.repeating_columns(length)  # A' repeats A but for one -0.0
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        cli._write_curve(new, ["H", "M", "B"], columns, run=run)
+        _write_curve_rows(old, ["H", "M", "B"], columns)
+        assert new.read_bytes() == old.read_bytes()
+        assert len(forks) == k - 1
+
+    # files that end at a block boundary and one row past it
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [ROWS + 1, ROWS + 2, 4 * ROWS + 1, 4 * ROWS + 2])
+    def test_shares_write_the_bytes_of_fresh_blocks(self, tmp_path, cores, k, n):
+        forks = cores(k)
+        columns = self.random_columns(n)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        cli._write_curve(new, ["H", "M", "B"], columns)
+        _write_curve_rows(old, ["H", "M", "B"], columns)
+        assert new.read_bytes() == old.read_bytes()
+        assert len(forks) == min(k, 1 + -(-(n - 1) // self.ROWS)) - 1  # a share has a block
+
+    @pytest.mark.parametrize("k, n, children", [
+        (2, 2 * SHARE - 1, 0),  # every row fresh
+        (2, 2 * SHARE, 1),
+        (3, 3 * SHARE - 1, 1),
+        (3, 3 * SHARE, 2),
+        (3, 8 * SHARE, 2),
+    ])
+    def test_each_share_takes_the_fewest_rows_or_more(self, tmp_path, cores, k, n, children):
+        forks = cores(k, cli._SHARE_ROWS)
+        cli._write_curve(tmp_path / "new.csv", ["H", "M", "B"], self.random_columns(n))
+        assert len(forks) == children
+
+    @pytest.mark.parametrize("failure", ["raise", "exit", "kill", "no-fork"])
+    def test_the_parent_formats_a_failed_share(self, tmp_path, monkeypatch, cores, failure):
+        forks = cores(2)
+        parent = os.getpid()
+
+        def child_repr(value):
+            if os.getpid() != parent:
+                if failure == "raise":
+                    raise ValueError("in the child")
+                if failure == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return builtins.repr(value)
+
+        monkeypatch.setattr(cli, "repr", child_repr, raising=False)
+        tried = []
+        if failure == "no-fork":
+            def no_fork():
+                tried.append(parent)
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        columns = self.random_columns(4 * self.ROWS + 1)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        cli._write_curve(new, ["H", "M", "B"], columns)
+        _write_curve_rows(old, ["H", "M", "B"], columns)
+        assert new.read_bytes() == old.read_bytes()
+        assert len(forks) + len(tried) == 1
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_an_error_in_the_parent_kills_the_child(self, tmp_path, monkeypatch, cores, error):
+        forks = cores(2)
+        parent = os.getpid()
+
+        def slow_repr(value):
+            if os.getpid() == parent:
+                raise error("in the parent")
+            time.sleep(60)  # the child would take minutes
+
+        def too_slow(signum, frame):
+            raise TimeoutError("the child was waited for, not killed")
+
+        monkeypatch.setattr(cli, "repr", slow_repr, raising=False)
+        handler = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(20)
+        try:
+            with pytest.raises(error, match="in the parent"):
+                cli._write_curve(tmp_path / "new.csv", ["H", "M", "B"], self.random_columns(4 * self.ROWS))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert len(forks) == 1
+
+
+# what Python 3.12 warns when a process with threads forks
+_FORK_WARNING = (
+    "This process (pid={pid}) is multi-threaded, use of fork() may lead to deadlocks in the child."
+)
+
 
 class TestSimulateLoop:
+    # 10 001 rows, over 8 192 of them fresh: the writer splits them in two
+    ARGV = [
+        "simulate-loop", "--aj", "972", "--alpha", "1.4e-3", "--c", "0.1", "--k", "1000",
+        "--ms", str(MS), "--hmax", "5000", "--cycles", "2", "--steps", "2000", "--deterministic",
+    ]
+
+    @pytest.mark.parametrize("fork_warning, codes", [
+        (None, []),
+        (_FORK_WARNING, []),
+        ("another deprecation, pid={pid}", ["DEPRECATIONWARNING"]),
+    ])
+    def test_a_split_write_adds_no_report_warning(self, tmp_path, monkeypatch, cores, fork_warning, codes):
+        forks = cores(2, cli._SHARE_ROWS)
+        real_fork = os.fork
+
+        def fork():
+            if fork_warning is not None:
+                warnings.warn(fork_warning.format(pid=os.getpid()), DeprecationWarning, stacklevel=2)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        out, report = tmp_path / "loop.csv", tmp_path / "report.json"
+        assert cli.main([*self.ARGV, "--out", str(out), "--report", str(report)]) == 0
+        assert len(forks) == 1
+        assert [w["code"] for w in json.loads(report.read_text())["warnings"]] == codes
+        p = HysteresisParams(aJ=972.0, alpha=1.4e-3, c=0.1, k=1000.0, Ms=MS)
+        curve = integrate(p, FieldWaveform.cyclic(5000.0, cycles=2, steps_per_segment=2000))
+        ref = tmp_path / "ref.csv"
+        _write_curve_rows(ref, ["H", "M", "B"], [curve.H, curve.M, cli.MU0 * (curve.H + curve.M)])
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_unwritable_out_exits_2_before_forking(self, tmp_path, monkeypatch, cores, capsys):
+        cores(2, cli._SHARE_ROWS)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        out = tmp_path / "missing" / "loop.csv"
+        assert cli.main([*self.ARGV, "--out", str(out), "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert not (tmp_path / "r.json").exists()
+
     def test_csv_bytes_equal_the_per_row_writer(self, tmp_path):
         out = tmp_path / "loop.csv"
         argv = [

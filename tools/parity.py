@@ -236,6 +236,14 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         "--cycles", "3", "--steps", "12000",
         "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
     ]))
+    # 20 000 steps over three cycles, clamped: fresh rows enough for the writer to split
+    # them across cores, and the clamp's trajectory in every share
+    name = "simulate-loop-steps-20000-clamp"
+    cmds.append((name, [
+        "simulate-loop", *steel, "--clamp", "--c", "0.1", "--k", "1000", "--hmax", "5000",
+        "--cycles", "3", "--steps", "20000",
+        "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
+    ]))
     # a non-finite c, M0, aJ or k, or c = -1, is rejected before the loop is integrated:
     # exit 2 naming it
     for name, params, c, k, m0 in (
