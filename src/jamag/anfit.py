@@ -218,13 +218,15 @@ def fit_anhysteretic(
         raise ValueError("fields must be strictly increasing")
 
     Ms, T = material.Ms, material.T
+
+    def norm_error(fault: str) -> DataError:
+        return DataError(f"max |M| = {np.max(np.abs(M)):.6g} A/m against Ms = {Ms:.6g} A/m: "
+                         f"the residual norm {fault}")
+
     with np.errstate(over="ignore"):
         data_norm2 = (MU0 * M) @ (MU0 * M)
     if not math.isfinite(data_norm2):
-        raise DataError(
-            f"max |M| = {np.max(np.abs(M)):.6g} A/m against Ms = {Ms:.6g} A/m: "
-            "the residual norm overflows"
-        )
+        raise norm_error("overflows")
     chi_a = initial_susceptibility(data, points=cfg.slope_points)
     m1 = moment_from_susceptibility(chi_a, Ms, T)
     if not MU0 * m1 > 0.0:  # aJ = kB*T/(mu0*m1) would divide by zero
@@ -233,10 +235,7 @@ def fit_anhysteretic(
             f"the moment m = {m1:.6g} is too small for aJ = kB*T/(mu0*m)"
         )
     if data_norm2 < sys.float_info.min:  # candidates' norms would round to 0 and all tie
-        raise DataError(
-            f"max |M| = {np.max(np.abs(M)):.6g} A/m against Ms = {Ms:.6g} A/m: "
-            "the residual norm underflows"
-        )
+        raise norm_error("underflows")
     # secant susceptibility of the equivalent paramagnet at ha1
     chi_an1 = anhysteretic_explicit(cfg.ha1, Ms, shape_param_from_moment(m1, T)) / cfg.ha1
 
@@ -314,6 +313,8 @@ def fit_anhysteretic(
     # min keeps the first of equal norms: ties resolve to the smallest j in both scans
     best_j = min(js, key=norms.__getitem__)
     best_norm = norms[best_j]
+    if best_norm * best_norm < sys.float_info.min:  # its squared rows rounded to 0: no real winner
+        raise norm_error("underflows")
     eta_star, chi_p, m2, aJ, alpha = candidate(best_j)
     r = residual(aJ, alpha)
     sweep_etas = np.array([cfg.eta0 + j * cfg.eps for j in js])

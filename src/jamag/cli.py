@@ -459,11 +459,6 @@ _ORIGIN_SLOPE_HELP = ("chi_in, chi_an: slope of a least-squares line, with inter
                       "default %(default)s)")
 
 
-def _seeds(text: str) -> tuple[float, ...]:
-    """``--seeds``: comma-separated numbers; argparse reports a bad one."""
-    return tuple(map(float, text.split(",")))
-
-
 def _add_common(sp, *, ms_required: bool = False, temp: bool = False, unit: bool = True) -> None:
     sp.add_argument("--ms", type=float, required=ms_required, help="saturation magnetization, A/m")
     if temp:
@@ -512,11 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=Path, help="precomputed features JSON (alternative to curve files)")
     _add_common(p, ms_required=True, temp=True)
     p.set_defaults(**asdict(Jiles92Config()))
-    p.add_argument("--seeds", type=_seeds, help="comma-separated alpha seeds, e.g. '1e-4,1e-3'")
-    p.add_argument("--max-iter", dest="max_outer_iter", metavar="MAX_ITER", type=int)
     p.add_argument("--fit-tol", type=float, help="MSE threshold on mu0*M, T^2")
     p.add_argument("--sim-steps", type=int)
-    p.add_argument("--sim-cycles", type=int)
     p.add_argument("--slope-points", type=int, default=slope_points, help=_ORIGIN_SLOPE_HELP)
     p.add_argument("--out", dest="report", metavar="OUT", type=Path,
                    default=Path("jiles92_report.json"))

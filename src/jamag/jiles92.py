@@ -5,10 +5,12 @@ the model parameters to closed-form relations at four special points of the
 loop: the origin (initial susceptibilities give c and a first aJ), the
 coercive point (gives k), remanence (a nonlinear equation in alpha) and the
 loop tip (a nonlinear equation updating aJ).  After each pass the loop is
-re-simulated; the pass repeats until the mean squared error between
-simulated and measured magnetization (mu0-scaled) drops below ``fit_tol``.
-On failure the estimate restarts from the next alpha seed, and the
-best-so-far answer is returned flagged rather than discarded.
+re-simulated (initial rise and two cycles); the pass repeats, at most
+eight times, until the mean squared error between simulated and measured
+magnetization (mu0-scaled) drops below ``fit_tol``.  On failure the
+estimate restarts from the next of the fixed alpha seeds 1e-4, 1e-3, 1e-2
+and 1e-1, and the best-so-far answer is returned flagged rather than
+discarded.
 
 Conventions at the special points: the anhysteretic magnetization and its
 slope are evaluated at the effective field of the loop state, i.e. at
@@ -45,35 +47,29 @@ from .rootfind import expand_bracket, find_root
 from .simulate import FieldWaveform, HysteresisParams, integrate
 
 _ROOT_TOL = {"abs_tol": 1e-12, "rel_tol": 1e-10}  # of both root solves
+_SEEDS = (1.0e-4, 1.0e-3, 1.0e-2, 1.0e-1)  # alpha start values, tried in order
+_PASSES = 8  # closed-form passes per seed, each followed by a re-simulation
+_SIM_CYCLES = 2  # cycles re-simulated per pass; the last is compared with the measured loop
 
 _logger = getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class Jiles92Config:
-    """Iteration and restart policy for :func:`estimate`.
+    """Fit check of :func:`estimate`.
 
-    ``seeds`` are the alpha start values, tried in order.  ``fit_tol`` is
-    the MSE threshold on mu0-scaled magnetization, in T^2.
-    ``sim_steps``/``sim_cycles`` control the re-simulation used for the
-    fit check (the last cycle is compared against the measured loop).
+    ``fit_tol`` is the MSE threshold on mu0-scaled magnetization, in T^2.
+    ``sim_steps`` is the steps per segment of the re-simulated loop.
     """
 
-    seeds: tuple[float, ...] = (1.0e-4, 1.0e-3, 1.0e-2, 1.0e-1)
-    max_outer_iter: int = 8
     fit_tol: float = 1.0e-3
     sim_steps: int = 600
-    sim_cycles: int = 2
 
     def __post_init__(self) -> None:
-        if not (self.seeds and all(0.0 < s < np.inf for s in self.seeds)):
-            raise ValueError(f"seeds must be one or more positive, finite alphas, got {self.seeds}")
-        if self.max_outer_iter < 1:
-            raise ValueError(f"max_outer_iter must be at least 1, got {self.max_outer_iter}")
         if not 0.0 < self.fit_tol < np.inf:
             raise ValueError(f"fit_tol must be positive and finite, got {self.fit_tol}")
-        if self.sim_steps < 2 or self.sim_cycles < 1:
-            raise ValueError("sim_steps must be >= 2 and sim_cycles >= 1")
+        if self.sim_steps < 2:
+            raise ValueError(f"sim_steps must be at least 2, got {self.sim_steps}")
 
 
 @dataclass(frozen=True)
@@ -201,11 +197,12 @@ def estimate(
 ) -> Jiles92Result:
     """Run the full estimation loop against a measured hysteresis loop.
 
-    ``loop`` supplies the measured data for the fit condition.  Seeds are
-    tried in order; within a seed the closed-form/root-solve pass and the
-    re-simulation alternate up to ``max_outer_iter`` times.  Returns as
-    soon as the fit condition is met, otherwise the lowest-MSE candidate
-    with ``fit_condition_met=False``.  Raises :class:`DegenerateC` when
+    ``loop`` supplies the measured data for the fit condition.  The alpha
+    seeds 1e-4, 1e-3, 1e-2 and 1e-1 are tried in order; within a seed the
+    closed-form/root-solve pass and a two-cycle re-simulation alternate up
+    to eight times.  Returns as soon as the fit condition is met, otherwise
+    the lowest-MSE candidate with ``fit_condition_met=False``.  Each seed's
+    ending is logged at INFO level.  Raises :class:`DegenerateC` when
     c = 1 and :class:`NoConvergence` when no seed produces a candidate.
     The measured loop is split once, before the first seed, so a loop
     without both branches raises :class:`MissingBranch` even when no seed
@@ -217,29 +214,32 @@ def estimate(
         raise DegenerateC("c = chi_in/chi_an = 1; loop equations are degenerate")
 
     measured = split_branches(loop)
-    waveform = FieldWaveform.cyclic(
-        features.Hm, cycles=cfg.sim_cycles, steps_per_segment=cfg.sim_steps
-    )
+    waveform = FieldWaveform.cyclic(features.Hm, cycles=_SIM_CYCLES, steps_per_segment=cfg.sim_steps)
     best: Jiles92Result | None = None
 
-    for seed in cfg.seeds:
+    for seed in _SEEDS:
         alpha = seed
         aJ = aj_initial(Ms, features.chi_an, alpha)
+        seed_mse = np.inf
         try:
-            for it in range(1, cfg.max_outer_iter + 1):
+            for it in range(1, _PASSES + 1):
                 k = k_from_coercive(features, c, aJ, alpha, Ms)
                 if not (np.isfinite(k) and k > 0.0):
+                    ending = f"stopped at pass {it} on k = {k:.6g}"
                     break
                 alpha = alpha_update(features, c, k, aJ, Ms, guess=alpha)
                 if not (np.isfinite(alpha) and alpha >= 0.0):
+                    ending = f"stopped at pass {it} on alpha = {alpha:.6g}"
                     break
                 aJ = aj_update(features, c, k, alpha, Ms, guess=aJ)
                 if not (np.isfinite(aJ) and aJ > 0.0):
+                    ending = f"stopped at pass {it} on aJ = {aJ:.6g}"
                     break
 
                 params = HysteresisParams(aJ=aJ, alpha=alpha, c=c, k=k, Ms=Ms)
                 sim = integrate(params, waveform, M0=0.0)
                 mse = _loop_mse(sim, waveform, measured)
+                seed_mse = min(seed_mse, mse)
                 cand = Jiles92Result(
                     params=params, mse=mse, fit_condition_met=mse <= cfg.fit_tol,
                     seed=seed, iterations=it,
@@ -247,11 +247,14 @@ def estimate(
                 if best is None or mse < best.mse:
                     best = cand
                 if cand.fit_condition_met:
+                    _logger.info("seed %.3g met the fit condition at pass %d", seed, it)
                     return cand
+            else:
+                ending = f"exhausted {_PASSES} passes, best MSE {seed_mse:.6g}"
         # numerical failures abandon the seed; anything else is a bug and propagates
         except (RootFindError, SingularDenominator, SingularSlope, UnstableParams) as err:
-            _logger.info("seed %.3g aborted: %s", seed, err)
-            continue
+            ending = f"aborted: {err}"
+        _logger.info("seed %.3g %s", seed, ending)
 
     if best is None:
         raise NoConvergence("no alpha seed produced a simulatable parameter set")

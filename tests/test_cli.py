@@ -193,7 +193,6 @@ class TestUsageErrors:
         ("fit-anhysteretic", "--temp", "T must be positive and finite, got inf"),
         ("fit-jiles92", "--ms", "Ms must be positive and finite, got inf"),
         ("fit-jiles92", "--fit-tol", "fit_tol must be positive and finite, got inf"),
-        ("fit-jiles92", "--seeds", "seeds must be one or more positive, finite alphas, got (inf,)"),
         ("validate", "--eps", "eps must be positive and finite, got inf"),
     ])
     def test_non_finite_setting_named(self, anh_file, tmp_path, capsys, command, flag, message):
@@ -210,12 +209,16 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_seeds_named(self, loop_files, capsys):
-        with pytest.raises(SystemExit) as exc:
+    @pytest.mark.parametrize("flag, value", [("--seeds", "1e-4,1e-3"), ("--max-iter", "2"),
+                                             ("--sim-cycles", "3")])
+    def test_restart_flag_is_a_usage_error(self, loop_files, tmp_path, capsys, flag, value):
+        # the alpha seeds, the pass cap and the re-simulated cycles are fixed in jiles92
+        with pytest.raises(SystemExit) as info:
             cli.main(["fit-jiles92", "--loop", str(loop_files["loop"]), "--ms", str(MS),
-                      "--temp", str(T), "--seeds", "1e-4,x"])
-        assert exc.value.code == 2
-        assert "--seeds" in capsys.readouterr().err
+                      "--temp", str(T), flag, value, "--out", str(tmp_path / "rep.json")])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv, cls", [
@@ -298,10 +301,11 @@ class TestMeasuredValueErrors:
         )
         assert not (tmp_path / "out.json").exists()
 
-    @pytest.mark.parametrize("scale, max_m", [(1e-160, "1e-156"), (1e-296, "1e-292")])
+    @pytest.mark.parametrize("scale, max_m", [(1e-150, "1e-146"), (1e-160, "1e-156"), (1e-296, "1e-292")])
     def test_residual_norm_underflow(self, tmp_path, capsys, scale, max_m):
         # every candidate's residual norm rounded to 0: this used to exit 0 with residual_rms 0,
-        # aJ 5.9e165 (1e-160) or 6.1e301 (1e-296), SWEEP_EDGE and all 10 000 candidates
+        # aJ 5.9e155 (1e-150), 5.9e165 (1e-160) or 6.1e301 (1e-296), SWEEP_EDGE and all
+        # 10 000 candidates.  At 1e-150 the sum of (mu0*M)^2 is normal; the winner's is not
         path = tmp_path / "tiny.csv"
         H = 100.0 * np.arange(1, 101)
         write_curve_file(path, H, scale * H)
@@ -314,6 +318,18 @@ class TestMeasuredValueErrors:
             f"error: max |M| = {max_m} A/m against Ms = 1.6e+06 A/m: the residual norm underflows\n"
         )
         assert not (tmp_path / "out.json").exists()
+
+    def test_small_residual_norm_is_fitted(self, tmp_path):
+        # M = 1e-120*H: the winner's residual norm, about 6e-138, squares to a normal double
+        path = tmp_path / "small.csv"
+        H = 100.0 * np.arange(1, 101)
+        write_curve_file(path, H, 1e-120 * H)
+        assert cli.main([
+            "fit-anhysteretic", str(path), "--coarse", "--ms", str(MS), "--temp", str(T),
+            "--out", str(tmp_path / "out.json"), "--curve-out", str(tmp_path / "c.csv"),
+        ]) == 0
+        norm = json.loads((tmp_path / "out.json").read_text())["result"]["residual_norm"]
+        assert sys.float_info.min <= norm * norm
 
     @pytest.mark.parametrize("extra", [["--coarse"], ["--eps", "1e-4"]])
     def test_curve_far_above_ms(self, tmp_path, capsys, extra):
@@ -964,6 +980,8 @@ class TestExtractAndJiles92:
         if not res["fit_condition_met"]:
             assert any(w["code"] == "FIT_CONDITION_NOT_MET" for w in obj["warnings"])
         assert obj["assumptions"]
+        # the seeds, the pass cap and the re-simulated cycles are jiles92 constants, not settings
+        assert sorted(obj["config"]) == ["fit_tol", "ms", "sim_steps", "slope_points", "temp", "unit"]
 
     def test_fit_from_features_file(self, loop_files, tmp_path):
         feats = tmp_path / "features.json"
@@ -978,10 +996,11 @@ class TestExtractAndJiles92:
         )
         assert r.returncode == 0, r.stderr
 
-    @pytest.mark.parametrize("max_iter", [1, 8])
-    def test_fit_handles_each_file_once(self, loop_files, tmp_path, monkeypatch, max_iter):
+    @pytest.mark.parametrize("passes", [1, 8])
+    def test_fit_handles_each_file_once(self, loop_files, tmp_path, monkeypatch, passes):
         # one parse per input file, and one split of the measured loop per consumer
         # (feature extraction and the fit condition), whatever the number of passes
+        monkeypatch.setattr(jiles92, "_PASSES", passes)
         calls = {"parse_curve": 0, "split_branches": 0, "_loop_mse": 0}
 
         def counted(name, fn):
@@ -1000,10 +1019,10 @@ class TestExtractAndJiles92:
             "fit-jiles92", "--loop", str(loop_files["loop"]),
             "--first-mag", str(loop_files["first"]), "--anhysteretic", str(loop_files["anh"]),
             "--ms", str(MS), "--temp", str(T), "--sim-steps", "50", "--fit-tol", "1e-12",
-            "--max-iter", str(max_iter), "--out", str(rep), "--deterministic",
+            "--out", str(rep), "--deterministic",
         ])
         assert code == 0
-        assert calls.pop("_loop_mse") >= max_iter
+        assert calls.pop("_loop_mse") >= passes
         assert calls == {"parse_curve": 3, "split_branches": 2}
 
     def test_fit_with_few_simulation_steps(self, loop_files, tmp_path):
@@ -1018,8 +1037,9 @@ class TestExtractAndJiles92:
         res = json.loads(rep.read_text())["result"]
         assert all(np.isfinite(res[k]) for k in ("aJ", "alpha", "c", "k", "mse"))
 
-    def test_fit_checks_the_amplitude_of_every_curve(self, loop_files, tmp_path):
+    def test_fit_checks_the_amplitude_of_every_curve(self, loop_files, tmp_path, monkeypatch):
         # the anhysteretic curve plus one far sample at 1.2*Ms; the features stay the same
+        monkeypatch.setattr(jiles92, "_PASSES", 1)
         H, M = np.loadtxt(loop_files["anh"], delimiter=",", skiprows=1).T
         high = tmp_path / "anh_high.csv"
         write_curve_file(high, [*H, 2.0 * H[-1]], [*M, 1.2 * MS])
@@ -1027,7 +1047,7 @@ class TestExtractAndJiles92:
         code = cli.main([
             "fit-jiles92", "--loop", str(loop_files["loop"]), "--first-mag", str(loop_files["first"]),
             "--anhysteretic", str(high), "--ms", str(MS), "--temp", str(T),
-            "--sim-steps", "50", "--max-iter", "1", "--out", str(rep), "--deterministic",
+            "--sim-steps", "50", "--out", str(rep), "--deterministic",
         ])
         assert code == 0
         assert [w["message"] for w in json.loads(rep.read_text())["warnings"]

@@ -1,4 +1,7 @@
+import dataclasses
+import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -57,27 +60,33 @@ def features(**kw):
 
 
 class TestConfig:
-    def test_seed_sequence(self):
-        cfg = Jiles92Config()
-        assert cfg.seeds == (1e-4, 1e-3, 1e-2, 1e-1)
+    def test_seed_sequence(self, synthetic_setup, monkeypatch):
+        # every seed is tried, in order, when none yields a candidate
+        material, _, loop, _ = synthetic_setup
+        tried = []
+
+        def recorded(Ms, chi_an, alpha):
+            tried.append(alpha)
+            return aj_initial(Ms, chi_an, alpha)
+
+        monkeypatch.setattr(jiles92, "aj_initial", recorded)
+        with pytest.raises(NoConvergence):
+            estimate(features(chi_max=1e-6), material, Jiles92Config(), loop)
+        assert tried == [1e-4, 1e-3, 1e-2, 1e-1]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Jiles92Config(seeds=(0.0,))
-        with pytest.raises(ValueError):
-            Jiles92Config(seeds=())
-        with pytest.raises(ValueError):
-            Jiles92Config(max_outer_iter=0)
+        assert [f.name for f in dataclasses.fields(Jiles92Config)] == ["fit_tol", "sim_steps"]
         with pytest.raises(ValueError):
             Jiles92Config(fit_tol=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sim_steps must be at least 2, got 1$"):
             Jiles92Config(sim_steps=1)
-        # an infinite fit_tol met the fit condition at any MSE; an infinite seed
-        # failed every pass as a numerical error
+        # an infinite fit_tol met the fit condition at any MSE
         with pytest.raises(ValueError, match="^fit_tol must be positive and finite"):
             Jiles92Config(fit_tol=math.inf)
-        with pytest.raises(ValueError, match="^seeds must be "):
-            Jiles92Config(seeds=(1e-4, math.inf))
+        # the seeds, the pass cap and the re-simulated cycles are fixed in the module
+        for name, value in (("seeds", (1e-4,)), ("max_outer_iter", 2), ("sim_cycles", 3)):
+            with pytest.raises(TypeError, match=name):
+                Jiles92Config(**{name: value})
 
 
 class TestClosedFormPieces:
@@ -223,7 +232,7 @@ class TestEstimate:
         )
         assert close or not res.fit_condition_met
         assert res.mse >= 0.0 and np.isfinite(res.mse)
-        assert res.seed in Jiles92Config().seeds
+        assert res.seed in (1e-4, 1e-3, 1e-2, 1e-1)
         assert res.params.aJ > 0.0 and res.params.k > 0.0
 
     def test_deterministic(self, synthetic_setup):
@@ -288,6 +297,41 @@ class TestEstimate:
         err = MU0 * np.concatenate([md_hat - Md, ma_hat - Ma])
         assert jiles92._loop_mse(sim, waveform, measured) == float(np.mean(err * err))
         assert jiles92._loop_mse(sim, waveform, split_branches(sim)) == 0.0
+
+    def test_each_seed_logs_its_ending(self, synthetic_setup, monkeypatch, caplog):
+        # one INFO line per seed: fit met, passes exhausted, a stop on an unusable
+        # k, alpha or aJ (named, with its value), or the numerical failure
+        material, _, loop, feats = synthetic_setup
+        monkeypatch.setattr(jiles92, "_SEEDS", (1e-3,))
+        caplog.set_level(logging.INFO, logger="jamag.jiles92")
+
+        def ending(f=feats, fit_tol=1e-3, **patched):
+            caplog.clear()
+            with monkeypatch.context() as m:
+                for name, fn in patched.items():
+                    m.setattr(jiles92, name, fn)
+                try:
+                    res = estimate(f, material, Jiles92Config(fit_tol=fit_tol), loop)
+                except NoConvergence:
+                    res = None
+            (record,) = caplog.records
+            return record.getMessage(), res
+
+        assert ending(fit_tol=1e6)[0] == "seed 0.001 met the fit condition at pass 1"
+        line, res = ending(fit_tol=1e-12)
+        assert line == f"seed 0.001 exhausted 8 passes, best MSE {res.mse:.6g}"
+        # chi_max far below c*slope makes the pinning estimate negative
+        line, _ = ending(features(chi_max=1e-6))
+        assert re.fullmatch(r"seed 0\.001 stopped at pass 1 on k = -\S+", line)
+        assert ending(alpha_update=lambda *a, **kw: -1.0)[0] == (
+            "seed 0.001 stopped at pass 1 on alpha = -1")
+        assert ending(aj_update=lambda *a, **kw: math.nan)[0] == (
+            "seed 0.001 stopped at pass 1 on aJ = nan")
+
+        def singular(*args, **kwargs):
+            raise SingularDenominator("remanence denominator vanished")
+
+        assert ending(alpha_update=singular)[0] == "seed 0.001 aborted: remanence denominator vanished"
 
     def test_all_seeds_failing_raises(self, synthetic_setup):
         material, _, loop, _ = synthetic_setup

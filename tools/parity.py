@@ -88,6 +88,12 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path = anh_dir / "overflow.csv"
     inputs.write_curve(path, np.linspace(10.0, 1.0e4, 200), np.logspace(20.0, 304.0, 200))
     flags["overflow"] = [str(path.relative_to(out))]
+    # M = 1e-150*H, 100 rows with H up to 1e4 A/m: the sum of (mu0*M)^2 is a normal double,
+    # but the winning candidate's residual norm rounds to 0 (exit 2)
+    H100 = 100.0 * np.arange(1, 101)
+    path = anh_dir / "underflow.csv"
+    inputs.write_curve(path, H100, 1.0e-150 * H100)
+    flags["underflow"] = [str(path.relative_to(out))]
     # M = 1e100 A/m everywhere, and M from 1e20 to 1e60: every eta candidate's stability
     # margin, Ms/(3*chi_a), is lost to rounding, so the solve rejects them (exit 2)
     for name, M in (
@@ -152,6 +158,7 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-anhysteretic-coarse-anh0-ragged", "anh0-ragged"),
         ("fit-anhysteretic-coarse-negative", "negative"),
         ("fit-anhysteretic-coarse-overflow", "overflow"),
+        ("fit-anhysteretic-coarse-underflow", "underflow"),
         ("fit-anhysteretic-coarse-far-above-ms", "far_above_ms"),
         ("fit-anhysteretic-coarse-far-above-ms-geometric", "far_above_ms_geometric"),
         ("fit-anhysteretic-coarse-constant", "constant"),
@@ -290,7 +297,8 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-jiles92-features-null", [*f["loop"], *f["features_null.json"]], []),
         ("fit-jiles92-features-nan-mr", [*f["loop"], *f["features_nan_mr.json"]], []),
         ("fit-jiles92-features-zero-chi-an", [*f["loop"], *f["features_zero_chi_an.json"]], []),
-        ("fit-jiles92-bad-seeds", curves, ["--seeds", "1e-4,x"]),
+        # the alpha seeds are fixed: --seeds is an unknown argument (exit 2)
+        ("fit-jiles92-seeds-flag-gone", curves, ["--seeds", "1e-4,x"]),
         ("fit-jiles92-fit-tol-inf", curves, ["--fit-tol", "inf"]),
     ):
         cmds.append((name, [
