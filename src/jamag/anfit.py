@@ -13,19 +13,19 @@ the root monotonically), hence a candidate (aJ, alpha) pair through
 and the winner is the candidate whose reconstructed curve has the smallest
 mu0-scaled Euclidean residual against the data.
 
-The plain scan evaluates the whole grid and takes the global minimum.  The
-coarse scan (``coarse``) refines by decades instead: every 10^k-th grid
-point, 10^k the largest power of ten not above the last grid index, then
-every 10^(k-1)-th and so on down to every point, each level over the span
-from the first to the last tied minimum of the level before, widened by that
-level's stride.
-Every grid point is evaluated independently of scan order, so both scans
-are exactly reproducible.  They differ only in which grid points they
-evaluate; the winner is always the smallest grid index among the minima of
-the evaluated norms, on a weakly unimodal profile the plain scan's.  The
-scans evaluate their grid points in blocks: one lockstep curve solve per
-block, each row with the bits of its own single-curve solve, so a norm does
-not depend on the block it was computed in.
+The scan evaluates every stride-th grid point, then every (stride/10)-th
+and so on down to every point, each level over the span from the first to
+the last tied minimum of the level before, widened by that level's stride.
+The plain scan starts at stride 1, the whole grid; the coarse scan
+(``coarse``) at 10^k, the largest power of ten not above the last grid
+index.  Grid points are evaluated independently of scan order, in blocks
+(one lockstep curve solve per block, each row with the bits of its own
+single-curve solve), so both scans are exactly reproducible; the winner is
+the smallest grid index among the minima of the evaluated norms, on a
+weakly unimodal profile the plain scan's.  A norm whose sum of squares
+leaves the normal range is taken on its residual scaled by a power of two,
+an exact scaling, so it is rounded like an in-range norm rather than 0 or
+inf; every other norm has ``np.linalg.norm``'s bits.
 """
 
 from __future__ import annotations
@@ -78,13 +78,14 @@ class AnhystereticFitConfig:
     """Sweep settings for :func:`fit_anhysteretic`.
 
     ``ha1`` is the high-field reference (A/m), ``eta0``/``eta_max`` the
-    half-open sweep range and ``eps`` the grid step.  ``coarse=True``
-    scans at the largest power-of-ten multiple of the step that fits the
-    grid, then at each lower decade down to 1x around the minima of the
-    level before (about 60 of the 10 000 default grid points); for a
-    weakly unimodal residual profile the result is the plain scan's, bit
-    for bit.  ``slope_points=1`` keeps the single-sample initial
-    susceptibility rule; larger values fit a least-squares slope through the origin.
+    half-open sweep range and ``eps`` the grid step.  The scan's first
+    stride is 1 (every grid point) or, with ``coarse=True``, the largest
+    power-of-ten multiple of the step that fits the grid, followed by each
+    lower decade down to 1x around the minima of the level before (about 60
+    of the 10 000 default grid points); for a weakly unimodal residual
+    profile the result is the plain scan's, bit for bit.  ``slope_points=1``
+    keeps the single-sample initial susceptibility rule; larger values fit
+    a least-squares slope through the origin.
     """
 
     ha1: float = 1.0e6
@@ -116,7 +117,8 @@ class FitReport:
     tail; that case carries the ``NON_PHYSICAL_ALPHA`` warning code.
     ``sweep_etas``/``sweep_norms`` are the evaluated profile points in
     increasing eta order (the full grid unless coarse mode thinned it);
-    ``iterations`` counts them.  ``fit_condition_met`` is false when the
+    ``iterations`` counts them; the norms follow the module's norm rule.
+    ``fit_condition_met`` is false when the
     residual RMS ``residual_rms`` exceeds ``RMS_BOUND_FRACTION * mu0 * Ms``
     (warning ``FIT_CONDITION_NOT_MET``); a winner at either end of the grid
     carries ``SWEEP_EDGE``.
@@ -207,9 +209,9 @@ def fit_anhysteretic(
     """Estimate (aJ, alpha, m) from an anhysteretic curve.
 
     ``data`` must have strictly increasing H and at least 3 samples.
-    Raises :class:`DataError` if M is too large or too small for a normal residual norm or
-    the initial susceptibility too large for a stable candidate or too small for a finite
-    moment's aJ, :class:`DegenerateSweep` if the first eta step fails.
+    Raises :class:`DataError` if the initial susceptibility is too large for a stable
+    candidate, or so small that mu0 times its moment is not a normal double (aJ divides
+    by it), :class:`DegenerateSweep` if the first eta step fails.
     """
     H, M = data.H, data.M
     if H.size < 3:
@@ -218,24 +220,13 @@ def fit_anhysteretic(
         raise ValueError("fields must be strictly increasing")
 
     Ms, T = material.Ms, material.T
-
-    def norm_error(fault: str) -> DataError:
-        return DataError(f"max |M| = {np.max(np.abs(M)):.6g} A/m against Ms = {Ms:.6g} A/m: "
-                         f"the residual norm {fault}")
-
-    with np.errstate(over="ignore"):
-        data_norm2 = (MU0 * M) @ (MU0 * M)
-    if not math.isfinite(data_norm2):
-        raise norm_error("overflows")
     chi_a = initial_susceptibility(data, points=cfg.slope_points)
     m1 = moment_from_susceptibility(chi_a, Ms, T)
-    if not MU0 * m1 > 0.0:  # aJ = kB*T/(mu0*m1) would divide by zero
+    if not MU0 * m1 >= sys.float_info.min:  # aJ = kB*T/(mu0*m1) needs all of mu0*m1's bits
         raise DataError(
             f"initial susceptibility {chi_a:.6g} is too small for Ms = {Ms:.6g} A/m: "
             f"the moment m = {m1:.6g} is too small for aJ = kB*T/(mu0*m)"
         )
-    if data_norm2 < sys.float_info.min:  # candidates' norms would round to 0 and all tie
-        raise norm_error("underflows")
     # secant susceptibility of the equivalent paramagnet at ha1
     chi_an1 = anhysteretic_explicit(cfg.ha1, Ms, shape_param_from_moment(m1, T)) / cfg.ha1
 
@@ -283,8 +274,7 @@ def fit_anhysteretic(
         for b in range(0, len(aJs), block_rows):
             block = slice(b, b + block_rows)
             r = residual(np.array(aJs[block])[:, None], np.array(alphas[block])[:, None])
-            norm2 = np.matmul(r[:, None, :], r[:, :, None])  # row @ row for all rows in one call
-            norms.update(zip(todo[block], np.sqrt(norm2).ravel().tolist()))  # np.linalg.norm's bits
+            norms.update(zip(todo[block], _row_norms(r).tolist()))
         if failure is not None:
             raise failure
         return [norms[j] for j in js]
@@ -294,27 +284,22 @@ def fit_anhysteretic(
     except (NoSolution, NoConvergence) as err:  # not the DataError of unstable candidates
         raise DegenerateSweep(f"first eta step {cfg.eta0} failed: {err}") from err
 
-    if cfg.coarse:
-        lo, hi = 0, n_grid - 1
-        stride = 10 ** (len(str(hi)) - 1)  # the top decade of the grid: 1 000 for 10 000 points
-        while stride:  # strides fall by 10, each level over the bracket of the level before
-            pts = sorted(set(range(lo, hi + 1, stride)) | {hi})
-            level = evaluate(pts)
-            low = min(level)
-            ties = [j for j, v in zip(pts, level) if v == low]
-            _logger.info("coarse stride %d over [%d, %d]: j=%d, %d evals",
-                         stride, lo, hi, ties[0], len(norms))
-            lo, hi = max(0, ties[0] - stride), min(n_grid - 1, ties[-1] + stride)
-            stride //= 10
-    else:
-        evaluate(range(n_grid))
+    lo, hi = 0, n_grid - 1
+    # the coarse scan starts at the grid's top decade (1 000 for 10 000 points), the plain at 1
+    stride = 10 ** (len(str(hi)) - 1) if cfg.coarse else 1
+    while stride:  # strides fall by 10, each level over the bracket of the level before
+        pts = [*range(lo, hi, stride), hi]
+        level = evaluate(pts)
+        low = min(level)
+        ties = [j for j, v in zip(pts, level) if v == low]
+        _logger.info("scan stride %d over [%d, %d]: j=%d, %d evals", stride, lo, hi, ties[0], len(norms))
+        lo, hi = max(0, ties[0] - stride), min(n_grid - 1, ties[-1] + stride)
+        stride //= 10
 
     js = sorted(norms)
     # min keeps the first of equal norms: ties resolve to the smallest j in both scans
     best_j = min(js, key=norms.__getitem__)
     best_norm = norms[best_j]
-    if best_norm * best_norm < sys.float_info.min:  # its squared rows rounded to 0: no real winner
-        raise norm_error("underflows")
     eta_star, chi_p, m2, aJ, alpha = candidate(best_j)
     r = residual(aJ, alpha)
     sweep_etas = np.array([cfg.eta0 + j * cfg.eps for j in js])
@@ -355,6 +340,21 @@ def fit_anhysteretic(
         fit_condition_met=met,
         warnings=tuple(warn),
     )
+
+
+def _row_norms(r: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``r``: ``np.linalg.norm``'s bits where the sum of
+    squares is a finite normal double, else the norm of the row scaled by the power of two
+    that puts its largest magnitude in [0.5, 1), scaled back.  That scaling is exact."""
+    with np.errstate(over="ignore"):
+        norm2 = np.matmul(r[:, None, :], r[:, :, None]).ravel()  # row @ row for all rows in one call
+        norms = np.sqrt(norm2)
+        out = ~((norm2 >= sys.float_info.min) & (norm2 <= sys.float_info.max))  # NaN too
+        if out.any():
+            _, e = np.frexp(np.max(np.abs(r[out]), axis=1))
+            s = np.ldexp(r[out], -e[:, None])
+            norms[out] = np.ldexp(np.sqrt(np.matmul(s[:, None, :], s[:, :, None]).ravel()), e)
+    return norms
 
 
 def _is_unimodal(norms: np.ndarray) -> bool:

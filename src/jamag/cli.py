@@ -412,7 +412,7 @@ def cmd_extract(args) -> dict:
 
 
 def cmd_validate(args) -> dict:
-    cfg = AnhystereticFitConfig(eps=args.eps, coarse=not args.plain)
+    cfg = AnhystereticFitConfig(eps=args.eps, coarse=True)
     t0 = time.perf_counter()
     rows = run_grid(cfg)
     total = time.perf_counter() - t0
@@ -542,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="synthetic round-trip check of the fitting pipeline")
     p.add_argument("--eps", type=float, default=AnhystereticFitConfig.eps)
-    p.add_argument("--plain", action="store_true", help="scan every grid point, not by decades")
     # no --out: the report is written nowhere (simulate-loop's default prints it)
     p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path(os.devnull))
     p.add_argument("--deterministic", action="store_true")

@@ -321,17 +321,17 @@ def _branch_slope_fn(Hb: np.ndarray, Mb: np.ndarray):
     return lambda h: float(np.interp(h, Hg, Sg))
 
 
-def _crossing(x: np.ndarray, y: np.ndarray, level: float = 0.0) -> float:
-    """First x where y meets ``level``: a sample on it, or a linearly interpolated crossing."""
-    s = y - level
-    neg = s < 0.0
-    hits = np.flatnonzero((s == 0.0) | np.append(neg[:-1] != neg[1:], False))
+def _crossing(x: np.ndarray, y: np.ndarray) -> float:
+    """First x where the descending branch's y meets 0: a sample on it, or interpolated."""
+    neg = y < 0.0
+    hits = np.flatnonzero((y == 0.0) | np.append(neg[:-1] != neg[1:], False))
     if not hits.size:
-        raise MissingBranch(f"no crossing of level {level} on branch")
+        raise MissingBranch(f"descending branch never reaches M = 0 "
+                            f"(M from {y[0]:.6g} to {y[-1]:.6g} A/m)")
     j = hits[0]
-    if s[j] == 0.0:
+    if y[j] == 0.0:
         return float(x[j])
-    frac = s[j] / (s[j] - s[j + 1])
+    frac = y[j] / (y[j] - y[j + 1])
     return float(x[j] + frac * (x[j + 1] - x[j]))
 
 

@@ -14,6 +14,10 @@ class DataError(JamagError):
     """Base class for input-data problems (maps to CLI exit code 2)."""
 
 
+class NoConvergence(JamagError):
+    """An iteration cap was reached before the tolerance was met (any solver)."""
+
+
 # --- scalar root finding ---------------------------------------------------
 
 class RootFindError(JamagError):
@@ -26,10 +30,6 @@ class InvalidBracket(RootFindError):
 
 class NoSignChange(RootFindError):
     """Bracket expansion exhausted its budget without finding a sign change."""
-
-
-class NoConvergence(RootFindError):
-    """The iteration cap was reached before the tolerance was met."""
 
 
 # --- anhysteretic curve evaluation ------------------------------------------

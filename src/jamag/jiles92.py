@@ -252,7 +252,7 @@ def estimate(
             else:
                 ending = f"exhausted {_PASSES} passes, best MSE {seed_mse:.6g}"
         # numerical failures abandon the seed; anything else is a bug and propagates
-        except (RootFindError, SingularDenominator, SingularSlope, UnstableParams) as err:
+        except (RootFindError, NoConvergence, SingularDenominator, SingularSlope, UnstableParams) as err:
             ending = f"aborted: {err}"
         _logger.info("seed %.3g %s", seed, ending)
 

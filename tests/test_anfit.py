@@ -11,6 +11,7 @@ from jamag.anfit import (
     initial_susceptibility,
     solve_chi_param,
     _is_unimodal,
+    _row_norms,
 )
 from jamag.core import (
     MU0,
@@ -575,6 +576,28 @@ class TestFit:
         r1 = fit_anhysteretic(data, material, AnhystereticFitConfig(coarse=True, slope_points=3))
         assert r1.aJ == pytest.approx(972.0, rel=0.05)
         assert r1.residual_norm / np.sqrt(len(data)) <= 0.01 * MU0 * MS
+
+
+class TestRowNorms:
+    def test_in_range_rows_have_the_bits_of_linalg_norm(self):
+        rows = np.random.default_rng(3).standard_normal((81, 200)) * np.logspace(-100, 100, 81)[:, None]
+        assert np.array_equal(_row_norms(rows), [np.linalg.norm(row) for row in rows])
+
+    def test_power_of_two_scaling_is_exact(self):
+        # the squares of 2^k times a row leave the normal range for |k| above about 500;
+        # its norm is still 2^k times the row's, not 0 or inf
+        row = np.random.default_rng(4).uniform(0.5, 2.0, 200) * np.resize([1.0, -1.0], 200)
+        ks = np.arange(-1000, 1001)
+        norms = _row_norms(np.ldexp(row, ks[:, None]))
+        assert np.array_equal(norms, np.ldexp(np.linalg.norm(row), ks))
+
+    def test_subnormal_zero_and_non_finite_rows(self):
+        # 3-4-5 rows at 2^1020 and at the subnormal 2^-1070, a zero row, an inf and a NaN
+        rows = np.array([np.ldexp([3.0, 4.0], 1020), np.ldexp([3.0, 4.0], -1070), [0.0, 0.0],
+                         [np.inf, 1.0], [np.nan, 1.0]])
+        norms = _row_norms(rows)
+        assert norms[:4].tolist() == [np.ldexp(5.0, 1020), np.ldexp(5.0, -1070), 0.0, np.inf]
+        assert np.isnan(norms[4])
 
 
 class TestUnimodal:

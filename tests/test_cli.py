@@ -1,8 +1,10 @@
 import builtins
 import contextlib
 import errno
+import fractions
 import functools
 import json
+import math
 import os
 import re
 import signal
@@ -136,6 +138,13 @@ class TestUsageErrors:
                 "--ms", str(MS), "--hmax", "5000", "--out", str(tmp_path / "l.csv"), flag, "nan"]
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "l.csv").exists()
+
+    def test_zero_cycles(self, tmp_path, capsys):
+        argv = ["simulate-loop", "--aj", "972", "--alpha", "1.4e-3", "--c", "0.1", "--k", "1000",
+                "--ms", str(MS), "--hmax", "5000", "--cycles", "0", "--out", str(tmp_path / "l.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: cycles must be at least 1, got 0\n"
         assert not (tmp_path / "l.csv").exists()
 
     # an infinite --aj or --k used to simulate a loop, and --ms or --alpha to exit 3;
@@ -288,7 +297,8 @@ class TestMeasuredValueErrors:
         assert "error: no sample with H > 0 and M > 0" in capsys.readouterr().err
 
     def test_residual_norm_overflow(self, tmp_path):
-        # |M| up to 1e304: the residual norm is not a float, so the fit has no winner
+        # |M| up to 1e304: the sum of (mu0*M)^2 overflows.  This exited 2 on a residual-norm
+        # check; the curve's slope of 1e19 at 10 A/m leaves no stable candidate, and says so
         path = tmp_path / "huge.csv"
         write_curve_file(path, np.linspace(10.0, 1.0e4, 200), np.logspace(20.0, 304.0, 200))
         r = run_cli(
@@ -297,27 +307,49 @@ class TestMeasuredValueErrors:
         )
         assert r.returncode == 2
         assert r.stderr == (
-            "error: max |M| = 1e+304 A/m against Ms = 1.6e+06 A/m: the residual norm overflows\n"
+            "error: initial susceptibility 1e+19 is too large for Ms = 1.6e+06 A/m: "
+            "alpha*Ms/(3*aJ) = 1 >= 1; the anhysteretic curve is multivalued\n"
         )
         assert not (tmp_path / "out.json").exists()
 
-    @pytest.mark.parametrize("scale, max_m", [(1e-150, "1e-146"), (1e-160, "1e-156"), (1e-296, "1e-292")])
-    def test_residual_norm_underflow(self, tmp_path, capsys, scale, max_m):
-        # every candidate's residual norm rounded to 0: this used to exit 0 with residual_rms 0,
-        # aJ 5.9e155 (1e-150), 5.9e165 (1e-160) or 6.1e301 (1e-296), SWEEP_EDGE and all
-        # 10 000 candidates.  At 1e-150 the sum of (mu0*M)^2 is normal; the winner's is not
+    def test_residual_norm_past_the_float_range_is_fitted(self, tmp_path):
+        # |M| from 1 to 1e300 A/m: every candidate's sum of squared residuals overflows, so
+        # each norm is taken on its row scaled by a power of two.  This exited 2 ("overflows")
+        path = tmp_path / "big.csv"
+        write_curve_file(path, np.linspace(10.0, 1.0e4, 200), np.logspace(0.0, 300.0, 200))
+        assert cli.main([
+            "fit-anhysteretic", str(path), "--coarse", "--ms", str(MS), "--temp", str(T),
+            "--out", str(tmp_path / "out.json"), "--curve-out", str(tmp_path / "c.csv"),
+        ]) == 0
+        rep = json.loads((tmp_path / "out.json").read_text())
+        assert [w["code"] for w in rep["warnings"]] == [
+            "NON_PHYSICAL_PARAMETER", "FIT_CONDITION_NOT_MET", "SWEEP_EDGE"]
+        assert 1e292 < rep["result"]["residual_rms"] < 1e293
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160])
+    def test_residual_norm_underflow(self, tmp_path, scale):
+        # every candidate's sum of squared residuals leaves the normal range: its norm is taken
+        # on the row scaled by a power of two.  This exited 2 ("underflows"), and before that
+        # exited 0 with residual_rms 0, all 10 000 candidates tied
         path = tmp_path / "tiny.csv"
         H = 100.0 * np.arange(1, 101)
         write_curve_file(path, H, scale * H)
-        code = cli.main([
+        assert cli.main([
             "fit-anhysteretic", str(path), "--coarse", "--ms", str(MS), "--temp", str(T),
             "--out", str(tmp_path / "out.json"), "--curve-out", str(tmp_path / "c.csv"),
-        ])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: max |M| = {max_m} A/m against Ms = 1.6e+06 A/m: the residual norm underflows\n"
-        )
-        assert not (tmp_path / "out.json").exists()
+        ]) == 0
+        norm = json.loads((tmp_path / "out.json").read_text())["result"]["residual_norm"]
+        r = np.loadtxt(tmp_path / "c.csv", delimiter=",", skiprows=1)[:, 3]
+        assert norm > 0.0 and norm * norm < sys.float_info.min  # its square is no normal double
+        # the norm rule: np.linalg.norm of the column scaled by a power of two, scaled back
+        _, e = np.frexp(np.max(np.abs(r)))
+        assert norm == np.ldexp(np.linalg.norm(np.ldexp(r, -e)), e)
+        # and the true norm, to within the rounding of its 100-term float sum
+        square = sum(fractions.Fraction(v) ** 2 for v in r.tolist())
+        bits = 1200
+        exact = float(fractions.Fraction(math.isqrt(square.numerator * 4**bits // square.denominator),
+                                         2**bits))
+        assert abs(norm - exact) <= math.ulp(exact)
 
     def test_small_residual_norm_is_fitted(self, tmp_path):
         # M = 1e-120*H: the winner's residual norm, about 6e-138, squares to a normal double
@@ -330,6 +362,35 @@ class TestMeasuredValueErrors:
         ]) == 0
         norm = json.loads((tmp_path / "out.json").read_text())["result"]["residual_norm"]
         assert sys.float_info.min <= norm * norm
+
+    def test_negative_least_squares_slope(self, tmp_path, capsys):
+        # the first five positive-field samples fall: their slope through the origin is -100
+        path = tmp_path / "falling.csv"
+        H = np.linspace(100.0, 1.0e4, 200)
+        write_curve_file(path, H, np.where(np.arange(200) < 5, -100.0, 100.0) * H)
+        code = cli.main([
+            "fit-anhysteretic", str(path), "--ms", str(MS), "--temp", str(T), "--slope-points", "5",
+            "--out", str(tmp_path / "out.json"), "--curve-out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: least-squares initial slope is -100, not positive\n"
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        # M lifted by 2e6 A/m: this said "no crossing of level 0.0 on branch"
+        (lambda H, M: (H, M + 2.0e6),
+         "descending branch never reaches M = 0 (M from 3.32624e+06 to 673765 A/m)"),
+        (lambda H, M: (H[:1], M[:1]), "loop has fewer than two samples"),
+        (lambda H, M: (H + 6000.0, M), "descending branch does not span H = 0"),
+    ], ids=["never-reaches-zero", "one-row", "shifted-6000"])
+    def test_unusable_loop(self, loop_files, tmp_path, capsys, change, message):
+        path = tmp_path / "loop.csv"
+        write_curve_file(path, *change(*np.loadtxt(loop_files["loop"], delimiter=",", skiprows=1).T))
+        out = tmp_path / "features.json"
+        assert cli.main(["extract", "--loop", str(path), "--first-mag", str(loop_files["first"]),
+                         "--anhysteretic", str(loop_files["anh"]), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra", [["--coarse"], ["--eps", "1e-4"]])
     def test_curve_far_above_ms(self, tmp_path, capsys, extra):
@@ -357,8 +418,12 @@ class TestMeasuredValueErrors:
             # m itself underflows: this used to say only "moment must be positive, got 0.0"
             (1e-320, "initial susceptibility 9.99989e-321 is too small for Ms = 1.6e+06 A/m: "
                      "the moment m = 0 is too small for aJ = kB*T/(mu0*m)"),
+            # mu0*m is subnormal: too few bits for aJ.  This exited 2 on "the residual norm
+            # underflows", and before that exited 0 with residual_rms 0 and aJ 6.1e301
+            (1e-296, "initial susceptibility 1e-296 is too small for Ms = 1.6e+06 A/m: "
+                     "the moment m = 6.25221e-317 is too small for aJ = kB*T/(mu0*m)"),
         ],
-        ids=["mu0-m-underflows", "m-underflows"],
+        ids=["mu0-m-underflows", "m-underflows", "mu0-m-subnormal"],
     )
     def test_tiny_susceptibility(self, tmp_path, capsys, scale, message):
         path = tmp_path / "tiny.csv"
@@ -434,15 +499,17 @@ class TestSavedReports:
 
 @pytest.mark.parametrize("verbose", [False, True])
 def test_verbose_logs_the_fit_summary(anh_file, tmp_path, verbose):
-    r = run_cli(
-        *(["--verbose"] if verbose else []), "fit-anhysteretic", anh_file, "--ms", MS, "--temp", T,
-        "--coarse", "--eps", "1e-3", "--out", tmp_path / "rep.json", "--curve-out", tmp_path / "c.csv",
-    )
-    assert r.returncode == 0, r.stderr
-    assert ("INFO jamag.anfit: fit: eta*=" in r.stderr) is verbose
-    # one line per refinement level of the 100-point grid, from its top decade
-    strides = re.findall(r"INFO jamag.anfit: coarse stride (\d+) over", r.stderr)
-    assert strides == (["10", "1"] if verbose else [])
+    # one line per scan level of the 100-point grid: the coarse scan from its top decade,
+    # the plain scan at stride 1 alone
+    for scan, levels in ((["--coarse"], ["10", "1"]), ([], ["1"])):
+        r = run_cli(
+            *(["--verbose"] if verbose else []), "fit-anhysteretic", anh_file, "--ms", MS, "--temp", T,
+            *scan, "--eps", "1e-3", "--out", tmp_path / "rep.json", "--curve-out", tmp_path / "c.csv",
+        )
+        assert r.returncode == 0, r.stderr
+        assert ("INFO jamag.anfit: fit: eta*=" in r.stderr) is verbose
+        strides = re.findall(r"INFO jamag.anfit: scan stride (\d+) over", r.stderr)
+        assert strides == (levels if verbose else [])
 
 
 class TestNumericalErrors:
@@ -558,6 +625,15 @@ class TestCoarseReport:
                 cli.main(argv)
             assert info.value.code == 2
             assert "unrecognized arguments: --sweep argmin" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_plain_flag_is_a_usage_error(self, tmp_path, capsys):
+        # validate always refines by decades: its report says "coarse": true
+        with pytest.raises(SystemExit) as info:
+            cli.main(["validate", "--plain", "--out", str(tmp_path / "v.json")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --plain" in capsys.readouterr().err
+        assert not (tmp_path / "v.json").exists()
         assert not list(tmp_path.iterdir())
 
 

@@ -506,9 +506,6 @@ class TestCrossing:
         # approached from below: interpolated with frac = 1
         assert _crossing(x, np.array([-2.0, -1.0, 0.0, 1.0])) == 0.7 + 1.0 * (1.3 - 0.7)
 
-    def test_level(self):
-        assert _crossing(np.array([0.0, 4.0]), np.array([1.0, 3.0]), level=2.0) == 2.0
-
     def test_first_crossing_wins(self):
         assert _crossing(np.arange(5.0), np.array([1.0, -1.0, 1.0, -1.0, 0.0])) == 0.5
 
@@ -517,7 +514,7 @@ class TestCrossing:
         assert _crossing(np.array([7.0]), np.array([0.0])) == 7.0
 
     def test_no_crossing(self):
-        with pytest.raises(MissingBranch):
+        with pytest.raises(MissingBranch, match="^descending branch never reaches M = 0"):
             _crossing(np.arange(4.0), np.array([3.0, 2.0, 1.0, 0.5]))
         with pytest.raises(MissingBranch):
             _crossing(np.array([7.0]), np.array([1.0]))
@@ -527,14 +524,14 @@ class TestCrossing:
         rng = np.random.default_rng(seed)
         x = np.sort(rng.uniform(-5.0, 5.0, 50))
         y = rng.integers(-1, 16, 50).astype(float) * 0.25  # sparse zeros and sign changes
-        for level in (0.0, 0.5, -0.5, 10.0):
+        for level in (0.0, 0.5, -0.5, 10.0):  # the zero crossings of y - level
             try:
                 want = _crossing_scan(x, y, level)
             except MissingBranch:
                 with pytest.raises(MissingBranch):
-                    _crossing(x, y, level)
+                    _crossing(x, y - level)
                 continue
-            assert _crossing(x, y, level) == want
+            assert _crossing(x, y - level) == want
 
 
 @pytest.fixture(scope="module")

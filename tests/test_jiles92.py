@@ -333,6 +333,29 @@ class TestEstimate:
 
         assert ending(alpha_update=singular)[0] == "seed 0.001 aborted: remanence denominator vanished"
 
+    def test_seed_whose_simulation_does_not_converge_is_abandoned(self, synthetic_setup, monkeypatch,
+                                                                  caplog):
+        # NoConvergence is no RootFindError: estimate names it, and the next seed still runs
+        material, _, loop, feats = synthetic_setup
+        monkeypatch.setattr(jiles92, "_SEEDS", (1e-3, 1e-3))
+        caplog.set_level(logging.INFO, logger="jamag.jiles92")
+        real = jiles92.integrate
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NoConvergence("implicit solve: 50 iterations")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(jiles92, "integrate", first_fails)
+        res = estimate(feats, material, Jiles92Config(fit_tol=1e6), loop)
+        assert [r.getMessage() for r in caplog.records] == [
+            "seed 0.001 aborted: implicit solve: 50 iterations",
+            "seed 0.001 met the fit condition at pass 1",
+        ]
+        assert res.fit_condition_met and len(calls) == 2
+
     def test_all_seeds_failing_raises(self, synthetic_setup):
         material, _, loop, _ = synthetic_setup
         # chi_max far below c*slope makes the pinning estimate negative for

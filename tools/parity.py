@@ -84,16 +84,21 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path = anh_dir / "negative.csv"
     inputs.write_curve(path, H, inputs.anhysteretic(H, 972.0, 1.4e-3, inputs.MS) - inputs.MS)
     flags["negative"] = [str(path.relative_to(out))]
-    # M from 1e20 to 1e304 A/m: the residual norm overflows float64 (exit 2)
-    path = anh_dir / "overflow.csv"
-    inputs.write_curve(path, np.linspace(10.0, 1.0e4, 200), np.logspace(20.0, 304.0, 200))
-    flags["overflow"] = [str(path.relative_to(out))]
-    # M = 1e-150*H, 100 rows with H up to 1e4 A/m: the sum of (mu0*M)^2 is a normal double,
-    # but the winning candidate's residual norm rounds to 0 (exit 2)
+    # M from 1e20 to 1e304 A/m: the sum of (mu0*M)^2 overflows float64, and the initial
+    # slope of 1e19 leaves no stable candidate (exit 2).  M from 1 to 1e300 A/m: every
+    # candidate's sum of squared residuals overflows, and the scaled norm still fits it
+    for name, M in (("overflow", np.logspace(20.0, 304.0, 200)), ("big_m", np.logspace(0.0, 300.0, 200))):
+        path = anh_dir / f"{name}.csv"
+        inputs.write_curve(path, np.linspace(10.0, 1.0e4, 200), M)
+        flags[name] = [str(path.relative_to(out))]
+    # M = 1e-150*H, 100 rows with H up to 1e4 A/m: every candidate's sum of squared
+    # residuals leaves the normal range, and the scaled norm still fits it.  M = 1e-296*H:
+    # mu0 times the moment is subnormal, too few bits for aJ (exit 2)
     H100 = 100.0 * np.arange(1, 101)
-    path = anh_dir / "underflow.csv"
-    inputs.write_curve(path, H100, 1.0e-150 * H100)
-    flags["underflow"] = [str(path.relative_to(out))]
+    for name, scale in (("underflow", 1.0e-150), ("subnormal_moment", 1.0e-296)):
+        path = anh_dir / f"{name}.csv"
+        inputs.write_curve(path, H100, scale * H100)
+        flags[name] = [str(path.relative_to(out))]
     # M = 1e100 A/m everywhere, and M from 1e20 to 1e60: every eta candidate's stability
     # margin, Ms/(3*chi_a), is lost to rounding, so the solve rejects them (exit 2)
     for name, M in (
@@ -158,7 +163,9 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-anhysteretic-coarse-anh0-ragged", "anh0-ragged"),
         ("fit-anhysteretic-coarse-negative", "negative"),
         ("fit-anhysteretic-coarse-overflow", "overflow"),
+        ("fit-anhysteretic-coarse-big-m", "big_m"),
         ("fit-anhysteretic-coarse-underflow", "underflow"),
+        ("fit-anhysteretic-coarse-subnormal-moment", "subnormal_moment"),
         ("fit-anhysteretic-coarse-far-above-ms", "far_above_ms"),
         ("fit-anhysteretic-coarse-far-above-ms-geometric", "far_above_ms_geometric"),
         ("fit-anhysteretic-coarse-constant", "constant"),
@@ -304,11 +311,11 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         cmds.append((name, [
             "fit-jiles92", *source, *material, *extra, "--out", f"{name}/report.json",
         ]))
-    # the coarse scan at the default step passes; the plain one at 1e-4 fails a row (exit 3)
-    for name, extra in (("validate-coarse", []), ("validate-plain", ["--plain", "--eps", "1e-4"])):
+    # the default step passes; at 1e-4 a row fails (exit 3)
+    for name, extra in (("validate-coarse", []), ("validate-eps-1e-4", ["--eps", "1e-4"])):
         cmds.append((name, ["validate", *extra, "--out", f"{name}/report.json"]))
     # no --out: no report is written, the PASS/FAIL lines are still printed
-    cmds.append(("validate-plain-no-out", ["validate", "--plain", "--eps", "1e-3"]))
+    cmds.append(("validate-no-out", ["validate", "--eps", "1e-3"]))
     return cmds
 
 
