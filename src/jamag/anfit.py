@@ -83,9 +83,9 @@ class AnhystereticFitConfig:
     power-of-ten multiple of the step that fits the grid, followed by each
     lower decade down to 1x around the minima of the level before (about 60
     of the 10 000 default grid points); for a weakly unimodal residual
-    profile the result is the plain scan's, bit for bit.  ``slope_points=1``
-    keeps the single-sample initial susceptibility rule; larger values fit
-    a least-squares slope through the origin.
+    profile the result is the plain scan's, bit for bit.  The initial
+    susceptibility is fixed: :func:`initial_susceptibility`, M/H at the
+    first sample with H > 0 and M > 0.
     """
 
     ha1: float = 1.0e6
@@ -93,7 +93,6 @@ class AnhystereticFitConfig:
     eps: float = 1.0e-5
     eta_max: float = 1.0
     coarse: bool = False
-    slope_points: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ha1 < math.inf:
@@ -104,8 +103,6 @@ class AnhystereticFitConfig:
             )
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if self.slope_points < 1:
-            raise ValueError(f"slope_points must be at least 1, got {self.slope_points}")
 
 
 @dataclass(frozen=True)
@@ -142,33 +139,22 @@ class FitReport:
     warnings: tuple[str, ...]
 
 
-def initial_susceptibility(data: MagnetizationCurve, *, points: int = 1) -> float:
+def initial_susceptibility(data: MagnetizationCurve) -> float:
     """Measured anhysteretic susceptibility at the origin.
 
-    With ``points=1`` this is M/H at the first sample with H > 0 and
-    M > 0.  With more points it is the least-squares slope through the
-    origin over the first ``points`` positive-field samples.  Raises
-    :class:`NoPositiveSample` when no usable sample exists.
+    M/H at the first sample with H > 0 and M > 0.  Raises
+    :class:`NoPositiveSample` when no such sample exists.
     """
-    if points < 1:
-        raise ValueError(f"points must be at least 1, got {points}")
     pos = data.H > 0.0
     if not np.any(pos):
         raise NoPositiveSample("no sample with H > 0")
     H = data.H[pos]
     M = data.M[pos]
-    if points == 1:
-        usable = M > 0.0
-        if not np.any(usable):
-            raise NoPositiveSample("no sample with H > 0 and M > 0")
-        i = int(np.argmax(usable))
-        return float(M[i] / H[i])
-    h = H[:points]
-    m = M[:points]
-    chi = float(np.dot(h, m) / np.dot(h, h))
-    if not chi > 0.0:
-        raise NoPositiveSample(f"least-squares initial slope is {chi:.6g}, not positive")
-    return chi
+    usable = M > 0.0
+    if not np.any(usable):
+        raise NoPositiveSample("no sample with H > 0 and M > 0")
+    i = int(np.argmax(usable))
+    return float(M[i] / H[i])
 
 
 def solve_chi_param(eta: float, chi_an1: float, Ha1: float, Ms: float) -> float:
@@ -220,7 +206,7 @@ def fit_anhysteretic(
         raise ValueError("fields must be strictly increasing")
 
     Ms, T = material.Ms, material.T
-    chi_a = initial_susceptibility(data, points=cfg.slope_points)
+    chi_a = initial_susceptibility(data)
     m1 = moment_from_susceptibility(chi_a, Ms, T)
     if not MU0 * m1 >= sys.float_info.min:  # aJ = kB*T/(mu0*m1) needs all of mu0*m1's bits
         raise DataError(

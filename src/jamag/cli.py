@@ -325,7 +325,7 @@ def _load_features(args, loop: MagnetizationCurve) -> LoopFeatures:
         )
     first = _parse(args.first_mag, CurveKind.FIRST_MAGNETIZATION, args)
     anh = _parse(args.anhysteretic, CurveKind.ANHYSTERETIC, args)
-    return extract_features(first, loop, anh, slope_points=args.slope_points)
+    return extract_features(first, loop, anh)
 
 
 def cmd_fit_jiles92(args) -> dict:
@@ -339,8 +339,7 @@ def cmd_fit_jiles92(args) -> dict:
             loop=args.loop, first_mag=args.first_mag,
             anhysteretic=args.anhysteretic, features=args.features,
         ),
-        "config": {"ms": args.ms, "temp": args.temp, "unit": args.unit,
-                   "slope_points": args.slope_points, **asdict(cfg)},
+        "config": {"ms": args.ms, "temp": args.temp, "unit": args.unit, **asdict(cfg)},
         "assumptions": [_CONVENTION_NOTE],
         "result": {
             "aJ": result.params.aJ,
@@ -402,10 +401,10 @@ def cmd_extract(args) -> dict:
     first = _parse(args.first_mag, CurveKind.FIRST_MAGNETIZATION, args)
     anh = _parse(args.anhysteretic, CurveKind.ANHYSTERETIC, args)
     loop = _parse(args.loop, CurveKind.FULL_LOOP, args)
-    features = extract_features(first, loop, anh, slope_points=args.slope_points)
+    features = extract_features(first, loop, anh)
     return {
         "inputs": _inputs(first_mag=args.first_mag, loop=args.loop, anhysteretic=args.anhysteretic),
-        "config": {"unit": args.unit, "slope_points": args.slope_points, "ms": args.ms},
+        "config": {"unit": args.unit, "ms": args.ms},
         "features": asdict(features),
         "derived": {"c": c_from_susceptibilities(features.chi_in, features.chi_an), "k": features.Hc},
     }
@@ -454,11 +453,6 @@ def cmd_validate(args) -> dict:
 
 # --- parser ----------------------------------------------------------------
 
-_ORIGIN_SLOPE_HELP = ("chi_in, chi_an: slope of a least-squares line, with intercept, over this many first "
-                      "samples of the first-magnetization and anhysteretic curves (minimum 2, "
-                      "default %(default)s)")
-
-
 def _add_common(sp, *, ms_required: bool = False, temp: bool = False, unit: bool = True) -> None:
     sp.add_argument("--ms", type=float, required=ms_required, help="saturation magnetization, A/m")
     if temp:
@@ -479,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
     # plain-function defaults, stated once in the library (read through any wrapper)
-    slope_points = inspect.signature(extract_features).parameters["slope_points"].default
     cyclic = inspect.signature(FieldWaveform.cyclic).parameters
 
     p = sub.add_parser("fit-anhysteretic", help="fit (aJ, alpha, m) to an anhysteretic curve")
@@ -493,9 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coarse", action="store_true",
                    help="refine the scan by decades, from the grid's top power of ten down to every point "
                         "(same answer on weakly unimodal profiles, far fewer candidates)")
-    p.add_argument("--slope-points", type=int,
-                   help="initial susceptibility: slope through the origin over this many first samples "
-                        "with H > 0, 1 being M/H at the first with M > 0 (minimum 1, default %(default)s)")
     p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path("fit_report.json"))
     p.add_argument("--curve-out", type=Path, default=Path("fit_curve.csv"))
     p.set_defaults(func=cmd_fit_anhysteretic)
@@ -509,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(**asdict(Jiles92Config()))
     p.add_argument("--fit-tol", type=float, help="MSE threshold on mu0*M, T^2")
     p.add_argument("--sim-steps", type=int)
-    p.add_argument("--slope-points", type=int, default=slope_points, help=_ORIGIN_SLOPE_HELP)
     p.add_argument("--out", dest="report", metavar="OUT", type=Path,
                    default=Path("jiles92_report.json"))
     p.set_defaults(func=cmd_fit_jiles92)
@@ -536,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--first-mag", type=Path, required=True)
     p.add_argument("--anhysteretic", type=Path, required=True)
     _add_common(p)
-    p.add_argument("--slope-points", type=int, default=slope_points, help=_ORIGIN_SLOPE_HELP)
     p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path("features.json"))
     p.set_defaults(func=cmd_extract)
 

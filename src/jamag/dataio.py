@@ -29,6 +29,8 @@ from .errors import (
 )
 
 _MIN_BRANCH_SAMPLES = 10
+_SLOPE_POINTS = 5
+"""Samples in the least-squares line (with intercept) of the initial slopes chi_in, chi_an."""
 
 
 class Unit(enum.Enum):
@@ -299,10 +301,14 @@ def split_branches(loop: MagnetizationCurve) -> tuple[tuple[np.ndarray, np.ndarr
     return (H[sd:ed], M[sd:ed]), (H[sa:ea], M[sa:ea])
 
 
-def _origin_slope(H: np.ndarray, M: np.ndarray, points: int) -> float:
-    """Least-squares slope over the first ``points`` (at least 2) samples."""
-    n = min(points, H.size)
-    h, m = H[:n], M[:n]
+def _origin_slope(H: np.ndarray, M: np.ndarray, label: str) -> float:
+    """Least-squares slope over the first ``_SLOPE_POINTS`` samples with H >= 0 (increasing H)."""
+    start = int(np.searchsorted(H, 0.0))
+    h, m = H[start:start + _SLOPE_POINTS], M[start:start + _SLOPE_POINTS]
+    if h.size < 2:
+        raise InsufficientSamples(
+            f"{label} curve has {h.size} samples with H >= 0; its initial slope needs 2"
+        )
     hm = h - h.mean()
     denom = float(np.dot(hm, hm))
     if denom == 0.0:
@@ -339,20 +345,17 @@ def extract_features(
     first_mag: MagnetizationCurve,
     loop: MagnetizationCurve,
     anhysteretic: MagnetizationCurve,
-    *,
-    slope_points: int = 5,
 ) -> LoopFeatures:
     """Measure the loop features used by the loop-fitting procedure.
 
-    Initial slopes come from a least-squares fit over the first
-    ``slope_points`` samples of the first-magnetization and anhysteretic
-    curves.  Hc, Mr and the branch slopes are read off the descending
-    branch with linear interpolation; the tip (Hm, Mm) and the tip slope
-    are taken at the top of the last ascending branch.  A line with an
-    intercept needs two samples, so ``slope_points`` below 2 raises ValueError.
+    The initial slopes chi_in and chi_an are the slopes of least-squares
+    lines, with intercept, over the first 5 samples with H >= 0 of the
+    first-magnetization and anhysteretic curves; fewer than 2 such samples
+    raise :class:`InsufficientSamples`.  Hc, Mr and the branch slopes are
+    read off the descending branch with linear interpolation; the tip
+    (Hm, Mm) and the tip slope are taken at the top of the last ascending
+    branch.
     """
-    if slope_points < 2:
-        raise ValueError(f"slope_points must be at least 2, got {slope_points}")
     for curve, label in ((first_mag, "first_mag"), (anhysteretic, "anhysteretic")):
         if len(curve) < _MIN_BRANCH_SAMPLES:
             raise InsufficientSamples(f"{label} curve has {len(curve)} samples; need {_MIN_BRANCH_SAMPLES}")
@@ -376,8 +379,8 @@ def extract_features(
     chi_r = desc_slope(0.0)
     chi_m = asc_slope(Hm)
 
-    chi_in = _origin_slope(first_mag.H, first_mag.M, slope_points)
-    chi_an = _origin_slope(anhysteretic.H, anhysteretic.M, slope_points)
+    chi_in = _origin_slope(first_mag.H, first_mag.M, "first_mag")
+    chi_an = _origin_slope(anhysteretic.H, anhysteretic.M, "anhysteretic")
 
     return LoopFeatures(
         chi_in=chi_in,

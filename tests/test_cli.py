@@ -2,7 +2,6 @@ import builtins
 import contextlib
 import errno
 import fractions
-import functools
 import json
 import math
 import os
@@ -240,24 +239,13 @@ def test_flag_defaults_are_the_config_defaults(argv, cls):
         assert getattr(args, name) == value, name
 
 
-@pytest.mark.parametrize("argv, func, flags", [
-    (["fit-jiles92", "--loop", "l", "--ms", "1", "--temp", "1"], dataio.extract_features,
-     {"slope_points": "slope_points"}),
-    (["extract", "--loop", "l", "--first-mag", "f", "--anhysteretic", "a"], dataio.extract_features,
-     {"slope_points": "slope_points"}),
-    (["simulate-loop", "--c", "0", "--k", "1", "--hmax", "1"], FieldWaveform.cyclic.__func__,
-     {"cycles": "cycles", "steps": "steps_per_segment"}),
-])
-def test_flag_defaults_are_the_library_defaults(monkeypatch, argv, func, flags):
-    # a changed library default moves the flag's default with it, also while the
-    # name in cli is a wrapper, as a profiler installs it
+def test_flag_defaults_are_the_library_defaults(monkeypatch):
+    # a changed library default moves the flag's default with it
+    func = FieldWaveform.cyclic.__func__
     changed = {name: value + 1 for name, value in func.__kwdefaults__.items()}
     monkeypatch.setattr(func, "__kwdefaults__", changed)
-    monkeypatch.setattr(cli, "extract_features", functools.wraps(dataio.extract_features)(
-        lambda *args, **kwargs: dataio.extract_features(*args, **kwargs)))
-    args = cli.build_parser().parse_args(argv)
-    for flag, name in flags.items():
-        assert getattr(args, flag) == changed[name], flag
+    args = cli.build_parser().parse_args(["simulate-loop", "--c", "0", "--k", "1", "--hmax", "1"])
+    assert (args.cycles, args.steps) == (changed["cycles"], changed["steps_per_segment"])
 
 
 _FEATURES = dict(
@@ -362,19 +350,6 @@ class TestMeasuredValueErrors:
         ]) == 0
         norm = json.loads((tmp_path / "out.json").read_text())["result"]["residual_norm"]
         assert sys.float_info.min <= norm * norm
-
-    def test_negative_least_squares_slope(self, tmp_path, capsys):
-        # the first five positive-field samples fall: their slope through the origin is -100
-        path = tmp_path / "falling.csv"
-        H = np.linspace(100.0, 1.0e4, 200)
-        write_curve_file(path, H, np.where(np.arange(200) < 5, -100.0, 100.0) * H)
-        code = cli.main([
-            "fit-anhysteretic", str(path), "--ms", str(MS), "--temp", str(T), "--slope-points", "5",
-            "--out", str(tmp_path / "out.json"), "--curve-out", str(tmp_path / "c.csv"),
-        ])
-        assert code == 2
-        assert capsys.readouterr().err == "error: least-squares initial slope is -100, not positive\n"
-        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("change, message", [
         # M lifted by 2e6 A/m: this said "no crossing of level 0.0 on branch"
@@ -1027,19 +1002,24 @@ class TestExtractAndJiles92:
         assert obj["derived"]["k"] == f["Hc"]
         assert obj["derived"]["c"] == pytest.approx(f["chi_in"] / f["chi_an"], rel=1e-12)
 
-    @pytest.mark.parametrize("command", ["extract", "fit-jiles92"])
+    @pytest.mark.parametrize("command", ["extract", "fit-jiles92", "fit-anhysteretic"])
     @pytest.mark.parametrize("points", [0, 1])
     def test_too_few_slope_points_exit_2(self, loop_files, tmp_path, capsys, command, points):
-        # a fitted line with an intercept needs two samples; fewer used to be taken as 2
+        # each command has one fixed origin-slope rule, so --slope-points is a usage error
         out = tmp_path / "out.json"
-        temp = ["--temp", str(T)] if command == "fit-jiles92" else []
-        assert cli.main([
-            command, "--loop", str(loop_files["loop"]), "--first-mag", str(loop_files["first"]),
-            "--anhysteretic", str(loop_files["anh"]), "--ms", str(MS), *temp,
-            "--slope-points", str(points), "--out", str(out),
-        ]) == 2
-        assert f"error: slope_points must be at least 2, got {points}" in capsys.readouterr().err
-        assert not out.exists()
+        curves = ["--loop", str(loop_files["loop"]), "--first-mag", str(loop_files["first"]),
+                  "--anhysteretic", str(loop_files["anh"])]
+        argv = {
+            "extract": ["extract", *curves],
+            "fit-jiles92": ["fit-jiles92", *curves, "--temp", str(T)],
+            "fit-anhysteretic": ["fit-anhysteretic", str(loop_files["anh"]), "--temp", str(T),
+                                 "--curve-out", str(tmp_path / "curve.csv")],
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--ms", str(MS), "--slope-points", str(points), "--out", str(out)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: --slope-points {points}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_fit_from_curves(self, loop_files, tmp_path):
         rep = tmp_path / "j92.json"
@@ -1056,8 +1036,8 @@ class TestExtractAndJiles92:
         if not res["fit_condition_met"]:
             assert any(w["code"] == "FIT_CONDITION_NOT_MET" for w in obj["warnings"])
         assert obj["assumptions"]
-        # the seeds, the pass cap and the re-simulated cycles are jiles92 constants, not settings
-        assert sorted(obj["config"]) == ["fit_tol", "ms", "sim_steps", "slope_points", "temp", "unit"]
+        # the seeds, the pass cap, the re-simulated cycles and the slope window are constants
+        assert sorted(obj["config"]) == ["fit_tol", "ms", "sim_steps", "temp", "unit"]
 
     def test_fit_from_features_file(self, loop_files, tmp_path):
         feats = tmp_path / "features.json"

@@ -546,6 +546,12 @@ def curves():
     return first, loop, anh
 
 
+def _through_zero(curve):
+    """``curve`` (H > 0) extended by its mirror image through the origin."""
+    return MagnetizationCurve(H=np.concatenate([-curve.H[::-1], curve.H]),
+                              M=np.concatenate([-curve.M[::-1], curve.M]), kind=curve.kind)
+
+
 class TestExtractFeatures:
 
     def test_feature_sanity(self, curves):
@@ -609,3 +615,29 @@ class TestExtractFeatures:
         loop = MagnetizationCurve(H=H, M=np.linspace(1.0, 2.0, H.size), kind=CurveKind.FULL_LOOP)
         with pytest.raises(MissingBranch):
             extract_features(first, loop, anh)
+
+    def test_initial_slopes_are_the_five_point_line_from_h_zero(self, curves):
+        first, loop, anh = curves
+        mirrored = _through_zero(anh)
+        f = extract_features(first, loop, mirrored)
+        for curve, chi in ((first, f.chi_in), (mirrored, f.chi_an)):
+            i = int(np.argmax(curve.H >= 0.0))
+            want = np.polyfit(curve.H[i:i + 5], curve.M[i:i + 5], 1)[0]
+            assert chi == pytest.approx(want, rel=1e-12)
+
+    def test_slope_window_is_not_a_setting(self, curves):
+        with pytest.raises(TypeError):
+            extract_features(*curves, slope_points=5)
+
+    def test_mirrored_anhysteretic_has_the_positive_half_slope(self, curves):
+        # a curve sampled through zero used to give the slope of its five most negative fields
+        first, loop, anh = curves
+        assert anh.H[0] > 0.0
+        assert extract_features(first, loop, _through_zero(anh)).chi_an == extract_features(first, loop, anh).chi_an
+
+    def test_one_non_negative_field_sample_rejected(self, curves):
+        first, loop, anh = curves
+        H = np.concatenate([-anh.H[::-1], [0.0]])
+        negative = MagnetizationCurve(H=H, M=np.concatenate([-anh.M[::-1], [0.0]]), kind=CurveKind.ANHYSTERETIC)
+        with pytest.raises(InsufficientSamples, match="^anhysteretic curve has 1 samples with H >= 0"):
+            extract_features(first, loop, negative)

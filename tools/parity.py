@@ -292,13 +292,18 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         "extract", *f["loop-semicolon"], *f["first_mag"], *f["anhysteretic"], "--ms", MS,
         "--out", f"{name}/features.json",
     ]))
-    # a slope over one sample has no intercept: exit 2 naming slope_points
-    name = "extract-slope-points-1"
+    # the initial-slope window is fixed: --slope-points is an unknown argument (exit 2)
+    name = "extract-slope-points-flag-gone"
     cmds.append((name, [
         "extract", *curves, "--ms", MS, "--slope-points", "1", "--out", f"{name}/features.json",
     ]))
+    # an anhysteretic curve sampled through H = 0: chi_an is the slope from H = 0 up
+    through_zero = [*f["loop"], *f["first_mag"], "--anhysteretic", *f["zero"]]
+    name = "extract-anh-through-zero"
+    cmds.append((name, ["extract", *through_zero, "--ms", MS, "--out", f"{name}/features.json"]))
     for name, source, extra in (
         ("fit-jiles92-curves", curves, []),
+        ("fit-jiles92-anh-through-zero", through_zero, []),
         ("fit-jiles92-features", [*f["loop"], "--features", "extract/features.json"], []),
         ("fit-jiles92-sim-steps-5", curves, ["--sim-steps", "5"]),
         ("fit-jiles92-features-null", [*f["loop"], *f["features_null.json"]], []),
