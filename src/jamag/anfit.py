@@ -5,8 +5,8 @@ measured initial susceptibility fixes a first moment guess; the equivalent
 paramagnet's high-field magnetization at a reference field ``Ha1`` is then
 scaled by a factor ``eta`` swept over [eta0, eta_max).  Each ``eta`` yields
 a candidate susceptibility chi_param (by inverting the Langevin curve at
-``Ha1`` with Newton's method from an analytic lower bound, which climbs to
-the root monotonically), hence a candidate (aJ, alpha) pair through
+``Ha1`` with :func:`~jamag.core.langevin_inverse`), hence a candidate
+(aJ, alpha) pair through
 
     aJ = Ms / (3 * chi_param),    alpha = 1/chi_param - 1/chi_an(0)
 
@@ -43,8 +43,7 @@ from .core import (
     _IMPLICIT_REL_TOL,
     _implicit_array,
     anhysteretic_explicit,
-    langevin,
-    langevin_prime,
+    langevin_inverse,
     moment_from_susceptibility,
     shape_param_from_moment,
     alpha_from_susceptibilities,
@@ -64,9 +63,6 @@ from .rootfind import find_root  # noqa: F401  # unused here; perfbench/tracer.p
 RMS_BOUND_FRACTION = 0.01
 """A fit meets its condition when its residual RMS is at most this fraction of mu0*Ms."""
 
-_X_SATURATED = 20.0  # above this 1/tanh(x) rounds to 1, so 1/(1 - y) solves L(x) = y
-_CHI_STEP_TOL = 1e-9  # the chi solve stops once Newton climbs by at most this fraction of x
-_CHI_MAX_ITER = 50  # iteration cap of the chi solve
 _BLOCK_POINTS = 16384
 """Fields times candidates per lockstep curve solve of the sweep (81 rows of 200 samples)."""
 
@@ -160,31 +156,16 @@ def initial_susceptibility(data: MagnetizationCurve) -> float:
 def solve_chi_param(eta: float, chi_an1: float, Ha1: float, Ms: float) -> float:
     """Susceptibility whose Langevin paramagnet hits ``eta*chi_an1`` at Ha1.
 
-    Solves L(x) = y, x = 3*chi*Ha1/Ms, y = eta*chi_an1*Ha1/Ms, by Newton's
-    method from the lower bound max(3y, 1/(1 - y) - 1) (L(x) <= x/3 and
-    L(u - 1) <= 1 - 1/u), or from the upper bound 1/(1 - y) (L(x) >= 1 - 1/x)
-    where that exceeds 20 and is the root to rounding.  L is increasing and
-    concave on x > 0, so the steps climb monotonically to the root; the solve
-    stops at a climb of at most ``_CHI_STEP_TOL`` of x or at a step back,
-    which only rounding makes.  Raises :class:`NoSolution` unless
-    0 < eta*chi_an1*Ha1 < Ms, :class:`NoConvergence` past ``_CHI_MAX_ITER`` steps.
+    Solves L(x) = y, x = 3*chi*Ha1/Ms, y = eta*chi_an1*Ha1/Ms, by :func:`langevin_inverse`.
+    Raises :class:`NoSolution` unless 0 < eta*chi_an1*Ha1 < Ms, :class:`NoConvergence`
+    past that solve's step cap.
     """
     y = eta * chi_an1 * Ha1 / Ms
     if not y < 1.0:  # also a NaN target
-        raise NoSolution(
-            f"target magnetization {eta * chi_an1 * Ha1:.6g} is not below Ms = {Ms:.6g}"
-        )
+        raise NoSolution(f"target magnetization {eta * chi_an1 * Ha1:.6g} is not below Ms = {Ms:.6g}")
     if not y > 0.0:
         raise NoSolution(f"target fraction must be positive, got {y:.6g}")
-
-    hi = 1.0 / (1.0 - y)
-    x = hi if hi > _X_SATURATED else max(3.0 * y, hi - 1.0)
-    for _ in range(_CHI_MAX_ITER):
-        step = (y - langevin(x)) / langevin_prime(x)
-        x += step
-        if step <= _CHI_STEP_TOL * x:
-            return x * Ms / (3.0 * Ha1)
-    raise NoConvergence(f"chi_param solve: no root of L(x) = {y!r} in {_CHI_MAX_ITER} Newton steps")
+    return langevin_inverse(y) * Ms / (3.0 * Ha1)
 
 
 def fit_anhysteretic(

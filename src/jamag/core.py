@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, SingularSlope, UnstableParams
+from .errors import NoConvergence, NoSolution, SingularSlope, UnstableParams
 from .rootfind import find_root  # noqa: F401  # unused here; perfbench/tracer.py wraps core.find_root
 
 KB = 1.380649e-23
@@ -49,6 +49,9 @@ _IMPLICIT_REL_TOL = 1e-9
 _L2_MAX = 0.106  # max |L''(x)| = 0.1059636 at x = 1.3723, rounded up
 _MAX_ITER = 200  # iteration cap of the implicit solve
 _NEWTON_STEPS = 16  # Newton steps before a row not yet done (alpha < 0, mostly) is bracketed
+_X_SATURATED = 20.0  # above this 1/tanh(x) rounds to 1, so 1/(1 - y) solves L(x) = y
+_LINV_STEP_TOL = 1e-9  # langevin_inverse stops once Newton climbs by at most this fraction of x
+_LINV_MAX_ITER = 50  # iteration cap of langevin_inverse
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,27 @@ def langevin_prime(x, L=None):
         return 1.0 / (x * x)
     s = math.sinh(x)
     return 1.0 / (x * x) - 1.0 / (s * s)
+
+
+def langevin_inverse(y: float) -> float:
+    """The x > 0 with L(x) = y, for a float 0 < y < 1.
+
+    Newton's method from the bound 1/(1 - y) (L(x) >= 1 - 1/x) where that exceeds 20 and
+    is the root to rounding, else from max(3y, 1/(1 - y) - 1) (L(x) <= x/3, L(u - 1) <= 1 - 1/u).
+    L is increasing and concave on x > 0, so the steps climb monotonically to the root; the
+    solve stops at a climb of at most ``_LINV_STEP_TOL`` of x or at a step back (rounding).
+    Raises :class:`NoSolution` unless 0 < y < 1, :class:`NoConvergence` past ``_LINV_MAX_ITER`` steps.
+    """
+    if not 0.0 < y < 1.0:
+        raise NoSolution(f"L(x) = {y:.6g} has no root: L maps x > 0 onto (0, 1)")
+    hi = 1.0 / (1.0 - y)
+    x = hi if hi > _X_SATURATED else max(3.0 * y, hi - 1.0)
+    for _ in range(_LINV_MAX_ITER):
+        step = (y - langevin(x)) / langevin_prime(x)
+        x += step
+        if step <= _LINV_STEP_TOL * x:
+            return x
+    raise NoConvergence(f"inverse Langevin: no root of L(x) = {y!r} in {_LINV_MAX_ITER} Newton steps")
 
 
 def anhysteretic_explicit(Ha, Ms: float, a: float):

@@ -49,7 +49,7 @@ class NoPositiveSample(DataError):
 
 
 class NoSolution(JamagError):
-    """The scaled high-field target exceeds saturation; no susceptibility solves it."""
+    """L(x) = y has no root: an eta target at or above saturation, or a loop tip no aJ > 0 meets."""
 
 
 class DegenerateSweep(JamagError):

@@ -4,7 +4,7 @@ Given the nine measured features of a hysteresis loop, the procedure pins
 the model parameters to closed-form relations at four special points of the
 loop: the origin (initial susceptibilities give c and a first aJ), the
 coercive point (gives k), remanence (a nonlinear equation in alpha) and the
-loop tip (a nonlinear equation updating aJ).  After each pass the loop is
+loop tip (aJ in closed form, by inverting L).  After each pass the loop is
 re-simulated (initial rise and two cycles); the pass repeats, at most
 eight times, until the mean squared error between simulated and measured
 magnetization (mu0-scaled) drops below ``fit_tol``.  On failure the
@@ -26,16 +26,12 @@ from logging import getLogger
 
 import numpy as np
 
-from .core import (
-    MU0,
-    MaterialSpec,
-    _slope_raw,
-    langevin,
-)
+from .core import MU0, MaterialSpec, _slope_raw, langevin, langevin_inverse
 from .dataio import LoopFeatures, MagnetizationCurve, split_branches
 from .errors import (
     DegenerateC,
     NoConvergence,
+    NoSolution,
     NonPhysicalParameterWarning,
     RootFindError,
     SingularDenominator,
@@ -46,7 +42,6 @@ from .errors import (
 from .rootfind import expand_bracket, find_root
 from .simulate import FieldWaveform, HysteresisParams, integrate
 
-_ROOT_TOL = {"abs_tol": 1e-12, "rel_tol": 1e-10}  # of both root solves
 _SEEDS = (1.0e-4, 1.0e-3, 1.0e-2, 1.0e-1)  # alpha start values, tried in order
 _PASSES = 8  # closed-form passes per seed, each followed by a re-simulation
 _SIM_CYCLES = 2  # cycles re-simulated per pass; the last is compared with the measured loop
@@ -149,28 +144,26 @@ def alpha_update(
         return man_r + k / outer - Mr
 
     bracket = expand_bracket(g, guess, lo_limit=0.0)
-    return find_root(g, bracket, **_ROOT_TOL)
+    return find_root(g, bracket, abs_tol=1e-12, rel_tol=1e-10)
 
 
-def aj_update(
-    features: LoopFeatures, c: float, k: float, alpha: float, Ms: float, *, guess: float
-) -> float:
-    """Shape parameter from the loop-tip balance, solved around ``guess``.
+def aj_update(features: LoopFeatures, c: float, k: float, alpha: float, Ms: float) -> float:
+    """Shape parameter from the loop-tip balance, in closed form.
 
-    Root of  Mm = M_an(Hm) - (1-c)*k*chi_m / (alpha*chi_m + 1)
-    with the anhysteretic curve at the tip effective field (Hm + alpha*Mm)/aJ.
+    Mm = M_an(Hm) - pinned, pinned = (1-c)*k*chi_m / (alpha*chi_m + 1), with M_an at the tip
+    effective field he = Hm + alpha*Mm, gives aJ = he / L^-1((Mm + pinned)/Ms).  Raises
+    :class:`NoSolution` unless he > 0 and 0 < (Mm + pinned)/Ms < 1: no aJ > 0 balances the tip.
     """
     denom = alpha * features.chi_m + 1.0
     if denom == 0.0:
         raise SingularDenominator("alpha*chi_m + 1 vanished")
     pinned = (1.0 - c) * k * features.chi_m / denom
     he = features.Hm + alpha * features.Mm
-
-    def g(aJ: float) -> float:
-        return Ms * langevin(he / aJ) - pinned - features.Mm
-
-    bracket = expand_bracket(g, guess, lo_limit=1e-30)
-    return find_root(g, bracket, **_ROOT_TOL)
+    y = (features.Mm + pinned) / Ms
+    if not (he > 0.0 and 0.0 < y < 1.0):  # the range check is langevin_inverse's, named for the tip
+        raise NoSolution(f"no aJ > 0 balances the loop tip: y = (Mm + pinned)/Ms = {y:.6g}, he = Hm + "
+                         f"alpha*Mm = {he:.6g} A/m, and L(he/aJ) = y needs 0 < y < 1 and he > 0")
+    return he / langevin_inverse(y)
 
 
 def _loop_mse(sim: MagnetizationCurve, waveform: FieldWaveform, measured) -> float:
@@ -231,7 +224,7 @@ def estimate(
                 if not (np.isfinite(alpha) and alpha >= 0.0):
                     ending = f"stopped at pass {it} on alpha = {alpha:.6g}"
                     break
-                aJ = aj_update(features, c, k, alpha, Ms, guess=aJ)
+                aJ = aj_update(features, c, k, alpha, Ms)
                 if not (np.isfinite(aJ) and aJ > 0.0):
                     ending = f"stopped at pass {it} on aJ = {aJ:.6g}"
                     break
@@ -252,7 +245,7 @@ def estimate(
             else:
                 ending = f"exhausted {_PASSES} passes, best MSE {seed_mse:.6g}"
         # numerical failures abandon the seed; anything else is a bug and propagates
-        except (RootFindError, NoConvergence, SingularDenominator, SingularSlope, UnstableParams) as err:
+        except (RootFindError, NoConvergence, NoSolution, SingularDenominator, SingularSlope, UnstableParams) as err:
             ending = f"aborted: {err}"
         _logger.info("seed %.3g %s", seed, ending)
 

@@ -8,6 +8,10 @@ from jamag.validation import synthetic_curve
 MS = 1.6e6
 T = 303.5
 
+# inverse Langevin references, 50-digit arithmetic: L(LINV_HALF) = 0.5, L(LINV_QUARTER) = 0.25
+LINV_HALF = 1.7967559847237130411360849422776578994304731704757
+LINV_QUARTER = 0.77989736865061222982583013403309986395448001285414
+
 
 @pytest.fixture
 def material() -> MaterialSpec:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import jamag.anfit as anfit
+import jamag.core as core
 from jamag.anfit import (
     AnhystereticFitConfig,
     fit_anhysteretic,
@@ -240,7 +241,7 @@ class TestSolveChiParam:
 
     def test_newton_steps_stay_few(self, monkeypatch):
         steps = []
-        monkeypatch.setattr(anfit, "langevin_prime", lambda x: steps.append(x) or langevin_prime(x))
+        monkeypatch.setattr(core, "langevin_prime", lambda x: steps.append(x) or langevin_prime(x))
         for y, chi_an1, Ha1, eta, _ in self.solves():
             steps.clear()
             solve_chi_param(eta, chi_an1, Ha1, MS)
@@ -256,8 +257,8 @@ class TestSolveChiParam:
 
     def test_no_convergence_past_the_cap(self, monkeypatch):
         # L stuck at 0 with slope 1: every step climbs by y, far above the tolerance
-        monkeypatch.setattr(anfit, "langevin", lambda x: 0.0)
-        monkeypatch.setattr(anfit, "langevin_prime", lambda x: 1.0)
+        monkeypatch.setattr(core, "langevin", lambda x: 0.0)
+        monkeypatch.setattr(core, "langevin_prime", lambda x: 1.0)
         with pytest.raises(NoConvergence):
             solve_chi_param(0.95, 1.598006, 1.0e6, MS)
 

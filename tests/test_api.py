@@ -40,6 +40,7 @@ PUBLIC = [
 INTERNAL = [
     ("anfit", "initial_susceptibility"),
     ("anfit", "solve_chi_param"),
+    ("core", "langevin_inverse"),
     ("jiles92", "aj_initial"),
     ("jiles92", "aj_update"),
     ("jiles92", "alpha_update"),

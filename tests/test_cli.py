@@ -496,6 +496,19 @@ class TestNumericalErrors:
         assert r.returncode == 3
         assert "numerical failure" in r.stderr
 
+    def test_tip_balance_without_a_root_exits_3(self, loop_files, tmp_path, capsys):
+        # Mm past Ms: no aJ > 0 balances the loop tip for any seed, a numerical failure
+        path = tmp_path / "features.json"
+        path.write_text(json.dumps({"features": {**_FEATURES, "Mm": 1.7e6}}))
+        code = cli.main([
+            "fit-jiles92", "--loop", str(loop_files["loop"]), "--features", str(path),
+            "--ms", str(MS), "--temp", str(T), "--out", str(tmp_path / "out.json"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: no alpha seed produced a simulatable parameter set\n")
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestFitAnhysteretic:
     def test_end_to_end(self, anh_file, tmp_path):

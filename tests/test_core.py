@@ -22,10 +22,12 @@ from jamag.core import (
 import jamag.anfit as anfit
 import jamag.core as core
 from jamag.anfit import AnhystereticFitConfig
-from jamag.core import _implicit_array, _slope_raw
+from jamag.core import _implicit_array, _slope_raw, langevin_inverse
 from jamag.dataio import CurveKind, MagnetizationCurve
-from jamag.errors import DataError, NoConvergence, SingularSlope, UnstableParams
+from jamag.errors import DataError, NoConvergence, NoSolution, SingularSlope, UnstableParams
 from jamag.validation import GRID_ROWS, H_MAX, N_SAMPLES, run_row, synthetic_curve
+
+from conftest import LINV_HALF, LINV_QUARTER
 
 # high-precision references, 50-digit arithmetic
 L_REF = {
@@ -123,6 +125,34 @@ class TestLangevinPrime:
     def test_positive(self, x):
         v = langevin_prime(x)
         assert 0.0 < v <= 1.0 / 3.0 + 1e-15
+
+
+class TestLangevinInverse:
+    @staticmethod
+    def l_rounding(x: float) -> float:
+        """Rounding scale of langevin(x): an ulp of each term of coth(x) - 1/x, none on the series."""
+        return 0.0 if x < 1e-3 else float(np.spacing(1.0 / math.tanh(x)) + np.spacing(1.0 / x))
+
+    @pytest.mark.parametrize("y, ref", [(0.5, LINV_HALF), (0.25, LINV_QUARTER)])
+    def test_matches_50_digit_references(self, y, ref):
+        # within the root shift that langevin's own rounding makes: 7.8 and 13.5 ulps of x
+        # here, where the solve lands 3 and 4 ulps from the correctly rounded root
+        x = langevin_inverse(y)
+        assert abs(x - ref) <= self.l_rounding(x) / langevin_prime(x), (x, ref)
+
+    def test_round_trip_to_rounding(self):
+        # y from 1e-12 to 1 - 1e-9, log-spaced toward both ends: L(x) is y to an ulp of y plus
+        # langevin's rounding, which is millions of ulps of y where coth(x) - 1/x cancels
+        low = np.logspace(-12.0, math.log10(0.5), 300)
+        ys = np.concatenate([low, 1.0 - np.logspace(-9.0, math.log10(0.5), 300)])
+        for y in ys.tolist():
+            x = langevin_inverse(y)
+            assert x > 0.0 and abs(langevin(x) - y) <= 2.0 * (math.ulp(y) + self.l_rounding(x)), y
+
+    @pytest.mark.parametrize("y", [0.0, 1.0, -0.1, math.nan])
+    def test_no_solution_outside_the_open_unit_interval(self, y):
+        with pytest.raises(NoSolution):
+            langevin_inverse(y)
 
 
 class TestLangevinPrimeFromL:

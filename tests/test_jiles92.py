@@ -3,6 +3,7 @@ import logging
 import math
 import re
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from jamag.errors import (
     DegenerateC,
     MissingBranch,
     NoConvergence,
+    NoSolution,
     SingularDenominator,
     ZeroDenominator,
 )
@@ -42,12 +44,10 @@ from jamag.jiles92 import (
 from jamag.simulate import FieldWaveform, HysteresisParams, integrate
 from jamag.validation import synthetic_curve
 
+from conftest import LINV_HALF, LINV_QUARTER
+
 MS = 1.6e6
 T = 303.5
-
-# 50-digit inverse Langevin references
-LINV_HALF = 1.796755984723713       # L(x) = 0.5
-LINV_QUARTER = 0.77989736865061223  # L(x) = 0.25
 
 
 def features(**kw):
@@ -184,24 +184,60 @@ class TestAjUpdate:
         ms, mm, hm, alpha = 1.0e6, 2.5e5, 500.0, 1e-3
         f = features(Mr=1.0e5, Mm=mm, Hm=hm, Hc=50.0)
         expected = (hm + alpha * mm) / LINV_QUARTER
-        got = aj_update(f, 0.3, 0.0, alpha, ms, guess=1000.0)
-        assert got == pytest.approx(expected, rel=1e-9)
+        got = aj_update(f, 0.3, 0.0, alpha, ms)
+        assert got == pytest.approx(expected, rel=1e-14)
 
     def test_zero_tip_slope_drops_pinning_term(self):
         ms, mm, hm, alpha = 1.0e6, 2.5e5, 500.0, 1e-3
         with pytest.warns(NonPhysicalParameterWarning):
             f = features(Mr=1.0e5, Mm=mm, Hm=hm, Hc=50.0, chi_m=0.0)
-        got = aj_update(f, 0.3, 400.0, alpha, ms, guess=1000.0)
-        assert got == pytest.approx((hm + alpha * mm) / LINV_QUARTER, rel=1e-9)
+        got = aj_update(f, 0.3, 400.0, alpha, ms)
+        assert got == pytest.approx((hm + alpha * mm) / LINV_QUARTER, rel=1e-14)
 
     def test_consistency_with_pinning(self):
         ms, mm, hm, alpha, c, k = 1.0e6, 2.5e5, 500.0, 1e-3, 0.2, 150.0
         f = features(Mr=1.0e5, Mm=mm, Hm=hm, Hc=50.0, chi_m=40.0)
-        aJ = aj_update(f, c, k, alpha, ms, guess=1000.0)
+        aJ = aj_update(f, c, k, alpha, ms)
         lhs = ms * langevin((hm + alpha * mm) / aJ) - (1.0 - c) * k * f.chi_m / (
             alpha * f.chi_m + 1.0
         )
-        assert lhs == pytest.approx(mm, rel=1e-8)
+        assert lhs == pytest.approx(mm, rel=1e-14)
+
+    def test_tip_balance_residual_against_decimal(self):
+        # 100 seeded tips at 0.5-0.95 of Ms: Ms*L(he/aJ) - pinned - Mm, in 40-digit arithmetic,
+        # is within 2e-15 of Mm (the bracketed Brent solve held it to 1.5e-11)
+        D = Decimal
+
+        def L(x):
+            e = (2 * x).exp()
+            return (e + 1) / (e - 1) - 1 / x
+
+        rng = np.random.default_rng(29)
+        draws = 0
+        with localcontext() as ctx:
+            ctx.prec = 40
+            while draws < 100:
+                ms = rng.uniform(5.0e5, 2.0e6)
+                mm, hm = rng.uniform(0.5, 0.95) * ms, 10.0 ** rng.uniform(3.0, 5.0)
+                alpha, c, k = 10.0 ** rng.uniform(-5.0, -2.0), rng.uniform(0.01, 0.5), 10.0 ** rng.uniform(2.0, 3.7)
+                f = features(Mr=0.1 * mm, Mm=mm, Hm=hm, Hc=10.0, chi_m=10.0 ** rng.uniform(0.0, 2.3))
+                pinned = (1 - D(c)) * D(k) * D(f.chi_m) / (D(alpha) * D(f.chi_m) + 1)
+                if (D(mm) + pinned) / D(ms) >= D("0.999"):
+                    continue
+                aJ = aj_update(f, c, k, alpha, ms)
+                residual = D(ms) * L((D(hm) + D(alpha) * D(mm)) / D(aJ)) - pinned - D(mm)
+                assert abs(residual) <= D(2e-15) * D(mm), (ms, mm, hm, alpha, c, k)
+                draws += 1
+
+    @pytest.mark.parametrize("change", [
+        dict(Mm=1.7e6),  # (Mm + pinned)/Ms past 1: L(x) never gets there
+        dict(Mm=-2.5e5, Mr=-1.0e5),  # a negative target fraction
+        dict(Mm=-6.0e5, Mr=-1.0e5, Hm=500.0),  # Hm + alpha*Mm < 0
+    ], ids=["past-saturation", "negative-target", "negative-field"])
+    def test_no_positive_aj_balances_the_tip(self, change):
+        f = features(Hc=50.0, chi_m=40.0, **change)
+        with pytest.raises(NoSolution, match="no aJ > 0 balances the loop tip"):
+            aj_update(f, 0.2, 150.0, 1e-3, MS)
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +368,20 @@ class TestEstimate:
             raise SingularDenominator("remanence denominator vanished")
 
         assert ending(alpha_update=singular)[0] == "seed 0.001 aborted: remanence denominator vanished"
+
+    def test_tip_balance_without_a_root_abandons_each_seed(self, synthetic_setup, monkeypatch, caplog):
+        # a tip past Ms: aj_update raises NoSolution at once, each seed logs it as its ending,
+        # and with no candidate left the estimate raises NoConvergence
+        material, _, loop, _ = synthetic_setup
+        monkeypatch.setattr(jiles92, "_SEEDS", (1e-3, 1e-2, 1e-1))  # 1e-4 fails at remanence first
+        caplog.set_level(logging.INFO, logger="jamag.jiles92")
+        with pytest.raises(NoConvergence, match="^no alpha seed produced a simulatable parameter set$"):
+            estimate(features(Mm=1.7e6), material, Jiles92Config(), loop)
+        lines = [r.getMessage() for r in caplog.records]
+        assert [line.split(" aborted: ")[0] for line in lines] == ["seed 0.001", "seed 0.01", "seed 0.1"]
+        for line in lines:
+            assert re.fullmatch(r"seed \S+ aborted: no aJ > 0 balances the loop tip: y = \(Mm \+ pinned\)/Ms "
+                                r"= 1\.06\d*, he = .*", line), line
 
     def test_seed_whose_simulation_does_not_converge_is_abandoned(self, synthetic_setup, monkeypatch,
                                                                   caplog):

@@ -316,6 +316,9 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         cmds.append((name, [
             "fit-jiles92", *source, *material, *extra, "--out", f"{name}/report.json",
         ]))
+    # the global --verbose before the subcommand: each seed's ending, an INFO line, in stderr.txt
+    name = "fit-jiles92-verbose"
+    cmds.append((name, ["--verbose", "fit-jiles92", *curves, *material, "--out", f"{name}/report.json"]))
     # the default step passes; at 1e-4 a row fails (exit 3)
     for name, extra in (("validate-coarse", []), ("validate-eps-1e-4", ["--eps", "1e-4"])):
         cmds.append((name, ["validate", *extra, "--out", f"{name}/report.json"]))
