@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 bad input or usage, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import inspect
 import itertools
@@ -18,6 +19,7 @@ import json
 import logging
 import os
 import signal
+import struct
 import sys
 import tempfile
 import time
@@ -73,16 +75,11 @@ _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) ma
 
 
 def _memo(items: list, key):
-    """``get(i, make)``: ``make()`` for the first of ``items`` with its ``key`` (found
-    by ``hash``, confirmed by comparing keys) and that value for the later ones, kept
-    only until the last of them.  ``get.fresh`` lists the ``i`` that call ``make``."""
-    seen, first = {}, []
-    for i, item in enumerate(items):
-        k = key(item)
-        same = seen.setdefault(hash(k), [])
-        first.append(next((q for q in same if key(items[q]) == k), i))
-        if first[i] == i:
-            same.append(i)
+    """``get(i, make)``: ``make()`` for the first of ``items`` with its ``key`` and
+    that value for the later ones, kept only until the last of them.  ``get.fresh``
+    lists the ``i`` that call ``make``."""
+    seen = {}
+    first = [seen.setdefault(key(item), i) for i, item in enumerate(items)]
     last = {q: i for i, q in enumerate(first)}
     kept = {}
 
@@ -108,68 +105,44 @@ def _shares(items: list[int], sizes: list[int], k: int) -> list[list[int]]:
     return [run for run in runs if run]
 
 
-class _Child:
-    """A forked process that formats ``blocks`` (block index: rows) with ``fresh``
-    into an anonymous temporary file, sends their byte lengths through a pipe and
-    exits.  ``text(b)`` reaps it and reads block ``b`` back: None if it failed or
-    could not be forked.  ``stop()`` kills and reaps it if it still runs."""
+@contextlib.contextmanager
+def _child(slices: list[slice], fresh):
+    """Fork a child that formats ``slices`` with ``fresh`` into an anonymous temporary
+    file, after a head of one 8-byte length per slice, and exits.  Yields ``collect()``,
+    which reaps the child and then reads its texts back: none if it failed or could not
+    be forked.  On exit, a child that still runs is killed and reaped."""
+    head = 8 * len(slices)
+    with tempfile.TemporaryFile() as tmp:
+        pid = None
+        with contextlib.suppress(OSError), warnings.catch_warnings():  # no fork: collect() yields none
+            # safe: the child runs no thread pool, only slicing, repr, join and file writes
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                tmp.seek(head)
+                lengths = [tmp.write(fresh(rows)) for rows in slices]
+                tmp.flush()
+                os.pwrite(tmp.fileno(), struct.pack(f"{len(slices)}q", *lengths), 0)
+                os._exit(0)
+            finally:
+                os._exit(1)  # nothing of the parent's: no flush, no atexit, no exception
 
-    def __init__(self, blocks: dict[int, slice], fresh) -> None:
-        self.blocks, self.pid, self.spans = blocks, None, None
-        self.tmp = tempfile.TemporaryFile()
-        self.pipe, w = os.pipe()
+        def collect():
+            nonlocal pid
+            if pid is not None:
+                failed, pid = os.waitpid(pid, 0)[1], None
+                if not failed:
+                    lengths = struct.unpack(f"{len(slices)}q", os.pread(tmp.fileno(), head, 0))
+                    for span in zip(lengths, itertools.accumulate(lengths, initial=head)):
+                        yield os.pread(tmp.fileno(), *span)
+
         try:
-            with warnings.catch_warnings():
-                # safe in the child: it runs no thread pool, only numpy slicing and
-                # tolist, repr, str.join, encode and writes to its own two files
-                warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
-                self.pid = os.fork()
-            if self.pid == 0:
-                self._format(fresh, w)
-        except OSError:  # no child: the parent formats these blocks
-            pass
+            yield collect
         finally:
-            os.close(w)
-
-    def _format(self, fresh, w: int) -> None:
-        code = 1
-        try:
-            lengths = [self.tmp.write(fresh(rows)) for rows in self.blocks.values()]
-            self.tmp.flush()
-            with open(w, "wb") as pipe:
-                pipe.write(" ".join(map(str, lengths)).encode())
-            code = 0
-        finally:
-            os._exit(code)  # nothing of the parent's: no flush, no atexit, no exception
-
-    def text(self, b: int) -> bytes | None:
-        if self.spans is None:
-            self.spans = self._reap()
-        span = self.spans.get(b)
-        return None if span is None else os.pread(self.tmp.fileno(), *span)
-
-    def _reap(self) -> dict[int, tuple[int, int]]:
-        """Each block's (length, offset) in the temporary file, or {} on failure."""
-        if self.pid is None:
-            return {}
-        pipe, self.pipe = self.pipe, None
-        with open(pipe, "rb") as f:
-            lengths = list(map(int, f.read().split()))
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status != 0 or len(lengths) != len(self.blocks):
-            return {}
-        return dict(zip(self.blocks, zip(lengths, itertools.accumulate(lengths, initial=0))))
-
-    def stop(self) -> None:
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        if self.pipe is not None:
-            os.close(self.pipe)
-            self.pipe = None
-        self.tmp.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _write_curve(path: str | Path, header: list[str], columns: list, run: int = _WRITE_ROWS) -> None:
@@ -180,11 +153,11 @@ def _write_curve(path: str | Path, header: list[str], columns: list, run: int = 
 
     The other, fresh blocks are cut in file order into shares of about equal row
     counts: at most one per core, each of ``_SHARE_ROWS`` rows or more.  The output
-    file is opened first; then a forked ``_Child`` formats each share but the first,
-    which this process formats as it writes.  It reads the next share's text back
-    when it reaches that share's first block, or formats the share itself if the
-    child failed.  Every child is reaped before this returns or raises.  The bytes
-    are those of formatting every block in one process."""
+    file is opened first; then a forked ``_child`` formats each share but the first,
+    which this process formats as it writes.  It collects a child's texts when it
+    reaches that share's first block, or formats the share itself if the child
+    failed.  Every child is reaped before this returns or raises.  The bytes are
+    those of formatting every block in one process."""
     n = len(columns[0])
     edges = sorted({0, *range(1, n, run), n})
     blocks = [
@@ -201,23 +174,19 @@ def _write_curve(path: str | Path, header: list[str], columns: list, run: int = 
     sizes = [blocks[b].stop - blocks[b].start for b in text.fresh]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
     shares = _shares(text.fresh, sizes, max(1, min(cores, sum(sizes) // _SHARE_ROWS)))
-    with open(path, "wb") as f:
-        children = []
-        try:
-            for share in shares[1:]:
-                children.append(_Child({b: blocks[b] for b in share}, fresh))
-            owner = {b: child for child in children for b in child.blocks}
+    with open(path, "wb") as f, contextlib.ExitStack() as stack:
+        collect = {s[0]: stack.enter_context(_child([blocks[b] for b in s], fresh)) for s in shares[1:]}
+        texts = iter(())
 
-            def make(b: int) -> bytes:
-                got = owner[b].text(b) if b in owner else None
-                return fresh(blocks[b]) if got is None else got
+        def make(b: int) -> bytes:  # text() calls it on the fresh blocks in order, a share's in a row
+            nonlocal texts
+            if b in collect:
+                texts = collect[b]()
+            return next(texts, None) or fresh(blocks[b])
 
-            f.write((",".join(header) + "\n").encode())
-            for b in range(len(blocks)):
-                f.write(text(b, lambda: make(b)))
-        finally:
-            for child in children:
-                child.stop()
+        f.write((",".join(header) + "\n").encode())
+        for b in range(len(blocks)):
+            f.write(text(b, lambda: make(b)))
 
 
 def _collect_warnings(caught) -> list[dict]:

@@ -274,6 +274,10 @@ def _read_lines(rows: list[str], lines: list[str], skip: int) -> tuple[np.ndarra
 def split_branches(loop: MagnetizationCurve) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Split a time-ordered loop into its last descending and ascending runs.
 
+    A run is a maximal stretch of steps that move H the same way.  A flat step
+    (a repeated field, as in quantized data) inside a run continues it; one at a
+    turning point or at an end of the loop belongs to no run.
+
     Returns ``((H_desc, M_desc), (H_asc, M_asc))`` in traversal order.
     Raises :class:`MissingBranch` when either run is absent and
     :class:`InsufficientSamples` when a branch has fewer than 10 samples.
@@ -281,12 +285,12 @@ def split_branches(loop: MagnetizationCurve) -> tuple[tuple[np.ndarray, np.ndarr
     H, M = loop.H, loop.M
     if H.size < 2:
         raise MissingBranch("loop has fewer than two samples")
-    # maximal runs of equal direction; run r spans samples starts[r]..stops[r] - 1,
-    # so adjacent runs share their turning sample
+    # run r spans samples starts[r]..stops[r] - 1, from its first moving step to its
+    # last, so adjacent runs share their turning sample unless a flat stretch parts them
     d = np.sign(np.diff(H))
-    cuts = np.flatnonzero(d[1:] != d[:-1]) + 1
-    starts = np.concatenate(([0], cuts))
-    stops = np.append(cuts, d.size) + 1
+    moves = np.flatnonzero(d)
+    starts = moves[np.diff(d[moves], prepend=np.nan) != 0.0]
+    stops = moves[np.diff(d[moves], append=np.nan) != 0.0] + 2
     desc = np.flatnonzero(d[starts] < 0.0)
     asc = np.flatnonzero(d[starts] > 0.0)
     if not desc.size or not asc.size:

@@ -716,6 +716,27 @@ class TestWriteCurve:
         runs = [rng.standard_normal((3, 1)), a, b, a, a_neg, b, a, a[:, : length // 2 + 1]]
         return list(np.concatenate(runs, axis=1))
 
+    @staticmethod
+    def collide(monkeypatch):
+        """Give each block key that ``_write_curve`` hands ``_memo`` the hash 0, so
+        blocks are told apart by comparing keys alone; returns the keys hashed."""
+        hashed = []
+
+        class Key:
+            def __init__(self, key):
+                self.key = key
+
+            def __hash__(self):
+                hashed.append(self.key)
+                return 0
+
+            def __eq__(self, other):
+                return self.key == other.key
+
+        memo = cli._memo
+        monkeypatch.setattr(cli, "_memo", lambda items, key: memo(items, lambda item: Key(key(item))))
+        return hashed
+
     @pytest.mark.parametrize("length, run", [
         (5, 5),  # runs on the repeats
         (5, 3),  # runs across them
@@ -726,9 +747,7 @@ class TestWriteCurve:
     @pytest.mark.parametrize("collide", [False, True])
     def test_repeated_runs_equal_the_per_row_writer(self, tmp_path, monkeypatch, length, run, collide):
         columns = self.repeating_columns(length)
-        hashed = []
-        if collide:
-            monkeypatch.setattr(builtins, "hash", lambda key: hashed.append(key) or 0)
+        hashed = self.collide(monkeypatch) if collide else []
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         cli._write_curve(new, ["H", "M", "B"], columns, run=run)
         monkeypatch.undo()
@@ -754,13 +773,36 @@ class TestWriteCurve:
         monkeypatch.setattr(cli, "_WRITE_ROWS", 4)
         monkeypatch.setattr(cli, "repr", lambda v: formatted.append(v) or builtins.repr(v), raising=False)
         if collide:
-            monkeypatch.setattr(builtins, "hash", lambda key: 0)
+            self.collide(monkeypatch)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         cli._write_curve(new, ["H", "M", "B"], columns, run=10)
         monkeypatch.undo()
         _write_curve_rows(old, ["H", "M", "B"], columns)
         assert new.read_bytes() == old.read_bytes()
         assert len(formatted) == 3 * 21 + 3 * (10 if join is None else 8)
+
+    def test_the_parent_formats_its_share_before_it_waits(self, tmp_path, monkeypatch, cores):
+        # row 0 and four full blocks, all fresh, in two shares: the child formats the
+        # second while this process formats the first, and only then waits for it
+        forks = cores(2)
+        formatted, waited = [], []
+        real_waitpid = os.waitpid
+
+        def waitpid(pid, options):
+            waited.append(len(formatted))
+            return real_waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        monkeypatch.setattr(cli, "repr", lambda v: formatted.append(v) or builtins.repr(v), raising=False)
+        columns = self.random_columns(4 * self.ROWS + 1)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        cli._write_curve(new, ["H", "M", "B"], columns)
+        _write_curve_rows(old, ["H", "M", "B"], columns)
+        assert new.read_bytes() == old.read_bytes()
+        sizes = [1] + [self.ROWS] * 4
+        first, _ = cli._shares(list(range(5)), sizes, 2)
+        assert len(forks) == 1
+        assert waited[0] == len(formatted) == 3 * sum(sizes[b] for b in first)
 
     def test_memo_keeps_each_value_until_its_last_use(self):
         class Value:

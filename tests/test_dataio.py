@@ -421,14 +421,33 @@ class TestSplitBranches:
         assert Ma.tolist() == list(range(12, 23))
         assert Hd.tolist() == H[0:11].tolist() and Ha.tolist() == H[12:23].tolist()
 
-    def test_plateau_inside_a_branch_splits_it(self):
-        # the descending run after the plateau is the last one and wins
+    def test_plateau_inside_a_branch_continues_it(self):
+        # the repeated 12.0 is a flat step inside the descending run: one run, not two
         H = np.concatenate([np.linspace(30.0, 12.0, 10), [12.0], np.linspace(10.0, -10.0, 11),
                             np.linspace(-8.0, 10.0, 10)])
         loop = MagnetizationCurve(H=H, M=np.arange(H.size, dtype=float), kind=CurveKind.FULL_LOOP)
         (Hd, Md), (Ha, Ma) = split_branches(loop)
-        assert Md.tolist() == list(range(10, 22))
+        assert Md.tolist() == list(range(0, 22))
         assert Ma.tolist() == list(range(21, 32))
+
+    def test_repeated_field_inside_the_last_branch(self):
+        clean, loop = _repeated_field_loops()
+        (Hd0, Md0), asc0 = split_branches(clean)
+        (Hd, Md), asc = split_branches(loop)
+        assert Hd.size == Hd0.size + 1 == 202
+        assert (Hd[0], Md[0], Hd[-1], Md[-1]) == (Hd0[0], Md0[0], Hd0[-1], Md0[-1])
+        assert np.array_equal(np.delete(Hd, 151), Hd0) and np.array_equal(np.delete(Md, 151), Md0)
+        assert all(np.array_equal(a, b) for a, b in zip(asc, asc0))
+
+    def test_dwell_at_the_turning_points_keeps_both_branches(self):
+        # each tip of the last cycle held for three samples: the flat stretches belong
+        # to no run, so both branches are the clean loop's
+        clean, _ = _repeated_field_loops()
+        samples = np.arange(clean.H.size)
+        keep = np.repeat(samples, np.where(np.isin(samples, (600, 800, 1000)), 3, 1))
+        loop = MagnetizationCurve(H=clean.H[keep], M=clean.M[keep], kind=CurveKind.FULL_LOOP)
+        for got, want in zip(split_branches(loop), split_branches(clean)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_turning_sample_is_shared(self):
         loop = triangle_loop(n=12)
@@ -461,17 +480,14 @@ class TestSplitBranches:
 
 
 def _split_branches_scan(H):
-    """Per-sample reference of split_branches: sample indices of the last runs."""
-    d = np.sign(np.diff(H))
-    runs = []
-    start, cur = 0, d[0]
-    for i in range(1, d.size):
-        if d[i] != cur:
-            if cur != 0.0:
-                runs.append((start, i + 1, cur))
-            start, cur = i, d[i]
-    if cur != 0.0:
-        runs.append((start, d.size + 1, cur))
+    """Per-sample reference of split_branches: sample indices of the last runs, each
+    from the first sample of its first moving step to the last of its last one."""
+    runs = []  # [start, stop, direction]
+    for i, step in enumerate(np.sign(np.diff(H))):
+        if step != 0.0 and runs and runs[-1][2] == step:
+            runs[-1][1] = i + 2
+        elif step != 0.0:
+            runs.append([i, i + 2, step])
     desc = [r for r in runs if r[2] < 0.0]
     asc = [r for r in runs if r[2] > 0.0]
     if not desc or not asc:
@@ -479,6 +495,17 @@ def _split_branches_scan(H):
     if min(desc[-1][1] - desc[-1][0], asc[-1][1] - asc[-1][0]) < 10:
         raise InsufficientSamples("")
     return list(range(*desc[-1][:2])), list(range(*asc[-1][:2]))
+
+
+def _repeated_field_loops():
+    """A 2-cycle loop of 200 steps per segment, and the same loop with the sample at
+    H = -2 500 A/m on its last descending branch (samples 600-800) repeated."""
+    p = HysteresisParams(aJ=972.0, alpha=1.4e-3, c=0.1, k=1000.0, Ms=1.6e6)
+    clean = integrate(p, FieldWaveform.cyclic(5000.0, cycles=2, steps_per_segment=200))
+    i = 600 + int(np.flatnonzero(clean.H[600:801] == -2500.0)[0])
+    loop = MagnetizationCurve(H=np.insert(clean.H, i, clean.H[i]), M=np.insert(clean.M, i, clean.M[i]),
+                              kind=CurveKind.FULL_LOOP)
+    return MagnetizationCurve(H=clean.H, M=clean.M, kind=CurveKind.FULL_LOOP), loop
 
 
 def _crossing_scan(x, y, level=0.0):
@@ -589,6 +616,12 @@ class TestExtractFeatures:
         _, (Ha, Ma) = split_branches(loop)
         assert (f.Hm, f.Mm) == (Ha[-1], Ma[-1]) == (loop.H[-1], loop.M[-1])
         assert f.Mm != loop.M[int(np.argmax(loop.H))]
+
+    def test_repeated_field_keeps_hc_and_mr(self, curves):
+        first, _, anh = curves
+        clean, loop = _repeated_field_loops()
+        want, got = extract_features(first, clean, anh), extract_features(first, loop, anh)
+        assert (got.Hc, got.Mr) == (want.Hc, want.Mr)
 
     def test_tip_ignores_a_higher_initial_rise(self, curves):
         first, _, anh = curves

@@ -125,6 +125,14 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path = loop_dir / "loop_semicolon_crlf.csv"
     path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
     flags["loop-semicolon"] = ["--loop", str(path.relative_to(out))]
+    # the loop with one sample of its last descending branch (its fourth segment) repeated,
+    # at H = -hmax/2: a flat step inside a branch, as in quantized data
+    lines = case.files["loop"].read_text(encoding="utf-8").splitlines()
+    row = 1 + 3 * inputs.JILES_STEPS + 3 * inputs.JILES_STEPS // 4  # line 0 is the header
+    lines.insert(row, lines[row])
+    path = loop_dir / "loop_repeated_field.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    flags["loop-repeated"] = ["--loop", str(path.relative_to(out))]
     # saved reports a later stage cannot read: a JSON list as --params, a fit report whose
     # aJ is the JSON boolean true, and a features report with a null feature; all exit 2
     # naming the file and the key.  Features with a NaN remanence or a zero anhysteretic
@@ -301,8 +309,13 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
     through_zero = [*f["loop"], *f["first_mag"], "--anhysteretic", *f["zero"]]
     name = "extract-anh-through-zero"
     cmds.append((name, ["extract", *through_zero, "--ms", MS, "--out", f"{name}/features.json"]))
+    # the repeated field continues the last descending branch, which still crosses M = 0
+    repeated = [*f["loop-repeated"], *f["first_mag"], *f["anhysteretic"]]
+    name = "extract-loop-repeated-field"
+    cmds.append((name, ["extract", *repeated, "--ms", MS, "--out", f"{name}/features.json"]))
     for name, source, extra in (
         ("fit-jiles92-curves", curves, []),
+        ("fit-jiles92-loop-repeated-field", repeated, []),
         ("fit-jiles92-anh-through-zero", through_zero, []),
         ("fit-jiles92-features", [*f["loop"], "--features", "extract/features.json"], []),
         ("fit-jiles92-sim-steps-5", curves, ["--sim-steps", "5"]),
