@@ -67,6 +67,18 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path = anh_dir / "through_zero_malformed.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     flags["zero-malformed"] = [str(path.relative_to(out))]
+    # the curve with a NaN M cell in row 120, read in bulk; and with row 120 repeated, a
+    # field sampled twice; and a header with no data rows: each exits 2
+    lines = text.splitlines()
+    nan_lines = [*lines[:121], lines[121].split(",")[0] + ",nan", *lines[122:]]
+    for name, body in (
+        ("nan_cell", "\n".join(nan_lines) + "\n"),
+        ("repeated_field", "\n".join([*lines[:122], *lines[121:]]) + "\n"),
+        ("empty", "H,M\n"),
+    ):
+        path = anh_dir / f"{name}.csv"
+        path.write_text(body, encoding="utf-8")
+        flags[name] = [str(path.relative_to(out))]
     # anh0 with a third cell on every other data row: ragged, still read in bulk, and
     # its fit's result is anh0's
     lines = Path(out, flags["anh0"][0]).read_text(encoding="utf-8").splitlines()
@@ -133,10 +145,24 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path = loop_dir / "loop_repeated_field.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     flags["loop-repeated"] = ["--loop", str(path.relative_to(out))]
+    # the loop's initial rise alone, with no descending branch; the first-magnetization
+    # curve cut to 5 rows, and with a bad cell on line 5: each exits 2
+    loop_lines = case.files["loop"].read_text(encoding="utf-8").splitlines()
+    first_lines = case.files["first_mag"].read_text(encoding="utf-8").splitlines()
+    bad_cell = [*first_lines[:4], first_lines[4].split(",")[0] + ",n/a", *first_lines[5:]]
+    for name, flag, body in (
+        ("loop-rising-only", "--loop", loop_lines[: inputs.JILES_STEPS + 2]),
+        ("first-mag-5-rows", "--first-mag", first_lines[:6]),
+        ("first-mag-bad-cell", "--first-mag", bad_cell),
+    ):
+        path = loop_dir / f"{name.replace('-', '_')}.csv"
+        path.write_text("\n".join(body) + "\n", encoding="utf-8")
+        flags[name] = [flag, str(path.relative_to(out))]
     # saved reports a later stage cannot read: a JSON list as --params, a fit report whose
     # aJ is the JSON boolean true, and a features report with a null feature; all exit 2
     # naming the file and the key.  Features with a NaN remanence or a zero anhysteretic
-    # slope are bad measurements: exit 2 too
+    # slope are bad measurements: exit 2 too.  Features with chi_in = chi_an give c = 1,
+    # and a tip above Ms leaves no aJ to balance it at any seed: exit 3
     rep_dir = out / "inputs" / "reports"
     rep_dir.mkdir()
     features = {"chi_in": 50.0, "chi_an": 500.0, "chi_max": 1500.0, "chi_r": 1900.0,
@@ -148,6 +174,8 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
         ("features_null.json", "--features", {"features": {"chi_in": 50.0, "chi_an": None}}),
         ("features_nan_mr.json", "--features", {"features": {**features, "Mr": float("nan")}}),
         ("features_zero_chi_an.json", "--features", {"features": {**features, "chi_an": 0.0}}),
+        ("features_c_one.json", "--features", {"features": {**features, "chi_in": 500.0}}),
+        ("features_tip_above_ms.json", "--features", {"features": {**features, "Mm": 1.7e6}}),
     ):
         (rep_dir / name).write_text(json.dumps(obj) + "\n", encoding="utf-8")
         flags[name] = [flag, str((rep_dir / name).relative_to(out))]
@@ -178,6 +206,9 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-anhysteretic-coarse-far-above-ms-geometric", "far_above_ms_geometric"),
         ("fit-anhysteretic-coarse-constant", "constant"),
         ("fit-anhysteretic-coarse-decreasing", "decreasing"),
+        ("fit-anhysteretic-coarse-nan-cell", "nan_cell"),
+        ("fit-anhysteretic-coarse-repeated-field", "repeated_field"),
+        ("fit-anhysteretic-coarse-empty", "empty"),
     ):
         cmds.append((name, [
             "fit-anhysteretic", *f[curve], *material, "--coarse",
@@ -313,6 +344,18 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
     repeated = [*f["loop-repeated"], *f["first_mag"], *f["anhysteretic"]]
     name = "extract-loop-repeated-field"
     cmds.append((name, ["extract", *repeated, "--ms", MS, "--out", f"{name}/features.json"]))
+    # curves extract cannot use: exit 2 naming the cause
+    for name, source in (
+        ("extract-loop-rising-only", [*f["loop-rising-only"], *f["first_mag"], *f["anhysteretic"]]),
+        ("extract-first-mag-5-rows", [*f["loop"], *f["first-mag-5-rows"], *f["anhysteretic"]]),
+        ("extract-first-mag-bad-cell", [*f["loop"], *f["first-mag-bad-cell"], *f["anhysteretic"]]),
+        ("extract-anh-repeated-field", [*f["loop"], *f["first_mag"], "--anhysteretic",
+                                        *f["repeated_field"]]),
+    ):
+        cmds.append((name, ["extract", *source, "--ms", MS, "--out", f"{name}/features.json"]))
+    # a saturation magnetization that is not positive and finite: exit 2 naming --ms
+    for name, ms in (("extract-ms-0", "0"), ("extract-ms-nan", "nan")):
+        cmds.append((name, ["extract", *curves, "--ms", ms, "--out", f"{name}/features.json"]))
     for name, source, extra in (
         ("fit-jiles92-curves", curves, []),
         ("fit-jiles92-loop-repeated-field", repeated, []),
@@ -322,6 +365,7 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-jiles92-features-null", [*f["loop"], *f["features_null.json"]], []),
         ("fit-jiles92-features-nan-mr", [*f["loop"], *f["features_nan_mr.json"]], []),
         ("fit-jiles92-features-zero-chi-an", [*f["loop"], *f["features_zero_chi_an.json"]], []),
+        ("fit-jiles92-features-c-one", [*f["loop"], *f["features_c_one.json"]], []),
         # the alpha seeds are fixed: --seeds is an unknown argument (exit 2)
         ("fit-jiles92-seeds-flag-gone", curves, ["--seeds", "1e-4,x"]),
         ("fit-jiles92-fit-tol-inf", curves, ["--fit-tol", "inf"]),
@@ -332,6 +376,12 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
     # the global --verbose before the subcommand: each seed's ending, an INFO line, in stderr.txt
     name = "fit-jiles92-verbose"
     cmds.append((name, ["--verbose", "fit-jiles92", *curves, *material, "--out", f"{name}/report.json"]))
+    # every seed aborts at the tip balance, and the fit ends with no candidate (exit 3)
+    name = "fit-jiles92-features-tip-above-ms-verbose"
+    cmds.append((name, [
+        "--verbose", "fit-jiles92", *f["loop"], *f["features_tip_above_ms.json"], *material,
+        "--out", f"{name}/report.json",
+    ]))
     # the default step passes; at 1e-4 a row fails (exit 3)
     for name, extra in (("validate-coarse", []), ("validate-eps-1e-4", ["--eps", "1e-4"])):
         cmds.append((name, ["validate", *extra, "--out", f"{name}/report.json"]))
