@@ -29,22 +29,11 @@ from .dataio import (
 )
 from .errors import (
     DataError,
-    DegenerateC,
-    DegenerateSweep,
-    EmptyFile,
-    InsufficientSamples,
     JamagError,
-    MissingBranch,
-    NoConvergence,
     NonPhysicalParameterWarning,
-    NoPositiveSample,
-    NoSolution,
     ParseError,
     SingularDenominator,
-    SingularSlope,
-    UnitError,
     UnstableParams,
-    ZeroDenominator,
 )
 from .jiles92 import Jiles92Config, Jiles92Result, estimate
 from .simulate import FieldWaveform, HysteresisParams, dM_dH, integrate
@@ -59,32 +48,21 @@ __all__ = [
     "AnhystereticParams",
     "CurveKind",
     "DataError",
-    "DegenerateC",
-    "DegenerateSweep",
-    "EmptyFile",
     "FieldWaveform",
     "FitReport",
     "HysteresisParams",
-    "InsufficientSamples",
     "JamagError",
     "Jiles92Config",
     "Jiles92Result",
     "LoopFeatures",
     "MagnetizationCurve",
     "MaterialSpec",
-    "MissingBranch",
-    "NoConvergence",
     "NonPhysicalParameterWarning",
-    "NoPositiveSample",
-    "NoSolution",
     "ParseError",
     "RowResult",
     "SingularDenominator",
-    "SingularSlope",
     "Unit",
-    "UnitError",
     "UnstableParams",
-    "ZeroDenominator",
     "alpha_from_susceptibilities",
     "anhysteretic_explicit",
     "anhysteretic_implicit",

@@ -49,15 +49,7 @@ from .core import (
     alpha_from_susceptibilities,
 )
 from .dataio import MagnetizationCurve
-from .errors import (
-    DataError,
-    DegenerateSweep,
-    InsufficientSamples,
-    NoConvergence,
-    NoPositiveSample,
-    NoSolution,
-    UnstableParams,
-)
+from .errors import DataError, JamagError, UnstableParams
 from .rootfind import find_root  # noqa: F401  # unused here; perfbench/tracer.py wraps anfit.find_root
 
 RMS_BOUND_FRACTION = 0.01
@@ -139,16 +131,16 @@ def initial_susceptibility(data: MagnetizationCurve) -> float:
     """Measured anhysteretic susceptibility at the origin.
 
     M/H at the first sample with H > 0 and M > 0.  Raises
-    :class:`NoPositiveSample` when no such sample exists.
+    :class:`DataError` when no such sample exists.
     """
     pos = data.H > 0.0
     if not np.any(pos):
-        raise NoPositiveSample("no sample with H > 0")
+        raise DataError("no sample with H > 0")
     H = data.H[pos]
     M = data.M[pos]
     usable = M > 0.0
     if not np.any(usable):
-        raise NoPositiveSample("no sample with H > 0 and M > 0")
+        raise DataError("no sample with H > 0 and M > 0")
     i = int(np.argmax(usable))
     return float(M[i] / H[i])
 
@@ -157,14 +149,13 @@ def solve_chi_param(eta: float, chi_an1: float, Ha1: float, Ms: float) -> float:
     """Susceptibility whose Langevin paramagnet hits ``eta*chi_an1`` at Ha1.
 
     Solves L(x) = y, x = 3*chi*Ha1/Ms, y = eta*chi_an1*Ha1/Ms, by :func:`langevin_inverse`.
-    Raises :class:`NoSolution` unless 0 < eta*chi_an1*Ha1 < Ms, :class:`NoConvergence`
-    past that solve's step cap.
+    Raises :class:`JamagError` unless 0 < eta*chi_an1*Ha1 < Ms, and past that solve's step cap.
     """
     y = eta * chi_an1 * Ha1 / Ms
     if not y < 1.0:  # also a NaN target
-        raise NoSolution(f"target magnetization {eta * chi_an1 * Ha1:.6g} is not below Ms = {Ms:.6g}")
+        raise JamagError(f"target magnetization {eta * chi_an1 * Ha1:.6g} is not below Ms = {Ms:.6g}")
     if not y > 0.0:
-        raise NoSolution(f"target fraction must be positive, got {y:.6g}")
+        raise JamagError(f"target fraction must be positive, got {y:.6g}")
     return langevin_inverse(y) * Ms / (3.0 * Ha1)
 
 
@@ -178,11 +169,12 @@ def fit_anhysteretic(
     ``data`` must have strictly increasing H and at least 3 samples.
     Raises :class:`DataError` if the initial susceptibility is too large for a stable
     candidate, or so small that mu0 times its moment is not a normal double (aJ divides
-    by it), :class:`DegenerateSweep` if the first eta step fails.
+    by it), and a :class:`JamagError` naming the first eta step if that step's
+    candidate fails on any other numerical cause.
     """
     H, M = data.H, data.M
     if H.size < 3:
-        raise InsufficientSamples(f"need at least 3 samples, got {H.size}")
+        raise DataError(f"need at least 3 samples, got {H.size}")
     if not np.all(np.diff(H) > 0.0):
         raise ValueError("fields must be strictly increasing")
 
@@ -248,8 +240,10 @@ def fit_anhysteretic(
 
     try:
         evaluate([0])
-    except (NoSolution, NoConvergence) as err:  # not the DataError of unstable candidates
-        raise DegenerateSweep(f"first eta step {cfg.eta0} failed: {err}") from err
+    except DataError:  # such as the unstable candidates of a too-large chi_a
+        raise
+    except JamagError as err:
+        raise JamagError(f"first eta step {cfg.eta0} failed: {err}") from err
 
     lo, hi = 0, n_grid - 1
     # the coarse scan starts at the grid's top decade (1 000 for 10 000 points), the plain at 1

@@ -367,6 +367,9 @@ def cmd_simulate_loop(args) -> dict:
 
 
 def cmd_extract(args) -> dict:
+    # extract has no MaterialSpec to check --ms, which only sets the amplitude warning here
+    if args.ms is not None and not 0.0 < args.ms < float("inf"):
+        raise DataError(f"--ms must be positive and finite, got {args.ms}")
     first = _parse(args.first_mag, CurveKind.FIRST_MAGNETIZATION, args)
     anh = _parse(args.anhysteretic, CurveKind.ANHYSTERETIC, args)
     loop = _parse(args.loop, CurveKind.FULL_LOOP, args)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NoSolution, SingularSlope, UnstableParams
+from .errors import JamagError, UnstableParams
 from .rootfind import find_root  # noqa: F401  # unused here; perfbench/tracer.py wraps core.find_root
 
 KB = 1.380649e-23
@@ -173,10 +173,10 @@ def langevin_inverse(y: float) -> float:
     is the root to rounding, else from max(3y, 1/(1 - y) - 1) (L(x) <= x/3, L(u - 1) <= 1 - 1/u).
     L is increasing and concave on x > 0, so the steps climb monotonically to the root; the
     solve stops at a climb of at most ``_LINV_STEP_TOL`` of x or at a step back (rounding).
-    Raises :class:`NoSolution` unless 0 < y < 1, :class:`NoConvergence` past ``_LINV_MAX_ITER`` steps.
+    Raises :class:`JamagError` unless 0 < y < 1, and past ``_LINV_MAX_ITER`` steps.
     """
     if not 0.0 < y < 1.0:
-        raise NoSolution(f"L(x) = {y:.6g} has no root: L maps x > 0 onto (0, 1)")
+        raise JamagError(f"L(x) = {y:.6g} has no root: L maps x > 0 onto (0, 1)")
     hi = 1.0 / (1.0 - y)
     x = hi if hi > _X_SATURATED else max(3.0 * y, hi - 1.0)
     for _ in range(_LINV_MAX_ITER):
@@ -184,7 +184,7 @@ def langevin_inverse(y: float) -> float:
         x += step
         if step <= _LINV_STEP_TOL * x:
             return x
-    raise NoConvergence(f"inverse Langevin: no root of L(x) = {y!r} in {_LINV_MAX_ITER} Newton steps")
+    raise JamagError(f"inverse Langevin: no root of L(x) = {y!r} in {_LINV_MAX_ITER} Newton steps")
 
 
 def anhysteretic_explicit(Ha, Ms: float, a: float):
@@ -225,7 +225,7 @@ def _implicit_array(
     r = 8 ulps of Ms over eps/aJ for f's rounding, or when d <= abs_tol, as in the bracket.
     It alone decides stability: :class:`UnstableParams` if a row's eps, which
     the start divides by, is not positive (alpha*Ms/(3*aJ) >= 1, to rounding),
-    :class:`NoConvergence` if a row is not done in ``_MAX_ITER`` iterations.
+    :class:`JamagError` if a row is not done in ``_MAX_ITER`` iterations.
     """
     sign = np.sign(Ha)
     A = np.abs(Ha.astype(np.float64, copy=False))
@@ -278,10 +278,8 @@ def _implicit_array(
                     lo, hi = lo[keep], hi[keep]
             M = M_new
 
-    raise NoConvergence(
-        f"implicit anhysteretic solve: {_MAX_ITER} iterations without reaching "
-        f"tolerance {abs_tol:.3g}"
-    )
+    raise JamagError(f"implicit anhysteretic solve: {_MAX_ITER} iterations without reaching "
+                     f"tolerance {abs_tol:.3g}")
 
 
 def anhysteretic_implicit(
@@ -313,11 +311,9 @@ def _slope_raw(Ha, M, aJ: float, alpha: float, Ms: float):
     denom = 1.0 - alpha * t
     if isinstance(denom, np.ndarray):
         if np.any(denom <= 0.0):
-            raise SingularSlope("1 - alpha*(Ms/aJ)*L'(x) <= 0 on the grid")
+            raise JamagError("1 - alpha*(Ms/aJ)*L'(x) <= 0 on the grid")
     elif denom <= 0.0:
-        raise SingularSlope(
-            f"1 - alpha*(Ms/aJ)*L'(x) = {denom:.6g} <= 0 at Ha={Ha}, M={M}"
-        )
+        raise JamagError(f"1 - alpha*(Ms/aJ)*L'(x) = {denom:.6g} <= 0 at Ha={Ha}, M={M}")
     return t / denom
 
 
@@ -326,7 +322,7 @@ def anhysteretic_slope(Ha, M, params: AnhystereticParams, Ms: float):
 
     Implicit-function rule: with x = (Ha + alpha*M)/aJ and
     t = (Ms/aJ)*L'(x), the slope is t / (1 - alpha*t).  At the origin this
-    reduces to Ms/(3*aJ) for alpha = 0.  Raises :class:`SingularSlope`
+    reduces to Ms/(3*aJ) for alpha = 0.  Raises :class:`JamagError`
     when the denominator is not positive.
     """
     return _slope_raw(Ha, M, params.aJ, params.alpha, Ms)

@@ -12,6 +12,7 @@ procedure consumes.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,14 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import MU0
-from .errors import (
-    EmptyFile,
-    InsufficientSamples,
-    MissingBranch,
-    NonPhysicalParameterWarning,
-    ParseError,
-    UnitError,
-)
+from .errors import DataError, NonPhysicalParameterWarning, ParseError
 
 _MIN_BRANCH_SAMPLES = 10
 _SLOPE_POINTS = 5
@@ -160,18 +154,20 @@ def parse_curve(
     semicolon and tab that the row holds (on whitespace when it holds
     none).  One leading row is skipped if and only if none of its cells
     parse as numbers.  Blank lines are ignored.  Curves whose kind requires
-    monotone H are sorted by H before validation.  Raises
-    :class:`ParseError` (with the 1-based line number, or naming the file
-    when it is not UTF-8), :class:`UnitError` or :class:`EmptyFile`.
+    monotone H are sorted by H before validation.  Raises :class:`ParseError`
+    naming the file (and the 1-based line number of a bad row, such as one
+    with a non-numeric, NaN or infinite H or M cell), or :class:`DataError`
+    for an unknown unit, a file with no data rows, or a field repeated in a
+    curve whose kind requires monotone H.
 
     A well-formed file is read in bulk by ``np.loadtxt``: every data row split
     on one comma, semicolon or tab (or, when no row holds any of them, on
-    whitespace) into at least two cells, every H and M cell a number, and no
-    row holding a delimiter that comes earlier in that list.  Other files
-    (mixed delimiters, a short row, a bad cell, or cells that ``float`` reads
-    and numpy does not, such as ``1_000`` or non-ASCII digits) are read line
-    by line.  numpy gives ``float``'s bits for every cell it reads, and every
-    error comes from the line-by-line path, so both paths give the same
+    whitespace) into at least two cells, every H and M cell a finite number,
+    and no row holding a delimiter that comes earlier in that list.  Other
+    files (mixed delimiters, a short row, a bad cell, or cells that ``float``
+    reads and numpy does not, such as ``1_000`` or non-ASCII digits) are read
+    line by line.  numpy gives ``float``'s bits for every cell it reads, and
+    every error comes from the line-by-line path, so both paths give the same
     outcome.  ``kind`` and ``unit`` also accept enum values.
     """
     kind = CurveKind(kind)
@@ -179,7 +175,7 @@ def parse_curve(
         try:
             unit = Unit(unit)
         except ValueError:
-            raise UnitError(f"unknown unit {unit!r}; expected one of m, j, b") from None
+            raise DataError(f"unknown unit {unit!r}; expected one of m, j, b") from None
 
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -191,15 +187,19 @@ def parse_curve(
     del rows[:skip]
     columns = _read_columns(rows)
     if columns is None:
-        columns = _read_lines(rows, lines, skip)
+        columns = _read_lines(path, rows, lines, skip)
     H, raw = columns
     if not H.size:
-        raise EmptyFile(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
 
     M = _convert_m(H, raw, unit)
     if kind in _MONOTONE_KINDS:
         order = np.argsort(H, kind="stable")
         H, M = H[order], M[order]
+        repeats = np.flatnonzero(np.diff(H) == 0.0)
+        if repeats.size:
+            raise DataError(f"{path}: field H = {float(H[repeats[0]])!r} A/m appears more than once; "
+                            f"{kind.value} curves need strictly increasing H")
     return MagnetizationCurve(H=H, M=M, kind=kind)
 
 
@@ -241,17 +241,22 @@ def _read_columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     if any(c in joined for c in earlier):
         return None
     try:  # no comment character: the line reader has none
-        H, M = np.loadtxt(rows, delimiter=delim, comments=None, usecols=(0, 1), ndmin=2).T
+        HM = np.loadtxt(rows, delimiter=delim, comments=None, usecols=(0, 1), ndmin=2)
     except ValueError:
         return None
-    return H, M
+    if not np.isfinite(HM).all():  # a NaN or inf cell: the line reader names its line
+        return None
+    return HM[:, 0], HM[:, 1]
 
 
-def _read_lines(rows: list[str], lines: list[str], skip: int) -> tuple[np.ndarray, np.ndarray]:
-    """The raw H and M columns read one row at a time.
+def _read_lines(
+    path: str | Path, rows: list[str], lines: list[str], skip: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The raw H and M columns of the file ``path`` read one row at a time.
 
     ``rows`` are the non-blank ``lines`` of the file after the first ``skip``.
-    The first bad row raises :class:`ParseError` with its 1-based line number.
+    The first bad row raises :class:`ParseError` naming ``path`` and the row's
+    1-based line number.
     """
     pairs: list[tuple[float, float]] = []
     for i, row in enumerate(rows):
@@ -260,12 +265,16 @@ def _read_lines(rows: list[str], lines: list[str], skip: int) -> tuple[np.ndarra
             problem = f"expected at least 2 columns, got {len(cells)}"
         else:
             try:
-                pairs.append((float(cells[0]), float(cells[1])))
-                continue
+                h, m = float(cells[0]), float(cells[1])
             except ValueError:
                 problem = f"non-numeric cell in {cells!r}"
+            else:
+                if math.isfinite(h) and math.isfinite(m):
+                    pairs.append((h, m))
+                    continue
+                problem = f"non-finite cell in {cells!r}"
         lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][skip + i]
-        raise ParseError(f"line {lineno}: {problem}", line=lineno)
+        raise ParseError(f"{path}: line {lineno}: {problem}", line=lineno)
 
     arr = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
     return arr[:, 0], arr[:, 1]
@@ -279,12 +288,12 @@ def split_branches(loop: MagnetizationCurve) -> tuple[tuple[np.ndarray, np.ndarr
     turning point or at an end of the loop belongs to no run.
 
     Returns ``((H_desc, M_desc), (H_asc, M_asc))`` in traversal order.
-    Raises :class:`MissingBranch` when either run is absent and
-    :class:`InsufficientSamples` when a branch has fewer than 10 samples.
+    Raises :class:`DataError` when either run is absent or a branch has fewer
+    than 10 samples.
     """
     H, M = loop.H, loop.M
     if H.size < 2:
-        raise MissingBranch("loop has fewer than two samples")
+        raise DataError("loop has fewer than two samples")
     # run r spans samples starts[r]..stops[r] - 1, from its first moving step to its
     # last, so adjacent runs share their turning sample unless a flat stretch parts them
     d = np.sign(np.diff(H))
@@ -294,14 +303,12 @@ def split_branches(loop: MagnetizationCurve) -> tuple[tuple[np.ndarray, np.ndarr
     desc = np.flatnonzero(d[starts] < 0.0)
     asc = np.flatnonzero(d[starts] > 0.0)
     if not desc.size or not asc.size:
-        raise MissingBranch("loop must contain both a descending and an ascending branch")
+        raise DataError("loop must contain both a descending and an ascending branch")
     sd, ed = starts[desc[-1]], stops[desc[-1]]
     sa, ea = starts[asc[-1]], stops[asc[-1]]
     for s, e, label in ((sd, ed, "descending"), (sa, ea, "ascending")):
         if e - s < _MIN_BRANCH_SAMPLES:
-            raise InsufficientSamples(
-                f"{label} branch has {e - s} samples; at least {_MIN_BRANCH_SAMPLES} required"
-            )
+            raise DataError(f"{label} branch has {e - s} samples; at least {_MIN_BRANCH_SAMPLES} required")
     return (H[sd:ed], M[sd:ed]), (H[sa:ea], M[sa:ea])
 
 
@@ -310,13 +317,11 @@ def _origin_slope(H: np.ndarray, M: np.ndarray, label: str) -> float:
     start = int(np.searchsorted(H, 0.0))
     h, m = H[start:start + _SLOPE_POINTS], M[start:start + _SLOPE_POINTS]
     if h.size < 2:
-        raise InsufficientSamples(
-            f"{label} curve has {h.size} samples with H >= 0; its initial slope needs 2"
-        )
+        raise DataError(f"{label} curve has {h.size} samples with H >= 0; its initial slope needs 2")
     hm = h - h.mean()
     denom = float(np.dot(hm, hm))
     if denom == 0.0:
-        raise InsufficientSamples("degenerate field values in slope window")
+        raise DataError("degenerate field values in slope window")
     return float(np.dot(hm, m - m.mean()) / denom)
 
 
@@ -336,8 +341,7 @@ def _crossing(x: np.ndarray, y: np.ndarray) -> float:
     neg = y < 0.0
     hits = np.flatnonzero((y == 0.0) | np.append(neg[:-1] != neg[1:], False))
     if not hits.size:
-        raise MissingBranch(f"descending branch never reaches M = 0 "
-                            f"(M from {y[0]:.6g} to {y[-1]:.6g} A/m)")
+        raise DataError(f"descending branch never reaches M = 0 (M from {y[0]:.6g} to {y[-1]:.6g} A/m)")
     j = hits[0]
     if y[j] == 0.0:
         return float(x[j])
@@ -355,14 +359,14 @@ def extract_features(
     The initial slopes chi_in and chi_an are the slopes of least-squares
     lines, with intercept, over the first 5 samples with H >= 0 of the
     first-magnetization and anhysteretic curves; fewer than 2 such samples
-    raise :class:`InsufficientSamples`.  Hc, Mr and the branch slopes are
+    raise :class:`DataError`.  Hc, Mr and the branch slopes are
     read off the descending branch with linear interpolation; the tip
     (Hm, Mm) and the tip slope are taken at the top of the last ascending
     branch.
     """
     for curve, label in ((first_mag, "first_mag"), (anhysteretic, "anhysteretic")):
         if len(curve) < _MIN_BRANCH_SAMPLES:
-            raise InsufficientSamples(f"{label} curve has {len(curve)} samples; need {_MIN_BRANCH_SAMPLES}")
+            raise DataError(f"{label} curve has {len(curve)} samples; need {_MIN_BRANCH_SAMPLES}")
 
     (Hd, Md), (Hasc, Masc) = split_branches(loop)
 
@@ -374,7 +378,7 @@ def extract_features(
     h_cross = _crossing(Hd, Md)  # descending branch crosses M=0 at -Hc
     Hc = abs(h_cross)
     if not (Hd.min() < 0.0 < Hd.max()):
-        raise MissingBranch("descending branch does not span H = 0")
+        raise DataError("descending branch does not span H = 0")
     Mr = float(np.interp(0.0, Hd[::-1], Md[::-1]))
 
     desc_slope = _branch_slope_fn(Hd, Md)

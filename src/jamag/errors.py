@@ -1,72 +1,32 @@
-"""Exception hierarchy for jamag.
+"""Exception classes for jamag.
 
-Grouped by the stage that raises them: root finding, curve evaluation,
-parameter estimation, and data handling.  ``DataError`` subclasses indicate
-bad input; everything else indicates a numerical failure on valid input.
+A :class:`DataError` is bad input (CLI exit code 2); any other
+:class:`JamagError` is a numerical failure on valid input (exit code 3).  The
+message names the cause.  A subclass exists only where a caller needs more:
+a field it carries, or a branch on its class.
 """
 
 
 class JamagError(Exception):
-    """Base class for all jamag-specific errors."""
+    """Base class of all jamag errors; raised as itself for a numerical failure."""
 
 
 class DataError(JamagError):
-    """Base class for input-data problems (maps to CLI exit code 2)."""
+    """Bad input data or settings (CLI exit code 2)."""
 
-
-class NoConvergence(JamagError):
-    """An iteration cap was reached before the tolerance was met (any solver)."""
-
-
-# --- scalar root finding ---------------------------------------------------
-
-class RootFindError(JamagError):
-    """Base class for root finder failures."""
-
-
-class InvalidBracket(RootFindError):
-    """The supplied interval does not bracket a sign change."""
-
-
-class NoSignChange(RootFindError):
-    """Bracket expansion exhausted its budget without finding a sign change."""
-
-
-# --- anhysteretic curve evaluation ------------------------------------------
 
 class UnstableParams(JamagError):
-    """Parameters put the implicit anhysteretic curve in the multivalued regime."""
+    """Parameters put the implicit anhysteretic curve in the multivalued regime.
 
-
-class SingularSlope(JamagError):
-    """The anhysteretic slope denominator is zero or negative."""
-
-
-# --- anhysteretic-curve estimator -------------------------------------------
-
-class NoPositiveSample(DataError):
-    """No usable sample with positive field and magnetization was found."""
-
-
-class NoSolution(JamagError):
-    """L(x) = y has no root: an eta target at or above saturation, or a loop tip no aJ > 0 meets."""
-
-
-class DegenerateSweep(JamagError):
-    """The very first scale-factor step failed to produce a solution."""
-
-
-# --- loop-feature estimator ---------------------------------------------------
-
-class ZeroDenominator(DataError):
-    """A susceptibility ratio has a zero denominator."""
+    ``fit_anhysteretic`` turns it into a :class:`DataError`: on its candidates
+    only a too-large initial susceptibility gets there.
+    """
 
 
 class SingularDenominator(JamagError):
-    """A pinning/coupling denominator vanished during evaluation.
+    """A pinning or coupling denominator vanished.
 
-    Carries ``step_index`` (int or None) when raised from inside an
-    integration so the failing step can be located.
+    ``step_index`` (int or None) locates the failing step of an integration.
     """
 
     def __init__(self, message: str, step_index: int | None = None):
@@ -74,37 +34,13 @@ class SingularDenominator(JamagError):
         self.step_index = step_index
 
 
-class DegenerateC(JamagError):
-    """Reversibility fraction c equals 1; the loop equations lose the pinning term."""
-
-
-# --- data handling -----------------------------------------------------------
-
 class ParseError(DataError):
-    """A cell could not be parsed.  ``line`` is the 1-based line number."""
+    """A curve file could not be read.  ``line`` is the bad row's 1-based line number, or None."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message)
         self.line = line
 
-
-class UnitError(DataError):
-    """Unknown or inconsistent unit declaration."""
-
-
-class EmptyFile(DataError):
-    """The input file contains no data rows."""
-
-
-class MissingBranch(DataError):
-    """The loop does not contain both a descending and an ascending branch."""
-
-
-class InsufficientSamples(DataError):
-    """Too few samples for the requested feature extraction."""
-
-
-# --- warnings ----------------------------------------------------------------
 
 class NonPhysicalParameterWarning(UserWarning):
     """A derived quantity fell outside its physically expected range."""

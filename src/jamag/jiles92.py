@@ -28,17 +28,7 @@ import numpy as np
 
 from .core import MU0, MaterialSpec, _slope_raw, langevin, langevin_inverse
 from .dataio import LoopFeatures, MagnetizationCurve, split_branches
-from .errors import (
-    DegenerateC,
-    NoConvergence,
-    NoSolution,
-    NonPhysicalParameterWarning,
-    RootFindError,
-    SingularDenominator,
-    SingularSlope,
-    UnstableParams,
-    ZeroDenominator,
-)
+from .errors import DataError, JamagError, NonPhysicalParameterWarning, SingularDenominator
 from .rootfind import expand_bracket, find_root
 from .simulate import FieldWaveform, HysteresisParams, integrate
 
@@ -85,7 +75,7 @@ def c_from_susceptibilities(chi_in: float, chi_an: float) -> float:
     term drops out of the loop equations.
     """
     if chi_an == 0.0:
-        raise ZeroDenominator("chi_an is zero")
+        raise DataError("chi_an is zero")
     c = chi_in / chi_an
     if c >= 1.0 or c <= 0.0:
         warnings.warn(
@@ -99,7 +89,7 @@ def c_from_susceptibilities(chi_in: float, chi_an: float) -> float:
 def aj_initial(Ms: float, chi_an: float, alpha: float) -> float:
     """First shape-parameter guess, aJ = (Ms/3) * (1/chi_an + alpha)."""
     if chi_an == 0.0:
-        raise ZeroDenominator("chi_an is zero")
+        raise DataError("chi_an is zero")
     return (Ms / 3.0) * (1.0 / chi_an + alpha)
 
 
@@ -110,7 +100,7 @@ def k_from_coercive(features: LoopFeatures, c: float, aJ: float, alpha: float, M
     with the anhysteretic curve taken at M = 0 (the loop state at Hc).
     """
     if c == 1.0:
-        raise DegenerateC("c = 1: the pinning term drops out of the loop equations")
+        raise JamagError("c = 1: the pinning term drops out of the loop equations")
     man_c = Ms * langevin(features.Hc / aJ)
     slope_c = _slope_raw(features.Hc, 0.0, aJ, alpha, Ms)
     inner = features.chi_max / (1.0 - c) - c * slope_c / (1.0 - c)
@@ -128,7 +118,7 @@ def alpha_update(
     where the anhysteretic curve sits at H = 0, M = Mr.
     """
     if c == 1.0:
-        raise DegenerateC("c = 1: remanence equation degenerates")
+        raise JamagError("c = 1: remanence equation degenerates")
     Mr = features.Mr
     chi_r = features.chi_r
 
@@ -152,7 +142,7 @@ def aj_update(features: LoopFeatures, c: float, k: float, alpha: float, Ms: floa
 
     Mm = M_an(Hm) - pinned, pinned = (1-c)*k*chi_m / (alpha*chi_m + 1), with M_an at the tip
     effective field he = Hm + alpha*Mm, gives aJ = he / L^-1((Mm + pinned)/Ms).  Raises
-    :class:`NoSolution` unless he > 0 and 0 < (Mm + pinned)/Ms < 1: no aJ > 0 balances the tip.
+    :class:`JamagError` unless he > 0 and 0 < (Mm + pinned)/Ms < 1: no aJ > 0 balances the tip.
     """
     denom = alpha * features.chi_m + 1.0
     if denom == 0.0:
@@ -161,7 +151,7 @@ def aj_update(features: LoopFeatures, c: float, k: float, alpha: float, Ms: floa
     he = features.Hm + alpha * features.Mm
     y = (features.Mm + pinned) / Ms
     if not (he > 0.0 and 0.0 < y < 1.0):  # the range check is langevin_inverse's, named for the tip
-        raise NoSolution(f"no aJ > 0 balances the loop tip: y = (Mm + pinned)/Ms = {y:.6g}, he = Hm + "
+        raise JamagError(f"no aJ > 0 balances the loop tip: y = (Mm + pinned)/Ms = {y:.6g}, he = Hm + "
                          f"alpha*Mm = {he:.6g} A/m, and L(he/aJ) = y needs 0 < y < 1 and he > 0")
     return he / langevin_inverse(y)
 
@@ -195,16 +185,17 @@ def estimate(
     closed-form/root-solve pass and a two-cycle re-simulation alternate up
     to eight times.  Returns as soon as the fit condition is met, otherwise
     the lowest-MSE candidate with ``fit_condition_met=False``.  Each seed's
-    ending is logged at INFO level.  Raises :class:`DegenerateC` when
-    c = 1 and :class:`NoConvergence` when no seed produces a candidate.
+    ending is logged at INFO level.  A numerical failure (a :class:`JamagError`
+    that is not a :class:`DataError`) abandons the seed.  Raises
+    :class:`JamagError` when c = 1 and when no seed produces a candidate.
     The measured loop is split once, before the first seed, so a loop
-    without both branches raises :class:`MissingBranch` even when no seed
+    without both branches raises :class:`DataError` even when no seed
     would have produced a candidate.
     """
     Ms = material.Ms
     c = c_from_susceptibilities(features.chi_in, features.chi_an)
     if c == 1.0:
-        raise DegenerateC("c = chi_in/chi_an = 1; loop equations are degenerate")
+        raise JamagError("c = chi_in/chi_an = 1; loop equations are degenerate")
 
     measured = split_branches(loop)
     waveform = FieldWaveform.cyclic(features.Hm, cycles=_SIM_CYCLES, steps_per_segment=cfg.sim_steps)
@@ -244,11 +235,12 @@ def estimate(
                     return cand
             else:
                 ending = f"exhausted {_PASSES} passes, best MSE {seed_mse:.6g}"
-        # numerical failures abandon the seed; anything else is a bug and propagates
-        except (RootFindError, NoConvergence, NoSolution, SingularDenominator, SingularSlope, UnstableParams) as err:
+        except DataError:  # bad input is no seed's fault
+            raise
+        except JamagError as err:  # numerical failures abandon the seed; anything else is a bug
             ending = f"aborted: {err}"
         _logger.info("seed %.3g %s", seed, ending)
 
     if best is None:
-        raise NoConvergence("no alpha seed produced a simulatable parameter set")
+        raise JamagError("no alpha seed produced a simulatable parameter set")
     return best

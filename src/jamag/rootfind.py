@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .errors import InvalidBracket, NoConvergence, NoSignChange
+from .errors import JamagError
 
 _EPS = 2.220446049250313e-16  # float64 machine epsilon
 
@@ -33,7 +33,7 @@ def expand_bracket(
     The half-width starts at ``max(0.01*|x0|, 1e-12)`` and doubles after each
     failed attempt, for at most 64 attempts.  The lower endpoint is clamped
     to ``lo_limit`` when given.  Returns the tighter of ``(lo, x0)`` /
-    ``(x0, hi)`` once a sign change appears.  Raises :class:`NoSignChange`
+    ``(x0, hi)`` once a sign change appears.  Raises :class:`JamagError`
     if the budget is exhausted.
     """
     d = max(0.01 * abs(x0), 1e-12)
@@ -58,9 +58,7 @@ def expand_bracket(
                 return x0, hi
         d *= 2.0
 
-    raise NoSignChange(
-        f"no sign change within {_MAX_EXPANSIONS} expansions around x0={x0!r}"
-    )
+    raise JamagError(f"no sign change within {_MAX_EXPANSIONS} expansions around x0={x0!r}")
 
 
 def find_root(
@@ -71,8 +69,8 @@ def find_root(
     The iteration stops once the bracket width is at most
     ``abs_tol + rel_tol * |x|`` around the current best estimate ``x``.
     The returned root always lies inside that interval.  Raises
-    :class:`InvalidBracket` when the endpoints do not straddle a sign
-    change and :class:`NoConvergence` after ``_MAX_ITER`` iterations.
+    :class:`JamagError` when the endpoints do not straddle a sign change,
+    and after ``_MAX_ITER`` iterations.
     """
     if not abs_tol > 0.0:
         raise ValueError(f"abs_tol must be positive, got {abs_tol}")
@@ -80,7 +78,7 @@ def find_root(
         raise ValueError(f"rel_tol must be non-negative, got {rel_tol}")
     lo, hi = bracket
     if not lo < hi:
-        raise InvalidBracket(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
+        raise JamagError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
 
     a, b = float(lo), float(hi)
     fa, fb = f(a), f(b)
@@ -89,9 +87,7 @@ def find_root(
     if fb == 0.0:
         return b
     if (fa < 0.0) == (fb < 0.0):
-        raise InvalidBracket(
-            f"f({a!r})={fa!r} and f({b!r})={fb!r} have the same sign"
-        )
+        raise JamagError(f"f({a!r})={fa!r} and f({b!r})={fb!r} have the same sign")
 
     # Brent: b is the best estimate, a the previous one, c the counterpoint
     # with f(c) opposite in sign to f(b).
@@ -137,6 +133,4 @@ def find_root(
         b += d if abs(d) > tol else (tol if m > 0.0 else -tol)
         fb = f(b)
 
-    raise NoConvergence(
-        f"no root within {_MAX_ITER} iterations; last estimate {b!r}"
-    )
+    raise JamagError(f"no root within {_MAX_ITER} iterations; last estimate {b!r}")

@@ -1,8 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from jamag.core import AnhystereticParams, MaterialSpec
 from jamag.dataio import CurveKind, MagnetizationCurve
+from jamag.errors import DataError, JamagError
 from jamag.validation import synthetic_curve
 
 MS = 1.6e6
@@ -39,3 +42,11 @@ def write_curve_file(path, H, M, header: str | None = "H,M", sep: str = ",") -> 
 def linear_curve(n: int = 20, chi: float = 100.0, kind=CurveKind.ANHYSTERETIC) -> MagnetizationCurve:
     H = np.linspace(1.0, float(n), n)
     return MagnetizationCurve(H=H, M=chi * H, kind=kind)
+
+
+@contextlib.contextmanager
+def raises_numerical(match: str):
+    """Expect a numerical failure: a JamagError that is not a DataError, its message matching ``match``."""
+    with pytest.raises(JamagError, match=match) as info:
+        yield info
+    assert not isinstance(info.value, DataError)

@@ -26,19 +26,11 @@ from jamag.core import (
     shape_param_from_moment,
 )
 from jamag.dataio import CurveKind, MagnetizationCurve
-from jamag.errors import (
-    DataError,
-    DegenerateSweep,
-    InsufficientSamples,
-    NoConvergence,
-    NoPositiveSample,
-    NoSolution,
-    UnstableParams,
-)
+from jamag.errors import DataError, JamagError, UnstableParams
 from jamag.rootfind import find_root
 from jamag.validation import run_row, synthetic_curve
 
-from conftest import linear_curve
+from conftest import linear_curve, raises_numerical
 
 MS = 1.6e6
 T = 303.5
@@ -138,14 +130,14 @@ class TestInitialSusceptibility:
         curve = MagnetizationCurve(
             H=np.array([-2.0, -1.0]), M=np.array([1.0, 2.0]), kind=CurveKind.ANHYSTERETIC
         )
-        with pytest.raises(NoPositiveSample):
+        with pytest.raises(DataError, match="^no sample with H > 0$"):
             initial_susceptibility(curve)
 
     def test_no_positive_m(self):
         curve = MagnetizationCurve(
             H=np.array([1.0, 2.0]), M=np.array([-1.0, -2.0]), kind=CurveKind.ANHYSTERETIC
         )
-        with pytest.raises(NoPositiveSample):
+        with pytest.raises(DataError, match="^no sample with H > 0 and M > 0$"):
             initial_susceptibility(curve)
 
 
@@ -170,9 +162,9 @@ class TestSolveChiParam:
 
     def test_no_solution_at_saturation(self):
         # eta*chi_an1*Ha1 >= Ms has no Langevin preimage
-        with pytest.raises(NoSolution):
+        with raises_numerical(r"^target magnetization 1.7e\+06 is not below Ms = 1.6e\+06$"):
             solve_chi_param(1.0, 1.7, 1.0e6, MS)
-        with pytest.raises(NoSolution):
+        with raises_numerical("^target fraction must be positive"):
             solve_chi_param(-0.5, 1.598006, 1.0e6, MS)
 
     def test_random_round_trips(self):
@@ -252,14 +244,14 @@ class TestSolveChiParam:
     def test_nan_target_has_no_solution(self):
         for args in ((math.nan, 1.598006, 1.0e6, MS), (0.95, math.nan, 1.0e6, MS),
                      (0.95, 1.598006, 1.0e6, math.nan), (0.95, 1.598006, math.inf, MS)):
-            with pytest.raises(NoSolution):
+            with raises_numerical("^target magnetization .* is not below Ms"):
                 solve_chi_param(*args)
 
     def test_no_convergence_past_the_cap(self, monkeypatch):
         # L stuck at 0 with slope 1: every step climbs by y, far above the tolerance
         monkeypatch.setattr(core, "langevin", lambda x: 0.0)
         monkeypatch.setattr(core, "langevin_prime", lambda x: 1.0)
-        with pytest.raises(NoConvergence):
+        with raises_numerical("^inverse Langevin: no root of L"):
             solve_chi_param(0.95, 1.598006, 1.0e6, MS)
 
 
@@ -438,33 +430,35 @@ class TestFit:
             want.append(float(np.linalg.norm(MU0 * (curve - data.M))))
         assert report.sweep_norms.tobytes() == np.array(want).tobytes()
 
+    # ``cause`` only names the case: the failure that decides the error is the chi solve's
+    # (NoSolution), the curve solve's (NoConvergence) or the first step's (DegenerateSweep)
     @pytest.mark.parametrize(
-        "chi_fails,curve_fails,coarse,error,message",
+        "chi_fails,curve_fails,coarse,cause,message",
         [
-            (5, None, False, NoSolution, "chi at 5"),
-            (None, 7, False, NoConvergence, "curve at 7"),
-            (5, 3, False, NoConvergence, "curve at 3"),  # the earlier row wins
-            (5, 7, False, NoSolution, "chi at 5"),  # row 7 is never reached
-            (8, 7, False, NoConvergence, "curve at 7"),  # in the partial block [7]
-            (5, 3, True, NoConvergence, "curve at 3"),
-            (0, None, False, DegenerateSweep, "first eta step 0.9 failed: chi at 0"),
-            (None, 0, True, DegenerateSweep, "first eta step 0.9 failed: curve at 0"),
+            (5, None, False, "NoSolution", "chi at 5"),
+            (None, 7, False, "NoConvergence", "curve at 7"),
+            (5, 3, False, "NoConvergence", "curve at 3"),  # the earlier row wins
+            (5, 7, False, "NoSolution", "chi at 5"),  # row 7 is never reached
+            (8, 7, False, "NoConvergence", "curve at 7"),  # in the partial block [7]
+            (5, 3, True, "NoConvergence", "curve at 3"),
+            (0, None, False, "DegenerateSweep", "first eta step 0.9 failed: chi at 0"),
+            (None, 0, True, "DegenerateSweep", "first eta step 0.9 failed: curve at 0"),
         ],
     )
     def test_first_failing_index_decides_the_error(
-        self, material, monkeypatch, chi_fails, curve_fails, coarse, error, message
+        self, material, monkeypatch, chi_fails, curve_fails, coarse, cause, message
     ):
         # as in a one-index-at-a-time sweep
         cfg = AnhystereticFitConfig(eta0=0.9, eps=0.01, coarse=coarse)  # 10 points
-        self._assert_first_failure(material, monkeypatch, cfg, chi_fails, curve_fails, error, message)
+        self._assert_first_failure(material, monkeypatch, cfg, chi_fails, curve_fails, message)
 
     def test_coarse_raises_the_first_failure_in_its_own_order(self, material, monkeypatch):
         # 20 points: stride 10 visits 0, 10 and 19 before the stride-1 level reaches 5
         cfg = AnhystereticFitConfig(eta0=0.9, eps=0.005, coarse=True)
-        self._assert_first_failure(material, monkeypatch, cfg, 5, 10, NoConvergence, "curve at 10")
+        self._assert_first_failure(material, monkeypatch, cfg, 5, 10, "curve at 10")
 
     @staticmethod
-    def _assert_first_failure(material, monkeypatch, cfg, chi_fails, curve_fails, error, message):
+    def _assert_first_failure(material, monkeypatch, cfg, chi_fails, curve_fails, message):
         """Fail the chi solve at grid index ``chi_fails`` and the curve solve at
         ``curve_fails``, on a profile that falls to the grid's last index."""
         data = linear_curve(n=4)
@@ -477,28 +471,28 @@ class TestFit:
 
         def fake_chi(eta, *args):
             if index(eta) == chi_fails:
-                raise NoSolution(f"chi at {chi_fails}")
+                raise JamagError(f"chi at {chi_fails}")
             return eta
 
         def fake_curve(H, aJ, alpha, Ms, tol):
             if np.any(index(alpha) == curve_fails):
-                raise NoConvergence(f"curve at {curve_fails}")
+                raise JamagError(f"curve at {curve_fails}")
             return data.M + (last + 1 - index(alpha))
 
         monkeypatch.setattr(anfit, "solve_chi_param", fake_chi)
         monkeypatch.setattr(anfit, "alpha_from_susceptibilities", lambda chi_p, chi_a: chi_p)
         monkeypatch.setattr(anfit, "_implicit_array", fake_curve)
-        with pytest.raises(error) as info:
+        with pytest.raises(JamagError) as info:
             fit_anhysteretic(data, material, cfg)
-        assert type(info.value) is error
-        assert str(info.value).endswith(message)
+        assert type(info.value) is JamagError
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "curve_fails,coarse", [(0, False), (7, False), (0, True), (9, True)],
     )
     def test_unstable_candidates_are_a_data_error(self, material, monkeypatch, curve_fails, coarse):
         # wherever in the sweep the solve rejects a candidate: at the first step too, where
-        # it is not a DegenerateSweep
+        # it is not wrapped as the first step's failure
         eta0, eps = 0.9, 0.01
         data = linear_curve(n=4)
 
@@ -535,7 +529,7 @@ class TestFit:
         data = MagnetizationCurve(
             H=np.array([1.0, 2.0]), M=np.array([10.0, 20.0]), kind=CurveKind.ANHYSTERETIC
         )
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(DataError, match="^need at least 3 samples, got 2$"):
             fit_anhysteretic(data, material)
 
     def test_rejects_non_increasing_fields(self, material):
@@ -546,13 +540,28 @@ class TestFit:
             fit_anhysteretic(data, material)
 
     def test_degenerate_sweep_when_first_step_fails(self, material, monkeypatch):
+        forced = JamagError("forced")
+
         def boom(*args, **kwargs):
-            raise NoSolution("forced")
+            raise forced
 
         monkeypatch.setattr(anfit, "solve_chi_param", boom)
         data = synthetic_curve(1000.0, 1.4e-3, material, 50, 1.0e4)
-        with pytest.raises(DegenerateSweep):
+        with raises_numerical("^first eta step 0.9 failed: forced$") as info:
             fit_anhysteretic(data, material)
+        assert info.value.__cause__ is forced
+
+    def test_data_error_at_the_first_step_is_not_wrapped(self, material, monkeypatch):
+        forced = DataError("forced")
+
+        def boom(*args, **kwargs):
+            raise forced
+
+        monkeypatch.setattr(anfit, "solve_chi_param", boom)
+        data = synthetic_curve(1000.0, 1.4e-3, material, 50, 1.0e4)
+        with pytest.raises(DataError) as info:
+            fit_anhysteretic(data, material)
+        assert info.value is forced
 
     def test_non_physical_alpha_flag(self, material, monkeypatch):
         monkeypatch.setattr(anfit, "alpha_from_susceptibilities", lambda cp, ca: -1e-4)

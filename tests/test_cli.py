@@ -367,6 +367,25 @@ class TestMeasuredValueErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("ms", ["0", "-1.5", "nan", "inf"])
+    def test_extract_ms_must_be_positive_and_finite(self, loop_files, tmp_path, capsys, ms):
+        # "nan" was written to the report as NaN, which is not JSON
+        out = tmp_path / "features.json"
+        assert cli.main(["extract", "--loop", str(loop_files["loop"]), "--first-mag", str(loop_files["first"]),
+                         "--anhysteretic", str(loop_files["anh"]), "--ms", ms, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --ms must be positive and finite, got {float(ms)}\n"
+        assert not out.exists()
+
+    def test_bad_cell_names_its_file(self, loop_files, tmp_path, capsys):
+        # extract reads three curve files: the error says which one holds the bad row
+        path = tmp_path / "first.csv"
+        lines = loop_files["first"].read_text().splitlines()
+        lines[4] = lines[4].split(",")[0] + ",n/a"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["extract", "--loop", str(loop_files["loop"]), "--first-mag", str(path),
+                         "--anhysteretic", str(loop_files["anh"]), "--out", str(tmp_path / "f.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 5: non-numeric cell in ")
+
     @pytest.mark.parametrize("extra", [["--coarse"], ["--eps", "1e-4"]])
     def test_curve_far_above_ms(self, tmp_path, capsys, extra):
         # M = 1e100 A/m: every eta candidate's stability margin, Ms/(3*chi_a), rounds away.

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,14 +16,7 @@ from jamag.dataio import (
     split_branches,
 )
 from jamag.dataio import _crossing
-from jamag.errors import (
-    EmptyFile,
-    InsufficientSamples,
-    MissingBranch,
-    NonPhysicalParameterWarning,
-    ParseError,
-    UnitError,
-)
+from jamag.errors import DataError, NonPhysicalParameterWarning, ParseError
 from jamag.simulate import FieldWaveform, HysteresisParams, integrate
 from jamag.validation import synthetic_curve
 
@@ -136,7 +131,7 @@ class TestParse:
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("1.0,5.0\n2.0,oops\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: non-numeric cell in ") as exc:
             parse_curve(path, kind=CurveKind.ANHYSTERETIC)
         assert exc.value.line == 2
 
@@ -154,27 +149,46 @@ class TestParse:
     def test_parse_error_line_counts_blank_and_header_lines(self, tmp_path, content, line):
         path = tmp_path / "c.csv"
         path.write_text(content)
-        with pytest.raises(ParseError, match=f"^line {line}: ") as exc:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {line}: ") as exc:
             parse_curve(path, kind=CurveKind.FULL_LOOP)
         assert exc.value.line == line
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("1.0,5.0\n2.0\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: expected at least 2 columns, got 1$") as exc:
             parse_curve(path, kind=CurveKind.ANHYSTERETIC)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e309"])
+    @pytest.mark.parametrize("sep", [",", " "], ids=["bulk", "line-by-line"])
+    def test_non_finite_cell_names_the_file_and_line(self, tmp_path, cell, sep):
+        # "1.0 5.0" then "2.0,x" mixes delimiters, so the whole file is read line by line
+        path = tmp_path / "c.csv"
+        path.write_text(f"H,M\n1.0{sep}5.0\n2.0,{cell}\n3.0,7.0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 3: non-finite cell in ") as exc:
+            parse_curve(path, kind=CurveKind.FULL_LOOP)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("kind", [CurveKind.ANHYSTERETIC, CurveKind.FIRST_MAGNETIZATION])
+    def test_repeated_field_names_the_file_and_the_field(self, tmp_path, kind):
+        path = tmp_path / "c.csv"
+        path.write_text("H,M\n3.0,7.0\n1.0,5.0\n2.5,6.0\n1.0,5.5\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: field H = 1.0 A/m appears more than once; "
+                                            f"{kind.value} curves need strictly increasing H$"):
+            parse_curve(path, kind=kind)
+        assert len(parse_curve(path, kind=CurveKind.FULL_LOOP)) == 4  # a loop may repeat a field
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("H,M\n")
-        with pytest.raises(EmptyFile):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no data rows$"):
             parse_curve(path, kind=CurveKind.ANHYSTERETIC)
 
     def test_unknown_unit(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("1.0,5.0\n")
-        with pytest.raises(UnitError):
+        with pytest.raises(DataError, match="^unknown unit 'tesla'; expected one of m, j, b$"):
             parse_curve(path, kind=CurveKind.ANHYSTERETIC, unit="tesla")
 
     def test_polarization_unit(self, tmp_path):
@@ -248,8 +262,9 @@ _EQUIVALENCE_CASES = [
     ("narrow-header", "H\n1.0,5.0\n", {}, False),
     ("header-only", "H,M\n\n", {}, True),
     ("empty", "", {}, True),
-    ("non-finite", "1.0,nan\n2.0,6.0\n", {}, True),
-    ("overflow-cell", "1.0,1e309\n2.0,6.0\n", {}, True),
+    # a NaN or infinite cell: the line reader names its line
+    ("non-finite", "1.0,nan\n2.0,6.0\n", {}, False),
+    ("overflow-cell", "1.0,1e309\n2.0,6.0\n", {}, False),
     # cells numpy and float could read differently, and a row numpy's default drops
     ("comment-row", "1.0,5.0\n# note,x\n2.0,6.0\n", {}, False),
     ("hex-float", "0x1p3,5.0\n2.0,6.0\n", {}, False),
@@ -312,7 +327,7 @@ class TestBulkMatchesLines:
         rows = [f"{fmt(h)}{delim}{fmt(m)}" for h, m in pairs]
         bulk = dataio._read_columns(rows)
         assert bulk is not None
-        per_line = dataio._read_lines(rows, rows, 0)
+        per_line = dataio._read_lines("c.csv", rows, rows, 0)
         expect = np.array([[float(fmt(h)), float(fmt(m))] for h, m in pairs])
         for got, ref, col in zip(bulk, per_line, expect.T):
             assert got.tobytes() == ref.tobytes() == col.tobytes()
@@ -397,16 +412,16 @@ class TestSplitBranches:
         curve = MagnetizationCurve(
             H=np.linspace(0.0, 10.0, 20), M=np.zeros(20), kind=CurveKind.FULL_LOOP
         )
-        with pytest.raises(MissingBranch):
+        with pytest.raises(DataError, match="^loop must contain both a descending and an ascending branch$"):
             split_branches(curve)
 
     def test_short_branch_rejected(self):
         loop = triangle_loop(n=6)
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(DataError, match="^descending branch has 6 samples; at least 10 required$"):
             split_branches(loop)
         # 10 samples pass, 9 do not; the count includes the shared turning sample
         split_branches(triangle_loop(n=10))
-        with pytest.raises(InsufficientSamples, match="9 samples"):
+        with pytest.raises(DataError, match="9 samples"):
             split_branches(triangle_loop(n=9))
 
     def test_plateaus_are_dropped(self):
@@ -459,7 +474,7 @@ class TestSplitBranches:
 
     def test_plateau_only_rejected(self):
         curve = MagnetizationCurve(H=np.full(20, 3.0), M=np.zeros(20), kind=CurveKind.FULL_LOOP)
-        with pytest.raises(MissingBranch):
+        with pytest.raises(DataError, match="^loop must contain both a descending and an ascending branch$"):
             split_branches(curve)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -471,8 +486,8 @@ class TestSplitBranches:
         loop = MagnetizationCurve(H=H, M=np.arange(H.size, dtype=float), kind=CurveKind.FULL_LOOP)
         try:
             want = _split_branches_scan(H)
-        except (MissingBranch, InsufficientSamples) as err:
-            with pytest.raises(type(err)):
+        except DataError as err:
+            with pytest.raises(DataError, match=f"^{re.escape(str(err))}$"):
                 split_branches(loop)
             return
         (_, Md), (_, Ma) = split_branches(loop)
@@ -491,9 +506,10 @@ def _split_branches_scan(H):
     desc = [r for r in runs if r[2] < 0.0]
     asc = [r for r in runs if r[2] > 0.0]
     if not desc or not asc:
-        raise MissingBranch("")
-    if min(desc[-1][1] - desc[-1][0], asc[-1][1] - asc[-1][0]) < 10:
-        raise InsufficientSamples("")
+        raise DataError("loop must contain both a descending and an ascending branch")
+    for (start, stop, _), label in ((desc[-1], "descending"), (asc[-1], "ascending")):
+        if stop - start < 10:
+            raise DataError(f"{label} branch has {stop - start} samples; at least 10 required")
     return list(range(*desc[-1][:2])), list(range(*asc[-1][:2]))
 
 
@@ -519,7 +535,7 @@ def _crossing_scan(x, y, level=0.0):
             return float(x[j] + frac * (x[j + 1] - x[j]))
     if s[-1] == 0.0:
         return float(x[-1])
-    raise MissingBranch("")
+    raise DataError("descending branch never reaches M = 0")
 
 
 class TestCrossing:
@@ -541,9 +557,9 @@ class TestCrossing:
         assert _crossing(np.array([7.0]), np.array([0.0])) == 7.0
 
     def test_no_crossing(self):
-        with pytest.raises(MissingBranch, match="^descending branch never reaches M = 0"):
+        with pytest.raises(DataError, match=r"^descending branch never reaches M = 0 \(M from 3 to 0.5 A/m\)$"):
             _crossing(np.arange(4.0), np.array([3.0, 2.0, 1.0, 0.5]))
-        with pytest.raises(MissingBranch):
+        with pytest.raises(DataError, match="^descending branch never reaches M = 0"):
             _crossing(np.array([7.0]), np.array([1.0]))
 
     @pytest.mark.parametrize("seed", range(12))
@@ -554,8 +570,8 @@ class TestCrossing:
         for level in (0.0, 0.5, -0.5, 10.0):  # the zero crossings of y - level
             try:
                 want = _crossing_scan(x, y, level)
-            except MissingBranch:
-                with pytest.raises(MissingBranch):
+            except DataError:
+                with pytest.raises(DataError, match="^descending branch never reaches M = 0"):
                     _crossing(x, y - level)
                 continue
             assert _crossing(x, y - level) == want
@@ -636,7 +652,7 @@ class TestExtractFeatures:
             H=np.linspace(1.0, 5.0, 5), M=np.linspace(1.0, 5.0, 5),
             kind=CurveKind.FIRST_MAGNETIZATION,
         )
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(DataError, match="^first_mag curve has 5 samples; need 10$"):
             extract_features(tiny, loop, anh)
 
     def test_loop_not_spanning_zero_rejected(self, curves):
@@ -646,7 +662,7 @@ class TestExtractFeatures:
         up = np.linspace(10.0, 100.0, n)[1:]
         H = np.concatenate([down, up])
         loop = MagnetizationCurve(H=H, M=np.linspace(1.0, 2.0, H.size), kind=CurveKind.FULL_LOOP)
-        with pytest.raises(MissingBranch):
+        with pytest.raises(DataError, match="^descending branch never reaches M = 0"):
             extract_features(first, loop, anh)
 
     def test_initial_slopes_are_the_five_point_line_from_h_zero(self, curves):
@@ -672,5 +688,5 @@ class TestExtractFeatures:
         first, loop, anh = curves
         H = np.concatenate([-anh.H[::-1], [0.0]])
         negative = MagnetizationCurve(H=H, M=np.concatenate([-anh.M[::-1], [0.0]]), kind=CurveKind.ANHYSTERETIC)
-        with pytest.raises(InsufficientSamples, match="^anhysteretic curve has 1 samples with H >= 0"):
+        with pytest.raises(DataError, match="^anhysteretic curve has 1 samples with H >= 0"):
             extract_features(first, loop, negative)

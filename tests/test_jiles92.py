@@ -24,14 +24,7 @@ from jamag.dataio import (
     extract_features,
     split_branches,
 )
-from jamag.errors import (
-    DegenerateC,
-    MissingBranch,
-    NoConvergence,
-    NoSolution,
-    SingularDenominator,
-    ZeroDenominator,
-)
+from jamag.errors import DataError, JamagError, SingularDenominator
 from jamag.jiles92 import (
     Jiles92Config,
     aj_initial,
@@ -44,7 +37,7 @@ from jamag.jiles92 import (
 from jamag.simulate import FieldWaveform, HysteresisParams, integrate
 from jamag.validation import synthetic_curve
 
-from conftest import LINV_HALF, LINV_QUARTER
+from conftest import LINV_HALF, LINV_QUARTER, raises_numerical
 
 MS = 1.6e6
 T = 303.5
@@ -70,7 +63,7 @@ class TestConfig:
             return aj_initial(Ms, chi_an, alpha)
 
         monkeypatch.setattr(jiles92, "aj_initial", recorded)
-        with pytest.raises(NoConvergence):
+        with raises_numerical("^no alpha seed produced a simulatable parameter set$"):
             estimate(features(chi_max=1e-6), material, Jiles92Config(), loop)
         assert tried == [1e-4, 1e-3, 1e-2, 1e-1]
 
@@ -94,7 +87,7 @@ class TestClosedFormPieces:
         assert c_from_susceptibilities(50.0, 500.0) == pytest.approx(0.1, rel=1e-15)
 
     def test_c_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
+        with pytest.raises(DataError, match="^chi_an is zero$"):
             c_from_susceptibilities(50.0, 0.0)
 
     def test_c_outside_unit_interval_warns(self):
@@ -119,7 +112,7 @@ class TestClosedFormPieces:
     def test_zero_anhysteretic_slope(self):
         with pytest.warns(NonPhysicalParameterWarning):
             f = features(chi_an=0.0)
-        with pytest.raises(ZeroDenominator):
+        with pytest.raises(DataError, match="^chi_an is zero$"):
             c_from_susceptibilities(f.chi_in, f.chi_an)
 
     def test_aj_initial(self):
@@ -139,7 +132,7 @@ class TestKFromCoercive:
         assert k == pytest.approx(MS * langevin(hc / aJ) / chi_max, rel=1e-12)
 
     def test_degenerate_c(self):
-        with pytest.raises(DegenerateC):
+        with raises_numerical("^c = 1: the pinning term drops out of the loop equations$"):
             k_from_coercive(features(), 1.0, 1000.0, 0.0, MS)
 
     def test_singular_inner_denominator(self):
@@ -236,7 +229,7 @@ class TestAjUpdate:
     ], ids=["past-saturation", "negative-target", "negative-field"])
     def test_no_positive_aj_balances_the_tip(self, change):
         f = features(Hc=50.0, chi_m=40.0, **change)
-        with pytest.raises(NoSolution, match="no aJ > 0 balances the loop tip"):
+        with raises_numerical("^no aJ > 0 balances the loop tip"):
             aj_update(f, 0.2, 150.0, 1e-3, MS)
 
 
@@ -295,7 +288,8 @@ class TestEstimate:
     def test_degenerate_c(self, synthetic_setup):
         material, _, loop, _ = synthetic_setup
         f = features(chi_in=500.0, chi_an=500.0)
-        with pytest.raises(DegenerateC), pytest.warns(NonPhysicalParameterWarning):
+        with raises_numerical("^c = chi_in/chi_an = 1; loop equations are degenerate$"), \
+                pytest.warns(NonPhysicalParameterWarning):
             estimate(f, material, Jiles92Config(), loop)
 
     def test_programming_error_propagates(self, synthetic_setup, monkeypatch):
@@ -315,7 +309,7 @@ class TestEstimate:
         rise = MagnetizationCurve(
             H=np.linspace(0.0, 5000.0, 50), M=np.linspace(0.0, 1e6, 50), kind=CurveKind.FULL_LOOP
         )
-        with pytest.raises(MissingBranch):
+        with pytest.raises(DataError, match="^loop must contain both a descending and an ascending branch$"):
             estimate(features(chi_max=1e-6), material, Jiles92Config(), rise)
 
     @pytest.mark.parametrize("cycles,steps", [(1, 9), (2, 600), (3, 47)])
@@ -348,7 +342,9 @@ class TestEstimate:
                     m.setattr(jiles92, name, fn)
                 try:
                     res = estimate(f, material, Jiles92Config(fit_tol=fit_tol), loop)
-                except NoConvergence:
+                except JamagError as err:
+                    assert type(err) is JamagError
+                    assert str(err) == "no alpha seed produced a simulatable parameter set"
                     res = None
             (record,) = caplog.records
             return record.getMessage(), res
@@ -370,12 +366,12 @@ class TestEstimate:
         assert ending(alpha_update=singular)[0] == "seed 0.001 aborted: remanence denominator vanished"
 
     def test_tip_balance_without_a_root_abandons_each_seed(self, synthetic_setup, monkeypatch, caplog):
-        # a tip past Ms: aj_update raises NoSolution at once, each seed logs it as its ending,
-        # and with no candidate left the estimate raises NoConvergence
+        # a tip past Ms: aj_update fails at once, each seed logs it as its ending, and with no
+        # candidate left the estimate fails
         material, _, loop, _ = synthetic_setup
         monkeypatch.setattr(jiles92, "_SEEDS", (1e-3, 1e-2, 1e-1))  # 1e-4 fails at remanence first
         caplog.set_level(logging.INFO, logger="jamag.jiles92")
-        with pytest.raises(NoConvergence, match="^no alpha seed produced a simulatable parameter set$"):
+        with raises_numerical("^no alpha seed produced a simulatable parameter set$"):
             estimate(features(Mm=1.7e6), material, Jiles92Config(), loop)
         lines = [r.getMessage() for r in caplog.records]
         assert [line.split(" aborted: ")[0] for line in lines] == ["seed 0.001", "seed 0.01", "seed 0.1"]
@@ -385,7 +381,8 @@ class TestEstimate:
 
     def test_seed_whose_simulation_does_not_converge_is_abandoned(self, synthetic_setup, monkeypatch,
                                                                   caplog):
-        # NoConvergence is no RootFindError: estimate names it, and the next seed still runs
+        # a numerical failure in a pass abandons only its seed: estimate names it, and the
+        # next seed still runs
         material, _, loop, feats = synthetic_setup
         monkeypatch.setattr(jiles92, "_SEEDS", (1e-3, 1e-3))
         caplog.set_level(logging.INFO, logger="jamag.jiles92")
@@ -395,7 +392,7 @@ class TestEstimate:
         def first_fails(*args, **kwargs):
             calls.append(args)
             if len(calls) == 1:
-                raise NoConvergence("implicit solve: 50 iterations")
+                raise JamagError("implicit solve: 50 iterations")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(jiles92, "integrate", first_fails)
@@ -411,5 +408,20 @@ class TestEstimate:
         # chi_max far below c*slope makes the pinning estimate negative for
         # every seed, so no candidate is ever produced
         f = features(chi_max=1e-6)
-        with pytest.raises(NoConvergence):
+        with raises_numerical("^no alpha seed produced a simulatable parameter set$"):
             estimate(f, material, Jiles92Config(), loop)
+
+    def test_data_error_in_a_pass_propagates(self, synthetic_setup, monkeypatch, caplog):
+        # bad input is no seed's fault: the first seed's DataError leaves estimate unchanged
+        material, _, loop, feats = synthetic_setup
+        caplog.set_level(logging.INFO, logger="jamag.jiles92")
+        bad = DataError("bad input")
+
+        def raises(*args, **kwargs):
+            raise bad
+
+        monkeypatch.setattr(jiles92, "alpha_update", raises)
+        with pytest.raises(DataError) as info:
+            estimate(feats, material, Jiles92Config(), loop)
+        assert info.value is bad
+        assert caplog.records == []
