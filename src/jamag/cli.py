@@ -37,11 +37,7 @@ from .jiles92 import Jiles92Config, c_from_susceptibilities, estimate
 from .simulate import FieldWaveform, HysteresisParams, integrate
 from .validation import GRID_MATERIAL, run_grid
 
-_CONVENTION_NOTE = (
-    "anhysteretic values at the loop's special points use the loop state's "
-    "effective field: Hc/aJ at the coercive point (M=0), alpha*Mr/aJ at "
-    "remanence (H=0) and (Hm+alpha*Mm)/aJ at the tip"
-)
+_MODEL_NOTE = "k and c fit the simulator's ODE on five-point slopes of the loop's last two branches"
 
 
 def _inputs(**paths: Path | None) -> dict:
@@ -283,33 +279,23 @@ def cmd_fit_anhysteretic(args) -> dict:
     }
 
 
-def _load_features(args, loop: MagnetizationCurve) -> LoopFeatures:
-    if args.features:
-        return LoopFeatures(**_read_numbers(
-            args.features, "features", [f.name for f in fields(LoopFeatures)]
-        ))
-    if not (args.first_mag and args.anhysteretic):
-        raise DataError(
-            "feature extraction needs --first-mag and --anhysteretic (or pass --features)"
-        )
-    first = _parse(args.first_mag, CurveKind.FIRST_MAGNETIZATION, args)
-    anh = _parse(args.anhysteretic, CurveKind.ANHYSTERETIC, args)
-    return extract_features(first, loop, anh)
-
-
 def cmd_fit_jiles92(args) -> dict:
     material = MaterialSpec(Ms=args.ms, T=args.temp)
     cfg = _config(Jiles92Config, args)
     loop = _parse(args.loop, CurveKind.FULL_LOOP, args)
-    features = _load_features(args, loop)
-    result = estimate(features, material, cfg, loop)
+    anh = _parse(args.anhysteretic, CurveKind.ANHYSTERETIC, args) if args.anhysteretic else None
+    if args.features:
+        features = LoopFeatures(**_read_numbers(args.features, "features", [f.name for f in fields(LoopFeatures)]))
+    elif args.first_mag and anh:
+        features = extract_features(_parse(args.first_mag, CurveKind.FIRST_MAGNETIZATION, args), loop, anh)
+    else:
+        raise DataError("feature extraction needs --first-mag and --anhysteretic (or pass --features)")
+    result = estimate(features, material, cfg, loop, anhysteretic=anh)
     return {
-        "inputs": _inputs(
-            loop=args.loop, first_mag=args.first_mag,
-            anhysteretic=args.anhysteretic, features=args.features,
-        ),
+        "inputs": _inputs(loop=args.loop, first_mag=args.first_mag, anhysteretic=args.anhysteretic,
+                          features=args.features),
         "config": {"ms": args.ms, "temp": args.temp, "unit": args.unit, **asdict(cfg)},
-        "assumptions": [_CONVENTION_NOTE],
+        "assumptions": [_MODEL_NOTE],
         "result": {
             "aJ": result.params.aJ,
             "alpha": result.params.alpha,
@@ -317,12 +303,12 @@ def cmd_fit_jiles92(args) -> dict:
             "k": result.params.k,
             "mse": result.mse,
             "fit_condition_met": result.fit_condition_met,
-            "seed": result.seed,
+            "route": result.route,
             "iterations": result.iterations,
         },
         "warnings": [] if result.fit_condition_met else [{
             "code": "FIT_CONDITION_NOT_MET",
-            "message": "no seed reached the fit tolerance; best candidate reported",
+            "message": "the simulated loop misses the fit tolerance; the fitted parameters are reported",
         }],
     }
 

@@ -187,6 +187,21 @@ def langevin_inverse(y: float) -> float:
     raise JamagError(f"inverse Langevin: no root of L(x) = {y!r} in {_LINV_MAX_ITER} Newton steps")
 
 
+def _langevin_inverse_array(y: np.ndarray) -> np.ndarray:
+    """:func:`langevin_inverse` of each lane of ``y`` in (0, 1), on the array L and L':
+    the same start, steps and stop rule per lane.  Raises :class:`JamagError` past the cap."""
+    hi = 1.0 / (1.0 - y)
+    x = np.where(hi > _X_SATURATED, hi, np.maximum(3.0 * y, hi - 1.0))
+    active = np.ones(x.shape, dtype=bool)
+    for _ in range(_LINV_MAX_ITER):
+        step = (y - langevin(x)) / langevin_prime(x)
+        x = np.where(active, x + step, x)
+        active &= step > _LINV_STEP_TOL * x
+        if not active.any():
+            return x
+    raise JamagError(f"inverse Langevin: {np.count_nonzero(active)} lanes without a root in {_LINV_MAX_ITER} steps")
+
+
 def anhysteretic_explicit(Ha, Ms: float, a: float):
     """Langevin paramagnet magnetization Ms * L(Ha / a), no coupling."""
     if not a > 0.0:

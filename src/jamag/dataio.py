@@ -155,14 +155,14 @@ def parse_curve(
     none).  One leading row is skipped if and only if none of its cells
     parse as numbers.  Blank lines are ignored.  Curves whose kind requires
     monotone H are sorted by H before validation.  Raises :class:`ParseError`
-    naming the file (and the 1-based line number of a bad row, such as one
-    with a non-numeric, NaN or infinite H or M cell), or :class:`DataError`
+    naming the file (and the 1-based line number of a bad row: a non-numeric,
+    NaN or infinite cell, or an M past the float range in A/m), or :class:`DataError`
     for an unknown unit, a file with no data rows, or a field repeated in a
     curve whose kind requires monotone H.
 
     A well-formed file is read in bulk by ``np.loadtxt``: every data row split
     on one comma, semicolon or tab (or, when no row holds any of them, on
-    whitespace) into at least two cells, every H and M cell a finite number,
+    whitespace) into at least two cells, each H and M finite (M also in A/m),
     and no row holding a delimiter that comes earlier in that list.  Other
     files (mixed delimiters, a short row, a bad cell, or cells that ``float``
     reads and numpy does not, such as ``1_000`` or non-ASCII digits) are read
@@ -185,14 +185,13 @@ def parse_curve(
     rows = list(filter(str.strip, lines))
     skip = int(bool(rows) and _is_header(_split_cells(rows[0])))
     del rows[:skip]
-    columns = _read_columns(rows)
+    columns = _read_columns(rows, unit)
     if columns is None:
-        columns = _read_lines(path, rows, lines, skip)
-    H, raw = columns
+        columns = _read_lines(path, rows, lines, skip, unit)
+    H, M = columns
     if not H.size:
         raise DataError(f"{path}: no data rows")
 
-    M = _convert_m(H, raw, unit)
     if kind in _MONOTONE_KINDS:
         order = np.argsort(H, kind="stable")
         H, M = H[order], M[order]
@@ -231,8 +230,8 @@ def _is_header(cells: list[str]) -> bool:
     return len(cells) >= 2 and all(not _is_number(c) for c in cells if c)
 
 
-def _read_columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """The raw H and M columns read in bulk, or None when the rows need :func:`_read_lines`."""
+def _read_columns(rows: list[str], unit: Unit) -> tuple[np.ndarray, np.ndarray] | None:
+    """The H and M (A/m) columns read in bulk, or None when the rows need :func:`_read_lines`."""
     if not rows:
         return np.empty(0), np.empty(0)
     delim = _delimiter(rows[0])
@@ -244,15 +243,17 @@ def _read_columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
         HM = np.loadtxt(rows, delimiter=delim, comments=None, usecols=(0, 1), ndmin=2)
     except ValueError:
         return None
-    if not np.isfinite(HM).all():  # a NaN or inf cell: the line reader names its line
+    with np.errstate(all="ignore"):
+        M = _convert_m(HM[:, 0], HM[:, 1], unit)
+    if not (np.isfinite(HM).all() and np.isfinite(M).all()):  # the line reader names the bad line
         return None
-    return HM[:, 0], HM[:, 1]
+    return HM[:, 0], M
 
 
 def _read_lines(
-    path: str | Path, rows: list[str], lines: list[str], skip: int
+    path: str | Path, rows: list[str], lines: list[str], skip: int, unit: Unit
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The raw H and M columns of the file ``path`` read one row at a time.
+    """The H and M (A/m) columns of the file ``path`` read one row at a time.
 
     ``rows`` are the non-blank ``lines`` of the file after the first ``skip``.
     The first bad row raises :class:`ParseError` naming ``path`` and the row's
@@ -269,10 +270,13 @@ def _read_lines(
             except ValueError:
                 problem = f"non-numeric cell in {cells!r}"
             else:
-                if math.isfinite(h) and math.isfinite(m):
+                if not (math.isfinite(h) and math.isfinite(m)):
+                    problem = f"non-finite cell in {cells!r}"
+                elif math.isfinite(m := _convert_m(h, m, unit)):
                     pairs.append((h, m))
                     continue
-                problem = f"non-finite cell in {cells!r}"
+                else:
+                    problem = f"M cell {cells[1]!r} in unit {unit.value!r} overflows in A/m"
         lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][skip + i]
         raise ParseError(f"{path}: line {lineno}: {problem}", line=lineno)
 

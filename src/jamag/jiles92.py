@@ -1,40 +1,42 @@
-"""Loop-feature parameter estimation (Jiles' 1992 procedure).
+"""Hysteresis-loop parameter estimation by regression on the loop's ODE.
 
-Given the nine measured features of a hysteresis loop, the procedure pins
-the model parameters to closed-form relations at four special points of the
-loop: the origin (initial susceptibilities give c and a first aJ), the
-coercive point (gives k), remanence (a nonlinear equation in alpha) and the
-loop tip (aJ in closed form, by inverting L).  After each pass the loop is
-re-simulated (initial rise and two cycles); the pass repeats, at most
-eight times, until the mean squared error between simulated and measured
-magnetization (mu0-scaled) drops below ``fit_tol``.  On failure the
-estimate restarts from the next of the fixed alpha seeds 1e-4, 1e-3, 1e-2
-and 1e-1, and the best-so-far answer is returned flagged rather than
-discarded.
+With s = dM/dH on a branch of direction delta, dm = M_an - M and M_an' the
+slope of the self-consistent anhysteretic curve, the simulator's ODE reads
 
-Conventions at the special points: the anhysteretic magnetization and its
-slope are evaluated at the effective field of the loop state, i.e. at
-Hc/aJ on the coercive point (M = 0), at alpha*Mr/aJ at remanence (H = 0)
-and at (Hm + alpha*Mm)/aJ at the tip.
+    delta*s*k + delta*(s - M_an')*(k*c) - alpha*dm*(s - M_an')*c = dm*(1 + alpha*s),
+
+linear in (k, k*c, c) given (aJ, alpha).  Those come from an anhysteretic
+curve, where H = aJ*L^-1(M/Ms) - alpha*M is linear in them, or else from the
+loop by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10(2):413,
+1973).  One simulation then judges the fit.  ``estimate`` no longer calls the
+closed forms of Jiles' 1992 procedure (IEEE Trans. Magn. 28(5):2602) below.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import warnings
 from dataclasses import dataclass
 from logging import getLogger
 
 import numpy as np
 
-from .core import MU0, MaterialSpec, _slope_raw, langevin, langevin_inverse
+from .core import (
+    MU0, MaterialSpec, _implicit_array, _langevin_inverse_array, _slope_raw, langevin, langevin_inverse,
+    langevin_prime,
+)
 from .dataio import LoopFeatures, MagnetizationCurve, split_branches
-from .errors import DataError, JamagError, NonPhysicalParameterWarning, SingularDenominator
+from .errors import DataError, JamagError, NonPhysicalParameterWarning, SingularDenominator, UnstableParams
 from .rootfind import expand_bracket, find_root
-from .simulate import FieldWaveform, HysteresisParams, integrate
+from .simulate import _MAN_REL_TOL, FieldWaveform, HysteresisParams, integrate
 
-_SEEDS = (1.0e-4, 1.0e-3, 1.0e-2, 1.0e-1)  # alpha start values, tried in order
-_PASSES = 8  # closed-form passes per seed, each followed by a re-simulation
-_SIM_CYCLES = 2  # cycles re-simulated per pass; the last is compared with the measured loop
+_SIM_CYCLES = 2  # cycles of the one simulation that judges the fit; the last is compared with the loop
+_SEARCH_ROWS = 1000  # most loop rows, evenly strided, in each evaluation of the loop route's search
+_KAPPA_SCAN = np.linspace(0.0, 0.95, 20)  # starts of the loop route, on the chi_an line
+_GN_MAX = 50  # Gauss-Newton steps at most
+_GN_STEP_TOL = 1e-10  # a step in (log aJ, kappa) within this ends Gauss-Newton
+_FD_STEP = 1e-7  # forward-difference step in (log aJ, kappa) of the loop route's Jacobian
 
 _logger = getLogger(__name__)
 
@@ -44,7 +46,7 @@ class Jiles92Config:
     """Fit check of :func:`estimate`.
 
     ``fit_tol`` is the MSE threshold on mu0-scaled magnetization, in T^2.
-    ``sim_steps`` is the steps per segment of the re-simulated loop.
+    ``sim_steps`` is the steps per segment of the simulated loop.
     """
 
     fit_tol: float = 1.0e-3
@@ -59,12 +61,13 @@ class Jiles92Config:
 
 @dataclass(frozen=True)
 class Jiles92Result:
-    """Estimated parameters plus the quality of the final re-simulation."""
+    """Fitted parameters, the MSE of their one simulation, and where (aJ, alpha) came
+    from: ``route`` "anhysteretic" or "loop", in ``iterations`` Gauss-Newton steps."""
 
     params: HysteresisParams
     mse: float
     fit_condition_met: bool
-    seed: float
+    route: str
     iterations: int
 
 
@@ -172,75 +175,146 @@ def _loop_mse(sim: MagnetizationCurve, waveform: FieldWaveform, measured) -> flo
     return float(np.mean(err * err))
 
 
+def _params(p: np.ndarray, Ms: float) -> tuple[float, float]:
+    """(aJ, alpha) at p = (log aJ, kappa), kappa = alpha*Ms/(3*aJ)."""
+    aJ = math.exp(p[0])
+    return aJ, 3.0 * float(p[1]) * aJ / Ms
+
+
+def _gauss_newton(residual, jacobian, p: np.ndarray) -> tuple[np.ndarray, int]:
+    """Damped Gauss-Newton from ``p``: halves a step that does not reduce the sum of squares
+    or puts kappa at 1 or past it; stops at a step within ``_GN_STEP_TOL``.  Returns p, steps."""
+    r = residual(p)
+    for it in range(_GN_MAX):
+        step = np.linalg.lstsq(jacobian(p, r), -r, rcond=None)[0]
+        while np.max(np.abs(step)) > _GN_STEP_TOL:
+            with contextlib.suppress(UnstableParams):
+                trial = residual(p + step)
+                if trial @ trial < r @ r:
+                    break
+            step = step / 2.0
+        else:
+            return p, it
+        p, r = p + step, trial
+    return p, _GN_MAX
+
+
+def _anhysteretic_fit(anh: MagnetizationCurve, Ms: float) -> tuple[np.ndarray, int]:
+    """(log aJ, kappa) of an anhysteretic curve and the Gauss-Newton steps: least squares on
+    H = aJ*L^-1(M/Ms) - alpha*M where H > 0 and 0 < M < Ms, then Gauss-Newton on M, with
+    dM/daJ = -q*x, dM/dalpha = q*M, q = t/(aJ - alpha*t), t = Ms*L'(x), x = (H + alpha*M)/aJ."""
+    H, M = anh.H, anh.M
+    use = (H > 0.0) & (M > 0.0) & (M < Ms)
+    if np.count_nonzero(use) < 2:
+        raise DataError(f"anhysteretic curve has {np.count_nonzero(use)} samples with H > 0, 0 < M < Ms; 2 needed")
+    x = _langevin_inverse_array(M[use] / Ms)
+    (aJ, alpha), *_ = np.linalg.lstsq(np.column_stack([x, -M[use]]), H[use], rcond=None)
+    if not aJ > 0.0:
+        raise JamagError(f"the anhysteretic curve's linear fit gives aJ = {aJ:.6g} A/m; aJ > 0 is needed")
+
+    def jacobian(p, r):  # d/d(log aJ) = aJ*dM/daJ + alpha*dM/dalpha = -q*H at fixed kappa
+        aJ, alpha = _params(p, Ms)
+        t = Ms * langevin_prime((H + alpha * (M + r)) / aJ)
+        q = t / (aJ - alpha * t)
+        return np.column_stack([-q * H, (3.0 * aJ / Ms) * q * (M + r)])
+
+    def residual(p):
+        return _implicit_array(H, *_params(p, Ms), Ms, _MAN_REL_TOL * Ms) - M
+
+    return _gauss_newton(residual, jacobian, np.array([math.log(aJ), alpha * Ms / (3.0 * aJ)]))
+
+
+def _slope5(H: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """dM/dH at samples 2 to n - 3 of a branch: the slope of the quartic through each
+    sample and its two neighbours on either side (any spacing)."""
+    n = max(H.size - 4, 0)
+    d = {k: H[2 + k : 2 + k + n] - H[2 : 2 + n] for k in (-2, -1, 1, 2)}
+    s = -sum(1.0 / dk for dk in d.values()) * M[2 : 2 + n]
+    for j, dj in d.items():
+        rest = [dk for k, dk in d.items() if k != j]
+        s += np.prod([-dk for dk in rest], axis=0) / (dj * np.prod([dj - dk for dk in rest], axis=0)) \
+            * M[2 + j : 2 + j + n]
+    return s
+
+
+def _branch_rows(measured) -> np.ndarray:
+    """(H, M, s, delta, w) of the branches, less repeated fields and two samples at each end:
+    s = dM/dH by :func:`_slope5`, w = (e_med/e)^2 where e = |s - np.gradient| tops its median
+    e_med, else 1.  e estimates the three-point slope's error; the five-point one's goes as e^2."""
+    parts = []
+    for delta, (H, M) in zip((-1.0, 1.0), measured):
+        keep = np.diff(H, prepend=np.nan) != 0.0
+        H, M = H[keep], M[keep]
+        s = _slope5(H, M)
+        i = slice(2, 2 + s.size)
+        parts.append(np.stack([H[i], M[i], s, np.full(s.size, delta), np.abs(s - np.gradient(M, H)[i])]))
+    rows = np.concatenate(parts, axis=1)
+    if rows.shape[1] < 3:
+        raise DataError(f"the loop's branches give {rows.shape[1]} regression rows; k and c need 3")
+    e, e_med = rows[4], np.median(rows[4])
+    rows[4] = np.divide(e_med, e, out=np.ones_like(e), where=e > e_med) ** 2
+    return rows
+
+
+def _regression(rows: np.ndarray, aJ: float, alpha: float, Ms: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted least-squares (k, k*c, c) of the loop ODE's ``rows`` at (aJ, alpha),
+    column-scaled, and the weighted rows' residuals in A/m."""
+    H, M, s, delta, w = rows
+    man = _implicit_array(H, aJ, alpha, Ms, _MAN_REL_TOL * Ms)
+    u = s - _slope_raw(H, man, aJ, alpha, Ms)
+    dm = man - M
+    A = np.column_stack([delta * s, delta * u, -alpha * dm * u]) * w[:, None]
+    b = dm * (1.0 + alpha * s) * w
+    norms = np.linalg.norm(A, axis=0)
+    norms[norms == 0.0] = 1.0
+    theta = np.linalg.lstsq(A / norms, b, rcond=None)[0] / norms
+    return theta, A @ theta - b
+
+
+def _loop_fit(rows: np.ndarray, chi_an: float, Ms: float) -> tuple[np.ndarray, int]:
+    """(log aJ, kappa) from the loop alone and the Gauss-Newton steps, by variable projection on
+    ``_SEARCH_ROWS`` strided rows from the best of ``_KAPPA_SCAN`` on aJ = Ms/(3*chi_an*(1 - kappa))."""
+    if chi_an == 0.0:
+        raise DataError("chi_an is zero")
+    sub = rows[:, :: -(-rows.shape[1] // _SEARCH_ROWS)]
+
+    def residual(p):
+        return _regression(sub, *_params(p, Ms), Ms)[1]
+
+    def jacobian(p, r):
+        return np.column_stack([(residual(p + _FD_STEP * e) - r) / _FD_STEP for e in np.eye(2)])
+
+    starts = [np.array([math.log(Ms / (3.0 * chi_an * (1.0 - kappa))), kappa]) for kappa in _KAPPA_SCAN]
+    return _gauss_newton(residual, jacobian, min(starts, key=lambda p: float(np.sum(residual(p) ** 2))))
+
+
 def estimate(
     features: LoopFeatures,
     material: MaterialSpec,
     cfg: Jiles92Config,
     loop: MagnetizationCurve,
+    anhysteretic: MagnetizationCurve | None = None,
 ) -> Jiles92Result:
-    """Run the full estimation loop against a measured hysteresis loop.
+    """Fit (aJ, alpha, c, k) to a measured loop and judge it by one simulation at ``features.Hm``.
 
-    ``loop`` supplies the measured data for the fit condition.  The alpha
-    seeds 1e-4, 1e-3, 1e-2 and 1e-1 are tried in order; within a seed the
-    closed-form/root-solve pass and a two-cycle re-simulation alternate up
-    to eight times.  Returns as soon as the fit condition is met, otherwise
-    the lowest-MSE candidate with ``fit_condition_met=False``.  Each seed's
-    ending is logged at INFO level.  A numerical failure (a :class:`JamagError`
-    that is not a :class:`DataError`) abandons the seed.  Raises
-    :class:`JamagError` when c = 1 and when no seed produces a candidate.
-    The measured loop is split once, before the first seed, so a loop
-    without both branches raises :class:`DataError` even when no seed
-    would have produced a candidate.
+    (aJ, alpha) come from ``anhysteretic`` if given (route "anhysteretic"), else from the loop
+    (route "loop"); k and c from one regression on all the loop's rows.  Logs the route at INFO.
+    Raises :class:`JamagError` on k <= 0, kappa >= 1, aJ <= 0 or a set HysteresisParams rejects.
     """
     Ms = material.Ms
-    c = c_from_susceptibilities(features.chi_in, features.chi_an)
-    if c == 1.0:
-        raise JamagError("c = chi_in/chi_an = 1; loop equations are degenerate")
-
     measured = split_branches(loop)
     waveform = FieldWaveform.cyclic(features.Hm, cycles=_SIM_CYCLES, steps_per_segment=cfg.sim_steps)
-    best: Jiles92Result | None = None
-
-    for seed in _SEEDS:
-        alpha = seed
-        aJ = aj_initial(Ms, features.chi_an, alpha)
-        seed_mse = np.inf
-        try:
-            for it in range(1, _PASSES + 1):
-                k = k_from_coercive(features, c, aJ, alpha, Ms)
-                if not (np.isfinite(k) and k > 0.0):
-                    ending = f"stopped at pass {it} on k = {k:.6g}"
-                    break
-                alpha = alpha_update(features, c, k, aJ, Ms, guess=alpha)
-                if not (np.isfinite(alpha) and alpha >= 0.0):
-                    ending = f"stopped at pass {it} on alpha = {alpha:.6g}"
-                    break
-                aJ = aj_update(features, c, k, alpha, Ms)
-                if not (np.isfinite(aJ) and aJ > 0.0):
-                    ending = f"stopped at pass {it} on aJ = {aJ:.6g}"
-                    break
-
-                params = HysteresisParams(aJ=aJ, alpha=alpha, c=c, k=k, Ms=Ms)
-                sim = integrate(params, waveform, M0=0.0)
-                mse = _loop_mse(sim, waveform, measured)
-                seed_mse = min(seed_mse, mse)
-                cand = Jiles92Result(
-                    params=params, mse=mse, fit_condition_met=mse <= cfg.fit_tol,
-                    seed=seed, iterations=it,
-                )
-                if best is None or mse < best.mse:
-                    best = cand
-                if cand.fit_condition_met:
-                    _logger.info("seed %.3g met the fit condition at pass %d", seed, it)
-                    return cand
-            else:
-                ending = f"exhausted {_PASSES} passes, best MSE {seed_mse:.6g}"
-        except DataError:  # bad input is no seed's fault
-            raise
-        except JamagError as err:  # numerical failures abandon the seed; anything else is a bug
-            ending = f"aborted: {err}"
-        _logger.info("seed %.3g %s", seed, ending)
-
-    if best is None:
-        raise JamagError("no alpha seed produced a simulatable parameter set")
-    return best
+    rows = _branch_rows(measured)
+    route = "loop" if anhysteretic is None else "anhysteretic"
+    p, steps = _loop_fit(rows, features.chi_an, Ms) if route == "loop" else _anhysteretic_fit(anhysteretic, Ms)
+    aJ, alpha = _params(p, Ms)
+    (k, _, c), r = _regression(rows, aJ, alpha, Ms)
+    _logger.info("route %s: aJ = %.6g A/m, alpha = %.6g after %d steps; regression rms %.6g A/m",
+                 route, aJ, alpha, steps, math.sqrt(np.mean(r * r)))
+    try:  # names a k that is not positive and finite, among others
+        params = HysteresisParams(aJ=aJ, alpha=alpha, c=float(c), k=float(k), Ms=Ms)
+    except ValueError as err:
+        raise JamagError(f"the fitted parameters are not a model: {err}") from None
+    mse = _loop_mse(integrate(params, waveform, M0=0.0), waveform, measured)
+    return Jiles92Result(params=params, mse=mse, fit_condition_met=mse <= cfg.fit_tol, route=route,
+                         iterations=steps)

@@ -273,6 +273,9 @@ _EQUIVALENCE_CASES = [
     ("trailing-delimiter", "1.0,5.0,\n2.0,6.0,\n", {}, True),
     ("unit-j", f"10.0,{MU0 * 1.0e4!r}\n20.0,{MU0 * 2.0e4!r}\n", {"unit": "j"}, True),
     ("unit-b", f"10.0,{MU0 * (10.0 + 1.0e4)!r}\n20.0,0.5\n", {"unit": "b"}, True),
+    # finite cells whose M overflows in A/m: the line reader names the line
+    ("unit-j-overflow", "1.0,1e303\n2.0,2.0\n", {"unit": "j"}, False),
+    ("unit-b-overflow", "1.0,2.0\n2.0,-1e303\n", {"unit": "b"}, False),
     ("bad-cell-second-block", _many_rows(5000, 4500, "2250.0,oops"), {}, False),
     ("short-row-second-block", _many_rows(5000, 4200, "2100.0"), {}, False),
     ("long-clean", _many_rows(9000, 0, "0.0,0.0"), {}, True),
@@ -325,9 +328,9 @@ class TestBulkMatchesLines:
     )
     def test_finite_floats(self, pairs, fmt, delim):
         rows = [f"{fmt(h)}{delim}{fmt(m)}" for h, m in pairs]
-        bulk = dataio._read_columns(rows)
+        bulk = dataio._read_columns(rows, Unit.M_A_PER_M)
         assert bulk is not None
-        per_line = dataio._read_lines("c.csv", rows, rows, 0)
+        per_line = dataio._read_lines("c.csv", rows, rows, 0, Unit.M_A_PER_M)
         expect = np.array([[float(fmt(h)), float(fmt(m))] for h, m in pairs])
         for got, ref, col in zip(bulk, per_line, expect.T):
             assert got.tobytes() == ref.tobytes() == col.tobytes()

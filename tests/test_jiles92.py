@@ -1,7 +1,7 @@
 import dataclasses
+import json
 import logging
 import math
-import re
 import warnings
 from decimal import Decimal, localcontext
 
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import jamag.jiles92 as jiles92
+from jamag import cli
 from jamag.core import (
     MU0,
     AnhystereticParams,
@@ -24,7 +25,7 @@ from jamag.dataio import (
     extract_features,
     split_branches,
 )
-from jamag.errors import DataError, JamagError, SingularDenominator
+from jamag.errors import DataError, SingularDenominator
 from jamag.jiles92 import (
     Jiles92Config,
     aj_initial,
@@ -37,7 +38,7 @@ from jamag.jiles92 import (
 from jamag.simulate import FieldWaveform, HysteresisParams, integrate
 from jamag.validation import synthetic_curve
 
-from conftest import LINV_HALF, LINV_QUARTER, raises_numerical
+from conftest import LINV_HALF, LINV_QUARTER, raises_numerical, write_curve_file
 
 MS = 1.6e6
 T = 303.5
@@ -53,20 +54,6 @@ def features(**kw):
 
 
 class TestConfig:
-    def test_seed_sequence(self, synthetic_setup, monkeypatch):
-        # every seed is tried, in order, when none yields a candidate
-        material, _, loop, _ = synthetic_setup
-        tried = []
-
-        def recorded(Ms, chi_an, alpha):
-            tried.append(alpha)
-            return aj_initial(Ms, chi_an, alpha)
-
-        monkeypatch.setattr(jiles92, "aj_initial", recorded)
-        with raises_numerical("^no alpha seed produced a simulatable parameter set$"):
-            estimate(features(chi_max=1e-6), material, Jiles92Config(), loop)
-        assert tried == [1e-4, 1e-3, 1e-2, 1e-1]
-
     def test_validation(self):
         assert [f.name for f in dataclasses.fields(Jiles92Config)] == ["fit_tol", "sim_steps"]
         with pytest.raises(ValueError):
@@ -261,7 +248,7 @@ class TestEstimate:
         )
         assert close or not res.fit_condition_met
         assert res.mse >= 0.0 and np.isfinite(res.mse)
-        assert res.seed in (1e-4, 1e-3, 1e-2, 1e-1)
+        assert res.route == "loop"  # no anhysteretic curve given
         assert res.params.aJ > 0.0 and res.params.k > 0.0
 
     def test_deterministic(self, synthetic_setup):
@@ -270,13 +257,15 @@ class TestEstimate:
         b = estimate(feats, material, Jiles92Config(), loop)
         assert a.params == b.params
         assert a.mse == b.mse
-        assert a.seed == b.seed
+        assert a.route == b.route
         assert a.iterations == b.iterations
 
     def test_c_ratio_preserved(self, synthetic_setup):
-        material, _, loop, feats = synthetic_setup
+        # c is fitted to the loop's ODE: it is the truth's, not chi_in/chi_an (0.1097 here)
+        material, truth, loop, feats = synthetic_setup
         res = estimate(feats, material, Jiles92Config(), loop)
-        assert res.params.c == pytest.approx(feats.chi_in / feats.chi_an, rel=1e-12)
+        assert res.params.c == pytest.approx(truth.c, rel=1e-3)
+        assert feats.chi_in / feats.chi_an == pytest.approx(0.1097, abs=1e-4)
 
     def test_fit_condition_respects_tolerance(self, synthetic_setup):
         material, _, loop, feats = synthetic_setup
@@ -285,26 +274,19 @@ class TestEstimate:
         loose = estimate(feats, material, Jiles92Config(fit_tol=1e6), loop)
         assert loose.fit_condition_met
 
-    def test_degenerate_c(self, synthetic_setup):
-        material, _, loop, _ = synthetic_setup
-        f = features(chi_in=500.0, chi_an=500.0)
-        with raises_numerical("^c = chi_in/chi_an = 1; loop equations are degenerate$"), \
-                pytest.warns(NonPhysicalParameterWarning):
-            estimate(f, material, Jiles92Config(), loop)
-
     def test_programming_error_propagates(self, synthetic_setup, monkeypatch):
-        # only numerical failures abandon a seed; a ValueError is a bug
+        # only the fitted set's ValueError becomes a numerical failure; any other is a bug
         material, _, loop, feats = synthetic_setup
 
         def broken(*args, **kwargs):
             raise ValueError("broken")
 
-        monkeypatch.setattr(jiles92, "k_from_coercive", broken)
+        monkeypatch.setattr(jiles92, "_slope_raw", broken)
         with pytest.raises(ValueError, match="broken"):
             estimate(feats, material, Jiles92Config(), loop)
 
     def test_missing_branch_is_raised_before_the_first_seed(self, synthetic_setup):
-        # with features no seed can use, a loop without branches is still the error
+        # with features no fit can use, a loop without branches is still the error
         material = synthetic_setup[0]
         rise = MagnetizationCurve(
             H=np.linspace(0.0, 5000.0, 50), M=np.linspace(0.0, 1e6, 50), kind=CurveKind.FULL_LOOP
@@ -328,91 +310,8 @@ class TestEstimate:
         assert jiles92._loop_mse(sim, waveform, measured) == float(np.mean(err * err))
         assert jiles92._loop_mse(sim, waveform, split_branches(sim)) == 0.0
 
-    def test_each_seed_logs_its_ending(self, synthetic_setup, monkeypatch, caplog):
-        # one INFO line per seed: fit met, passes exhausted, a stop on an unusable
-        # k, alpha or aJ (named, with its value), or the numerical failure
-        material, _, loop, feats = synthetic_setup
-        monkeypatch.setattr(jiles92, "_SEEDS", (1e-3,))
-        caplog.set_level(logging.INFO, logger="jamag.jiles92")
-
-        def ending(f=feats, fit_tol=1e-3, **patched):
-            caplog.clear()
-            with monkeypatch.context() as m:
-                for name, fn in patched.items():
-                    m.setattr(jiles92, name, fn)
-                try:
-                    res = estimate(f, material, Jiles92Config(fit_tol=fit_tol), loop)
-                except JamagError as err:
-                    assert type(err) is JamagError
-                    assert str(err) == "no alpha seed produced a simulatable parameter set"
-                    res = None
-            (record,) = caplog.records
-            return record.getMessage(), res
-
-        assert ending(fit_tol=1e6)[0] == "seed 0.001 met the fit condition at pass 1"
-        line, res = ending(fit_tol=1e-12)
-        assert line == f"seed 0.001 exhausted 8 passes, best MSE {res.mse:.6g}"
-        # chi_max far below c*slope makes the pinning estimate negative
-        line, _ = ending(features(chi_max=1e-6))
-        assert re.fullmatch(r"seed 0\.001 stopped at pass 1 on k = -\S+", line)
-        assert ending(alpha_update=lambda *a, **kw: -1.0)[0] == (
-            "seed 0.001 stopped at pass 1 on alpha = -1")
-        assert ending(aj_update=lambda *a, **kw: math.nan)[0] == (
-            "seed 0.001 stopped at pass 1 on aJ = nan")
-
-        def singular(*args, **kwargs):
-            raise SingularDenominator("remanence denominator vanished")
-
-        assert ending(alpha_update=singular)[0] == "seed 0.001 aborted: remanence denominator vanished"
-
-    def test_tip_balance_without_a_root_abandons_each_seed(self, synthetic_setup, monkeypatch, caplog):
-        # a tip past Ms: aj_update fails at once, each seed logs it as its ending, and with no
-        # candidate left the estimate fails
-        material, _, loop, _ = synthetic_setup
-        monkeypatch.setattr(jiles92, "_SEEDS", (1e-3, 1e-2, 1e-1))  # 1e-4 fails at remanence first
-        caplog.set_level(logging.INFO, logger="jamag.jiles92")
-        with raises_numerical("^no alpha seed produced a simulatable parameter set$"):
-            estimate(features(Mm=1.7e6), material, Jiles92Config(), loop)
-        lines = [r.getMessage() for r in caplog.records]
-        assert [line.split(" aborted: ")[0] for line in lines] == ["seed 0.001", "seed 0.01", "seed 0.1"]
-        for line in lines:
-            assert re.fullmatch(r"seed \S+ aborted: no aJ > 0 balances the loop tip: y = \(Mm \+ pinned\)/Ms "
-                                r"= 1\.06\d*, he = .*", line), line
-
-    def test_seed_whose_simulation_does_not_converge_is_abandoned(self, synthetic_setup, monkeypatch,
-                                                                  caplog):
-        # a numerical failure in a pass abandons only its seed: estimate names it, and the
-        # next seed still runs
-        material, _, loop, feats = synthetic_setup
-        monkeypatch.setattr(jiles92, "_SEEDS", (1e-3, 1e-3))
-        caplog.set_level(logging.INFO, logger="jamag.jiles92")
-        real = jiles92.integrate
-        calls = []
-
-        def first_fails(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 1:
-                raise JamagError("implicit solve: 50 iterations")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(jiles92, "integrate", first_fails)
-        res = estimate(feats, material, Jiles92Config(fit_tol=1e6), loop)
-        assert [r.getMessage() for r in caplog.records] == [
-            "seed 0.001 aborted: implicit solve: 50 iterations",
-            "seed 0.001 met the fit condition at pass 1",
-        ]
-        assert res.fit_condition_met and len(calls) == 2
-
-    def test_all_seeds_failing_raises(self, synthetic_setup):
-        material, _, loop, _ = synthetic_setup
-        # chi_max far below c*slope makes the pinning estimate negative for
-        # every seed, so no candidate is ever produced
-        f = features(chi_max=1e-6)
-        with raises_numerical("^no alpha seed produced a simulatable parameter set$"):
-            estimate(f, material, Jiles92Config(), loop)
-
     def test_data_error_in_a_pass_propagates(self, synthetic_setup, monkeypatch, caplog):
-        # bad input is no seed's fault: the first seed's DataError leaves estimate unchanged
+        # bad input is no numerical failure: a DataError in the fit leaves estimate unchanged
         material, _, loop, feats = synthetic_setup
         caplog.set_level(logging.INFO, logger="jamag.jiles92")
         bad = DataError("bad input")
@@ -420,8 +319,102 @@ class TestEstimate:
         def raises(*args, **kwargs):
             raise bad
 
-        monkeypatch.setattr(jiles92, "alpha_update", raises)
+        monkeypatch.setattr(jiles92, "_slope_raw", raises)
         with pytest.raises(DataError) as info:
             estimate(feats, material, Jiles92Config(), loop)
         assert info.value is bad
         assert caplog.records == []
+
+    @pytest.mark.parametrize("route", ["anhysteretic", "loop"])
+    def test_logs_the_route(self, synthetic_setup, caplog, route):
+        # one INFO line: the route, (aJ, alpha), the Gauss-Newton steps and the regression rms
+        material, _, loop, feats = synthetic_setup
+        anh = synthetic_curve(972.0, 1.4e-3, material, 300, 5000.0) if route == "anhysteretic" else None
+        caplog.set_level(logging.INFO, logger="jamag.jiles92")
+        res = estimate(feats, material, Jiles92Config(), loop, anhysteretic=anh)
+        (record,) = caplog.records
+        assert record.getMessage() == (
+            f"route {route}: aJ = {res.params.aJ:.6g} A/m, alpha = {res.params.alpha:.6g} after "
+            f"{res.iterations} steps; regression rms {float(record.args[-1]):.6g} A/m"
+        )
+        assert res.route == route and 0.0 <= record.args[-1] < 1.0
+
+    def test_anhysteretic_curve_past_stability_raises(self, synthetic_setup):
+        # alpha*Ms/(3*aJ) = 1.2: the explicit curve H = aJ*x - alpha*Ms*L(x), where it rises,
+        # fits that kappa exactly, and the implicit curve of it is multivalued
+        material, _, loop, feats = synthetic_setup
+        aJ, alpha = 972.0, 1.2 * 3.0 * 972.0 / MS
+        x = np.linspace(3.0, 30.0, 200)
+        anh = MagnetizationCurve(H=aJ * x - alpha * MS * langevin(x), M=MS * langevin(x),
+                                 kind=CurveKind.ANHYSTERETIC)
+        with raises_numerical(r"^alpha\*Ms/\(3\*aJ\) = 1\.2 >= 1; the anhysteretic curve is multivalued$"):
+            estimate(feats, material, Jiles92Config(), loop, anhysteretic=anh)
+
+    def test_reversed_loop_gives_no_positive_k(self, synthetic_setup):
+        # the loop run backwards, past its initial rise: each branch has the other's direction
+        material, _, loop, feats = synthetic_setup
+        back = MagnetizationCurve(H=loop.H[:600:-1], M=loop.M[:600:-1], kind=CurveKind.FULL_LOOP)
+        anh = synthetic_curve(972.0, 1.4e-3, material, 300, 5000.0)
+        with raises_numerical(r"^the fitted parameters are not a model: k must be positive and finite, got -"):
+            estimate(feats, material, Jiles92Config(), back, anhysteretic=anh)
+
+
+def _loop(steps: int, **params) -> tuple[HysteresisParams, MagnetizationCurve]:
+    truth = HysteresisParams(Ms=MS, **params)
+    return truth, integrate(truth, FieldWaveform.cyclic(5000.0, cycles=3, steps_per_segment=steps))
+
+
+_ROUND_TRIP_SETS = [
+    dict(aJ=972.0, alpha=1.4e-3, c=0.1, k=1000.0),
+    dict(aJ=800.0, alpha=1.0e-3, c=0.3, k=2500.0),
+    dict(aJ=1200.0, alpha=1.8e-3, c=0.05, k=400.0),
+]
+
+
+class TestRoundTrip:
+    """Loops simulated at a step count other than ``sim_steps`` (600) come back within 1%."""
+
+    @pytest.mark.parametrize("route", ["anhysteretic", "loop"])
+    @pytest.mark.parametrize("params, steps", [
+        (_ROUND_TRIP_SETS[0], 150), (_ROUND_TRIP_SETS[0], 1500),
+        (_ROUND_TRIP_SETS[1], 150), (_ROUND_TRIP_SETS[1], 1500),
+        (_ROUND_TRIP_SETS[2], 1500),  # RK4 at 150 steps leaves this set's loop (Mm = -Ms)
+    ], ids=["steel-150", "steel-1500", "high-k-150", "high-k-1500", "low-k-1500"])
+    def test_parameters_recovered(self, route, params, steps):
+        material = MaterialSpec(Ms=MS, T=T)
+        truth, loop = _loop(steps, **params)
+        anh = synthetic_curve(truth.aJ, truth.alpha, material, 300, 5000.0)
+        rise = integrate(truth, FieldWaveform((0.0, 5000.0), steps_per_segment=steps))
+        first = MagnetizationCurve(H=rise.H, M=rise.M, kind=CurveKind.FIRST_MAGNETIZATION)
+        feats = extract_features(first, loop, anh)
+        res = estimate(feats, material, Jiles92Config(), loop, anhysteretic=anh if route == "anhysteretic" else None)
+        for name in ("aJ", "alpha", "c", "k"):
+            assert getattr(res.params, name) == pytest.approx(getattr(truth, name), rel=1e-2), name
+        assert res.route == route and res.fit_condition_met
+
+    def test_chain_through_simulate_loop(self, tmp_path):
+        # fit-jiles92's report feeds simulate-loop --params with the fitted c and k: the last
+        # cycle of the simulated loop matches the measured one within fit_tol
+        material = MaterialSpec(Ms=MS, T=T)
+        truth, loop = _loop(1500, **_ROUND_TRIP_SETS[1])
+        rise = integrate(truth, FieldWaveform((0.0, 5000.0), steps_per_segment=1500))
+        files = {}
+        for name, curve in (("loop", loop), ("first", rise),
+                            ("anh", synthetic_curve(truth.aJ, truth.alpha, material, 300, 5000.0))):
+            files[name] = tmp_path / f"{name}.csv"
+            write_curve_file(files[name], curve.H, curve.M)
+        report = tmp_path / "fit.json"
+        assert cli.main(["fit-jiles92", "--loop", str(files["loop"]), "--first-mag", str(files["first"]),
+                         "--anhysteretic", str(files["anh"]), "--ms", str(MS), "--temp", str(T),
+                         "--out", str(report), "--deterministic"]) == 0
+        fit = json.loads(report.read_text())
+        res = fit["result"]
+        assert res["route"] == "anhysteretic" and res["fit_condition_met"]
+        out = tmp_path / "sim.csv"
+        assert cli.main(["simulate-loop", "--params", str(report), "--c", repr(res["c"]), "--k", repr(res["k"]),
+                         "--hmax", "5000", "--cycles", "3", "--steps", "1500", "--out", str(out)]) == 0
+        H, M = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(0, 1)).T
+        last = slice(5 * 1500, None)  # the last descending and ascending segments
+        assert np.array_equal(H[last], loop.H[last])
+        mse = float(np.mean((MU0 * (M[last] - loop.M[last])) ** 2))
+        assert mse <= fit["config"]["fit_tol"]

@@ -120,6 +120,11 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
         path = anh_dir / f"{name}.csv"
         inputs.write_curve(path, H200, M)
         flags[name] = [str(path.relative_to(out))]
+    # polarization J in T with one finite cell of 1e303 T, 8e308 A/m: past the float range
+    # in A/m, so with --unit j the parser names its line (exit 2)
+    path = anh_dir / "j_overflow.csv"
+    path.write_text("H,J\n1.0,1e303\n2.0,2.0\n3.0,3.0\n", encoding="utf-8")
+    flags["j-overflow"] = [str(path.relative_to(out))]
     # curves no anhysteretic model fits, a constant M and a falling one: each fit exits 0
     # and flags the miss, the constant one's best eta being the grid's first
     for name, M in (("constant", np.full(200, 1.0e5)), ("decreasing", np.linspace(1.0e6, 5.0e5, 200))):
@@ -161,8 +166,9 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     # saved reports a later stage cannot read: a JSON list as --params, a fit report whose
     # aJ is the JSON boolean true, and a features report with a null feature; all exit 2
     # naming the file and the key.  Features with a NaN remanence or a zero anhysteretic
-    # slope are bad measurements: exit 2 too.  Features with chi_in = chi_an give c = 1,
-    # and a tip above Ms leaves no aJ to balance it at any seed: exit 3
+    # slope are bad measurements: exit 2 too.  Features with chi_in = chi_an, or a tip
+    # above Ms, still fit the loop (c and aJ do not come from them), but their Hm is not
+    # the loop's, so the one simulation misses: exit 0, flagged
     rep_dir = out / "inputs" / "reports"
     rep_dir.mkdir()
     features = {"chi_in": 50.0, "chi_an": 500.0, "chi_max": 1500.0, "chi_r": 1900.0,
@@ -214,6 +220,11 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
             "fit-anhysteretic", *f[curve], *material, "--coarse",
             "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
         ]))
+    name = "fit-anhysteretic-coarse-unit-j-overflow"
+    cmds.append((name, [
+        "fit-anhysteretic", *f["j-overflow"], *material, "--unit", "j", "--coarse",
+        "--out", f"{name}/report.json", "--curve-out", f"{name}/curve.csv",
+    ]))
     name = "fit-anhysteretic-argmin-far-above-ms"
     cmds.append((name, [
         "fit-anhysteretic", *f["far_above_ms"], *material, "--eps", "1e-4",
@@ -361,6 +372,9 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-jiles92-loop-repeated-field", repeated, []),
         ("fit-jiles92-anh-through-zero", through_zero, []),
         ("fit-jiles92-features", [*f["loop"], "--features", "extract/features.json"], []),
+        # features from a file, (aJ, alpha) from the anhysteretic curve
+        ("fit-jiles92-features-anhysteretic",
+         [*f["loop"], "--features", "extract/features.json", *f["anhysteretic"]], []),
         ("fit-jiles92-sim-steps-5", curves, ["--sim-steps", "5"]),
         ("fit-jiles92-features-null", [*f["loop"], *f["features_null.json"]], []),
         ("fit-jiles92-features-nan-mr", [*f["loop"], *f["features_nan_mr.json"]], []),
@@ -373,10 +387,11 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         cmds.append((name, [
             "fit-jiles92", *source, *material, *extra, "--out", f"{name}/report.json",
         ]))
-    # the global --verbose before the subcommand: each seed's ending, an INFO line, in stderr.txt
+    # the global --verbose before the subcommand: the route, (aJ, alpha), the Gauss-Newton steps
+    # and the regression rms, one INFO line, in stderr.txt
     name = "fit-jiles92-verbose"
     cmds.append((name, ["--verbose", "fit-jiles92", *curves, *material, "--out", f"{name}/report.json"]))
-    # every seed aborts at the tip balance, and the fit ends with no candidate (exit 3)
+    # the same line for the route from the loop alone (its fit misses at the features' Hm)
     name = "fit-jiles92-features-tip-above-ms-verbose"
     cmds.append((name, [
         "--verbose", "fit-jiles92", *f["loop"], *f["features_tip_above_ms.json"], *material,
