@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from .anfit import RMS_BOUND_FRACTION, AnhystereticFitConfig, fit_anhysteretic
-from .core import MU0, MaterialSpec
+from .core import KB, MU0, MaterialSpec
 from .dataio import CurveKind, LoopFeatures, MagnetizationCurve, Unit, extract_features, parse_curve
 from .errors import DataError, JamagError
 from .jiles92 import Jiles92Config, c_from_susceptibilities, estimate
@@ -284,12 +284,13 @@ def cmd_fit_jiles92(args) -> dict:
     cfg = _config(Jiles92Config, args)
     loop = _parse(args.loop, CurveKind.FULL_LOOP, args)
     anh = _parse(args.anhysteretic, CurveKind.ANHYSTERETIC, args) if args.anhysteretic else None
-    if args.features:
+    if not (anh or args.features):
+        raise DataError("fit-jiles92 needs --anhysteretic, or --features for the loop route's chi_an")
+    if args.first_mag:  # read and checked, not fitted from
+        _parse(args.first_mag, CurveKind.FIRST_MAGNETIZATION, args)
+    features = None
+    if args.features:  # read and checked; only the loop route fits from its chi_an
         features = LoopFeatures(**_read_numbers(args.features, "features", [f.name for f in fields(LoopFeatures)]))
-    elif args.first_mag and anh:
-        features = extract_features(_parse(args.first_mag, CurveKind.FIRST_MAGNETIZATION, args), loop, anh)
-    else:
-        raise DataError("feature extraction needs --first-mag and --anhysteretic (or pass --features)")
     result = estimate(features, material, cfg, loop, anhysteretic=anh)
     return {
         "inputs": _inputs(loop=args.loop, first_mag=args.first_mag, anhysteretic=args.anhysteretic,
@@ -301,6 +302,7 @@ def cmd_fit_jiles92(args) -> dict:
             "alpha": result.params.alpha,
             "c": result.params.c,
             "k": result.params.k,
+            "m": KB * material.T / (MU0 * result.params.aJ),  # the pseudo-domain moment, A*m^2
             "mse": result.mse,
             "fit_condition_met": result.fit_condition_met,
             "route": result.route,
@@ -456,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, ms_required=True, temp=True)
     p.set_defaults(**asdict(Jiles92Config()))
     p.add_argument("--fit-tol", type=float, help="MSE threshold on mu0*M, T^2")
-    p.add_argument("--sim-steps", type=int)
     p.add_argument("--out", dest="report", metavar="OUT", type=Path,
                    default=Path("jiles92_report.json"))
     p.set_defaults(func=cmd_fit_jiles92)

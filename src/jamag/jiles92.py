@@ -8,8 +8,8 @@ slope of the self-consistent anhysteretic curve, the simulator's ODE reads
 linear in (k, k*c, c) given (aJ, alpha).  Those come from an anhysteretic
 curve, where H = aJ*L^-1(M/Ms) - alpha*M is linear in them, or else from the
 loop by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10(2):413,
-1973).  One simulation then judges the fit.  ``estimate`` no longer calls the
-closed forms of Jiles' 1992 procedure (IEEE Trans. Magn. 28(5):2602) below.
+1973).  One simulation to the loop's own tip judges the fit.  ``estimate`` no
+longer calls the closed forms of Jiles' 1992 procedure (IEEE Trans. Magn. 28(5):2602) below.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .rootfind import expand_bracket, find_root
 from .simulate import _MAN_REL_TOL, FieldWaveform, HysteresisParams, integrate
 
 _SIM_CYCLES = 2  # cycles of the one simulation that judges the fit; the last is compared with the loop
+_SIM_STEPS = 600  # steps per segment of that simulation
 _SEARCH_ROWS = 1000  # most loop rows, evenly strided, in each evaluation of the loop route's search
 _KAPPA_SCAN = np.linspace(0.0, 0.95, 20)  # starts of the loop route, on the chi_an line
 _GN_MAX = 50  # Gauss-Newton steps at most
@@ -43,20 +44,14 @@ _logger = getLogger(__name__)
 
 @dataclass(frozen=True)
 class Jiles92Config:
-    """Fit check of :func:`estimate`.
-
-    ``fit_tol`` is the MSE threshold on mu0-scaled magnetization, in T^2.
-    ``sim_steps`` is the steps per segment of the simulated loop.
-    """
+    """Fit check of :func:`estimate`: ``fit_tol`` is the MSE threshold on mu0-scaled
+    magnetization, in T^2, of the one simulated loop against the measured one."""
 
     fit_tol: float = 1.0e-3
-    sim_steps: int = 600
 
     def __post_init__(self) -> None:
         if not 0.0 < self.fit_tol < np.inf:
             raise ValueError(f"fit_tol must be positive and finite, got {self.fit_tol}")
-        if self.sim_steps < 2:
-            raise ValueError(f"sim_steps must be at least 2, got {self.sim_steps}")
 
 
 @dataclass(frozen=True)
@@ -289,21 +284,25 @@ def _loop_fit(rows: np.ndarray, chi_an: float, Ms: float) -> tuple[np.ndarray, i
 
 
 def estimate(
-    features: LoopFeatures,
+    features: LoopFeatures | None,
     material: MaterialSpec,
     cfg: Jiles92Config,
     loop: MagnetizationCurve,
     anhysteretic: MagnetizationCurve | None = None,
 ) -> Jiles92Result:
-    """Fit (aJ, alpha, c, k) to a measured loop and judge it by one simulation at ``features.Hm``.
+    """Fit (aJ, alpha, c, k) to a measured loop; judge it by one simulation to the loop's tip.
 
-    (aJ, alpha) come from ``anhysteretic`` if given (route "anhysteretic"), else from the loop
-    (route "loop"); k and c from one regression on all the loop's rows.  Logs the route at INFO.
-    Raises :class:`JamagError` on k <= 0, kappa >= 1, aJ <= 0 or a set HysteresisParams rejects.
+    (aJ, alpha) come from ``anhysteretic`` if given (route "anhysteretic"), else from the loop and
+    ``features.chi_an`` (route "loop", the only reader of ``features``); k and c from one regression on all the
+    loop's rows.  The simulation takes ``_SIM_STEPS`` steps per segment.  Logs the route at INFO.  Raises DataError
+    on a tip at H <= 0, JamagError on k <= 0, kappa >= 1, aJ <= 0 or a set HysteresisParams rejects.
     """
+    if features is None and anhysteretic is None:
+        raise TypeError("the loop route reads features.chi_an: pass features or an anhysteretic curve")
     Ms = material.Ms
     measured = split_branches(loop)
-    waveform = FieldWaveform.cyclic(features.Hm, cycles=_SIM_CYCLES, steps_per_segment=cfg.sim_steps)
+    if not (tip := float(np.max(measured[1][0]))) > 0.0:  # the top of the last ascending branch
+        raise DataError(f"the loop's last ascending branch tops out at H = {tip!r} A/m; its simulation needs H > 0")
     rows = _branch_rows(measured)
     route = "loop" if anhysteretic is None else "anhysteretic"
     p, steps = _loop_fit(rows, features.chi_an, Ms) if route == "loop" else _anhysteretic_fit(anhysteretic, Ms)
@@ -315,6 +314,7 @@ def estimate(
         params = HysteresisParams(aJ=aJ, alpha=alpha, c=float(c), k=float(k), Ms=Ms)
     except ValueError as err:
         raise JamagError(f"the fitted parameters are not a model: {err}") from None
+    waveform = FieldWaveform.cyclic(tip, cycles=_SIM_CYCLES, steps_per_segment=_SIM_STEPS)
     mse = _loop_mse(integrate(params, waveform, M0=0.0), waveform, measured)
     return Jiles92Result(params=params, mse=mse, fit_condition_met=mse <= cfg.fit_tol, route=route,
                          iterations=steps)

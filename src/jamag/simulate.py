@@ -245,4 +245,12 @@ def integrate(
             raise ValueError(f"waveform segment {seg} from {h0!r} to {h1!r} A/m spans {h1 - h0!r}: "
                              f"M turns non-finite at step {i} of {S}, with RK4 field steps of {h!r} A/m")
 
+    # a sample at M = +-Ms is the clamp's, unless the anhysteretic curve sits there too
+    at = np.flatnonzero(np.abs(M_out[1:]) == Ms) + 1
+    if at.size:
+        at = at[_implicit_array(H_out[at], p.aJ, alpha, Ms, tol) != M_out[at]]
+    if at.size:
+        warnings.warn(f"{at.size} of {M_out.size - 1} samples after the first sit at the |M| = Ms clamp, the "
+                      f"first at H = {float(H_out[at[0]])!r} A/m: there the loop is not the ODE's solution "
+                      "(the model runs away, or the RK4 step is too coarse for it)", RuntimeWarning, stacklevel=2)
     return MagnetizationCurve(H=H_out, M=M_out, kind=CurveKind.FULL_LOOP)

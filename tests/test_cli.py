@@ -23,7 +23,7 @@ import jamag.dataio as dataio
 import jamag.jiles92 as jiles92
 from jamag import cli
 from jamag.anfit import AnhystereticFitConfig
-from jamag.core import MU0, MaterialSpec, langevin
+from jamag.core import KB, MU0, MaterialSpec, langevin
 from jamag.dataio import CurveKind, MagnetizationCurve
 from jamag.jiles92 import Jiles92Config
 from jamag.simulate import FieldWaveform, HysteresisParams, integrate
@@ -172,7 +172,9 @@ class TestUsageErrors:
         assert not (tmp_path / "l.csv").exists()
 
     # past ~1e154 A/m the implicit solve's start squared an overflowing w, and each of the
-    # three pre-solves put an "overflow encountered in multiply" RUNTIMEWARNING in the report
+    # three pre-solves put an "overflow encountered in multiply" RUNTIMEWARNING in the report.
+    # The one warning left is the clamp's: at RK4 steps of 5e197 A/m, M sits at -Ms where the
+    # anhysteretic curve is at +Ms, and the loop ends there
     def test_hmax_1e200_reports_no_floating_point_warning(self, tmp_path):
         report = tmp_path / "r.json"
         argv = ["simulate-loop", "--aj", "972", "--alpha", "1.4e-3", "--c", "0.1", "--k", "1000",
@@ -180,7 +182,10 @@ class TestUsageErrors:
                 "--report", str(report)]
         assert cli.main(argv) == 0
         rep = json.loads(report.read_text())
-        assert rep["warnings"] == [] and rep["result"]["final_m"] == -MS
+        (warning,) = rep["warnings"]
+        assert warning["code"] == "RUNTIMEWARNING"
+        assert warning["message"].startswith("806 of 1400 samples after the first sit at the |M| = Ms clamp, ")
+        assert rep["result"]["final_m"] == -MS
 
     # segments of span 1.78e308 are finite, but RK4's stage products overflow to a NaN M:
     # this exited 2 on "curve contains non-finite values", naming neither flag nor segment
@@ -218,9 +223,9 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--seeds", "1e-4,1e-3"), ("--max-iter", "2"),
-                                             ("--sim-cycles", "3")])
+                                             ("--sim-cycles", "3"), ("--sim-steps", "50")])
     def test_restart_flag_is_a_usage_error(self, loop_files, tmp_path, capsys, flag, value):
-        # the alpha seeds, the pass cap and the re-simulated cycles are fixed in jiles92
+        # the alpha seeds, the pass cap and the simulation's cycles and steps are fixed in jiles92
         with pytest.raises(SystemExit) as info:
             cli.main(["fit-jiles92", "--loop", str(loop_files["loop"]), "--ms", str(MS),
                       "--temp", str(T), flag, value, "--out", str(tmp_path / "rep.json")])
@@ -261,7 +266,6 @@ class TestMeasuredValueErrors:
         ("Mr", float("nan"), "Mr must be finite"),
         ("Mm", float("nan"), "Mm must be finite"),
         ("chi_an", 0.0, "chi_an is zero"),
-        ("Hm", 1.0e308, _SPAN_1E308),
     ])
     def test_features(self, loop_files, tmp_path, capsys, name, value, message):
         path = tmp_path / "features.json"
@@ -1136,7 +1140,7 @@ class TestExtractAndJiles92:
         r = run_cli(
             "fit-jiles92", "--loop", loop_files["loop"], "--first-mag", loop_files["first"],
             "--anhysteretic", loop_files["anh"], "--ms", MS, "--temp", T,
-            "--sim-steps", 300, "--out", rep, "--deterministic",
+            "--out", rep, "--deterministic",
         )
         assert r.returncode == 0, r.stderr
         obj = json.loads(rep.read_text())
@@ -1146,8 +1150,10 @@ class TestExtractAndJiles92:
         if not res["fit_condition_met"]:
             assert any(w["code"] == "FIT_CONDITION_NOT_MET" for w in obj["warnings"])
         assert obj["assumptions"]
-        # the seeds, the pass cap, the re-simulated cycles and the slope window are constants
-        assert sorted(obj["config"]) == ["fit_tol", "ms", "sim_steps", "temp", "unit"]
+        # the seeds, the pass cap, the simulation's cycles and steps and the slope window are constants
+        assert sorted(obj["config"]) == ["fit_tol", "ms", "temp", "unit"]
+        # the pseudo-domain moment of the fitted aJ, as fit-anhysteretic reports it
+        assert res["m"] == KB * T / (MU0 * res["aJ"])
 
     def test_fit_from_features_file(self, loop_files, tmp_path):
         feats = tmp_path / "features.json"
@@ -1158,14 +1164,13 @@ class TestExtractAndJiles92:
         rep = tmp_path / "j92.json"
         r = run_cli(
             "fit-jiles92", "--loop", loop_files["loop"], "--features", feats,
-            "--ms", MS, "--temp", T, "--sim-steps", 300, "--out", rep, "--deterministic",
+            "--ms", MS, "--temp", T, "--out", rep, "--deterministic",
         )
         assert r.returncode == 0, r.stderr
 
     def test_fit_handles_each_file_once(self, loop_files, tmp_path, monkeypatch):
-        # one parse per input file (the parsed anhysteretic curve serves the features and the
-        # fit), one split of the measured loop per consumer (feature extraction and the fit),
-        # and one simulation judged
+        # one parse per input file (the first-magnetization curve is read and checked, not
+        # fitted from), one split of the measured loop, and one simulation judged
         calls = {"parse_curve": 0, "split_branches": 0, "_loop_mse": 0}
 
         def counted(name, fn):
@@ -1183,23 +1188,59 @@ class TestExtractAndJiles92:
         code = cli.main([
             "fit-jiles92", "--loop", str(loop_files["loop"]),
             "--first-mag", str(loop_files["first"]), "--anhysteretic", str(loop_files["anh"]),
-            "--ms", str(MS), "--temp", str(T), "--sim-steps", "50", "--fit-tol", "1e-12",
+            "--ms", str(MS), "--temp", str(T), "--fit-tol", "1e-12",
             "--out", str(rep), "--deterministic",
         ])
         assert code == 0
-        assert calls == {"parse_curve": 3, "split_branches": 2, "_loop_mse": 1}
+        assert calls == {"parse_curve": 3, "split_branches": 1, "_loop_mse": 1}
 
-    def test_fit_with_few_simulation_steps(self, loop_files, tmp_path):
-        # sim_steps = 5 is a valid model setting, not a data error
-        rep = tmp_path / "j92.json"
-        r = run_cli(
-            "fit-jiles92", "--loop", loop_files["loop"], "--first-mag", loop_files["first"],
-            "--anhysteretic", loop_files["anh"], "--ms", MS, "--temp", T,
-            "--sim-steps", 5, "--out", rep, "--deterministic",
-        )
-        assert r.returncode == 0, r.stderr
-        res = json.loads(rep.read_text())["result"]
-        assert all(np.isfinite(res[k]) for k in ("aJ", "alpha", "c", "k", "mse"))
+    def test_fit_extracts_no_features(self, loop_files, tmp_path, monkeypatch):
+        # the anhysteretic route reads the curves alone; the loop route reads a features file
+        def raises(*args, **kwargs):
+            raise AssertionError("extract_features called")
+
+        monkeypatch.setattr(cli, "extract_features", raises)
+        feats = tmp_path / "features.json"
+        feats.write_text(json.dumps({"features": _FEATURES}))
+        for source in (["--first-mag", str(loop_files["first"]), "--anhysteretic", str(loop_files["anh"])],
+                       ["--features", str(feats)]):
+            assert cli.main(["fit-jiles92", "--loop", str(loop_files["loop"]), *source, "--ms", str(MS),
+                             "--temp", str(T), "--out", str(tmp_path / "j92.json"), "--deterministic"]) == 0
+
+    def test_fit_needs_no_first_mag(self, loop_files, tmp_path):
+        # --first-mag is read and checked, not fitted from: the fit is the same without it
+        results = []
+        for first in (["--first-mag", str(loop_files["first"])], []):
+            rep = tmp_path / "j92.json"
+            assert cli.main(["fit-jiles92", "--loop", str(loop_files["loop"]), *first, "--anhysteretic",
+                             str(loop_files["anh"]), "--ms", str(MS), "--temp", str(T), "--out", str(rep),
+                             "--deterministic"]) == 0
+            obj = json.loads(rep.read_text())
+            results.append({key: obj["result"][key] for key in ("aJ", "alpha", "c", "k", "mse")})
+            assert ("first_mag" in obj["inputs"]) is bool(first)
+        assert results[0] == results[1]
+
+    def test_fit_still_checks_first_mag(self, loop_files, tmp_path, capsys):
+        # a first-magnetization file the parser rejects is bad input, though not fitted from
+        bad = tmp_path / "first_bad.csv"
+        bad.write_text("H,M\n0.0,0.0\n1.0,n/a\n")
+        code = cli.main(["fit-jiles92", "--loop", str(loop_files["loop"]), "--first-mag", str(bad),
+                         "--anhysteretic", str(loop_files["anh"]), "--ms", str(MS), "--temp", str(T),
+                         "--out", str(tmp_path / "j92.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 3: ")
+
+    def test_fit_ignores_the_features_tip(self, loop_files, tmp_path):
+        # the features' Hm is not read: the one simulation runs to the loop's own tip, so an
+        # Hm of 1e308 A/m, whose waveform spans -inf, fits as the loop's tip of 5 000 A/m does
+        results = []
+        for hm in (5000.0, 1.0e308):
+            feats, rep = tmp_path / "features.json", tmp_path / "j92.json"
+            feats.write_text(json.dumps({"features": {**_FEATURES, "Hm": hm}}))
+            assert cli.main(["fit-jiles92", "--loop", str(loop_files["loop"]), "--features", str(feats),
+                             "--ms", str(MS), "--temp", str(T), "--out", str(rep), "--deterministic"]) == 0
+            results.append(json.loads(rep.read_text())["result"])
+        assert results[0] == results[1]
 
     def test_fit_checks_the_amplitude_of_every_curve(self, loop_files, tmp_path):
         # the anhysteretic curve plus one far sample at 1.2*Ms; the features stay the same
@@ -1210,7 +1251,7 @@ class TestExtractAndJiles92:
         code = cli.main([
             "fit-jiles92", "--loop", str(loop_files["loop"]), "--first-mag", str(loop_files["first"]),
             "--anhysteretic", str(high), "--ms", str(MS), "--temp", str(T),
-            "--sim-steps", "50", "--out", str(rep), "--deterministic",
+            "--out", str(rep), "--deterministic",
         ])
         assert code == 0
         assert [w["message"] for w in json.loads(rep.read_text())["warnings"]
@@ -1221,7 +1262,7 @@ class TestExtractAndJiles92:
             "fit-jiles92", "--loop", loop_files["loop"], "--ms", MS, "--temp", T,
         )
         assert r.returncode == 2
-        assert "--first-mag" in r.stderr
+        assert r.stderr == "error: fit-jiles92 needs --anhysteretic, or --features for the loop route's chi_an\n"
 
 
 class TestValidate:

@@ -55,16 +55,14 @@ def features(**kw):
 
 class TestConfig:
     def test_validation(self):
-        assert [f.name for f in dataclasses.fields(Jiles92Config)] == ["fit_tol", "sim_steps"]
+        assert [f.name for f in dataclasses.fields(Jiles92Config)] == ["fit_tol"]
         with pytest.raises(ValueError):
             Jiles92Config(fit_tol=0.0)
-        with pytest.raises(ValueError, match="^sim_steps must be at least 2, got 1$"):
-            Jiles92Config(sim_steps=1)
         # an infinite fit_tol met the fit condition at any MSE
         with pytest.raises(ValueError, match="^fit_tol must be positive and finite"):
             Jiles92Config(fit_tol=math.inf)
-        # the seeds, the pass cap and the re-simulated cycles are fixed in the module
-        for name, value in (("seeds", (1e-4,)), ("max_outer_iter", 2), ("sim_cycles", 3)):
+        # the seeds, the pass cap and the simulation's cycles and steps are fixed in the module
+        for name, value in (("seeds", (1e-4,)), ("max_outer_iter", 2), ("sim_cycles", 3), ("sim_steps", 50)):
             with pytest.raises(TypeError, match=name):
                 Jiles92Config(**{name: value})
 
@@ -339,6 +337,39 @@ class TestEstimate:
         )
         assert res.route == route and 0.0 <= record.args[-1] < 1.0
 
+    @pytest.mark.parametrize("route", ["anhysteretic", "loop"])
+    def test_judged_at_the_loops_tip(self, route):
+        # features whose Hm (5 000 A/m) is below the loop's tip (7 000 A/m) give the fit
+        # and the mse of the loop's own tip: only chi_an is read, and on the loop route only
+        material = MaterialSpec(Ms=MS, T=T)
+        truth, loop = _loop(600, **_ROUND_TRIP_SETS[0], hmax=7000.0)
+        rise = integrate(truth, FieldWaveform((0.0, 7000.0), steps_per_segment=600))
+        first = MagnetizationCurve(H=rise.H, M=rise.M, kind=CurveKind.FIRST_MAGNETIZATION)
+        anh = synthetic_curve(truth.aJ, truth.alpha, material, 300, 7000.0)
+        tip = extract_features(first, loop, anh)
+        assert tip.Hm == 7000.0
+        if route == "loop":
+            anh = None
+        res = estimate(dataclasses.replace(tip, Hm=5000.0), material, Jiles92Config(), loop, anhysteretic=anh)
+        assert res == estimate(tip, material, Jiles92Config(), loop, anhysteretic=anh)
+        assert res.fit_condition_met and res.mse < 1e-6
+
+    def test_anhysteretic_route_needs_no_features(self, synthetic_setup):
+        material, _, loop, feats = synthetic_setup
+        anh = synthetic_curve(972.0, 1.4e-3, material, 300, 5000.0)
+        res = estimate(None, material, Jiles92Config(), loop, anhysteretic=anh)
+        assert res == estimate(feats, material, Jiles92Config(), loop, anhysteretic=anh)
+        with pytest.raises(TypeError, match="^the loop route reads features.chi_an"):
+            estimate(None, material, Jiles92Config(), loop)
+
+    def test_tip_at_no_positive_field_is_named(self, synthetic_setup):
+        # a loop between -5 000 and -100 A/m: no cyclic simulation reaches its tip
+        material = synthetic_setup[0]
+        H = np.concatenate([np.linspace(-100.0, -5000.0, 50), np.linspace(-5000.0, -100.0, 50)[1:]])
+        loop = MagnetizationCurve(H=H, M=100.0 * H, kind=CurveKind.FULL_LOOP)
+        with pytest.raises(DataError, match=r"^the loop's last ascending branch tops out at H = -100\.0 A/m; "):
+            estimate(features(), material, Jiles92Config(), loop)
+
     def test_anhysteretic_curve_past_stability_raises(self, synthetic_setup):
         # alpha*Ms/(3*aJ) = 1.2: the explicit curve H = aJ*x - alpha*Ms*L(x), where it rises,
         # fits that kappa exactly, and the implicit curve of it is multivalued
@@ -359,9 +390,9 @@ class TestEstimate:
             estimate(feats, material, Jiles92Config(), back, anhysteretic=anh)
 
 
-def _loop(steps: int, **params) -> tuple[HysteresisParams, MagnetizationCurve]:
+def _loop(steps: int, hmax: float = 5000.0, **params) -> tuple[HysteresisParams, MagnetizationCurve]:
     truth = HysteresisParams(Ms=MS, **params)
-    return truth, integrate(truth, FieldWaveform.cyclic(5000.0, cycles=3, steps_per_segment=steps))
+    return truth, integrate(truth, FieldWaveform.cyclic(hmax, cycles=3, steps_per_segment=steps))
 
 
 _ROUND_TRIP_SETS = [
@@ -372,7 +403,7 @@ _ROUND_TRIP_SETS = [
 
 
 class TestRoundTrip:
-    """Loops simulated at a step count other than ``sim_steps`` (600) come back within 1%."""
+    """Loops simulated at a step count other than the judge's (600) come back within 1%."""
 
     @pytest.mark.parametrize("route", ["anhysteretic", "loop"])
     @pytest.mark.parametrize("params, steps", [

@@ -1,5 +1,6 @@
 import inspect
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -491,3 +492,55 @@ class TestLoopParams:
         k = feats.Hc
         assert c == pytest.approx(0.1, rel=1e-15)
         assert k == 120.0
+
+
+def _clamp_warnings(p, waveform, M0=0.0):
+    """The integrated curve and the warnings ``integrate`` emitted on it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve = integrate(p, waveform, M0)
+    return curve, caught
+
+
+class TestClampWarning:
+    """One RuntimeWarning when committed samples sit at the +-Ms clamp, off the ODE's solution."""
+
+    @pytest.mark.parametrize("steps, count", [(150, 276), (300, 0), (1500, 0)])
+    def test_coarse_step(self, steps, count):
+        # RK4 at 150 steps per segment overshoots this set's pinning term onto the clamp
+        p = HysteresisParams(aJ=1200.0, alpha=1.8e-3, c=0.05, k=400.0, Ms=MS)
+        curve, caught = _clamp_warnings(p, FieldWaveform.cyclic(5000.0, cycles=3, steps_per_segment=steps))
+        at = np.flatnonzero(np.abs(curve.M[1:]) == MS) + 1
+        assert at.size == count
+        if not count:
+            assert caught == []
+            return
+        (w,) = caught
+        assert w.category is RuntimeWarning
+        assert str(w.message) == (
+            f"{count} of {7 * steps} samples after the first sit at the |M| = Ms clamp, the first at "
+            f"H = {float(curve.H[at[0]])!r} A/m: there the loop is not the ODE's solution (the model runs "
+            "away, or the RK4 step is too coarse for it)"
+        )
+
+    def test_runaway_near_stability(self):
+        # alpha*Ms/(3*aJ) = 0.991: the loop runs away onto the clamp at any step
+        p = HysteresisParams(aJ=853.2442161252044, alpha=0.0015852285791921371, c=0.12232198841241808,
+                             k=899.0296989693161, Ms=MS)
+        _, caught = _clamp_warnings(p, FieldWaveform.cyclic(7601.718882205512, cycles=3, steps_per_segment=10833))
+        (w,) = caught
+        assert w.category is RuntimeWarning
+        assert str(w.message).startswith("26810 of 75831 samples after the first sit at the |M| = Ms clamp, ")
+
+    def test_initial_state_at_ms_does_not_warn(self):
+        curve, caught = _clamp_warnings(steel(), FieldWaveform.cyclic(5000.0, cycles=2, steps_per_segment=400), MS)
+        assert curve.M[0] == MS and caught == []
+
+    def test_samples_on_a_saturated_anhysteretic_curve_do_not_count(self):
+        # at 1e200 A/m the anhysteretic curve is +-Ms to rounding: only the samples the RK4 steps
+        # of 5e197 A/m throw to the other side are off the ODE's solution
+        curve, caught = _clamp_warnings(steel(), FieldWaveform.cyclic(1e200, cycles=3, steps_per_segment=200))
+        assert np.count_nonzero(np.abs(curve.M[1:]) == MS) == 1400
+        (w,) = caught
+        assert str(w.message).startswith("806 of 1400 samples after the first sit at the |M| = Ms clamp, the "
+                                         "first at H = 5e+197 A/m: ")

@@ -46,8 +46,7 @@ def commands(f) -> dict[str, list[str]]:
         "fit-anhysteretic": ["fit-anhysteretic", str(f["anh"]), *material, "--coarse",
                              "--out", "report.json", "--curve-out", "curve.csv"],
         "fit-jiles92": ["fit-jiles92", "--loop", str(f["loop"]), "--first-mag", str(f["first"]),
-                        "--anhysteretic", str(f["anh"]), *material, "--sim-steps", "50",
-                        "--out", "report.json"],
+                        "--anhysteretic", str(f["anh"]), *material, "--out", "report.json"],
         "simulate-loop": ["simulate-loop", "--aj", "972", "--alpha", "1.4e-3", "--c", "0.1",
                           "--k", "1000", "--ms", str(MS), "--hmax", "5000", "--cycles", "2",
                           "--steps", "300", "--out", "curve.csv", "--report", "report.json"],

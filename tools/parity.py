@@ -167,8 +167,8 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     # aJ is the JSON boolean true, and a features report with a null feature; all exit 2
     # naming the file and the key.  Features with a NaN remanence or a zero anhysteretic
     # slope are bad measurements: exit 2 too.  Features with chi_in = chi_an, or a tip
-    # above Ms, still fit the loop (c and aJ do not come from them), but their Hm is not
-    # the loop's, so the one simulation misses: exit 0, flagged
+    # above Ms, still fit the loop: only chi_an is read, and the one simulation runs to the
+    # loop's own tip, not to their Hm
     rep_dir = out / "inputs" / "reports"
     rep_dir.mkdir()
     features = {"chi_in": 50.0, "chi_an": 500.0, "chi_max": 1500.0, "chi_r": 1900.0,
@@ -324,7 +324,8 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
     # an infinite --hmax, and one whose descending segment spans more than the float
     # range: exit 2 naming hmax, or the segment and its span.  At 8.9e307 the spans are
     # finite but the uncoupled loop's RK4 steps overflow to a NaN M: exit 2 naming the
-    # segment and the step.  At 1e200 the loop saturates, with no floating-point warning
+    # segment and the step.  At 1e200 the loop saturates, with no floating-point warning;
+    # its RK4 steps throw M to the clamp opposite the anhysteretic curve, and it warns of that
     for name, params, hmax in (
         ("simulate-loop-hmax-1e308", steel, "1e308"),
         ("simulate-loop-hmax-inf", steel, "inf"),
@@ -335,6 +336,14 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
             "simulate-loop", *params, "--c", "0.1", "--k", "1000", "--hmax", hmax,
             "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
         ]))
+    # 150 steps per segment are too coarse for this set's pinning term: M lands on the
+    # +-Ms clamp, and the report warns with the count; 1 500 steps do not
+    name = "simulate-loop-coarse-steps"
+    cmds.append((name, [
+        "simulate-loop", "--aj", "1200", "--alpha", "1.8e-3", "--c", "0.05", "--k", "400", "--ms", MS,
+        "--hmax", "5000", "--cycles", "3", "--steps", "150",
+        "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
+    ]))
     curves = [*f["loop"], *f["first_mag"], *f["anhysteretic"]]
     cmds.append(("extract", ["extract", *curves, "--ms", MS, "--out", "extract/features.json"]))
     name = "extract-semicolon-crlf"
@@ -375,7 +384,10 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         # features from a file, (aJ, alpha) from the anhysteretic curve
         ("fit-jiles92-features-anhysteretic",
          [*f["loop"], "--features", "extract/features.json", *f["anhysteretic"]], []),
-        ("fit-jiles92-sim-steps-5", curves, ["--sim-steps", "5"]),
+        # the anhysteretic route reads no first-magnetization curve
+        ("fit-jiles92-loop-anhysteretic", [*f["loop"], *f["anhysteretic"]], []),
+        # the simulation's steps are fixed: --sim-steps is an unknown argument (exit 2)
+        ("fit-jiles92-sim-steps-flag-gone", curves, ["--sim-steps", "5"]),
         ("fit-jiles92-features-null", [*f["loop"], *f["features_null.json"]], []),
         ("fit-jiles92-features-nan-mr", [*f["loop"], *f["features_nan_mr.json"]], []),
         ("fit-jiles92-features-zero-chi-an", [*f["loop"], *f["features_zero_chi_an.json"]], []),
@@ -391,7 +403,7 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
     # and the regression rms, one INFO line, in stderr.txt
     name = "fit-jiles92-verbose"
     cmds.append((name, ["--verbose", "fit-jiles92", *curves, *material, "--out", f"{name}/report.json"]))
-    # the same line for the route from the loop alone (its fit misses at the features' Hm)
+    # the same line for the route from the loop alone
     name = "fit-jiles92-features-tip-above-ms-verbose"
     cmds.append((name, [
         "--verbose", "fit-jiles92", *f["loop"], *f["features_tip_above_ms.json"], *material,
