@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,6 +140,10 @@ def _convert_m(h: np.ndarray, raw: np.ndarray, unit: Unit) -> np.ndarray:
 
 _AUTO_DELIMITERS = (",", ";", "\t")
 """Delimiters tried in this order; whitespace is the fallback."""
+_ROW = re.compile(r"^[^\S\n]*\S.*", re.MULTILINE)
+"""A non-blank line: one that ``str.strip`` leaves non-empty."""
+_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+"""Suffixes of files that ``np.loadtxt`` decompresses when given their path."""
 
 
 def parse_curve(
@@ -149,24 +154,28 @@ def parse_curve(
 ) -> MagnetizationCurve:
     """Read a delimited text file into a :class:`MagnetizationCurve`.
 
-    The file is UTF-8 text; a leading byte-order mark is accepted.  H and M
-    are the first two columns of each row, split on the first of comma,
-    semicolon and tab that the row holds (on whitespace when it holds
-    none).  One leading row is skipped if and only if none of its cells
-    parse as numbers.  Blank lines are ignored.  Curves whose kind requires
-    monotone H are sorted by H before validation.  Raises :class:`ParseError`
-    naming the file (and the 1-based line number of a bad row: a non-numeric,
-    NaN or infinite cell, or an M past the float range in A/m), or :class:`DataError`
-    for an unknown unit, a file with no data rows, or a field repeated in a
-    curve whose kind requires monotone H.
+    The file is UTF-8 text; a leading byte-order mark is accepted.  A line
+    ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as for editors and ``grep -n``:
+    a form feed or U+2028 is inside its line.  H and M are the first two
+    columns of each row, split on the first of comma, semicolon and tab that
+    the row holds (on whitespace when it holds none).  The first non-blank
+    row is skipped if and only if none of its cells parse as numbers.  Blank
+    lines are ignored.  Curves whose kind requires monotone H are sorted by H
+    before validation.  Raises :class:`ParseError` naming the file (and the
+    1-based line number of a bad row: a non-numeric, NaN or infinite cell, or
+    an M past the float range in A/m), or :class:`DataError` for an unknown
+    unit, a file with no data rows (before either reader runs), or a field
+    repeated in a curve whose kind requires monotone H.
 
-    A well-formed file is read in bulk by ``np.loadtxt``: every data row split
-    on one comma, semicolon or tab (or, when no row holds any of them, on
-    whitespace) into at least two cells, each H and M finite (M also in A/m),
-    and no row holding a delimiter that comes earlier in that list.  Other
-    files (mixed delimiters, a short row, a bad cell, or cells that ``float``
-    reads and numpy does not, such as ``1_000`` or non-ASCII digits) are read
-    line by line.  numpy gives ``float``'s bits for every cell it reads, and
+    A well-formed file is read in bulk by ``np.loadtxt`` from its path: every
+    data row split on the first row's comma, semicolon or tab (or whitespace,
+    when no line past the header holds one) into at least two cells, each H
+    and M finite (M also in A/m), no line past the header holding a delimiter
+    earlier in that list, and no whitespace-only line among delimited rows.
+    Other files (mixed delimiters, a short row, a bad cell, cells that
+    ``float`` reads and numpy does not, such as ``1_000`` or non-ASCII
+    digits, or a suffix numpy decompresses, such as ``.gz``) are read line
+    by line.  numpy gives ``float``'s bits for every cell it reads, and
     every error comes from the line-by-line path, so both paths give the same
     outcome.  ``kind`` and ``unit`` also accept enum values.
     """
@@ -178,19 +187,15 @@ def parse_curve(
             raise DataError(f"unknown unit {unit!r}; expected one of m, j, b") from None
 
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_text(encoding="utf-8-sig")  # "\r\n" and "\r" arrive as "\n"
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") from None
-    lines = text.splitlines()
-    rows = list(filter(str.strip, lines))
-    skip = int(bool(rows) and _is_header(_split_cells(rows[0])))
-    del rows[:skip]
-    columns = _read_columns(rows, unit)
-    if columns is None:
-        columns = _read_lines(path, rows, lines, skip, unit)
-    H, M = columns
-    if not H.size:
+    row = _ROW.search(text)
+    if row and _is_header(_split_cells(row.group())):
+        row = _ROW.search(text, row.end())
+    if row is None:
         raise DataError(f"{path}: no data rows")
+    H, M = _read_bulk(path, text, row, unit) or _read_lines(path, text, row.start(), unit)
 
     if kind in _MONOTONE_KINDS:
         order = np.argsort(H, kind="stable")
@@ -230,17 +235,21 @@ def _is_header(cells: list[str]) -> bool:
     return len(cells) >= 2 and all(not _is_number(c) for c in cells if c)
 
 
-def _read_columns(rows: list[str], unit: Unit) -> tuple[np.ndarray, np.ndarray] | None:
-    """The H and M (A/m) columns read in bulk, or None when the rows need :func:`_read_lines`."""
-    if not rows:
-        return np.empty(0), np.empty(0)
-    delim = _delimiter(rows[0])
+def _read_bulk(
+    path: str | Path, text: str, row: re.Match[str], unit: Unit
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The H and M (A/m) columns read by ``np.loadtxt``, or None when the file needs :func:`_read_lines`.
+
+    ``text`` is the content of ``path`` and ``row`` its first data row.
+    """
+    delim = _delimiter(row.group())
     earlier = _AUTO_DELIMITERS[: _AUTO_DELIMITERS.index(delim)] if delim else _AUTO_DELIMITERS
-    joined = "\n".join(rows)
-    if any(c in joined for c in earlier):
+    if any(text.find(c, row.start()) >= 0 for c in earlier) or Path(path).suffix in _DECOMPRESSED:
         return None
+    # a path, not a stream: numpy reads a path in blocks but iterates a stream line by line
     try:  # no comment character: the line reader has none
-        HM = np.loadtxt(rows, delimiter=delim, comments=None, usecols=(0, 1), ndmin=2)
+        HM = np.loadtxt(path, encoding="utf-8-sig", skiprows=text.count("\n", 0, row.start()),
+                        delimiter=delim, comments=None, usecols=(0, 1), ndmin=2)
     except ValueError:
         return None
     with np.errstate(all="ignore"):
@@ -250,17 +259,17 @@ def _read_columns(rows: list[str], unit: Unit) -> tuple[np.ndarray, np.ndarray] 
     return HM[:, 0], M
 
 
-def _read_lines(
-    path: str | Path, rows: list[str], lines: list[str], skip: int, unit: Unit
-) -> tuple[np.ndarray, np.ndarray]:
+def _read_lines(path: str | Path, text: str, start: int, unit: Unit) -> tuple[np.ndarray, np.ndarray]:
     """The H and M (A/m) columns of the file ``path`` read one row at a time.
 
-    ``rows`` are the non-blank ``lines`` of the file after the first ``skip``.
-    The first bad row raises :class:`ParseError` naming ``path`` and the row's
-    1-based line number.
+    ``text`` is the file's content and ``start`` the offset of its first data
+    row.  The first bad row raises :class:`ParseError` naming ``path`` and the
+    row's 1-based line number.
     """
     pairs: list[tuple[float, float]] = []
-    for i, row in enumerate(rows):
+    for lineno, row in enumerate(text[start:].split("\n"), start=text.count("\n", 0, start) + 1):
+        if not row.strip():
+            continue
         cells = _split_cells(row)
         if len(cells) < 2:
             problem = f"expected at least 2 columns, got {len(cells)}"
@@ -277,7 +286,6 @@ def _read_lines(
                     continue
                 else:
                     problem = f"M cell {cells[1]!r} in unit {unit.value!r} overflows in A/m"
-        lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][skip + i]
         raise ParseError(f"{path}: line {lineno}: {problem}", line=lineno)
 
     arr = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)

@@ -80,6 +80,11 @@ def _blank_every_1000(n: int, bad_row: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Characters that str.splitlines breaks a line on and a curve file does not
+_NOT_LINE_BREAKS = {"vt": "\v", "ff": "\f", "fs": "\x1c", "gs": "\x1d", "rs": "\x1e",
+                    "nel": "\x85", "ls": "\u2028", "ps": "\u2029"}
+
+
 class TestParse:
     def test_comma_with_header(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -143,8 +148,10 @@ class TestParse:
             # header on line 3, data row j on line 4 + j + j // 1000: row 4500, in the
             # second 4096-row block, is on line 4508
             (_blank_every_1000(5000, 4500), 4508),
+            # line 2 ends after the character, and line 3 is one row with a bad cell
+            *((f"H,M\n1,2{c}\n3,4{c}5,6\n", 3) for c in _NOT_LINE_BREAKS.values()),
         ],
-        ids=["auto-header", "second-block"],
+        ids=["auto-header", "second-block", *(f"not-a-line-break-{name}" for name in _NOT_LINE_BREAKS)],
     )
     def test_parse_error_line_counts_blank_and_header_lines(self, tmp_path, content, line):
         path = tmp_path / "c.csv"
@@ -152,6 +159,12 @@ class TestParse:
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {line}: ") as exc:
             parse_curve(path, kind=CurveKind.FULL_LOOP)
         assert exc.value.line == line
+
+    def test_compressed_suffix_read_as_text(self, tmp_path):
+        # np.loadtxt would decompress a file with this suffix; jamag reads every file as text
+        path = tmp_path / "c.csv.gz"
+        path.write_text("H,M\n1.0,5.0\n2.0,6.0\n")
+        assert np.array_equal(parse_curve(path, kind=CurveKind.FULL_LOOP).M, [5.0, 6.0])
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -226,13 +239,20 @@ def _many_rows(n: int, bad_row: int, bad: str) -> str:
     return "H,M\n" + "\n".join(rows) + "\n"
 
 
-# (id, file content, parse_curve options, whether the bulk path reads it)
+# (id, file content, parse_curve options, whether the bulk path reads it; None
+# when the file has no data row and neither path is taken)
 _EQUIVALENCE_CASES = [
     ("comma", "H,M\n1.0,5.0\n2.0,6.0\n", {}, True),
     ("semicolon", "0.1;5e-1\n0.2;7.25\n", {}, True),
     ("tab", "1.0\t5.0\n2.0\t6.0\n", {}, True),
     ("crlf", b"H;M\r\n1.0;5.0\r\n2.0;6.0\r\n", {}, True),
-    ("blank-lines", "\n1.0,5.0\n\n   \n\t\n2.0,6.0\n\n", {}, True),
+    ("crlf-comma-header", b"H,M\r\n\r\n1.0,5.0\r\n2.0,6.0\r\n", {}, True),
+    ("lone-cr", "H,M\r1.0,5.0\r\r2.0,6.0\r", {}, True),
+    # numpy rejects a whitespace-only line among the rows
+    ("blank-lines", "\n1.0,5.0\n\n   \n\t\n2.0,6.0\n\n", {}, False),
+    ("empty-lines", "\n1.0,5.0\n\n\n2.0,6.0\n\n", {}, True),
+    ("blank-lines-before-header", "\n \n\t\n\nH,M\n1.0,5.0\n2.0,6.0\n", {}, True),
+    ("bom-non-ascii-header", "\ufeff\u00b50H (T);J (T)\n0.1;0.5\n0.2;0.75\n", {"unit": "j"}, True),
     ("auto-header", "field (A/m);M (A/m)\n1.0;5.0\n2.0;6.0\n", {}, True),
     ("whitespace-header", "H  M\n1.0,5.0\n2.0,6.0\n", {}, True),
     ("padded", " 1.0 , 5.0\t\n2.0,  6.0  \n", {}, True),
@@ -260,8 +280,9 @@ _EQUIVALENCE_CASES = [
     ("whitespace-long-clean", _many_rows(9000, 0, "0.0,0.0").replace(",", " "), {}, True),
     ("bad-first-row", "1.0,abc\n2.0,3.0\n", {}, False),
     ("narrow-header", "H\n1.0,5.0\n", {}, False),
-    ("header-only", "H,M\n\n", {}, True),
-    ("empty", "", {}, True),
+    ("header-only", "H,M\n\n", {}, None),
+    ("empty", "", {}, None),
+    ("blank-only", "\n \n\x85\n", {}, None),
     # a NaN or infinite cell: the line reader names its line
     ("non-finite", "1.0,nan\n2.0,6.0\n", {}, False),
     ("overflow-cell", "1.0,1e309\n2.0,6.0\n", {}, False),
@@ -279,6 +300,11 @@ _EQUIVALENCE_CASES = [
     ("bad-cell-second-block", _many_rows(5000, 4500, "2250.0,oops"), {}, False),
     ("short-row-second-block", _many_rows(5000, 4200, "2100.0"), {}, False),
     ("long-clean", _many_rows(9000, 0, "0.0,0.0"), {}, True),
+    ("semicolon-long-clean", _many_rows(9000, 0, "0.0,0.0").replace(",", ";"), {}, True),
+    ("tab-long-clean", _many_rows(9000, 0, "0.0,0.0").replace(",", "\t"), {}, True),
+    # a line end on line 2 and two rows joined on line 3: a bad cell on line 3
+    *((f"not-a-line-break-{name}", f"H,M\n1.0,5.0{c}\n2.0,6.0{c}3.0,7.0\n", {}, False)
+      for name, c in _NOT_LINE_BREAKS.items()),
 ]
 
 
@@ -304,18 +330,18 @@ class TestBulkMatchesLines:
             content = content.encode("utf-8")
         path.write_bytes(content)
         taken = []
-        read_columns = dataio._read_columns
+        read_bulk = dataio._read_bulk
 
         def spy(*args):
-            columns = read_columns(*args)
+            columns = read_bulk(*args)
             taken.append(columns is not None)
             return columns
 
-        monkeypatch.setattr(dataio, "_read_columns", spy)
+        monkeypatch.setattr(dataio, "_read_bulk", spy)
         got = _outcome(path, kind, kw)
-        monkeypatch.setattr(dataio, "_read_columns", lambda *args: None)
+        monkeypatch.setattr(dataio, "_read_bulk", lambda *args: None)
         assert got == _outcome(path, kind, kw)
-        assert taken == [bulk]
+        assert taken == ([] if bulk is None else [bulk])
 
     @given(
         st.lists(
@@ -326,11 +352,13 @@ class TestBulkMatchesLines:
         st.sampled_from([repr, "{:.6e}".format]),
         st.sampled_from([",", ";", "\t", " ", " \x1f "]),
     )
-    def test_finite_floats(self, pairs, fmt, delim):
-        rows = [f"{fmt(h)}{delim}{fmt(m)}" for h, m in pairs]
-        bulk = dataio._read_columns(rows, Unit.M_A_PER_M)
+    def test_finite_floats(self, tmp_path_factory, pairs, fmt, delim):
+        text = "\n".join(f"{fmt(h)}{delim}{fmt(m)}" for h, m in pairs)
+        path = tmp_path_factory.getbasetemp() / "finite_floats.csv"
+        path.write_text(text)
+        bulk = dataio._read_bulk(path, text, re.match(".*", text), Unit.M_A_PER_M)
         assert bulk is not None
-        per_line = dataio._read_lines("c.csv", rows, rows, 0, Unit.M_A_PER_M)
+        per_line = dataio._read_lines(path, text, 0, Unit.M_A_PER_M)
         expect = np.array([[float(fmt(h)), float(fmt(m))] for h, m in pairs])
         for got, ref, col in zip(bulk, per_line, expect.T):
             assert got.tobytes() == ref.tobytes() == col.tobytes()

@@ -276,9 +276,12 @@ class TestIntegrate:
         assert curve.M[0] == 0.0
 
     def test_saturation_bound_under_hard_drive(self):
+        # steps fine enough that no sample sits on the |M| = Ms clamp: the bound is the
+        # ODE's own, not the clamp's
         p = steel(c=0.05, k=50.0)
-        curve = integrate(p, FieldWaveform.cyclic(5.0e4, cycles=2, steps_per_segment=300))
-        assert np.max(np.abs(curve.M)) <= MS
+        curve, caught = _clamp_warnings(p, FieldWaveform.cyclic(5.0e4, cycles=2, steps_per_segment=10_000))
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert np.max(np.abs(curve.M)) < MS
 
     def test_loop_closure(self):
         S = 400

@@ -79,6 +79,21 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
         path = anh_dir / f"{name}.csv"
         path.write_text(body, encoding="utf-8")
         flags[name] = [str(path.relative_to(out))]
+    # only \n, \r\n and \r end a line: a form feed ends no line, so the bad cell is on
+    # line 3; a U+2028 joins two samples into one bad row on line 2 (each exits 2).  The
+    # noiseless curve under a byte-order mark and a non-ASCII header, after blank lines, and
+    # with a whitespace-only line among its rows (the per-line parser): each fits as "zero"
+    rows = text.splitlines()[1:]
+    for name, body in (
+        ("form_feed", "H,M\n1,2\f\n3,x\n"),
+        ("line_separator", "H,M\n1,2\u20283,4\n"),
+        ("bom_mu_header", "\ufeff\u00b50H (A/m),M (A/m)\n" + "\n".join(rows) + "\n"),
+        ("blank_before_header", "\n \n\n" + text),
+        ("whitespace_line", "\n".join(["H,M", *rows[:100], "   ", *rows[100:]]) + "\n"),
+    ):
+        path = anh_dir / f"{name}.csv"
+        path.write_text(body, encoding="utf-8")
+        flags[name] = [str(path.relative_to(out))]
     # anh0 with a third cell on every other data row: ragged, still read in bulk, and
     # its fit's result is anh0's
     lines = Path(out, flags["anh0"][0]).read_text(encoding="utf-8").splitlines()
@@ -215,6 +230,11 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-anhysteretic-coarse-nan-cell", "nan_cell"),
         ("fit-anhysteretic-coarse-repeated-field", "repeated_field"),
         ("fit-anhysteretic-coarse-empty", "empty"),
+        ("fit-anhysteretic-coarse-form-feed", "form_feed"),
+        ("fit-anhysteretic-coarse-line-separator", "line_separator"),
+        ("fit-anhysteretic-coarse-bom-mu-header", "bom_mu_header"),
+        ("fit-anhysteretic-coarse-blank-before-header", "blank_before_header"),
+        ("fit-anhysteretic-coarse-whitespace-line", "whitespace_line"),
     ):
         cmds.append((name, [
             "fit-anhysteretic", *f[curve], *material, "--coarse",
@@ -379,6 +399,8 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
     for name, source, extra in (
         ("fit-jiles92-curves", curves, []),
         ("fit-jiles92-loop-repeated-field", repeated, []),
+        # the loop with semicolons and CRLF endings: the fit of the comma loop
+        ("fit-jiles92-semicolon-crlf", [*f["loop-semicolon"], *f["first_mag"], *f["anhysteretic"]], []),
         ("fit-jiles92-anh-through-zero", through_zero, []),
         ("fit-jiles92-features", [*f["loop"], "--features", "extract/features.json"], []),
         # features from a file, (aJ, alpha) from the anhysteretic curve
