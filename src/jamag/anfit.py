@@ -207,7 +207,17 @@ def fit_anhysteretic(
             msg = f"initial susceptibility {chi_a:.6g} is too large for Ms = {Ms:.6g} A/m: {err}"
             raise DataError(msg) from err
 
+    def first_step(f, *args):
+        """``f(*args)`` for the first eta step, whose numerical failure is named so."""
+        try:
+            return f(*args)
+        except DataError:  # such as the unstable candidates of a too-large chi_a
+            raise
+        except JamagError as err:
+            raise JamagError(f"first eta step {cfg.eta0} failed: {err}") from err
+
     norms: dict[int, float] = {}
+    best = (math.inf, n_grid, None)  # the smallest norm yet (never NaN), its smallest grid index, its residual
     block_rows = max(1, _BLOCK_POINTS // H.size)
 
     def evaluate(js) -> list[float]:
@@ -216,15 +226,18 @@ def fit_anhysteretic(
         Candidates are built in grid order and their curves solved in
         blocks of ``block_rows``.  A candidate that fails stops the build;
         the rows before it are solved first, so the smallest failing index
-        decides what is raised, as in a one-index-at-a-time sweep.
+        decides what is raised, as in a one-index-at-a-time sweep.  The
+        first eta step rides in its level's first block; if that block
+        fails, the step is solved alone, and its own failure is raised first.
         """
+        nonlocal best
         todo = [j for j in js if j not in norms]
         aJs: list[float] = []
         alphas: list[float] = []
         failure = None
         for j in todo:
             try:
-                _, _, _, aJ, alpha = candidate(j)
+                _, _, _, aJ, alpha = first_step(candidate, j) if j == 0 else candidate(j)
             except Exception as err:  # re-raised below, unless an earlier row fails
                 failure = err
                 break
@@ -232,18 +245,21 @@ def fit_anhysteretic(
             alphas.append(alpha)
         for b in range(0, len(aJs), block_rows):
             block = slice(b, b + block_rows)
-            r = residual(np.array(aJs[block])[:, None], np.array(alphas[block])[:, None])
-            norms.update(zip(todo[block], _row_norms(r).tolist()))
+            try:
+                r = residual(np.array(aJs[block])[:, None], np.array(alphas[block])[:, None])
+            except JamagError:
+                if todo[b] == 0:
+                    first_step(residual, aJs[0], alphas[0])
+                raise
+            block_norms = _row_norms(r)
+            norms.update(zip(todo[block], block_norms.tolist()))
+            low = float(np.fmin.reduce(block_norms))  # NaN only if every row's is
+            i = int(np.argmax(block_norms == low))
+            if (low, todo[b + i]) < best[:2]:  # a NaN low keeps nothing
+                best = (low, todo[b + i], r[i].copy())  # a row of the block has its own solve's bits
         if failure is not None:
             raise failure
         return [norms[j] for j in js]
-
-    try:
-        evaluate([0])
-    except DataError:  # such as the unstable candidates of a too-large chi_a
-        raise
-    except JamagError as err:
-        raise JamagError(f"first eta step {cfg.eta0} failed: {err}") from err
 
     lo, hi = 0, n_grid - 1
     # the coarse scan starts at the grid's top decade (1 000 for 10 000 points), the plain at 1
@@ -258,11 +274,8 @@ def fit_anhysteretic(
         stride //= 10
 
     js = sorted(norms)
-    # min keeps the first of equal norms: ties resolve to the smallest j in both scans
-    best_j = min(js, key=norms.__getitem__)
-    best_norm = norms[best_j]
+    best_norm, best_j, r = best  # ties resolve to the smallest j in both scans
     eta_star, chi_p, m2, aJ, alpha = candidate(best_j)
-    r = residual(aJ, alpha)
     sweep_etas = np.array([cfg.eta0 + j * cfg.eps for j in js])
     sweep_norms = np.array([norms[j] for j in js])
     unimodal = _is_unimodal(sweep_norms)

@@ -424,18 +424,7 @@ def _add_common(sp, *, ms_required: bool = False, temp: bool = False, unit: bool
                     help="omit timestamps/timings so reports are byte-identical")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jamag",
-        description="Jiles-Atherton magnetization curves: fitting and simulation",
-    )
-    parser.add_argument("--version", action="version", version=f"jamag {__version__}")
-    parser.add_argument("--verbose", action="store_true", help="log at INFO level")
-    sub = parser.add_subparsers(dest="command", required=True)
-    # plain-function defaults, stated once in the library (read through any wrapper)
-    cyclic = inspect.signature(FieldWaveform.cyclic).parameters
-
-    p = sub.add_parser("fit-anhysteretic", help="fit (aJ, alpha, m) to an anhysteretic curve")
+def _fit_anhysteretic_args(p) -> None:
     p.add_argument("data", type=Path, help="delimited file of (H, M) samples")
     _add_common(p, ms_required=True, temp=True)
     p.set_defaults(**asdict(AnhystereticFitConfig()))
@@ -450,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve-out", type=Path, default=Path("fit_curve.csv"))
     p.set_defaults(func=cmd_fit_anhysteretic)
 
-    p = sub.add_parser("fit-jiles92", help="fit (aJ, alpha, c, k) to a hysteresis loop")
+
+def _fit_jiles92_args(p) -> None:
     p.add_argument("--loop", type=Path, required=True, help="measured full loop")
     p.add_argument("--first-mag", type=Path)
     p.add_argument("--anhysteretic", type=Path)
@@ -462,7 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default=Path("jiles92_report.json"))
     p.set_defaults(func=cmd_fit_jiles92)
 
-    p = sub.add_parser("simulate-loop", help="integrate the hysteresis ODE along a cyclic field")
+
+def _simulate_loop_args(p) -> None:
+    # plain-function defaults, stated once in the library (read through any wrapper)
+    cyclic = inspect.signature(FieldWaveform.cyclic).parameters
     p.add_argument("--aj", type=float, help="shape parameter, A/m")
     p.add_argument("--alpha", type=float)
     p.add_argument("--c", type=float, required=True, help="reversibility fraction")
@@ -479,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", type=Path, help="also write a JSON run report")
     p.set_defaults(func=cmd_simulate_loop)
 
-    p = sub.add_parser("extract", help="measure loop features from curve files")
+
+def _extract_args(p) -> None:
     p.add_argument("--loop", type=Path, required=True)
     p.add_argument("--first-mag", type=Path, required=True)
     p.add_argument("--anhysteretic", type=Path, required=True)
@@ -487,25 +481,66 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path("features.json"))
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("validate", help="synthetic round-trip check of the fitting pipeline")
+
+def _validate_args(p) -> None:
     p.add_argument("--eps", type=float, default=AnhystereticFitConfig.eps)
     # no --out: the report is written nowhere (simulate-loop's default prints it)
     p.add_argument("--out", dest="report", metavar="OUT", type=Path, default=Path(os.devnull))
     p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_validate)
 
+
+_SUBCOMMANDS = {  # name: (help line, what adds its arguments)
+    "fit-anhysteretic": ("fit (aJ, alpha, m) to an anhysteretic curve", _fit_anhysteretic_args),
+    "fit-jiles92": ("fit (aJ, alpha, c, k) to a hysteresis loop", _fit_jiles92_args),
+    "simulate-loop": ("integrate the hysteresis ODE along a cyclic field", _simulate_loop_args),
+    "extract": ("measure loop features from curve files", _extract_args),
+    "validate": ("synthetic round-trip check of the fitting pipeline", _validate_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``jamag`` parser, every subcommand listed with its help line.  When
+    ``command`` names a subcommand, only that one gets its arguments, which is all
+    that parsing its command line reads; otherwise every subcommand does."""
+    parser = argparse.ArgumentParser(
+        prog="jamag",
+        description="Jiles-Atherton magnetization curves: fitting and simulation",
+    )
+    parser.add_argument("--version", action="version", version=f"jamag {__version__}")
+    parser.add_argument("--verbose", action="store_true", help="log at INFO level")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command not in _SUBCOMMANDS or command == name:
+            add_arguments(p)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+@contextlib.contextmanager
+def _logging(verbose: bool):
+    """jamag's log records at INFO with ``verbose``, else at WARNING, go to the
+    ``sys.stderr`` of the moment, until the block ends."""
+    logger = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = logger.level
+    logger.setLevel(logging.INFO if verbose else logging.WARNING)
+    logger.addHandler(handler)
     try:
-        with warnings.catch_warnings(record=True) as caught:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # the top-level options take no values, so the first other token names the subcommand
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
+    try:
+        with _logging(args.verbose), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run = args.func(args)
         fit_warnings = run.pop("warnings", [])

@@ -142,6 +142,8 @@ _AUTO_DELIMITERS = (",", ";", "\t")
 """Delimiters tried in this order; whitespace is the fallback."""
 _ROW = re.compile(r"^[^\S\n]*\S.*", re.MULTILINE)
 """A non-blank line: one that ``str.strip`` leaves non-empty."""
+_BLANK = re.compile(r"\n[^\S\n]+(?:\n|\Z)")
+"""A whitespace-only line after the first: one that ``str.strip`` leaves empty, but not an empty one."""
 _DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 """Suffixes of files that ``np.loadtxt`` decompresses when given their path."""
 
@@ -170,12 +172,13 @@ def parse_curve(
     A well-formed file is read in bulk by ``np.loadtxt`` from its path: every
     data row split on the first row's comma, semicolon or tab (or whitespace,
     when no line past the header holds one) into at least two cells, each H
-    and M finite (M also in A/m), no line past the header holding a delimiter
-    earlier in that list, and no whitespace-only line among delimited rows.
-    Other files (mixed delimiters, a short row, a bad cell, cells that
-    ``float`` reads and numpy does not, such as ``1_000`` or non-ASCII
-    digits, or a suffix numpy decompresses, such as ``.gz``) are read line
-    by line.  numpy gives ``float``'s bits for every cell it reads, and
+    and M finite (M also in A/m), and no line past the header holding a
+    delimiter earlier in that list.  numpy reads a whitespace-only line among
+    delimited rows as a row of one cell, so a file that holds one is given
+    to it as its other lines.  Other files (mixed delimiters, a short row, a
+    bad cell, cells that ``float`` reads and numpy does not, such as
+    ``1_000`` or non-ASCII digits, or a suffix numpy decompresses, such as
+    ``.gz``) are read line by line.  numpy gives ``float``'s bits for every cell it reads, and
     every error comes from the line-by-line path, so both paths give the same
     outcome.  ``kind`` and ``unit`` also accept enum values.
     """
@@ -186,10 +189,12 @@ def parse_curve(
         except ValueError:
             raise DataError(f"unknown unit {unit!r}; expected one of m, j, b") from None
 
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")  # "\r\n" and "\r" arrive as "\n"
+    try:  # decoded whole: a text-mode read would scan it again for line ends
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     row = _ROW.search(text)
     if row and _is_header(_split_cells(row.group())):
         row = _ROW.search(text, row.end())
@@ -247,11 +252,16 @@ def _read_bulk(
     if any(text.find(c, row.start()) >= 0 for c in earlier) or Path(path).suffix in _DECOMPRESSED:
         return None
     # a path, not a stream: numpy reads a path in blocks but iterates a stream line by line
-    try:  # no comment character: the line reader has none
-        HM = np.loadtxt(path, encoding="utf-8-sig", skiprows=text.count("\n", 0, row.start()),
-                        delimiter=delim, comments=None, usecols=(0, 1), ndmin=2)
+    kw = dict(delimiter=delim, comments=None, usecols=(0, 1), ndmin=2)  # no comments: the line reader has none
+    try:
+        HM = np.loadtxt(path, encoding="utf-8-sig", skiprows=text.count("\n", 0, row.start()), **kw)
     except ValueError:
-        return None
+        if not _BLANK.search(text, row.start()):
+            return None
+        try:  # a whitespace-only line failed it, or else the line reader names the bad line
+            HM = np.loadtxt([line for line in text[row.start():].split("\n") if not line.isspace()], **kw)
+        except ValueError:
+            return None
     with np.errstate(all="ignore"):
         M = _convert_m(HM[:, 0], HM[:, 1], unit)
     if not (np.isfinite(HM).all() and np.isfinite(M).all()):  # the line reader names the bad line

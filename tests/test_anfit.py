@@ -406,7 +406,7 @@ class TestFit:
     @pytest.mark.parametrize(
         "coarse,eta0,eps,evals",
         [
-            (False, 0.99, 2.3e-4, 44),  # index 0, then 43 rows: one block
+            (False, 0.99, 2.3e-4, 44),  # 44 rows from index 0: one block
             # 10 more rows at stride 100, 10 at stride 10 and 18 at stride 1: one block each
             (True, 0.9, 1.0e-4, 39),
         ],
@@ -430,6 +430,26 @@ class TestFit:
             want.append(float(np.linalg.norm(MU0 * (curve - data.M))))
         assert report.sweep_norms.tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("coarse,blocks", [(False, [81, 19]), (True, [11, 9])])
+    def test_one_curve_solve_per_sweep_block(self, material, monkeypatch, coarse, blocks):
+        # 100 grid points of 200-sample curves, in 81-row blocks: the plain scan's two, the
+        # coarse scan's one per level.  No one-row solve of the first eta step or of the
+        # winner: the report's residual is its block's row, with a single-curve solve's bits
+        data = synthetic_curve(972.0, 1.4e-3, material, 200, 1.0e4)
+        rows = []
+        solve = anfit._implicit_array
+
+        def spy(H, aJ, alpha, Ms, tol):
+            rows.append(np.shape(aJ))
+            return solve(H, aJ, alpha, Ms, tol)
+
+        monkeypatch.setattr(anfit, "_implicit_array", spy)
+        report = fit_anhysteretic(data, material, AnhystereticFitConfig(eps=1e-3, coarse=coarse))
+        assert rows == [(b, 1) for b in blocks]
+        assert report.iterations == sum(blocks)
+        fresh = MU0 * (_implicit_array(data.H, report.aJ, report.alpha, MS, anfit._IMPLICIT_REL_TOL * MS) - data.M)
+        assert report.residual.tobytes() == fresh.tobytes()
+
     # ``cause`` only names the case: the failure that decides the error is the chi solve's
     # (NoSolution), the curve solve's (NoConvergence) or the first step's (DegenerateSweep)
     @pytest.mark.parametrize(
@@ -439,7 +459,7 @@ class TestFit:
             (None, 7, False, "NoConvergence", "curve at 7"),
             (5, 3, False, "NoConvergence", "curve at 3"),  # the earlier row wins
             (5, 7, False, "NoSolution", "chi at 5"),  # row 7 is never reached
-            (8, 7, False, "NoConvergence", "curve at 7"),  # in the partial block [7]
+            (8, 7, False, "NoConvergence", "curve at 7"),  # in the partial block [6, 7]
             (5, 3, True, "NoConvergence", "curve at 3"),
             (0, None, False, "DegenerateSweep", "first eta step 0.9 failed: chi at 0"),
             (None, 0, True, "DegenerateSweep", "first eta step 0.9 failed: curve at 0"),
@@ -462,7 +482,7 @@ class TestFit:
         """Fail the chi solve at grid index ``chi_fails`` and the curve solve at
         ``curve_fails``, on a profile that falls to the grid's last index."""
         data = linear_curve(n=4)
-        monkeypatch.setattr(anfit, "_BLOCK_POINTS", 12)  # 3-row blocks: 1-3, 4-6, 7-9
+        monkeypatch.setattr(anfit, "_BLOCK_POINTS", 12)  # 3-row blocks: 0-2, 3-5, 6-8 and 9
 
         def index(eta):
             return np.rint((eta - cfg.eta0) / cfg.eps).astype(int)

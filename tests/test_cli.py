@@ -1,8 +1,11 @@
+import argparse
 import builtins
 import contextlib
 import errno
 import fractions
+import io
 import json
+import logging
 import math
 import os
 import re
@@ -251,6 +254,100 @@ def test_flag_defaults_are_the_library_defaults(monkeypatch):
     monkeypatch.setattr(func, "__kwdefaults__", changed)
     args = cli.build_parser().parse_args(["simulate-loop", "--c", "0", "--k", "1", "--hmax", "1"])
     assert (args.cycles, args.steps) == (changed["cycles"], changed["steps_per_segment"])
+
+
+class _Parsed(Exception):
+    """Stops ``cli.main`` right after it parses, carrying the namespace."""
+
+
+class TestLazyParser:
+    """``main`` gives arguments only to the subcommand it runs, and parses, prints and
+    fails as the full parser does."""
+
+    ARGVS = [
+        ["fit-anhysteretic", "d.csv", "--ms", "1", "--temp", "2"],
+        ["--verbose", "fit-anhysteretic", "d.csv", "--ms", "1", "--temp", "2", "--coarse", "--eps", "1e-3",
+         "--eta-max", "0.95", "--unit", "j", "--out", "r.json", "--curve-out", "c.csv", "--deterministic"],
+        ["fit-jiles92", "--loop", "l.csv", "--anhysteretic", "a.csv", "--ms", "1", "--temp", "2"],
+        ["--verbose", "fit-jiles92", "--loop", "l.csv", "--features", "f.json", "--first-mag", "f.csv",
+         "--ms", "1", "--temp", "2", "--fit-tol", "1e-2", "--unit", "b", "--out", "j.json"],
+        ["simulate-loop", "--c", "0", "--k", "1", "--hmax", "1"],
+        ["simulate-loop", "--params", "p.json", "--aj", "900", "--c", "0.1", "--k", "1", "--hmax", "5",
+         "--cycles", "2", "--steps", "7", "--m0", "3", "--clamp", "--out", "l.csv", "--report", "r.json"],
+        ["extract", "--loop", "l", "--first-mag", "f", "--anhysteretic", "a"],
+        ["extract", "--loop", "l", "--first-mag", "f", "--anhysteretic", "a", "--ms", "3", "--unit", "j"],
+        ["validate"],
+        ["--verbose", "validate", "--eps", "1e-3", "--deterministic", "--out", "v.json"],
+    ]
+
+    @staticmethod
+    def _main_parse(monkeypatch, argv):
+        """The namespace of ``main``'s parse, and the arguments it built its parser with."""
+        build, built = cli.build_parser, []
+
+        def spy(*args):
+            built.append(args)
+            parser = build(*args)
+            parse = parser.parse_args
+
+            def stop(argv):
+                raise _Parsed(parse(argv))
+
+            parser.parse_args = stop
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        with pytest.raises(_Parsed) as info:
+            cli.main(argv)
+        return info.value.args[0], built
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_namespace_as_the_full_parser(self, monkeypatch, argv):
+        full = cli.build_parser().parse_args(argv)
+        got, built = self._main_parse(monkeypatch, argv)
+        assert built == [(got.command,)]
+        assert got == full
+
+    def test_only_the_named_subcommand_has_arguments(self):
+        def flags(parser):
+            (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return {name: len(p._actions) for name, p in sub.choices.items()}
+
+        full = flags(cli.build_parser())
+        for name in cli._SUBCOMMANDS:
+            lazy = flags(cli.build_parser(name))
+            assert lazy == {n: full[n] if n == name else 1 for n in full}  # 1: the -h action alone
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["fit-anhysteretic", "--help"], ["--verbose", "simulate-loop", "-h"], ["--version"],
+        [], ["transmogrify"], ["fit"], ["-", "validate"], ["--bogus", "validate"], ["validate", "--bogus"],
+        ["extract", "--loop", "l"], ["validate", "--eps", "x"], ["fit-jiles92", "--ms", "1", "--temp"],
+    ], ids=lambda argv: " ".join(argv) or "none")
+    def test_same_output_as_the_full_parser(self, capsys, argv):
+        def run(parse):
+            with pytest.raises(SystemExit) as info:
+                parse(argv)
+            return info.value.code, capsys.readouterr()
+
+        got = run(cli.main)
+        assert got == run(cli.build_parser().parse_args)
+        assert got[1].out or got[1].err
+
+
+@pytest.mark.parametrize("order", [(True, False), (False, True)])
+def test_verbose_applies_to_its_own_call(anh_file, tmp_path, order):
+    # in-process calls: each logs at its own level, to the stderr of its own time
+    argv = ["fit-anhysteretic", str(anh_file), "--ms", str(MS), "--temp", str(T), "--eps", "1e-3",
+            "--out", str(tmp_path / "r.json"), "--curve-out", str(tmp_path / "c.csv")]
+    logger = logging.getLogger("jamag")
+    before = (logger.level, list(logger.handlers))
+    for verbose in order:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["--verbose", *argv] if verbose else argv) == 0
+        # the plain scan's one level, then the fit
+        assert err.getvalue().count("INFO jamag.anfit: ") == (2 if verbose else 0)
+        assert (logger.level, logger.handlers) == before
 
 
 _FEATURES = dict(

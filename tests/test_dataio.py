@@ -225,6 +225,34 @@ class TestParse:
         assert np.array_equal(curve.H, [1.0, 3.0])
         assert np.array_equal(curve.M, [2.0, 4.0])
 
+    @pytest.mark.parametrize("content", [
+        b"H,M\r\n1.0,2.0\r\n3.0,4.0\r\n", b"\xef\xbb\xbfH;M\r1.0;2.0\r\r3.0;4.0", b"1.0,2.0\r\n\r3.0,4.0\n\r",
+        b"\xef\xbb\xbf1.0,2.0\n\xff\n", b"1.0,2.0\r\n3.0,\xc3(\n", b"\xef\xbb\xbf\xef\xbb", b"\xef\xbbX",
+    ])
+    def test_decoded_as_a_text_mode_read(self, tmp_path, content):
+        # the same text, and the same byte offset of a decoding error
+        path = tmp_path / "c.csv"
+        path.write_bytes(content)
+        try:
+            text = path.read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as err:
+            with pytest.raises(ParseError, match=rf"c.csv: not UTF-8 text \(byte {err.start}: {err.reason}\)$"):
+                parse_curve(path, kind=CurveKind.FULL_LOOP)
+        else:
+            clean = tmp_path / "clean.csv"
+            clean.write_bytes(text.encode())
+            got, want = (parse_curve(p, kind=CurveKind.FULL_LOOP) for p in (path, clean))
+            assert (got.H.tobytes(), got.M.tobytes()) == (want.H.tobytes(), want.M.tobytes())
+
+    @pytest.mark.parametrize("content", [b"\xef", b"\xef\xbb"])
+    def test_truncated_bom_is_not_utf8(self, tmp_path, content):
+        # the one case where a text-mode read differs: it gave "" here, and "no data rows";
+        # both are bad input
+        path = tmp_path / "bom.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=r"bom.csv: not UTF-8 text \(byte 0: unexpected end of data\)$"):
+            parse_curve(path, kind=CurveKind.FULL_LOOP)
+
     def test_not_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("H,M\n1.0,2.0\n# \u00b5 T\n".encode("latin-1"))
@@ -248,8 +276,11 @@ _EQUIVALENCE_CASES = [
     ("crlf", b"H;M\r\n1.0;5.0\r\n2.0;6.0\r\n", {}, True),
     ("crlf-comma-header", b"H,M\r\n\r\n1.0,5.0\r\n2.0,6.0\r\n", {}, True),
     ("lone-cr", "H,M\r1.0,5.0\r\r2.0,6.0\r", {}, True),
-    # numpy rejects a whitespace-only line among the rows
-    ("blank-lines", "\n1.0,5.0\n\n   \n\t\n2.0,6.0\n\n", {}, False),
+    # numpy reads a whitespace-only line among the rows as one cell: it is given the others
+    ("blank-lines", "\n1.0,5.0\n\n   \n\t\n2.0,6.0\n\n", {}, True),
+    ("blank-line-last", _many_rows(9000, 0, "0.0,0.0") + "   \n", {}, True),
+    ("blank-line-unicode", "1.0;5.0\n\u2028\x85\n2.0;6.0", {}, True),
+    ("blank-line-and-bad-cell", "1.0,5.0\n \n2.0,x\n", {}, False),
     ("empty-lines", "\n1.0,5.0\n\n\n2.0,6.0\n\n", {}, True),
     ("blank-lines-before-header", "\n \n\t\n\nH,M\n1.0,5.0\n2.0,6.0\n", {}, True),
     ("bom-non-ascii-header", "\ufeff\u00b50H (T);J (T)\n0.1;0.5\n0.2;0.75\n", {"unit": "j"}, True),

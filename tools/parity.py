@@ -82,7 +82,7 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     # only \n, \r\n and \r end a line: a form feed ends no line, so the bad cell is on
     # line 3; a U+2028 joins two samples into one bad row on line 2 (each exits 2).  The
     # noiseless curve under a byte-order mark and a non-ASCII header, after blank lines, and
-    # with a whitespace-only line among its rows (the per-line parser): each fits as "zero"
+    # with a whitespace-only line among its rows (read in bulk without it): each fits as "zero"
     rows = text.splitlines()[1:]
     for name, body in (
         ("form_feed", "H,M\n1,2\f\n3,x\n"),
@@ -94,6 +94,10 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
         path = anh_dir / f"{name}.csv"
         path.write_text(body, encoding="utf-8")
         flags[name] = [str(path.relative_to(out))]
+    # the first two bytes of a byte-order mark and nothing else: not UTF-8 text (exit 2)
+    path = anh_dir / "truncated_bom.csv"
+    path.write_bytes(b"\xef\xbb")
+    flags["truncated_bom"] = [str(path.relative_to(out))]
     # anh0 with a third cell on every other data row: ragged, still read in bulk, and
     # its fit's result is anh0's
     lines = Path(out, flags["anh0"][0]).read_text(encoding="utf-8").splitlines()
@@ -235,6 +239,7 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-anhysteretic-coarse-bom-mu-header", "bom_mu_header"),
         ("fit-anhysteretic-coarse-blank-before-header", "blank_before_header"),
         ("fit-anhysteretic-coarse-whitespace-line", "whitespace_line"),
+        ("fit-anhysteretic-coarse-truncated-bom", "truncated_bom"),
     ):
         cmds.append((name, [
             "fit-anhysteretic", *f[curve], *material, "--coarse",
