@@ -267,7 +267,9 @@ def fit_anhysteretic(
     while stride:  # strides fall by 10, each level over the bracket of the level before
         pts = [*range(lo, hi, stride), hi]
         level = evaluate(pts)
-        low = min(level)
+        low = min((v for v in level if v == v), default=math.nan)  # a NaN norm never wins
+        if low != low:
+            raise JamagError(f"every residual norm is NaN at stride {stride} over grid indices [{lo}, {hi}]")
         ties = [j for j, v in zip(pts, level) if v == low]
         _logger.info("scan stride %d over [%d, %d]: j=%d, %d evals", stride, lo, hi, ties[0], len(norms))
         lo, hi = max(0, ties[0] - stride), min(n_grid - 1, ties[-1] + stride)

@@ -28,6 +28,8 @@ from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .anfit import RMS_BOUND_FRACTION, AnhystereticFitConfig, fit_anhysteretic
 from .core import KB, MU0, MaterialSpec
@@ -70,24 +72,36 @@ fewest it splits in two: on fewer a forked child costs about what it saves."""
 _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
 
 
-def _memo(items: list, key):
+def _memo(items: list, key, twin, flip):
     """``get(i, make)``: ``make()`` for the first of ``items`` with its ``key`` and
-    that value for the later ones, kept only until the last of them.  ``get.fresh``
-    lists the ``i`` that call ``make``."""
-    seen = {}
-    first = [seen.setdefault(key(item), i) for i, item in enumerate(items)]
+    that value for the later ones; a new key whose ``twin`` key (or None) is an
+    earlier item's takes ``flip`` of that item's value, and the twin key is not kept.
+    A value is kept only until its last use.  ``get.fresh`` lists the ``i`` that call ``make``."""
+    seen, first, flipped = {}, [], set()
+    for i, item in enumerate(items):
+        q = seen.setdefault(key(item), i)
+        if q == i and (t := twin(item)) is not None and (q := seen.get(t, i)) != i:
+            flipped.add(i)
+        first.append(q)
     last = {q: i for i, q in enumerate(first)}
     kept = {}
 
     def get(i: int, make):
         q = first[i]
-        value = make() if q == i else kept.pop(q)
-        if last[q] > i:
-            kept[q] = value
+        value = make() if q == i else kept[q] if last[q] > i else kept.pop(q)
+        value = flip(value) if i in flipped else value
+        if last.get(i, i) > i:
+            kept[i] = value
         return value
 
     get.fresh = [i for i, q in enumerate(first) if q == i]
     return get
+
+
+def _negated(text: bytes) -> bytes:
+    """CSV rows of ``repr`` cells, none nan, with each sign flipped: 0.0 and -0.0 give 0.0."""
+    text = (b"\n" + text).replace(b",", b",-").replace(b"\n", b"\n-").replace(b"--", b"")
+    return text.replace(b"-0.0,", b"0.0,").replace(b"-0.0\n", b"0.0\n")[1:-1]
 
 
 def _shares(items: list[int], sizes: list[int], k: int) -> list[list[int]]:
@@ -145,7 +159,9 @@ def _write_curve(path: str | Path, header: list[str], columns: list, run: int = 
     """Write float ``columns`` as CSV rows of each value's ``repr``: row 0, then
     runs of ``run`` rows (``simulate-loop`` passes one segment), each in blocks of
     at most ``_WRITE_ROWS``.  A block whose column bytes equal an earlier block's
-    (a later cycle that repeats one) is written from that block's text.
+    (a later cycle that repeats one) is written from that block's text, and one whose
+    columns are ``0.0 - col`` of an earlier block's (a branch that mirrors the one before
+    it) from that text with each cell's sign flipped, unless it holds a NaN.
 
     The other, fresh blocks are cut in file order into shares of about equal row
     counts: at most one per core, each of ``_SHARE_ROWS`` rows or more.  The output
@@ -161,7 +177,13 @@ def _write_curve(path: str | Path, header: list[str], columns: list, run: int = 
         for start, stop in zip(edges, edges[1:])
         for b in range(start, stop, _WRITE_ROWS)
     ]
-    text = _memo(blocks, lambda rows: tuple(col[rows].tobytes() for col in columns))
+
+    def twin(rows: slice) -> tuple | None:  # 0.0 - col gives no -0.0: none for a block with one
+        cols = [col[rows] for col in columns]
+        barred = any(np.isnan(c).any() or (np.signbit(c) & (c == 0.0)).any() for c in cols)
+        return None if barred else tuple(np.subtract(0.0, c).tobytes() for c in cols)
+
+    text = _memo(blocks, lambda rows: tuple(col[rows].tobytes() for col in columns), twin, _negated)
 
     def fresh(rows: slice) -> bytes:
         cells = (map(repr, col[rows].tolist()) for col in columns)
@@ -361,7 +383,11 @@ def cmd_extract(args) -> dict:
     first = _parse(args.first_mag, CurveKind.FIRST_MAGNETIZATION, args)
     anh = _parse(args.anhysteretic, CurveKind.ANHYSTERETIC, args)
     loop = _parse(args.loop, CurveKind.FULL_LOOP, args)
-    features = extract_features(first, loop, anh)
+    try:
+        features = extract_features(first, loop, anh)
+    except ValueError as err:  # a feature LoopFeatures rejects: name the file it was measured on
+        source = {"chi_in": args.first_mag, "chi_an": args.anhysteretic}.get(str(err).split()[0], args.loop)
+        raise DataError(f"{source}: {err}") from None
     return {
         "inputs": _inputs(first_mag=args.first_mag, loop=args.loop, anhysteretic=args.anhysteretic),
         "config": {"unit": args.unit, "ms": args.ms},

@@ -14,9 +14,10 @@ grid in one vectorized solve, once per distinct segment of the waveform.
 The stepping runs on plain Python floats: the pre-solved arrays are
 converted with ``tolist`` and M is collected in blocks of ``_BLOCK_STEPS``
 steps, which keeps both the per-step cost and the memory of the lists
-small.  A cyclic loop repeats its segments, and a repeat's trajectory joins
-the earlier one's bit for bit, from the start on its limit cycle and partway
-before it; from the step where it joins, its rows are copied, not integrated.
+small.  A cyclic loop repeats its segments, each also the one before it negated
+(M_an is odd in H), and a repeat's trajectory joins the earlier one's bit for bit,
+negated alike, from the start on its limit cycle and partway before it; from the
+step where it joins, its rows are copied, not integrated.
 """
 
 from __future__ import annotations
@@ -160,8 +161,8 @@ def integrate(
     slope are pre-evaluated on the half-step grid, once for all segments
     with the same end fields).  The steps run on plain floats,
     ``_BLOCK_STEPS`` at a time, with :func:`_rhs` written inline.  Once a
-    segment commits the same non-zero M at the same step as the last earlier
-    segment with its end fields, the rest of it is copied from that one.
+    segment commits the same non-zero M at the same step as the last earlier segment
+    over its grid, or over that grid negated (M negated), the rest is copied from it alike.
     Returns the sampled trajectory, one point per step plus the initial
     point; committed M values are limited to [-Ms, Ms] (a NaN one raises
     ValueError).  A vanishing pinning denominator is reported with the failing
@@ -179,23 +180,28 @@ def integrate(
     H_out[0] = waveform.targets[0]
     M_out[0] = M = float(M0)
 
-    # a cyclic waveform repeats its segments: pre-solve each distinct one once.  Two
-    # segments over one grid that commit the same M at the same step go on
-    # identically, so a segment joins the last earlier one over its grid (``ref``)
-    # at the first such M and copies the rest.  Zero is skipped: 0.0 == -0.0, other bits
+    # a cyclic waveform repeats its segments: pre-solve each distinct one once.  Two segments
+    # over one grid that commit the same M at the same step go on identically, and over negated
+    # grids, if M_an is odd and its slope even (compared, not assumed), as each other's negation.
+    # A grid and its ``twin`` share one ``pair`` entry in ``last``: the latest segment over
+    # either and its ``own`` sign.  A segment joins it (``ref``) at the first M that is ``sign``
+    # times ref's at that step, and copies the rest.  Zero is skipped: 0.0 == -0.0, other bits
     presolved, last = {}, {}
     for seg in range(waveform.n_segments):
         step_base = seg * S
         h0, h1 = waveform.targets[seg], waveform.targets[seg + 1]
         delta = 1.0 if h1 > h0 else -1.0
         dk = delta * p.k
-        key = (h0.hex(), h1.hex())
+        key, twin = (h0.hex(), h1.hex()), ((-h0).hex(), (-h1).hex())
         if key not in presolved:
             grid = np.linspace(h0, h1, 2 * S + 1)
             man = _implicit_array(grid, p.aJ, alpha, Ms, tol)
-            presolved[key] = grid, man, c * _slope_raw(grid, man, p.aJ, alpha, Ms)
-        grid, man, c_slope = presolved[key]
-        ref, last[key] = last.get(key), step_base
+            solved = np.array([grid, man, c * _slope_raw(grid, man, p.aJ, alpha, Ms)])
+            mirrored = twin in presolved and np.array_equal(solved, presolved[twin][0] * [[-1.0], [-1.0], [1.0]])
+            presolved[key] = (solved, twin, -1.0) if mirrored else (solved, key, 1.0)
+        (grid, man, c_slope), pair, own = presolved[key]
+        (ref, sign), last[pair] = last.get(pair, (None, 1.0)), (step_base, own)
+        sign *= own
         h = (h1 - h0) / S
         half, sixth = 0.5 * h, h / 6.0
         H_out[step_base + 1 : step_base + S + 1] = grid[2::2]
@@ -204,7 +210,7 @@ def integrate(
             b1 = min(b0 + _BLOCK_STEPS, S)
             man_b = man[2 * b0 : 2 * b1 + 1].tolist()
             cs_b = c_slope[2 * b0 : 2 * b1 + 1].tolist()
-            ref_b = [np.nan] * (b1 - b0) if ref is None else M_out[ref + b0 + 1 : ref + b1 + 1].tolist()
+            ref_b = [np.nan] * (b1 - b0) if ref is None else (sign * M_out[ref + b0 + 1 : ref + b1 + 1]).tolist()
             block = []
             try:
                 for m0, mh, m1, s0, sh, s1, m_ref in zip(
@@ -237,7 +243,8 @@ def integrate(
             done = step_base + b0 + len(block)
             M_out[step_base + b0 + 1 : done + 1] = block
             if M == m_ref and M:  # joined ref: the last step's test held
-                M_out[done + 1 : step_base + S + 1] = M_out[done - step_base + ref + 1 : ref + S + 1]
+                # + 0.0 turns -0.0 to 0.0: after a non-zero M, integration gives no -0.0
+                M_out[done + 1 : step_base + S + 1] = sign * M_out[done - step_base + ref + 1 : ref + S + 1] + 0.0
                 M = float(M_out[step_base + S])
                 break
         if M != M:  # a NaN persists past the clamp, so the segment's last M shows any of its steps

@@ -339,6 +339,22 @@ class TestFit:
         assert report.fit_condition_met is ("FIT_CONDITION_NOT_MET" not in codes)
         assert report.fit_condition_met is (min(profile) <= anfit.RMS_BOUND_FRACTION * MS)
 
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_a_nan_norm_never_wins(self, material, monkeypatch, coarse):
+        # a leading NaN is kept by Python's min: the scan takes its low over the other norms
+        data = linear_curve(n=4)
+        _patch_profile(monkeypatch, data, (np.nan, 2, 1, 3), 0.9, 0.025)
+        report = fit_anhysteretic(data, material, AnhystereticFitConfig(eta0=0.9, eps=0.025, coarse=coarse))
+        assert report.eta_star == 0.9 + 2 * 0.025
+        assert report.residual_norm == MU0 * 2.0  # 1 A/m off at each of 4 samples
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_a_level_of_nan_norms_names_the_stride_and_span(self, material, monkeypatch, coarse):
+        data = linear_curve(n=4)
+        _patch_profile(monkeypatch, data, (np.nan,) * 4, 0.9, 0.025)
+        with raises_numerical(r"^every residual norm is NaN at stride 1 over grid indices \[0, 3\]$"):
+            fit_anhysteretic(data, material, AnhystereticFitConfig(eta0=0.9, eps=0.025, coarse=coarse))
+
     def test_validate_judges_rows_by_the_fit_condition(self):
         row = run_row(972.0, 1.4e-3, AnhystereticFitConfig(coarse=True))
         assert row.passed is row.report.fit_condition_met is True

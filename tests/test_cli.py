@@ -468,6 +468,23 @@ class TestMeasuredValueErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("curve, change, message", [
+        # the tip sample lowered below the one before it: the tip slope turns negative
+        ("loop", lambda M: np.append(M[:-1], M[-2] - 1.0e3), "chi_m must be finite and non-negative, got -"),
+        ("first", np.negative, "chi_in must be finite and non-negative, got -"),
+    ])
+    def test_rejected_feature_names_its_file(self, loop_files, tmp_path, capsys, curve, change, message):
+        files = dict(loop_files)
+        H, M = np.loadtxt(files[curve], delimiter=",", skiprows=1).T
+        files[curve] = tmp_path / f"{curve}.csv"
+        write_curve_file(files[curve], H, change(M))
+        out = tmp_path / "features.json"
+        assert cli.main(["extract", "--loop", str(files["loop"]), "--first-mag", str(files["first"]),
+                         "--anhysteretic", str(files["anh"]), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[curve]}: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("ms", ["0", "-1.5", "nan", "inf"])
     def test_extract_ms_must_be_positive_and_finite(self, loop_files, tmp_path, capsys, ms):
         # "nan" was written to the report as NaN, which is not JSON
@@ -874,24 +891,31 @@ class TestWriteCurve:
 
     @staticmethod
     def collide(monkeypatch):
-        """Give each block key that ``_write_curve`` hands ``_memo`` the hash 0, so
-        blocks are told apart by comparing keys alone; returns the keys hashed."""
-        hashed = []
+        """Give each block key and each negated key that ``_write_curve`` hands ``_memo``
+        the hash 0, so blocks are told apart by comparing keys alone; returns the block
+        keys hashed and the negated keys hashed, each once per lookup."""
+        hashed, negated = [], []
 
         class Key:
-            def __init__(self, key):
-                self.key = key
+            def __init__(self, key, log):
+                self.key, self.log = key, log
 
             def __hash__(self):
-                hashed.append(self.key)
+                self.log.append(self.key)
                 return 0
 
             def __eq__(self, other):
                 return self.key == other.key
 
-        memo = cli._memo
-        monkeypatch.setattr(cli, "_memo", lambda items, key: memo(items, lambda item: Key(key(item))))
-        return hashed
+        def memo(items, key, twin, flip, _memo=cli._memo):
+            def twin_key(item):
+                t = twin(item)
+                return None if t is None else Key(t, negated)
+
+            return _memo(items, lambda item: Key(key(item), hashed), twin_key, flip)
+
+        monkeypatch.setattr(cli, "_memo", memo)
+        return hashed, negated
 
     @pytest.mark.parametrize("length, run", [
         (5, 5),  # runs on the repeats
@@ -903,7 +927,7 @@ class TestWriteCurve:
     @pytest.mark.parametrize("collide", [False, True])
     def test_repeated_runs_equal_the_per_row_writer(self, tmp_path, monkeypatch, length, run, collide):
         columns = self.repeating_columns(length)
-        hashed = self.collide(monkeypatch) if collide else []
+        hashed, negated = self.collide(monkeypatch) if collide else ([], [])
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         cli._write_curve(new, ["H", "M", "B"], columns, run=run)
         monkeypatch.undo()
@@ -912,6 +936,10 @@ class TestWriteCurve:
         if collide:  # every block's key went through the constant hash: row 0 and the rest
             runs = [min(run, len(columns[0]) - 1 - r) for r in range(0, len(columns[0]) - 1, run)]
             assert sum(isinstance(k, tuple) for k in hashed) == 1 + sum(-(-r // self.ROWS) for r in runs)
+            # and the negated key of each block with a new key and no -0.0 cell, once
+            unsigned = [k for k in dict.fromkeys(hashed) if not any(
+                (np.signbit(c) & (c == 0.0)).any() for c in map(np.frombuffer, k))]
+            assert negated == [tuple(np.subtract(0.0, np.frombuffer(c)).tobytes() for c in k) for k in unsigned]
 
     @pytest.mark.parametrize("join", [None, 5])
     @pytest.mark.parametrize("collide", [False, True])
@@ -965,7 +993,7 @@ class TestWriteCurve:
             pass
 
         items = [b"a", b"b", b"a", b"c", b"b", b"a"]
-        get = cli._memo(items, bytes)
+        get = cli._memo(items, bytes, lambda item: None, None)
         made = {}
         for i, item in enumerate(items):
             value = get(i, Value)
@@ -973,6 +1001,49 @@ class TestWriteCurve:
             del value
             alive = {k for k, ref in made.items() if ref() is not None}
             assert alive == {k for k in made if k in items[i + 1 :]}
+
+    def test_memo_flips_an_earlier_value_for_a_twin_key(self):
+        items = [b"a", b"b", b"-a", b"-a", b"a", b"-c", b"b"]
+        flips = []
+
+        def flip(value):
+            flips.append(value)
+            return "-" + value
+
+        get = cli._memo(items, bytes, lambda item: item[1:] if item.startswith(b"-") else None, flip)
+        made = []
+        values = [get(i, lambda: made.append(i) or items[i].decode()) for i in range(len(items))]
+        assert values == [item.decode() for item in items]
+        assert made == get.fresh == [0, 1, 5]
+        assert flips == ["a"]  # the second -a repeats the first one's flipped value
+
+    def test_mirrored_blocks_are_flipped_unless_a_nan_or_minus_zero_bars_it(self, tmp_path, monkeypatch):
+        """Runs of 8 rows in blocks of 4: row 0, then A, B = 0.0 - A, C, D and
+        E = 0.0 - D.  A's first block holds 0.0 and +-inf, its second a -0.0, which
+        0.0 - col never gives; C is B with one 0.0 turned -0.0 in its first block; D's
+        first block holds a NaN.  B's first block and E's second are written flipped,
+        C's second repeats B's; the rest are formatted."""
+        rng = np.random.default_rng(11)
+        row0, a, d = rng.standard_normal((3, 3, 8)) * 1e4
+        a[0, :3] = 0.0, np.inf, -np.inf
+        a[1, 5] = -0.0
+        d[2, 2] = np.nan
+        b = np.subtract(0.0, a)
+        c = b.copy()
+        c[0, 0] = -0.0
+        columns = list(np.concatenate([row0[:, :1], a, b, c, d, np.subtract(0.0, d)], axis=1))
+        formatted = []
+        monkeypatch.setattr(cli, "_WRITE_ROWS", 4)
+        monkeypatch.setattr(cli, "repr", lambda v: formatted.append(v) or builtins.repr(v), raising=False)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        cli._write_curve(new, ["H", "M", "B"], columns, run=8)
+        monkeypatch.undo()
+        _write_curve_rows(old, ["H", "M", "B"], columns)
+        assert new.read_bytes() == old.read_bytes()
+        lines = new.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[2:5] + lines[10:13] + lines[18:19]] == [
+            "0.0", "inf", "-inf", "0.0", "-inf", "inf", "-0.0"]
+        assert len(formatted) == 3 * (1 + 8 + 4 + 4 + 8 + 4)
 
     def test_shares_cut_in_order_by_row_count(self):
         assert cli._shares([0, 1, 2, 3], [1, 1024, 1024, 1023], 2) == [[0, 1], [2, 3]]
@@ -1078,10 +1149,10 @@ _FORK_WARNING = (
 
 
 class TestSimulateLoop:
-    # 10 001 rows, over 8 192 of them fresh: the writer splits them in two
+    # 15 001 rows, 11 049 of them fresh (over 8 192): the writer splits them in two
     ARGV = [
         "simulate-loop", "--aj", "972", "--alpha", "1.4e-3", "--c", "0.1", "--k", "1000",
-        "--ms", str(MS), "--hmax", "5000", "--cycles", "2", "--steps", "2000", "--deterministic",
+        "--ms", str(MS), "--hmax", "5000", "--cycles", "2", "--steps", "3000", "--deterministic",
     ]
 
     @pytest.mark.parametrize("fork_warning, codes", [
@@ -1104,7 +1175,7 @@ class TestSimulateLoop:
         assert len(forks) == 1
         assert [w["code"] for w in json.loads(report.read_text())["warnings"]] == codes
         p = HysteresisParams(aJ=972.0, alpha=1.4e-3, c=0.1, k=1000.0, Ms=MS)
-        curve = integrate(p, FieldWaveform.cyclic(5000.0, cycles=2, steps_per_segment=2000))
+        curve = integrate(p, FieldWaveform.cyclic(5000.0, cycles=2, steps_per_segment=3000))
         ref = tmp_path / "ref.csv"
         _write_curve_rows(ref, ["H", "M", "B"], [curve.H, curve.M, cli.MU0 * (curve.H + curve.M)])
         assert out.read_bytes() == ref.read_bytes()

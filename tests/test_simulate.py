@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jamag.simulate as simulate
 from jamag.core import (
@@ -88,19 +89,24 @@ def _integrate_reference(p, waveform, M0=0.0, *, clamp=False):
     return H_out, M_out
 
 
-def _expected_steps(waveform, M):
+def _expected_steps(waveform, M, mirror=True):
     """RK4 steps per segment that ``integrate`` takes on the trajectory ``M``: up to
-    the first step that commits a non-zero M equal to the M at the same step of the
-    last earlier segment with the same end fields, else all of them."""
+    the first step that commits a non-zero M equal to the M at the same step of its
+    reference, negated for a negated grid, else all of them.  The reference is the
+    last earlier segment with the same end fields, or, with ``mirror``, with those
+    negated when its grid is this one's negated."""
     S, t = waveform.steps_per_segment, waveform.targets
     last, steps = {}, []
     for seg in range(waveform.n_segments):
-        key = (t[seg].hex(), t[seg + 1].hex())
-        ref, last[key] = last.get(key), seg
+        a, b = t[seg], t[seg + 1]
+        key, twin = (a.hex(), b.hex()), ((-a).hex(), (-b).hex())
+        (ref, sign), last[key] = last.get(key, (None, 1.0)), (seg, 1.0)
+        if mirror and np.array_equal(np.linspace(a, b, 2 * S + 1), -np.linspace(-a, -b, 2 * S + 1)):
+            last[twin] = seg, -1.0
         joined = np.empty(0, dtype=int)
         if ref is not None:
             own, other = M[seg * S + 1 : (seg + 1) * S + 1], M[ref * S + 1 : (ref + 1) * S + 1]
-            joined = np.flatnonzero((own == other) & (own != 0.0))
+            joined = np.flatnonzero((own == sign * other) & (own != 0.0))
         steps.append(int(joined[0]) + 1 if joined.size else S)
     return steps
 
@@ -407,18 +413,43 @@ class TestIntegrateBitwise:
     @pytest.mark.parametrize("clamp", [False, True])
     def test_limit_cycle_segments_reused(self, M0, clamp):
         waveform = FieldWaveform.cyclic(5000.0, cycles=6)
-        # the loop settles bit for bit: later segments start on an earlier one's
-        # trajectory and join it after one step
+        # the loop settles bit for bit: the second descent joins the first rise's
+        # trajectory negated partway, and each later segment starts on the one before
+        # it, negated, and joins it after one step
         steps = self.check_steps(waveform, M0, clamp)
-        assert steps[-6:] == [1] * 6
+        assert steps[:3] == [2000] * 3 and 1 < steps[3] < 2000 and steps[4:] == [1] * 9
 
     @pytest.mark.parametrize("clamp", [False, True])
     def test_mid_segment_merge(self, clamp):
-        # the second rise over the cycle's grid joins the first one's trajectory in
-        # its second integrator block, partway through it
+        # the second descent joins the first rise's trajectory, negated, in its second
+        # integrator block, partway through it; the second rise joins it after one step
         S = 6000
         steps = self.check_steps(FieldWaveform.cyclic(5000.0, cycles=2, steps_per_segment=S), clamp=clamp)
-        assert steps[:4] == [S] * 4 and BLOCK + 1 < steps[4] < 2 * BLOCK
+        assert steps[:3] == [S] * 3 and BLOCK + 1 < steps[3] < 2 * BLOCK and steps[4] == 1
+
+    def test_asymmetric_waveform_keeps_the_same_grid_rule(self):
+        # no segment's end fields are another's negated: the second rise joins the first
+        # partway, and the third descent joins the second after one step
+        S = 600
+        waveform = FieldWaveform((0.0, 3000.0, -2000.0, 3000.0, -2000.0, 3000.0, -2000.0), steps_per_segment=S)
+        M, steps = _steps_taken(lambda: self.check(waveform))
+        assert steps == _expected_steps(waveform, M, mirror=False) == _expected_steps(waveform, M)
+        assert steps[:4] == [S] * 4 and 1 < steps[4] < S and steps[5] == 1
+
+    def test_a_presolve_that_is_not_odd_is_not_mirrored(self, monkeypatch):
+        # M_an shifted by 1 A/m is not odd: only a repeat over the same grid joins, here
+        # the second rise partway through the first
+        for name, real in (("_implicit_array", _implicit_array), ("_slope_raw", _slope_raw)):
+            def fake(grid, *args, _real=real, _shift=float(name == "_implicit_array")):
+                return _real(grid, *args) + _shift
+
+            monkeypatch.setattr(simulate, name, fake)
+            monkeypatch.setitem(globals(), name, fake)
+        S = 2000
+        waveform = FieldWaveform.cyclic(5000.0, cycles=3, steps_per_segment=S)
+        M, steps = _steps_taken(lambda: self.check(waveform))
+        assert steps == _expected_steps(waveform, M, mirror=False) != _expected_steps(waveform, M)
+        assert steps[:4] == [S] * 4 and 1 < steps[4] < S and steps[5:] == [1, 1]
 
     def test_repeated_grid_from_other_start_state(self):
         # each rise starts from a different M and never joins: every step is integrated
@@ -449,6 +480,21 @@ class TestIntegrateBitwise:
         assert M[100] == -299 / 2 and M[200] == 0.0 and M[251] == M[51] == -2.5
         assert np.signbit(M[:51]).all() and not np.signbit(M[200:251]).any()
         assert steps == _expected_steps(waveform, M) == [100, 100, 51]
+
+    def test_a_mirrored_copy_writes_zero_as_integration_does(self, monkeypatch):
+        # With M_an zero, a slope of 1, an unreachable k and c = 1, M moves by h/2 a step
+        # exactly: from M0 = 0.0 the rise runs from -300 to 300 through 0.0 at step 50, and
+        # the descent, from 300, joins it negated after one step.  Its copy of step 50 is
+        # 0.0 - 0.0 = 0.0, as integrating 300 - 50*6 gives, not -1.0 * 0.0 = -0.0
+        p = HysteresisParams(aJ=972.0, alpha=0.0, c=1.0, k=1e300, Ms=MS)
+        for name, fake in (("_implicit_array", lambda grid, *args: np.zeros(len(grid))),
+                           ("_slope_raw", lambda grid, *args: np.ones(len(grid)))):
+            monkeypatch.setattr(simulate, name, fake)
+            monkeypatch.setitem(globals(), name, fake)
+        waveform = FieldWaveform((0.0, -600.0, 600.0, -600.0), steps_per_segment=100)
+        M, steps = _steps_taken(lambda: self.check(waveform, 0.0, False, p))
+        assert M[150] == M[250] == 0.0 and not np.signbit(M[250])
+        assert steps == _expected_steps(waveform, M) == [100, 100, 1]
 
     def test_start_m_keyed_on_bits(self, monkeypatch):
         # with M_an and its slope zero, M stays -0.0 from M0 = -0.0 on the first
@@ -481,6 +527,45 @@ class TestIntegrateBitwise:
         distinct = len({(a.hex(), b.hex()) for a, b in zip(waveform.targets, waveform.targets[1:])})
         assert distinct < waveform.n_segments
         assert calls == {"_implicit_array": distinct, "_slope_raw": distinct}
+
+
+@st.composite
+def _mirror_cases(draw):
+    """Stable parameters (alpha*Ms/(3*aJ) below 0.9), a cyclic waveform and a start state."""
+    aJ = draw(st.floats(300.0, 3000.0))
+    p = HysteresisParams(aJ=aJ, alpha=draw(st.floats(0.0, 0.9)) * 3.0 * aJ / MS, c=draw(st.floats(0.0, 1.0)),
+                         k=draw(st.floats(20.0, 3000.0)), Ms=MS)
+    waveform = FieldWaveform.cyclic(draw(st.floats(100.0, 2.0e4)), cycles=draw(st.integers(2, 4)),
+                                    steps_per_segment=draw(st.integers(2, 400)))
+    M0 = draw(st.sampled_from([0.0, -0.0]) | st.floats(-0.5 * MS, 0.5 * MS))
+    return p, waveform, M0, draw(st.booleans())
+
+
+class TestMirror:
+    """A loop's branches over negated grids are each other's negation, bit for bit."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_mirror_cases())
+    def test_cyclic_loops_keep_the_reference_bits(self, case):
+        p, waveform, M0, clamp = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a coarse step may reach the clamp
+            try:
+                H, M = _integrate_reference(p, waveform, M0, clamp=clamp)
+            except SingularDenominator:
+                with pytest.raises(SingularDenominator):
+                    integrate(p, waveform, M0, clamp=clamp)
+                return
+            curve, steps = _steps_taken(lambda: integrate(p, waveform, M0, clamp=clamp))
+        assert curve.H.tobytes() == H.tobytes() and curve.M.tobytes() == M.tobytes()
+        assert steps == _expected_steps(waveform, M)
+        # a descent from M0 is the rise over the same fields from -M0, negated
+        h, S = waveform.targets[1], waveform.steps_per_segment
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            down = integrate(p, FieldWaveform((h, -h), steps_per_segment=S), M0, clamp=clamp)
+            up = integrate(p, FieldWaveform((-h, h), steps_per_segment=S), -M0, clamp=clamp)
+        assert np.array_equal(down.H, -up.H) and np.array_equal(down.M, -up.M)
 
 
 class TestLoopParams:

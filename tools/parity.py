@@ -317,8 +317,21 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
             "--cycles", "6", "--steps", "2000",
             "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
         ]))
-    # 12 000 steps over three cycles: the second rise over the cycle's grid joins the
-    # first one's trajectory partway, past several integrator and writer blocks
+    # a loop is point-symmetric: each branch joins the one before it, negated, and its
+    # rows are copied and written negated.  From M0 = -0.0; clamped over six cycles of
+    # 3 000 steps, fresh rows enough to split the writer; and at 5 000 steps, where the
+    # second descent joins the first rise at step 2 048, an integrator and writer block edge
+    for name, extra in (
+        ("simulate-loop-m0-minus-zero", ["--cycles", "2", "--steps", "2000", "--m0", "-0.0"]),
+        ("simulate-loop-cycles-6-clamp-steps-3000", ["--clamp", "--cycles", "6", "--steps", "3000"]),
+        ("simulate-loop-steps-5000-join-at-block-edge", ["--cycles", "2", "--steps", "5000"]),
+    ):
+        cmds.append((name, [
+            "simulate-loop", *steel, *extra, "--c", "0.1", "--k", "1000", "--hmax", "5000",
+            "--out", f"{name}/loop.csv", "--report", f"{name}/report.json",
+        ]))
+    # 12 000 steps over three cycles: the second descent joins the first rise's
+    # trajectory, negated, partway, past several integrator and writer blocks
     name = "simulate-loop-steps-12000"
     cmds.append((name, [
         "simulate-loop", *steel, "--c", "0.1", "--k", "1000", "--hmax", "5000",
