@@ -35,7 +35,7 @@ from .anfit import RMS_BOUND_FRACTION, AnhystereticFitConfig, fit_anhysteretic
 from .core import KB, MU0, MaterialSpec
 from .dataio import CurveKind, LoopFeatures, MagnetizationCurve, Unit, extract_features, parse_curve
 from .errors import DataError, JamagError
-from .jiles92 import Jiles92Config, c_from_susceptibilities, estimate
+from .jiles92 import Jiles92Config, estimate
 from .simulate import FieldWaveform, HysteresisParams, integrate
 from .validation import GRID_MATERIAL, run_grid
 
@@ -271,7 +271,10 @@ def cmd_fit_anhysteretic(args) -> dict:
     cfg = _config(AnhystereticFitConfig, args)
     material = MaterialSpec(Ms=args.ms, T=args.temp)
     data = _parse(args.data, CurveKind.ANHYSTERETIC, args)
-    report = fit_anhysteretic(data, material, cfg)
+    try:
+        report = fit_anhysteretic(data, material, cfg)
+    except DataError as err:  # the parser's errors name the file already; the fit's do not
+        raise DataError(f"{args.data}: {err}") from None
 
     m_fit = data.M + report.residual / MU0
     _write_curve(
@@ -306,13 +309,13 @@ def cmd_fit_jiles92(args) -> dict:
     cfg = _config(Jiles92Config, args)
     loop = _parse(args.loop, CurveKind.FULL_LOOP, args)
     anh = _parse(args.anhysteretic, CurveKind.ANHYSTERETIC, args) if args.anhysteretic else None
-    if not (anh or args.features):
-        raise DataError("fit-jiles92 needs --anhysteretic, or --features for the loop route's chi_an")
     if args.first_mag:  # read and checked, not fitted from
         _parse(args.first_mag, CurveKind.FIRST_MAGNETIZATION, args)
     features = None
-    if args.features:  # read and checked; only the loop route fits from its chi_an
+    if args.features:  # read and checked; the loop route fits from its chi_an
         features = LoopFeatures(**_read_numbers(args.features, "features", [f.name for f in fields(LoopFeatures)]))
+        if features.chi_an == 0.0:
+            raise DataError(f"{args.features}: 'chi_an': is zero, and the loop route divides by it")
     result = estimate(features, material, cfg, loop, anhysteretic=anh)
     return {
         "inputs": _inputs(loop=args.loop, first_mag=args.first_mag, anhysteretic=args.anhysteretic,
@@ -392,7 +395,6 @@ def cmd_extract(args) -> dict:
         "inputs": _inputs(first_mag=args.first_mag, loop=args.loop, anhysteretic=args.anhysteretic),
         "config": {"unit": args.unit, "ms": args.ms},
         "features": asdict(features),
-        "derived": {"c": c_from_susceptibilities(features.chi_in, features.chi_an), "k": features.Hc},
     }
 
 
@@ -469,8 +471,9 @@ def _fit_anhysteretic_args(p) -> None:
 def _fit_jiles92_args(p) -> None:
     p.add_argument("--loop", type=Path, required=True, help="measured full loop")
     p.add_argument("--first-mag", type=Path)
-    p.add_argument("--anhysteretic", type=Path)
-    p.add_argument("--features", type=Path, help="precomputed features JSON (alternative to curve files)")
+    route = p.add_mutually_exclusive_group(required=True)
+    route.add_argument("--anhysteretic", type=Path, help="anhysteretic curve: (aJ, alpha) from it")
+    route.add_argument("--features", type=Path, help="extract report: (aJ, alpha) from the loop and its chi_an")
     _add_common(p, ms_required=True, temp=True)
     p.set_defaults(**asdict(Jiles92Config()))
     p.add_argument("--fit-tol", type=float, help="MSE threshold on mu0*M, T^2")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import warnings
 from dataclasses import dataclass
 from logging import getLogger
 
@@ -27,7 +26,7 @@ from .core import (
     langevin_prime,
 )
 from .dataio import LoopFeatures, MagnetizationCurve, split_branches
-from .errors import DataError, JamagError, NonPhysicalParameterWarning, SingularDenominator, UnstableParams
+from .errors import DataError, JamagError, SingularDenominator, UnstableParams
 from .rootfind import expand_bracket, find_root
 from .simulate import _MAN_REL_TOL, FieldWaveform, HysteresisParams, integrate
 
@@ -64,24 +63,6 @@ class Jiles92Result:
     fit_condition_met: bool
     route: str
     iterations: int
-
-
-def c_from_susceptibilities(chi_in: float, chi_an: float) -> float:
-    """Reversibility fraction c = chi_in / chi_an (expected in (0, 1)).
-
-    c >= 1 and c <= 0 are returned with a warning; at c = 1 the pinning
-    term drops out of the loop equations.
-    """
-    if chi_an == 0.0:
-        raise DataError("chi_an is zero")
-    c = chi_in / chi_an
-    if c >= 1.0 or c <= 0.0:
-        warnings.warn(
-            f"c = {c:.6g} outside the physical range (0, 1)",
-            NonPhysicalParameterWarning,
-            stacklevel=2,
-        )
-    return c
 
 
 def aj_initial(Ms: float, chi_an: float, alpha: float) -> float:

@@ -42,7 +42,6 @@ INTERNAL = [
     ("jiles92", "aj_initial"),
     ("jiles92", "aj_update"),
     ("jiles92", "alpha_update"),
-    ("jiles92", "c_from_susceptibilities"),
     ("jiles92", "k_from_coercive"),
     ("rootfind", "find_root"),
     ("rootfind", "expand_bracket"),

@@ -217,7 +217,8 @@ class TestUsageErrors:
         argv = {
             "fit-anhysteretic": ["fit-anhysteretic", str(anh_file), "--ms", str(MS), "--temp", str(T),
                                  "--curve-out", str(tmp_path / "curve.csv")],
-            "fit-jiles92": ["fit-jiles92", "--loop", str(anh_file), "--ms", str(MS), "--temp", str(T)],
+            "fit-jiles92": ["fit-jiles92", "--loop", str(anh_file), "--anhysteretic", str(anh_file), "--ms", str(MS),
+                            "--temp", str(T)],
             "validate": ["validate"],
         }[command]
         out = tmp_path / "report.json"
@@ -230,8 +231,8 @@ class TestUsageErrors:
     def test_restart_flag_is_a_usage_error(self, loop_files, tmp_path, capsys, flag, value):
         # the alpha seeds, the pass cap and the simulation's cycles and steps are fixed in jiles92
         with pytest.raises(SystemExit) as info:
-            cli.main(["fit-jiles92", "--loop", str(loop_files["loop"]), "--ms", str(MS),
-                      "--temp", str(T), flag, value, "--out", str(tmp_path / "rep.json")])
+            cli.main(["fit-jiles92", "--loop", str(loop_files["loop"]), "--anhysteretic", str(loop_files["anh"]),
+                      "--ms", str(MS), "--temp", str(T), flag, value, "--out", str(tmp_path / "rep.json")])
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -239,7 +240,7 @@ class TestUsageErrors:
 
 @pytest.mark.parametrize("argv, cls", [
     (["fit-anhysteretic", "data.csv"], AnhystereticFitConfig),
-    (["fit-jiles92", "--loop", "loop.csv"], Jiles92Config),
+    (["fit-jiles92", "--loop", "loop.csv", "--anhysteretic", "a.csv"], Jiles92Config),
 ])
 def test_flag_defaults_are_the_config_defaults(argv, cls):
     args = cli.build_parser().parse_args([*argv, "--ms", "1", "--temp", "1"])
@@ -322,6 +323,8 @@ class TestLazyParser:
         ["--help"], ["fit-anhysteretic", "--help"], ["--verbose", "simulate-loop", "-h"], ["--version"],
         [], ["transmogrify"], ["fit"], ["-", "validate"], ["--bogus", "validate"], ["validate", "--bogus"],
         ["extract", "--loop", "l"], ["validate", "--eps", "x"], ["fit-jiles92", "--ms", "1", "--temp"],
+        ["fit-jiles92", "--loop", "l", "--ms", "1", "--temp", "2"],
+        ["fit-jiles92", "--loop", "l", "--anhysteretic", "a", "--features", "f", "--ms", "1", "--temp", "2"],
     ], ids=lambda argv: " ".join(argv) or "none")
     def test_same_output_as_the_full_parser(self, capsys, argv):
         def run(parse):
@@ -362,7 +365,6 @@ class TestMeasuredValueErrors:
     @pytest.mark.parametrize("name, value, message", [
         ("Mr", float("nan"), "Mr must be finite"),
         ("Mm", float("nan"), "Mm must be finite"),
-        ("chi_an", 0.0, "chi_an is zero"),
     ])
     def test_features(self, loop_files, tmp_path, capsys, name, value, message):
         path = tmp_path / "features.json"
@@ -374,6 +376,19 @@ class TestMeasuredValueErrors:
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    def test_zero_chi_an_names_the_file(self, loop_files, tmp_path, capsys):
+        # the loop route's starts divide by chi_an: this said only "chi_an is zero"
+        path = tmp_path / "features.json"
+        path.write_text(json.dumps({"features": {**_FEATURES, "chi_an": 0.0}}))
+        out = tmp_path / "out.json"
+        code = cli.main([
+            "fit-jiles92", "--loop", str(loop_files["loop"]), "--features", str(path),
+            "--ms", str(MS), "--temp", str(T), "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: 'chi_an': is zero, and the loop route divides by it\n"
+        assert not out.exists()
+
     def test_no_positive_sample(self, tmp_path, capsys):
         path = tmp_path / "negative.csv"
         H = np.linspace(100.0, 1.0e4, 20)
@@ -383,7 +398,24 @@ class TestMeasuredValueErrors:
             "--out", str(tmp_path / "out.json"), "--curve-out", str(tmp_path / "c.csv"),
         ])
         assert code == 2
-        assert "error: no sample with H > 0 and M > 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: no sample with H > 0 and M > 0\n"
+
+    @pytest.mark.parametrize("H, M, message", [
+        (np.linspace(-1.0e4, -100.0, 20), np.linspace(-1.0e6, -1.0e4, 20), "no sample with H > 0"),
+        (np.array([100.0, 200.0]), np.array([1.0e4, 2.0e4]), "need at least 3 samples, got 2"),
+    ], ids=["no-positive-field", "two-samples"])
+    def test_fit_error_names_the_file(self, tmp_path, capsys, H, M, message):
+        # the fit's own errors name the file, as the parser's do; these named neither
+        path = tmp_path / "curve.csv"
+        write_curve_file(path, H, M)
+        out = tmp_path / "out.json"
+        code = cli.main([
+            "fit-anhysteretic", str(path), "--ms", str(MS), "--temp", str(T),
+            "--out", str(out), "--curve-out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
 
     def test_residual_norm_overflow(self, tmp_path):
         # |M| up to 1e304: the sum of (mu0*M)^2 overflows.  This exited 2 on a residual-norm
@@ -396,7 +428,7 @@ class TestMeasuredValueErrors:
         )
         assert r.returncode == 2
         assert r.stderr == (
-            "error: initial susceptibility 1e+19 is too large for Ms = 1.6e+06 A/m: "
+            f"error: {path}: initial susceptibility 1e+19 is too large for Ms = 1.6e+06 A/m: "
             "alpha*Ms/(3*aJ) = 1 >= 1; the anhysteretic curve is multivalued\n"
         )
         assert not (tmp_path / "out.json").exists()
@@ -531,7 +563,7 @@ class TestMeasuredValueErrors:
         ])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: initial susceptibility 2e+98 is too large for Ms = 1.6e+06 A/m: "
+            f"error: {path}: initial susceptibility 2e+98 is too large for Ms = 1.6e+06 A/m: "
             "alpha*Ms/(3*aJ) = 1 >= 1; the anhysteretic curve is multivalued\n"
         )
         assert not (tmp_path / "out.json").exists()
@@ -561,7 +593,7 @@ class TestMeasuredValueErrors:
             "--out", str(tmp_path / "out.json"), "--curve-out", str(tmp_path / "c.csv"),
         ])
         assert code == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (tmp_path / "out.json").exists()
 
     def test_steep_curve_up_to_1e306(self, tmp_path):
@@ -654,10 +686,8 @@ class TestNumericalErrors:
         H, M = np.loadtxt(loop_files["loop"], delimiter=",", skiprows=1).T
         path = tmp_path / "backwards.csv"
         write_curve_file(path, H[:400:-1], M[:400:-1])
-        feats = tmp_path / "features.json"  # extract rejects the reversed loop's negative tip slope
-        feats.write_text(json.dumps({"features": _FEATURES}))
         code = cli.main([
-            "fit-jiles92", "--loop", str(path), "--features", str(feats), "--anhysteretic", str(loop_files["anh"]),
+            "fit-jiles92", "--loop", str(path), "--anhysteretic", str(loop_files["anh"]),
             "--ms", str(MS), "--temp", str(T), "--out", str(tmp_path / "out.json"),
         ])
         assert code == 3
@@ -672,10 +702,8 @@ class TestNumericalErrors:
         x = np.linspace(3.0, 30.0, 200)
         path = tmp_path / "unstable.csv"
         write_curve_file(path, aJ * x - alpha * MS * langevin(x), MS * langevin(x))
-        feats = tmp_path / "features.json"
-        feats.write_text(json.dumps({"features": _FEATURES}))
         code = cli.main([
-            "fit-jiles92", "--loop", str(loop_files["loop"]), "--features", str(feats),
+            "fit-jiles92", "--loop", str(loop_files["loop"]),
             "--anhysteretic", str(path), "--ms", str(MS), "--temp", str(T), "--out", str(tmp_path / "out.json"),
         ])
         assert code == 3
@@ -1281,8 +1309,8 @@ class TestExtractAndJiles92:
         f = obj["features"]
         assert 0.0 < f["Hc"] < 1000.0
         assert f["Hm"] == pytest.approx(5000.0)
-        assert obj["derived"]["k"] == f["Hc"]
-        assert obj["derived"]["c"] == pytest.approx(f["chi_in"] / f["chi_an"], rel=1e-12)
+        # c = chi_in/chi_an and k = Hc are not the simulator's parameters: fit-jiles92 fits those
+        assert "derived" not in obj
 
     @pytest.mark.parametrize("command", ["extract", "fit-jiles92", "fit-anhysteretic"])
     @pytest.mark.parametrize("points", [0, 1])
@@ -1430,7 +1458,28 @@ class TestExtractAndJiles92:
             "fit-jiles92", "--loop", loop_files["loop"], "--ms", MS, "--temp", T,
         )
         assert r.returncode == 2
-        assert r.stderr == "error: fit-jiles92 needs --anhysteretic, or --features for the loop route's chi_an\n"
+        assert r.stderr.endswith(
+            "jamag fit-jiles92: error: one of the arguments --anhysteretic --features is required\n")
+
+    @pytest.mark.parametrize("route, message", [
+        ([], "one of the arguments --anhysteretic --features is required"),
+        (["--anhysteretic", "a.csv", "--features", "f.json"],
+         "argument --features: not allowed with argument --anhysteretic"),
+    ], ids=["neither", "both"])
+    def test_fit_takes_exactly_one_route(self, loop_files, tmp_path, monkeypatch, capsys, route, message):
+        # a usage error, before any file is read: no curve is parsed, no report written
+        def raises(*args, **kwargs):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(cli, "parse_curve", raises)
+        monkeypatch.setattr(cli, "_read_numbers", raises)
+        out = tmp_path / "j92.json"
+        with pytest.raises(SystemExit) as info:
+            cli.main(["fit-jiles92", "--loop", str(loop_files["loop"]), *route, "--ms", str(MS), "--temp", str(T),
+                      "--out", str(out)])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"jamag fit-jiles92: error: {message}\n")
+        assert not out.exists()
 
 
 class TestValidate:

@@ -15,13 +15,12 @@ from jamag.core import (
     anhysteretic_implicit,
     anhysteretic_slope,
 )
-from jamag.dataio import CurveKind, LoopFeatures
+from jamag.dataio import CurveKind
 from jamag.errors import (
     NonPhysicalParameterWarning,
     SingularDenominator,
     UnstableParams,
 )
-from jamag.jiles92 import c_from_susceptibilities
 from jamag.simulate import (
     FieldWaveform,
     HysteresisParams,
@@ -566,20 +565,6 @@ class TestMirror:
             down = integrate(p, FieldWaveform((h, -h), steps_per_segment=S), M0, clamp=clamp)
             up = integrate(p, FieldWaveform((-h, h), steps_per_segment=S), -M0, clamp=clamp)
         assert np.array_equal(down.H, -up.H) and np.array_equal(down.M, -up.M)
-
-
-class TestLoopParams:
-    """The loop parameters `extract` reports: c = chi_in/chi_an and k = Hc."""
-
-    def test_reference(self):
-        feats = LoopFeatures(
-            chi_in=50.0, chi_an=500.0, chi_max=1500.0, chi_r=1900.0, chi_m=50.0,
-            Hc=120.0, Mr=5.0e5, Hm=5000.0, Mm=1.3e6,
-        )
-        c = c_from_susceptibilities(feats.chi_in, feats.chi_an)
-        k = feats.Hc
-        assert c == pytest.approx(0.1, rel=1e-15)
-        assert k == 120.0
 
 
 def _clamp_warnings(p, waveform, M0=0.0):

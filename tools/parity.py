@@ -115,6 +115,10 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
     path = anh_dir / "negative.csv"
     inputs.write_curve(path, H, inputs.anhysteretic(H, 972.0, 1.4e-3, inputs.MS) - inputs.MS)
     flags["negative"] = [str(path.relative_to(out))]
+    # the noiseless curve's half below H = 0: no sample with H > 0 (exit 2 naming the file)
+    path = anh_dir / "no_positive_field.csv"
+    inputs.write_curve(path, H[:100], inputs.anhysteretic(H[:100], 972.0, 1.4e-3, inputs.MS))
+    flags["no_positive_field"] = [str(path.relative_to(out))]
     # M from 1e20 to 1e304 A/m: the sum of (mu0*M)^2 overflows float64, and the initial
     # slope of 1e19 leaves no stable candidate (exit 2).  M from 1 to 1e300 A/m: every
     # candidate's sum of squared residuals overflows, and the scaled norm still fits it
@@ -223,6 +227,7 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-anhysteretic-coarse-zero-malformed", "zero-malformed"),
         ("fit-anhysteretic-coarse-anh0-ragged", "anh0-ragged"),
         ("fit-anhysteretic-coarse-negative", "negative"),
+        ("fit-anhysteretic-no-positive-field", "no_positive_field"),
         ("fit-anhysteretic-coarse-overflow", "overflow"),
         ("fit-anhysteretic-coarse-big-m", "big_m"),
         ("fit-anhysteretic-coarse-underflow", "underflow"),
@@ -421,9 +426,11 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-jiles92-semicolon-crlf", [*f["loop-semicolon"], *f["first_mag"], *f["anhysteretic"]], []),
         ("fit-jiles92-anh-through-zero", through_zero, []),
         ("fit-jiles92-features", [*f["loop"], "--features", "extract/features.json"], []),
-        # features from a file, (aJ, alpha) from the anhysteretic curve
+        # a fit takes exactly one route: both --features and --anhysteretic, or neither, is a
+        # usage error (exit 2) before any file is read
         ("fit-jiles92-features-anhysteretic",
          [*f["loop"], "--features", "extract/features.json", *f["anhysteretic"]], []),
+        ("fit-jiles92-no-route", [*f["loop"], *f["first_mag"]], []),
         # the anhysteretic route reads no first-magnetization curve
         ("fit-jiles92-loop-anhysteretic", [*f["loop"], *f["anhysteretic"]], []),
         # the simulation's steps are fixed: --sim-steps is an unknown argument (exit 2)
