@@ -26,10 +26,17 @@ weakly unimodal profile the plain scan's.  A norm whose sum of squares
 leaves the normal range is taken on its residual scaled by a power of two,
 an exact scaling, so it is rounded like an in-range norm rather than 0 or
 inf; every other norm has ``np.linalg.norm``'s bits.
+
+Next to the sweep, :func:`_anhysteretic_fit` fits (aJ, alpha) directly:
+M = Ms*L((H + alpha*M)/aJ) inverts to H = aJ*L^-1(M/Ms) - alpha*M, linear in
+both, so one least-squares solve over the samples with H > 0 and 0 < M < Ms
+gives a start, and damped Gauss-Newton on M over (log aJ, kappa), kappa =
+alpha*Ms/(3*aJ), refines it.  ``fit-jiles92``'s anhysteretic route runs it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -41,9 +48,12 @@ from .core import (
     MU0,
     MaterialSpec,
     _IMPLICIT_REL_TOL,
+    _MAN_REL_TOL,
     _implicit_array,
+    _langevin_inverse_array,
     anhysteretic_explicit,
     langevin_inverse,
+    langevin_prime,
     moment_from_susceptibility,
     shape_param_from_moment,
     alpha_from_susceptibilities,
@@ -57,6 +67,9 @@ RMS_BOUND_FRACTION = 0.01
 
 _BLOCK_POINTS = 16384
 """Fields times candidates per lockstep curve solve of the sweep (81 rows of 200 samples)."""
+
+_GN_MAX = 50  # Gauss-Newton steps at most
+_GN_STEP_TOL = 1e-10  # a step in (log aJ, kappa) within this ends Gauss-Newton
 
 _logger = getLogger(__name__)
 
@@ -342,3 +355,52 @@ def _is_unimodal(norms: np.ndarray) -> bool:
     while i + 1 < n and norms[i + 1] >= norms[i]:
         i += 1
     return i == n - 1
+
+
+def _params(p: np.ndarray, Ms: float) -> tuple[float, float]:
+    """(aJ, alpha) at p = (log aJ, kappa), kappa = alpha*Ms/(3*aJ)."""
+    aJ = math.exp(p[0])
+    return aJ, 3.0 * float(p[1]) * aJ / Ms
+
+
+def _gauss_newton(residual, jacobian, p: np.ndarray) -> tuple[np.ndarray, int]:
+    """Damped Gauss-Newton from ``p``: halves a step that does not reduce the sum of squares
+    or puts kappa at 1 or past it; stops at a step within ``_GN_STEP_TOL``.  Returns p, steps."""
+    r = residual(p)
+    for it in range(_GN_MAX):
+        step = np.linalg.lstsq(jacobian(p, r), -r, rcond=None)[0]
+        while np.max(np.abs(step)) > _GN_STEP_TOL:
+            with contextlib.suppress(UnstableParams):
+                trial = residual(p + step)
+                if trial @ trial < r @ r:
+                    break
+            step = step / 2.0
+        else:
+            return p, it
+        p, r = p + step, trial
+    return p, _GN_MAX
+
+
+def _anhysteretic_fit(anh: MagnetizationCurve, Ms: float) -> tuple[np.ndarray, int]:
+    """(log aJ, kappa) of an anhysteretic curve and the Gauss-Newton steps: least squares on
+    H = aJ*L^-1(M/Ms) - alpha*M where H > 0 and 0 < M < Ms, then Gauss-Newton on M, with
+    dM/daJ = -q*x, dM/dalpha = q*M, q = t/(aJ - alpha*t), t = Ms*L'(x), x = (H + alpha*M)/aJ."""
+    H, M = anh.H, anh.M
+    use = (H > 0.0) & (M > 0.0) & (M < Ms)
+    if np.count_nonzero(use) < 2:
+        raise DataError(f"anhysteretic curve has {np.count_nonzero(use)} samples with H > 0, 0 < M < Ms; 2 needed")
+    x = _langevin_inverse_array(M[use] / Ms)
+    (aJ, alpha), *_ = np.linalg.lstsq(np.column_stack([x, -M[use]]), H[use], rcond=None)
+    if not aJ > 0.0:
+        raise JamagError(f"the anhysteretic curve's linear fit gives aJ = {aJ:.6g} A/m; aJ > 0 is needed")
+
+    def jacobian(p, r):  # d/d(log aJ) = aJ*dM/daJ + alpha*dM/dalpha = -q*H at fixed kappa
+        aJ, alpha = _params(p, Ms)
+        t = Ms * langevin_prime((H + alpha * (M + r)) / aJ)
+        q = t / (aJ - alpha * t)
+        return np.column_stack([-q * H, (3.0 * aJ / Ms) * q * (M + r)])
+
+    def residual(p):
+        return _implicit_array(H, *_params(p, Ms), Ms, _MAN_REL_TOL * Ms) - M
+
+    return _gauss_newton(residual, jacobian, np.array([math.log(aJ), alpha * Ms / (3.0 * aJ)]))

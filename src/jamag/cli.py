@@ -313,7 +313,11 @@ def cmd_fit_jiles92(args) -> dict:
         _parse(args.first_mag, CurveKind.FIRST_MAGNETIZATION, args)
     features = None
     if args.features:  # read and checked; the loop route fits from its chi_an
-        features = LoopFeatures(**_read_numbers(args.features, "features", [f.name for f in fields(LoopFeatures)]))
+        numbers = _read_numbers(args.features, "features", [f.name for f in fields(LoopFeatures)])
+        try:  # _read_numbers' errors name the file already; LoopFeatures' do not
+            features = LoopFeatures(**numbers)
+        except ValueError as err:
+            raise DataError(f"{args.features}: {err}") from None
         if features.chi_an == 0.0:
             raise DataError(f"{args.features}: 'chi_an': is zero, and the loop route divides by it")
     result = estimate(features, material, cfg, loop, anhysteretic=anh)

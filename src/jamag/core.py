@@ -46,6 +46,8 @@ _X_IDENTITY_MAX = 20.0
 _IMPLICIT_REL_TOL = 1e-9
 """Default absolute tolerance for the implicit solve, as a fraction of Ms."""
 
+_MAN_REL_TOL = 1e-12  # tolerance of the anhysteretic solve, as a fraction of Ms
+
 _L2_MAX = 0.106  # max |L''(x)| = 0.1059636 at x = 1.3723, rounded up
 _MAX_ITER = 200  # iteration cap of the implicit solve
 _NEWTON_STEPS = 16  # Newton steps before a row not yet done (alpha < 0, mostly) is bracketed

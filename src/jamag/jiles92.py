@@ -6,36 +6,32 @@ slope of the self-consistent anhysteretic curve, the simulator's ODE reads
     delta*s*k + delta*(s - M_an')*(k*c) - alpha*dm*(s - M_an')*c = dm*(1 + alpha*s),
 
 linear in (k, k*c, c) given (aJ, alpha).  Those come from an anhysteretic
-curve, where H = aJ*L^-1(M/Ms) - alpha*M is linear in them, or else from the
-loop by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10(2):413,
-1973).  One simulation to the loop's own tip judges the fit.  ``estimate`` no
-longer calls the closed forms of Jiles' 1992 procedure (IEEE Trans. Magn. 28(5):2602) below.
+curve by :mod:`jamag.anfit`'s linear fit, or else from the loop by variable
+projection (Golub & Pereyra, SIAM J. Numer. Anal. 10(2):413, 1973).  One
+simulation to the loop's own tip judges the fit.  Nothing calls the closed
+forms of Jiles' 1992 procedure (IEEE Trans. Magn. 28(5):2602) below; they stay
+while ``perfbench/tracer.py`` looks them up by name.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from logging import getLogger
 
 import numpy as np
 
-from .core import (
-    MU0, MaterialSpec, _implicit_array, _langevin_inverse_array, _slope_raw, langevin, langevin_inverse,
-    langevin_prime,
-)
+from .anfit import _anhysteretic_fit, _gauss_newton, _params
+from .core import MU0, _MAN_REL_TOL, MaterialSpec, _implicit_array, _slope_raw, langevin, langevin_inverse
 from .dataio import LoopFeatures, MagnetizationCurve, split_branches
-from .errors import DataError, JamagError, SingularDenominator, UnstableParams
+from .errors import DataError, JamagError, SingularDenominator
 from .rootfind import expand_bracket, find_root
-from .simulate import _MAN_REL_TOL, FieldWaveform, HysteresisParams, integrate
+from .simulate import FieldWaveform, HysteresisParams, integrate
 
 _SIM_CYCLES = 2  # cycles of the one simulation that judges the fit; the last is compared with the loop
 _SIM_STEPS = 600  # steps per segment of that simulation
 _SEARCH_ROWS = 1000  # most loop rows, evenly strided, in each evaluation of the loop route's search
 _KAPPA_SCAN = np.linspace(0.0, 0.95, 20)  # starts of the loop route, on the chi_an line
-_GN_MAX = 50  # Gauss-Newton steps at most
-_GN_STEP_TOL = 1e-10  # a step in (log aJ, kappa) within this ends Gauss-Newton
 _FD_STEP = 1e-7  # forward-difference step in (log aJ, kappa) of the loop route's Jacobian
 
 _logger = getLogger(__name__)
@@ -149,55 +145,6 @@ def _loop_mse(sim: MagnetizationCurve, waveform: FieldWaveform, measured) -> flo
     ma_hat = np.interp(Ha, sim.H[asc], sim.M[asc])
     err = MU0 * np.concatenate([md_hat - Md, ma_hat - Ma])
     return float(np.mean(err * err))
-
-
-def _params(p: np.ndarray, Ms: float) -> tuple[float, float]:
-    """(aJ, alpha) at p = (log aJ, kappa), kappa = alpha*Ms/(3*aJ)."""
-    aJ = math.exp(p[0])
-    return aJ, 3.0 * float(p[1]) * aJ / Ms
-
-
-def _gauss_newton(residual, jacobian, p: np.ndarray) -> tuple[np.ndarray, int]:
-    """Damped Gauss-Newton from ``p``: halves a step that does not reduce the sum of squares
-    or puts kappa at 1 or past it; stops at a step within ``_GN_STEP_TOL``.  Returns p, steps."""
-    r = residual(p)
-    for it in range(_GN_MAX):
-        step = np.linalg.lstsq(jacobian(p, r), -r, rcond=None)[0]
-        while np.max(np.abs(step)) > _GN_STEP_TOL:
-            with contextlib.suppress(UnstableParams):
-                trial = residual(p + step)
-                if trial @ trial < r @ r:
-                    break
-            step = step / 2.0
-        else:
-            return p, it
-        p, r = p + step, trial
-    return p, _GN_MAX
-
-
-def _anhysteretic_fit(anh: MagnetizationCurve, Ms: float) -> tuple[np.ndarray, int]:
-    """(log aJ, kappa) of an anhysteretic curve and the Gauss-Newton steps: least squares on
-    H = aJ*L^-1(M/Ms) - alpha*M where H > 0 and 0 < M < Ms, then Gauss-Newton on M, with
-    dM/daJ = -q*x, dM/dalpha = q*M, q = t/(aJ - alpha*t), t = Ms*L'(x), x = (H + alpha*M)/aJ."""
-    H, M = anh.H, anh.M
-    use = (H > 0.0) & (M > 0.0) & (M < Ms)
-    if np.count_nonzero(use) < 2:
-        raise DataError(f"anhysteretic curve has {np.count_nonzero(use)} samples with H > 0, 0 < M < Ms; 2 needed")
-    x = _langevin_inverse_array(M[use] / Ms)
-    (aJ, alpha), *_ = np.linalg.lstsq(np.column_stack([x, -M[use]]), H[use], rcond=None)
-    if not aJ > 0.0:
-        raise JamagError(f"the anhysteretic curve's linear fit gives aJ = {aJ:.6g} A/m; aJ > 0 is needed")
-
-    def jacobian(p, r):  # d/d(log aJ) = aJ*dM/daJ + alpha*dM/dalpha = -q*H at fixed kappa
-        aJ, alpha = _params(p, Ms)
-        t = Ms * langevin_prime((H + alpha * (M + r)) / aJ)
-        q = t / (aJ - alpha * t)
-        return np.column_stack([-q * H, (3.0 * aJ / Ms) * q * (M + r)])
-
-    def residual(p):
-        return _implicit_array(H, *_params(p, Ms), Ms, _MAN_REL_TOL * Ms) - M
-
-    return _gauss_newton(residual, jacobian, np.array([math.log(aJ), alpha * Ms / (3.0 * aJ)]))
 
 
 def _slope5(H: np.ndarray, M: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _implicit_array, _slope_raw
+from .core import _MAN_REL_TOL, _implicit_array, _slope_raw
 from .dataio import CurveKind, MagnetizationCurve
 from .errors import NonPhysicalParameterWarning, SingularDenominator
 
@@ -105,8 +105,6 @@ class FieldWaveform:
         s = self.steps_per_segment
         return slice(i * s, (i + 1) * s + 1)
 
-
-_MAN_REL_TOL = 1e-12  # tolerance of the anhysteretic solve, as a fraction of Ms
 
 _BLOCK_STEPS = 2048
 """RK4 steps per block: the anhysteretic values are turned into float lists

@@ -11,7 +11,9 @@ from jamag.anfit import (
     fit_anhysteretic,
     initial_susceptibility,
     solve_chi_param,
+    _anhysteretic_fit,
     _is_unimodal,
+    _params,
     _row_norms,
 )
 from jamag.core import (
@@ -28,7 +30,7 @@ from jamag.core import (
 from jamag.dataio import CurveKind, MagnetizationCurve
 from jamag.errors import DataError, JamagError, UnstableParams
 from jamag.rootfind import find_root
-from jamag.validation import run_row, synthetic_curve
+from jamag.validation import GRID_ROWS, run_row, synthetic_curve
 
 from conftest import linear_curve, raises_numerical
 
@@ -640,3 +642,32 @@ class TestUnimodal:
         assert _is_unimodal(np.array([1.0]))
         assert not _is_unimodal(np.array([3.0, 1.0, 2.0, 1.0, 3.0]))
         assert not _is_unimodal(np.array([1.0, 2.0, 1.0, 2.0]))
+
+
+class TestAnhystereticLinearFit:
+    """``_anhysteretic_fit``: least squares on H = aJ*L^-1(M/Ms) - alpha*M, then Gauss-Newton on M."""
+
+    @pytest.mark.parametrize("aJ, alpha", GRID_ROWS)
+    def test_recovers_the_validate_rows_without_a_step(self, aJ, alpha):
+        # noiseless curves: the linear fit alone lands within 1e-10, so Gauss-Newton stops at once
+        p, steps = _anhysteretic_fit(synthetic_curve(aJ, alpha), MS)
+        aJ_fit, alpha_fit = _params(p, MS)
+        assert steps == 0
+        assert aJ_fit == pytest.approx(aJ, rel=1e-10)
+        assert alpha_fit == pytest.approx(alpha, rel=1e-10)
+
+    def test_fewer_than_two_usable_samples(self):
+        # one sample with H > 0 and 0 < M < Ms; the others sit at M <= 0 or M >= Ms
+        H = np.linspace(100.0, 1.0e4, 6)
+        data = MagnetizationCurve(H=H, M=np.array([-1.0e3, 0.0, 5.0e5, MS, 1.1 * MS, 1.2 * MS]),
+                                  kind=CurveKind.ANHYSTERETIC)
+        with pytest.raises(DataError) as info:
+            _anhysteretic_fit(data, MS)
+        assert str(info.value) == "anhysteretic curve has 1 samples with H > 0, 0 < M < Ms; 2 needed"
+
+    def test_falling_curve_gives_no_positive_aJ(self):
+        # M falls as H rises: the linear fit's aJ is negative, a numerical failure
+        H = np.linspace(100.0, 1.0e4, 50)
+        data = MagnetizationCurve(H=H, M=np.linspace(0.8 * MS, 0.2 * MS, 50), kind=CurveKind.ANHYSTERETIC)
+        with raises_numerical(r"the anhysteretic curve's linear fit gives aJ = -\S+ A/m; aJ > 0 is needed"):
+            _anhysteretic_fit(data, MS)

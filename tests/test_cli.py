@@ -365,16 +365,20 @@ class TestMeasuredValueErrors:
     @pytest.mark.parametrize("name, value, message", [
         ("Mr", float("nan"), "Mr must be finite"),
         ("Mm", float("nan"), "Mm must be finite"),
+        ("chi_r", -1.0, "chi_r must be finite and non-negative"),
     ])
     def test_features(self, loop_files, tmp_path, capsys, name, value, message):
+        # a feature LoopFeatures rejects names the features file, as a missing key does
         path = tmp_path / "features.json"
         path.write_text(json.dumps({"features": {**_FEATURES, name: value}}))
+        out = tmp_path / "out.json"
         code = cli.main([
             "fit-jiles92", "--loop", str(loop_files["loop"]), "--features", str(path),
-            "--ms", str(MS), "--temp", str(T), "--out", str(tmp_path / "out.json"),
+            "--ms", str(MS), "--temp", str(T), "--out", str(out),
         ])
         assert code == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: {message}, got {value}\n"
+        assert not out.exists()
 
     def test_zero_chi_an_names_the_file(self, loop_files, tmp_path, capsys):
         # the loop route's starts divide by chi_an: this said only "chi_an is zero"

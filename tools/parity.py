@@ -186,6 +186,12 @@ def build_inputs(out: Path) -> dict[str, list[str]]:
         path = loop_dir / f"{name.replace('-', '_')}.csv"
         path.write_text("\n".join(body) + "\n", encoding="utf-8")
         flags[name] = [flag, str(path.relative_to(out))]
+    # an anhysteretic curve at M = Ms on every sample: none has 0 < M < Ms, so the
+    # anhysteretic route has nothing to fit (exit 2)
+    H = np.linspace(100.0, 1.0e4, 50)
+    path = loop_dir / "anh_saturated.csv"
+    inputs.write_curve(path, H, np.full(H.size, inputs.MS))
+    flags["anh-saturated"] = ["--anhysteretic", str(path.relative_to(out))]
     # saved reports a later stage cannot read: a JSON list as --params, a fit report whose
     # aJ is the JSON boolean true, and a features report with a null feature; all exit 2
     # naming the file and the key.  Features with a NaN remanence or a zero anhysteretic
@@ -439,6 +445,7 @@ def commands(f: dict[str, list[str]]) -> list[tuple[str, list[str]]]:
         ("fit-jiles92-features-nan-mr", [*f["loop"], *f["features_nan_mr.json"]], []),
         ("fit-jiles92-features-zero-chi-an", [*f["loop"], *f["features_zero_chi_an.json"]], []),
         ("fit-jiles92-features-c-one", [*f["loop"], *f["features_c_one.json"]], []),
+        ("fit-jiles92-anhysteretic-no-usable-sample", [*f["loop"], *f["anh-saturated"]], []),
         # the alpha seeds are fixed: --seeds is an unknown argument (exit 2)
         ("fit-jiles92-seeds-flag-gone", curves, ["--seeds", "1e-4,x"]),
         ("fit-jiles92-fit-tol-inf", curves, ["--fit-tol", "inf"]),
